@@ -143,8 +143,8 @@ def closure_suite(cfg: SimConfig) -> CriterionResult:
     terms = _session_ephemerals(world, "alice", "uav-1", result)
     augmented = [tr.payload for tr in result.transcript] + [
         terms["n_k"], terms["tid_i"], terms["rid_j"], terms["v3"]]
-    control = compute_closure(augmented, depth=cfg.closure_depth,
-                              budget=cfg.closure_budget)
+    control = compute_closure(augmented, [result.user_sk],
+                              depth=cfg.closure_depth, budget=cfg.closure_budget)
     positive = result.user_sk in control
     details["positive_control"] = {
         "sk_derived": positive,

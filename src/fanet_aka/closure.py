@@ -3,9 +3,10 @@
 Mechanizes "computationally infeasible to derive" as non-membership in
 the set of terms an adversary can build from its observations with the
 protocol's own algebra: hashing, XOR, concatenation, and slicing at
-protocol field boundaries. The engine is *sound* (every member is
-genuinely derivable and can be justified by an explicit trace) but
-deliberately incomplete beyond its bounds:
+protocol field boundaries. The caller declares up front the target terms
+it will ask about, and only those may be queried. The engine is *sound*
+(every member is genuinely derivable and can be justified by an explicit
+trace) but deliberately incomplete beyond its bounds:
 
 * XOR derivability is decided exactly by linear algebra over GF(2)
   instead of materializing the exponential combination set. Only
@@ -16,7 +17,9 @@ deliberately incomplete beyond its bounds:
 * Hash-of-concatenation is explored over field-shaped tuples (sequences
   of 160-bit terms, optionally suffixed by one 32-bit timestamp), the
   shapes the protocol itself uses, under a configurable tuple budget
-  and one composition level deep.
+  and one composition level deep. Digests are streamed and compared
+  with the declared targets, never stored; shapes that do not fit the
+  budget are recorded as skipped.
 * Single-term hash chains, slicing and zero-extension iterate to the
   configured depth.
 
@@ -61,31 +64,29 @@ def _key(term: BitString) -> tuple[int, int]:
 
 @dataclass
 class Closure:
-    """Result of a closure computation; supports exact membership tests."""
+    """Result of a closure computation; decides membership of its targets."""
 
     depth: int
     budget: int
+    targets: set = field(default_factory=set)     # queryable (width, value) keys
     terms: dict = field(default_factory=dict)     # (width, value) -> trace
-    bulk: set = field(default_factory=set)        # 160-bit digest values
-    bulk_count: int = 0
+    hits: dict = field(default_factory=dict)      # target key -> hash-concat preimage
+    bulk_count: int = 0                           # hash-concat tuples streamed
     enumerated_shapes: list = field(default_factory=list)
-    atoms: list = field(default_factory=list)     # tuple inputs at enumeration time
+    skipped_shapes: list = field(default_factory=list)  # over the budget
 
     def __contains__(self, term: BitString) -> bool:
-        if _key(term) in self.terms:
-            return True
-        if term.width == FIELD_BITS and term.value in self.bulk:
-            return True
-        return self._xor_subset(term) is not None
+        key = self._declared(term)
+        return (key in self.terms or key in self.hits
+                or self._xor_subset(term) is not None)
 
     def derivation(self, term: BitString) -> list[str] | None:
         """Human-readable trace for a member, None for non-members."""
-        key = _key(term)
+        key = self._declared(term)
         if key in self.terms:
             return self._trace_lines(key)
-        if term.width == FIELD_BITS and term.value in self.bulk:
-            parts = self._find_preimage(term.value)
-            return [f"hash-concat({', '.join(p.hex() for p in parts)}) "
+        if key in self.hits:
+            return [f"hash-concat({', '.join(p.hex() for p in self.hits[key])}) "
                     f"= {term.hex()}"]
         subset = self._xor_subset(term)
         if subset is not None:
@@ -93,6 +94,13 @@ class Closure:
         return None
 
     # -- internals ---------------------------------------------------------
+
+    def _declared(self, term: BitString) -> tuple[int, int]:
+        """Key of a declared target; a miss on any other term was never searched."""
+        key = _key(term)
+        if key not in self.targets:
+            raise ValueError(f"{term!r} was not declared as a closure target")
+        return key
 
     def _materialized(self) -> list[BitString]:
         return [BitString(w, v) for (w, v) in self.terms]
@@ -149,18 +157,6 @@ class Closure:
         lines.append(f"{rule}({args}) = {term_hex}")
         return lines
 
-    def _find_preimage(self, digest_value: int) -> list[BitString]:
-        atoms160, atoms32 = _atoms(self.atoms)
-        sha = hashlib.sha1
-        for shape, m in self.enumerated_shapes:
-            pools = [atoms160] * m + ([atoms32] if shape == "ts" else [])
-            byte_pools = [[(t, t.to_bytes()) for t in pool] for pool in pools]
-            for combo in product(*byte_pools):
-                data = b"".join(b for _, b in combo)
-                if int.from_bytes(sha(data).digest(), "big") == digest_value:
-                    return [t for t, _ in combo]
-        raise LookupError("no preimage found; bulk set out of sync")
-
 
 def _atoms(terms: list[BitString]) -> tuple[list[BitString], list[BitString]]:
     seen160, seen32 = [], []
@@ -172,15 +168,16 @@ def _atoms(terms: list[BitString]) -> tuple[list[BitString], list[BitString]]:
     return seen160, seen32
 
 
-def compute_closure(knowledge: list[BitString], depth: int = 4,
-                    budget: int = 2_000_000) -> Closure:
+def compute_closure(knowledge: list[BitString], targets: list[BitString],
+                    depth: int = 4, budget: int = 2_000_000) -> Closure:
     """Least fixed point of the derivation rules, truncated at ``depth``.
 
-    ``budget`` caps how many hash-of-concatenation tuples are tried; shape
-    exploration stops before exceeding it, so runs are deterministic for a
-    fixed (knowledge, depth, budget).
+    Only the ``targets`` may be queried afterwards: the hash-of-concatenation
+    search records a preimage for them alone. ``budget`` caps how many
+    tuples are tried; shape exploration skips any shape that would exceed
+    it, so runs are deterministic for a fixed (knowledge, depth, budget).
     """
-    clo = Closure(depth=depth, budget=budget)
+    clo = Closure(depth=depth, budget=budget, targets={_key(t) for t in targets})
 
     def add(term: BitString, rule: str, parents: tuple = ()) -> bool:
         key = _key(term)
@@ -213,23 +210,26 @@ def compute_closure(knowledge: list[BitString], depth: int = 4,
             if term.width < FIELD_BITS and term.width != TS_FIELD_BITS:
                 changed |= add(term.zext(FIELD_BITS), "lift", (term,))
 
-    # hash-of-concatenation over protocol-shaped tuples, budget capped
-    clo.atoms = clo._materialized()
-    atoms160, atoms32 = _atoms(clo.atoms)
-    spent = 0
+    # hash-of-concatenation over protocol-shaped tuples, budget capped,
+    # streamed against the declared field-width targets
+    atoms160, atoms32 = _atoms(clo._materialized())
+    wanted = {t.to_bytes(): _key(t) for t in targets if t.width == FIELD_BITS}
     for shape, m in _PLANS:
         cost = len(atoms160) ** m * (len(atoms32) if shape == "ts" else 1)
-        if cost == 0 or spent + cost > budget:
+        if cost == 0:
             continue
-        spent += cost
+        if clo.bulk_count + cost > budget:
+            clo.skipped_shapes.append((shape, m))
+            continue
+        clo.bulk_count += cost
         clo.enumerated_shapes.append((shape, m))
         pools = [atoms160] * m + ([atoms32] if shape == "ts" else [])
         byte_pools = [[t.to_bytes() for t in pool] for pool in pools]
         sha = hashlib.sha1
-        bulk = clo.bulk
         for combo in product(*byte_pools):
-            bulk.add(int.from_bytes(sha(b"".join(combo)).digest(), "big"))
-    clo.bulk_count = len(clo.bulk)
+            if (digest := sha(b"".join(combo)).digest()) in wanted:
+                clo.hits.setdefault(wanted[digest],
+                                    [BitString.from_bytes(b) for b in combo])
 
     # single-term hash chains iterate with depth
     frontier = clo._materialized()
@@ -244,8 +244,3 @@ def compute_closure(knowledge: list[BitString], depth: int = 4,
         frontier = new
 
     return clo
-
-
-def derivable(knowledge: list[BitString], target: BitString,
-              depth: int = 4, budget: int = 2_000_000) -> bool:
-    return target in compute_closure(knowledge, depth, budget)

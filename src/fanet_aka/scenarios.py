@@ -64,24 +64,34 @@ def _finish(report: ScenarioReport, world: World, result=None) -> ScenarioReport
     return report
 
 
-def _closure(cfg: SimConfig, knowledge: list[BitString]) -> Closure:
-    return compute_closure(knowledge, depth=cfg.closure_depth,
+def _variants(term: BitString) -> list[BitString]:
+    """A secret and, below field width, its lift: a zero-padded derivation leaks too."""
+    return [term] if term.width >= 160 else [term, lift(term)]
+
+
+def _closure(cfg: SimConfig, knowledge: list[BitString],
+             secrets: list[BitString]) -> Closure:
+    """Closure of ``knowledge`` that answers for each secret's variants."""
+    targets = [v for term in secrets for v in _variants(term)]
+    return compute_closure(knowledge, targets, depth=cfg.closure_depth,
                            budget=cfg.closure_budget)
 
 
-def _not_derivable(report, clo: Closure, claim: str, secrets: dict) -> None:
-    """Assert none of the named secret values is in the closure.
+def _not_derivable(report, cfg: SimConfig, knowledge: list[BitString],
+                   claims: dict) -> None:
+    """Check each claim's named secrets against one closure of ``knowledge``.
 
-    Nonce-width secrets are checked both raw and lifted so a zero-padded
-    derivation would still count as a leak.
+    ``claims`` maps a claim to its {label: secret} dict; every claim's
+    secrets are declared in a single closure computation.
     """
-    leaked = []
-    for label, term in secrets.items():
-        variants = [term] if term.width >= 160 else [term, lift(term)]
-        if any(v in clo for v in variants):
-            leaked.append(label)
-    report.check(claim, not leaked, leaked=leaked,
-                 closure_terms=len(clo.terms), closure_bulk=clo.bulk_count)
+    clo = _closure(cfg, knowledge, [term for secrets in claims.values()
+                                    for term in secrets.values()])
+    for claim, secrets in claims.items():
+        leaked = [label for label, term in secrets.items()
+                  if any(v in clo for v in _variants(term))]
+        report.check(claim, not leaked, leaked=leaked,
+                     closure_terms=len(clo.terms), closure_bulk=clo.bulk_count,
+                     closure_skipped=clo.skipped_shapes)
 
 
 def _session_ephemerals(world: World, user_id: str, uav_id: str, result) -> dict:
@@ -114,26 +124,25 @@ def stolen_card(cfg: SimConfig) -> ScenarioReport:
     card = user.card
     secrets = world.user_secrets["alice"]
     card_terms = [card.a_i, card.b_i, card.c_i, card.tau_i]
-    clo = _closure(cfg, card_terms + [tr.payload for tr in result.transcript])
-    _not_derivable(report, clo, "identity, password, nonce stay hidden", {
-        "id_i": user.id_i,
-        "pw_i": BitString.from_text(secrets["password"]),
-        "n_i": secrets["n_i"],
-    })
-    _not_derivable(report, clo, "session key stays hidden", {
-        "sk": result.user_sk,
+    _not_derivable(report, cfg, card_terms + [tr.payload for tr in result.transcript], {
+        "identity, password, nonce stay hidden": {
+            "id_i": user.id_i,
+            "pw_i": BitString.from_text(secrets["password"]),
+            "n_i": secrets["n_i"],
+        },
+        "session key stays hidden": {"sk": result.user_sk},
     })
 
     # offline guessing: even the right password plus the card yields no
     # verifiable check value without the biometric key
     sigma_i = fe_rep(secrets["bio"], card.tau_i, card.fe_params)
-    guess_clo = _closure(cfg, card_terms + [
-        BitString.from_text(secrets["password"]), user.id_i])
-    _not_derivable(report, guess_clo,
-                   "offline password guess yields no check value", {
-                       "tpw_i": secrets["tpw_i"],
-                       "sigma_i": sigma_i,
-                   })
+    guess = card_terms + [BitString.from_text(secrets["password"]), user.id_i]
+    _not_derivable(report, cfg, guess, {
+        "offline password guess yields no check value": {
+            "tpw_i": secrets["tpw_i"],
+            "sigma_i": sigma_i,
+        },
+    })
     return _finish(report, world, result)
 
 
@@ -146,13 +155,12 @@ def privileged_insider(cfg: SimConfig) -> ScenarioReport:
 
     insider = world.adversary(insider=True)
     secrets = world.user_secrets["alice"]
-    clo = _closure(cfg, insider.observe())
-    _not_derivable(report, clo, "password stays hidden from insider", {
-        "pw_i": BitString.from_text(secrets["password"]),
-        "id_i": world.users["alice"].id_i,
-    })
-    _not_derivable(report, clo, "session key stays hidden from insider", {
-        "sk": result.user_sk,
+    _not_derivable(report, cfg, insider.observe(), {
+        "password stays hidden from insider": {
+            "pw_i": BitString.from_text(secrets["password"]),
+            "id_i": world.users["alice"].id_i,
+        },
+        "session key stays hidden from insider": {"sk": result.user_sk},
     })
     return _finish(report, world, result)
 
@@ -247,12 +255,12 @@ def anonymity_untraceability(cfg: SimConfig) -> ScenarioReport:
     report.check("both sessions complete",
                  first.ok and second.ok and first.keys_agree and second.keys_agree)
 
-    clo = _closure(cfg, [tr.payload for tr in first.transcript + second.transcript])
-    _not_derivable(report, clo, "identity stays hidden", {
-        "id_i": world.users["alice"].id_i,
-    })
-    _not_derivable(report, clo, "session keys stay hidden", {
-        "sk_first": first.user_sk, "sk_second": second.user_sk,
+    public = [tr.payload for tr in first.transcript + second.transcript]
+    _not_derivable(report, cfg, public, {
+        "identity stays hidden": {"id_i": world.users["alice"].id_i},
+        "session keys stay hidden": {
+            "sk_first": first.user_sk, "sk_second": second.user_sk,
+        },
     })
 
     a = decode(Msg1, first.transcript[0].payload)
@@ -279,9 +287,8 @@ def uav_capture(cfg: SimConfig) -> ScenarioReport:
     # (r_j = f_i'' xor rid_j xor id_j once id_j is known); the protocol's
     # claim is only that the session key and other pairs stay safe
     knowledge = list(memory.values()) + [tr.payload for tr in result.transcript]
-    clo = _closure(cfg, knowledge)
-    _not_derivable(report, clo, "session key stays hidden after capture", {
-        "sk": result.user_sk,
+    _not_derivable(report, cfg, knowledge, {
+        "session key stays hidden after capture": {"sk": result.user_sk},
     })
 
     world.clock.advance(cfg.delta_t + 1)
@@ -424,22 +431,24 @@ def esl(cfg: SimConfig) -> ScenarioReport:
     terms_a = _session_ephemerals(world, "alice", "uav-1", session_a)
     terms_b = _session_ephemerals(world, "alice", "uav-1", session_b)
 
-    clo = _closure(cfg, pub_a + [terms_a["n_k"]])
-    _not_derivable(report, clo, "key safe despite responder nonce leak",
-                   {"sk": session_a.user_sk})
-    clo = _closure(cfg, pub_a + [lift(terms_a["n_j"])])
-    _not_derivable(report, clo, "key safe despite registry nonce leak",
-                   {"sk": session_a.user_sk})
-    clo = _closure(cfg, pub_a + pub_b + [lift(terms_b["n_j"]), terms_b["n_k"],
-                                         session_b.user_sk])
-    _not_derivable(report, clo,
-                   "one session fully opened, other keys stay safe",
-                   {"sk_other": session_a.user_sk})
+    _not_derivable(report, cfg, pub_a + [terms_a["n_k"]], {
+        "key safe despite responder nonce leak": {"sk": session_a.user_sk},
+    })
+    _not_derivable(report, cfg, pub_a + [lift(terms_a["n_j"])], {
+        "key safe despite registry nonce leak": {"sk": session_a.user_sk},
+    })
+    opened = pub_a + pub_b + [lift(terms_b["n_j"]), terms_b["n_k"], session_b.user_sk]
+    _not_derivable(report, cfg, opened, {
+        "one session fully opened, other keys stay safe": {
+            "sk_other": session_a.user_sk,
+        },
+    })
 
     # positive control: with the key-derivation inputs the engine does
     # reconstruct the key, so the negative verdicts are not vacuous
     control = _closure(cfg, pub_a + [terms_a["n_k"], terms_a["tid_i"],
-                                     terms_a["rid_j"], terms_a["v3"]])
+                                     terms_a["rid_j"], terms_a["v3"]],
+                       [session_a.user_sk])
     report.check("engine positive control derives the key",
                  session_a.user_sk in control,
                  derivation=control.derivation(session_a.user_sk))
@@ -486,13 +495,13 @@ def side_channel(cfg: SimConfig) -> ScenarioReport:
     report.check("readout holds no device seed and no response",
                  sorted(memory) == ["c_j", "id_j", "tc_id_j"])
     rec = world.gateway.registry["uav-1"]
-    clo = _closure(cfg, list(memory.values()))
-    _not_derivable(report, clo, "response not derivable from readout",
-                   {"r_j": rec.r_j})
-    clo_full = _closure(cfg, list(memory.values())
-                        + [tr.payload for tr in result.transcript])
-    _not_derivable(report, clo_full, "session key stays hidden",
-                   {"sk": result.user_sk})
+    readout = list(memory.values())
+    _not_derivable(report, cfg, readout, {
+        "response not derivable from readout": {"r_j": rec.r_j},
+    })
+    _not_derivable(report, cfg, readout + [tr.payload for tr in result.transcript], {
+        "session key stays hidden": {"sk": result.user_sk},
+    })
     return _finish(report, world, result)
 
 
@@ -515,9 +524,9 @@ def crp_leakage(cfg: SimConfig) -> ScenarioReport:
     report.check("response appears in no public payload", not leaks,
                  leaking_uavs=leaks, payloads_scanned=len(public))
 
-    clo = _closure(cfg, public)
-    _not_derivable(report, clo, "session key stays hidden",
-                   {"sk": results[0].user_sk})
+    _not_derivable(report, cfg, public, {
+        "session key stays hidden": {"sk": results[0].user_sk},
+    })
     return _finish(report, world, results[0])
 
 
