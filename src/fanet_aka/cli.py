@@ -280,10 +280,10 @@ def cmd_replace_card(args) -> int:
     if user_secret is None:
         raise StateError(f"no registered user {args.user}")
     user = User(args.user, fe_params=cfg.fe_params)
-    request = user.replacement_request(args.new_password, rng)
-    response = world.gateway.process_replacement(request)
+    request = user.register_begin(args.new_password, rng)
+    response = world.gateway.register_user(request)
     bio = BitString.random(cfg.fe_params.bio_width, rng)
-    user.replacement_complete(response, bio, rng)
+    user.register_complete(response, bio, rng)
     state.save(f"user_{args.user}.json", user.card.to_json())
     user_secret.update(password=args.new_password, bio=bio.hex())
     state.save("secrets.json", secrets)

@@ -52,10 +52,6 @@ class UnknownUav(ProtocolError):
     """Recovered UAV identity has no registry record."""
 
 
-class TidAlreadyPresent(ProtocolError):
-    """Card replacement refused: the submitted pseudonym already exists."""
-
-
 class IncompleteTranscript(ProtocolError):
     """Bit accounting requested on a transcript missing protocol messages."""
 

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 from .bits import BitString
 from .crypto import CHALLENGE_BITS, lift, random_nonce
-from .errors import (DuplicateRegistration, MacMismatch, ReplayDetected,
-                     StaleTimestamp, TidAlreadyPresent, UnknownUav)
+from .errors import DuplicateRegistration, MacMismatch, UnknownUav
 from .metrics import OpCounter
-from .wire import (Msg1, Msg2, ReplacementRequest, ReplacementResponse,
-                   UavRegResponse, UserRegRequest, UserRegResponse, ts_bits)
+from .wire import (FreshnessGuard, Msg1, Msg2, UavRegResponse, UserRegRequest,
+                   UserRegResponse, ts_bits)
 
 
 @dataclass
@@ -42,13 +41,6 @@ class UavRecord:
                    r_j=None if doc["r_j"] is None else BitString.from_hex(doc["r_j"]))
 
 
-@dataclass
-class BroadcastEvent:
-    """Simulator-internal announcement of a newly added UAV."""
-
-    uav_identity: str
-
-
 class Gateway:
     """Trusted gateway state machine."""
 
@@ -58,14 +50,18 @@ class Gateway:
         self.id_g = BitString.from_text(identity)
         self._s = BitString.random(160, rng)
         self.ops = ops or OpCounter()
-        self.delta_t = delta_t
+        self.guard = FreshnessGuard(Msg1.KIND, delta_t)
         self.user_tids: set[BitString] = set()
         self.registry: dict[str, UavRecord] = {}
-        self._replay_cache: dict[BitString, int] = {}
 
     # -- registrations (secure channel) -------------------------------------
 
     def register_user(self, request: UserRegRequest) -> UserRegResponse:
+        """Issue a certificate for a pseudonym never seen before.
+
+        This is also card replacement: the user re-registers under a fresh
+        pseudonym, and any pseudonym already on file is refused for good.
+        """
         if request.tid_i in self.user_tids:
             raise DuplicateRegistration("pseudonym already registered")
         tc = self.ops.xor(self.ops.xor(request.tid_i, request.tpw_i),
@@ -91,12 +87,6 @@ class Gateway:
             raise UnknownUav(f"{uav_identity} has no partial registration")
         record.r_j = r_j
 
-    def add_uav_dynamic(self, uav_identity: str,
-                        rng: random.Random) -> tuple[UavRegResponse, BroadcastEvent]:
-        """Late addition: same record construction, plus a user broadcast."""
-        response = self.register_uav_begin(uav_identity, rng)
-        return response, BroadcastEvent(uav_identity=uav_identity)
-
     # -- key agreement relay -------------------------------------------------
 
     def relay_auth(self, msg1: Msg1, clock, rng: random.Random) -> Msg2:
@@ -106,12 +96,7 @@ class Gateway:
         the three digests needed to check its MAC, and nothing is emitted
         on any error path.
         """
-        now = clock.now
-        if abs(msg1.ts1.value - now) >= self.delta_t:
-            raise StaleTimestamp("MSG1 outside freshness window")
-        self._purge_cache(now)
-        if msg1.mac1 in self._replay_cache:
-            raise ReplayDetected("MSG1 MAC already accepted in this window")
+        expiry = self.guard.check(msg1.mac1, msg1.ts1, clock.now)
 
         m1 = self.ops.h(self.id_g, self._s)
         e_i = self.ops.h(m1, msg1.ts1)
@@ -124,7 +109,7 @@ class Gateway:
         record = self._find_uav(id_j)
         if record is None or record.r_j is None:
             raise UnknownUav("recovered UAV identity not registered")
-        self._replay_cache[msg1.mac1] = msg1.ts1.value + self.delta_t
+        self.guard.accept(msg1.mac1, expiry)
 
         ts2 = ts_bits(clock.now)
         tid_j = self.ops.h(id_j, lift(record.n_j))
@@ -135,21 +120,6 @@ class Gateway:
         h_i = self.ops.xor(tid_i, lift(record.n_j))
         return Msg2(mac2=mac2, v1=v1, h_i=h_i, f_i_dprime=f_i_dprime, ts2=ts2)
 
-    # -- card replacement (secure channel) ------------------------------------
-
-    def process_replacement(self, request: ReplacementRequest) -> ReplacementResponse:
-        """Issue a fresh certificate iff the submitted pseudonym is unseen.
-
-        A pseudonym already on file is refused, which permanently blocks
-        reuse of any previously registered pseudonym.
-        """
-        if request.tid_i in self.user_tids:
-            raise TidAlreadyPresent("pseudonym already on file")
-        tc = self.ops.xor(self.ops.xor(request.tid_i, request.tpw_i),
-                          self.ops.h(self.id_g, self._s))
-        self.user_tids.add(request.tid_i)
-        return ReplacementResponse(tc_id_i=tc)
-
     # -- internals --------------------------------------------------------------
 
     def _find_uav(self, id_j: BitString) -> UavRecord | None:
@@ -158,17 +128,12 @@ class Gateway:
                 return record
         return None
 
-    def _purge_cache(self, now: int) -> None:
-        expired = [mac for mac, expiry in self._replay_cache.items() if expiry <= now]
-        for mac in expired:
-            del self._replay_cache[mac]
-
     # -- persistence ---------------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
             "identity": self.identity,
-            "delta_t": self.delta_t,
+            "delta_t": self.guard.delta_t,
             "user_tids": sorted(t.hex() for t in self.user_tids),
             "registry": {name: rec.to_json() for name, rec in sorted(self.registry.items())},
         }
@@ -184,9 +149,8 @@ class Gateway:
         gw.id_g = BitString.from_text(doc["identity"])
         gw._s = BitString.from_hex(secret_hex)
         gw.ops = OpCounter()
-        gw.delta_t = doc["delta_t"]
+        gw.guard = FreshnessGuard(Msg1.KIND, doc["delta_t"])
         gw.user_tids = {BitString.from_hex(t) for t in doc["user_tids"]}
         gw.registry = {name: UavRecord.from_json(rec)
                        for name, rec in doc["registry"].items()}
-        gw._replay_cache = {}
         return gw

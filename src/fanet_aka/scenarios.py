@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from .bits import BitString
 from .closure import Closure, compute_closure
 from .crypto import fe_rep, hash_parts, lift
-from .errors import (ProtocolError, ReplayDetected, StaleTimestamp,
-                     TidAlreadyPresent, UnknownScenario)
+from .errors import (DuplicateRegistration, ProtocolError, ReplayDetected,
+                     StaleTimestamp, UnknownScenario)
 from .simnet import SimConfig, World, build_world, enroll_user, enroll_uav, run_aka
-from .wire import (Msg1, Msg2, Msg3, ReplacementRequest, decode, decode_msg1,
+from .wire import (Msg1, Msg2, Msg3, UserRegRequest, decode, decode_msg1,
                    encode, protocol_bits, ts_bits)
 
 
@@ -596,20 +596,19 @@ def run_lifecycle_replacement(cfg: SimConfig) -> dict:
     old_tid = world.user_secrets["alice"]["tid_i"]
     old_tpw = world.user_secrets["alice"]["tpw_i"]
 
-    request = user.replacement_request("replacement-pw", world.rng)
+    request = user.register_begin("replacement-pw", world.rng)
     n_i = user._reg_nonce
-    response = world.gateway.process_replacement(request)
+    response = world.gateway.register_user(request)
     bio = BitString.random(cfg.fe_params.bio_width, world.rng)
-    user.replacement_complete(response, bio, world.rng)
+    user.register_complete(response, bio, world.rng)
     world.user_secrets["alice"].update(password="replacement-pw",
                                        bio=bio, n_i=n_i, tid_i=request.tid_i,
                                        tpw_i=request.tpw_i)
 
     old_refused = False
     try:
-        world.gateway.process_replacement(
-            ReplacementRequest(tid_i=old_tid, tpw_i=old_tpw))
-    except TidAlreadyPresent:
+        world.gateway.register_user(UserRegRequest(tid_i=old_tid, tpw_i=old_tpw))
+    except DuplicateRegistration:
         old_refused = True
 
     result = run_aka(world, "alice", "uav-1")

@@ -11,9 +11,9 @@ import random
 
 from .bits import BitString
 from .crypto import DIGEST_BITS, NONCE_BITS, PufDevice, lift, random_nonce
-from .errors import MacMismatch, ProtocolError, ReplayDetected, StaleTimestamp
+from .errors import MacMismatch, ProtocolError
 from .metrics import OpCounter
-from .wire import Msg2, Msg3, UavRegResponse, UavRegSubmit, ts_bits
+from .wire import FreshnessGuard, Msg2, Msg3, UavRegResponse, UavRegSubmit, ts_bits
 
 
 class Uav:
@@ -25,10 +25,9 @@ class Uav:
         self.id_j = BitString.from_text(identity)
         self._puf = puf
         self.ops = ops or OpCounter()
-        self.delta_t = delta_t
+        self.guard = FreshnessGuard(Msg2.KIND, delta_t)
         self.c_j: BitString | None = None
         self.tc_id_j: BitString | None = None
-        self._replay_cache: dict[BitString, int] = {}
 
     # -- registration (secure channel) --------------------------------------
 
@@ -49,12 +48,7 @@ class Uav:
         """
         if self.c_j is None:
             raise ProtocolError("UAV not registered")
-        now = clock.now
-        if abs(msg2.ts2.value - now) >= self.delta_t:
-            raise StaleTimestamp("MSG2 outside freshness window")
-        self._purge_cache(now)
-        if msg2.mac2 in self._replay_cache:
-            raise ReplayDetected("MSG2 MAC already accepted in this window")
+        expiry = self.guard.check(msg2.mac2, msg2.ts2, clock.now)
 
         r_j = self.ops.puf(self._puf, self.c_j, rng)
         n_j = self.ops.xor(msg2.v1, self.ops.h(self.id_j, self.tc_id_j, r_j))
@@ -65,7 +59,7 @@ class Uav:
         tid_j = self.ops.h(self.id_j, n_j)
         if self.ops.h(msg2.v1, tid_j, r_j, msg2.ts2) != msg2.mac2:
             raise MacMismatch("MSG2 authentication code mismatch")
-        self._replay_cache[msg2.mac2] = msg2.ts2.value + self.delta_t
+        self.guard.accept(msg2.mac2, expiry)
 
         n_k = random_nonce(rng)
         ts3 = ts_bits(clock.now)
@@ -91,18 +85,13 @@ class Uav:
             raise ProtocolError("UAV not registered")
         return {"c_j": self.c_j, "id_j": self.id_j, "tc_id_j": self.tc_id_j}
 
-    def _purge_cache(self, now: int) -> None:
-        expired = [mac for mac, expiry in self._replay_cache.items() if expiry <= now]
-        for mac in expired:
-            del self._replay_cache[mac]
-
     # -- persistence ----------------------------------------------------------------
 
     def to_json(self) -> dict:
         if self.c_j is None or self.tc_id_j is None:
             raise ProtocolError("UAV not registered")
         return {"identity": self.identity, "c_j": self.c_j.hex(),
-                "tc_id_j": self.tc_id_j.hex(), "delta_t": self.delta_t}
+                "tc_id_j": self.tc_id_j.hex(), "delta_t": self.guard.delta_t}
 
     @classmethod
     def from_json(cls, doc: dict, puf_seed_hex: str,

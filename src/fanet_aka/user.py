@@ -1,9 +1,10 @@
 """User and smart-card side of the protocol.
 
-Covers registration, login, session initiation and finalization, local
-password/biometric update, and card replacement. A ``User`` is a
-single-session sequential state machine: one pending key agreement at a
-time, consumed on finalization.
+Covers registration, login, session initiation and finalization, and local
+password/biometric update. Card replacement is re-registration under a
+fresh pseudonym: ``register_begin`` then ``register_complete``. A ``User``
+is a single-session sequential state machine: one pending key agreement
+at a time, consumed on finalization.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 from .bits import BitString
 from .crypto import FeParams, lift, random_nonce
-from .errors import AuthFailed, LoginFailed, ProtocolError, StaleTimestamp
+from .errors import AuthFailed, LoginFailed, ProtocolError
 from .metrics import OpCounter
-from .wire import Msg1, Msg3, ReplacementRequest, UserRegRequest, UserRegResponse, ts_bits
+from .wire import Msg1, Msg3, UserRegRequest, UserRegResponse, check_fresh, ts_bits
 
 
 @dataclass
@@ -167,8 +168,7 @@ class User:
         if self._pending is None:
             raise ProtocolError("no session pending")
         pend, self._pending = self._pending, None
-        if abs(msg3.ts3.value - clock.now) >= delta_t:
-            raise StaleTimestamp("MSG3 outside freshness window")
+        check_fresh(Msg3.KIND, msg3.ts3, clock.now, delta_t)
         n_k = self.ops.xor(msg3.v5, self.ops.h(pend.tid_i, pend.rid_j, msg3.ts3))
         v2_star = self.ops.xor(self.ops.h(pend.id_j, pend.tid_i, msg3.ts3), n_k)
         if v2_star != msg3.v2:
@@ -195,23 +195,6 @@ class User:
         self.card = SmartCard(a_i=a_new, b_i=b_new, c_i=ctx.c_i, tau_i=tau_new,
                               fe_params=self.fe_params)
         return self.card
-
-    def replacement_request(self, new_password: str,
-                            rng: random.Random) -> ReplacementRequest:
-        """Start card replacement with a fresh nonce and new password."""
-        n_i = random_nonce(rng)
-        pw = BitString.from_text(new_password)
-        tid_i = self.ops.h(self.id_i, lift(n_i))
-        tpw_i = self.ops.h(pw, lift(n_i))
-        self._reg_nonce = n_i
-        self._reg_tpw = tpw_i
-        return ReplacementRequest(tid_i=tid_i, tpw_i=tpw_i)
-
-    def replacement_complete(self, response, bio: BitString,
-                             rng: random.Random) -> SmartCard:
-        """Activate the replacement card; identical algebra to registration."""
-        return self.register_complete(
-            UserRegResponse(tc_id_i=response.tc_id_i), bio, rng)
 
     # -- bookkeeping --------------------------------------------------------
 

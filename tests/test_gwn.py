@@ -5,11 +5,10 @@ import pytest
 from fanet_aka.bits import BitString
 from fanet_aka.crypto import hash_parts
 from fanet_aka.errors import (DuplicateRegistration, MacMismatch,
-                              ReplayDetected, StaleTimestamp,
-                              TidAlreadyPresent, UnknownUav)
+                              ReplayDetected, StaleTimestamp, UnknownUav)
 from fanet_aka.gwn import Gateway
 from fanet_aka.simnet import SimConfig, SimClock, build_world, enroll_user, enroll_uav, run_aka
-from fanet_aka.wire import Msg1, ReplacementRequest, UserRegRequest, decode_msg1, encode, ts_bits
+from fanet_aka.wire import Msg1, UserRegRequest, decode_msg1, encode, ts_bits
 
 
 def test_gateway_secret_is_seed_deterministic():
@@ -184,27 +183,16 @@ def test_relay_requires_registration_argument_order():
         world.gateway.relay_auth(msg1, world.clock, world.rng)
 
 
-def test_process_replacement_inverse_lookup_rule():
-    # a fresh pseudonym is served; any pseudonym on file is refused
-    gwn = Gateway("gateway-0", random.Random(12))
-    first = ReplacementRequest(tid_i=BitString(160, 5), tpw_i=BitString(160, 6))
-    response = gwn.process_replacement(first)
-    assert response.tc_id_i ^ first.tid_i ^ first.tpw_i == \
-        hash_parts(gwn.id_g, BitString.from_hex(gwn.export_secret()))
-    with pytest.raises(TidAlreadyPresent):
-        gwn.process_replacement(first)
-
-
 def test_add_uav_dynamic_broadcasts_and_grows_registry():
-    rng = random.Random(13)
-    gwn = Gateway("gateway-0", rng)
-    gwn.register_uav_begin("uav-1", rng)
-    before = len(gwn.registry)
-    response, broadcast = gwn.add_uav_dynamic("uav-2", rng)
-    assert broadcast.uav_identity == "uav-2"
-    assert len(gwn.registry) == before + 1
+    world = build_world(SimConfig(seed=13))
+    enroll_user(world, "alice", "pw-alice")
+    enroll_uav(world, "uav-1")
+    before = len(world.gateway.registry)
+    enroll_uav(world, "uav-2", announce=True)
+    assert world.users["alice"].known_uavs == {"uav-2"}
+    assert len(world.gateway.registry) == before + 1
     with pytest.raises(DuplicateRegistration):
-        gwn.add_uav_dynamic("uav-2", rng)
+        enroll_uav(world, "uav-2", announce=True)
 
 
 def test_registry_json_round_trip():

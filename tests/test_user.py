@@ -206,15 +206,15 @@ def test_aka_succeeds_after_update():
 def test_replacement_mints_fresh_values():
     user, gwn, bio, request, _ = _registered_user()
     rng = random.Random(55)
-    new_request = user.replacement_request("fresh-pw", rng)
+    new_request = user.register_begin("fresh-pw", rng)
     assert new_request.tid_i != request.tid_i
     assert user._reg_nonce is not None
     from fanet_aka.wire import encode
     assert encode(new_request).width == 320
 
-    response = gwn.process_replacement(new_request)
+    response = gwn.register_user(new_request)
     new_bio = BitString.random(user.fe_params.bio_width, rng)
-    user.replacement_complete(response, new_bio, rng)
+    user.register_complete(response, new_bio, rng)
     assert user.login("fresh-pw", new_bio).tid_i == new_request.tid_i
     with pytest.raises(LoginFailed):
         user.login("correct-horse", bio)

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fanet_aka.bits import BitString
-from fanet_aka.errors import IncompleteTranscript, WidthMismatch
+from fanet_aka.errors import IncompleteTranscript, StaleTimestamp, WidthMismatch
 from fanet_aka import wire
 from fanet_aka.wire import (Msg1, Msg2, Msg3, UserRegRequest, UavRegResponse,
-                            decode, decode_msg1, decode_msg2, decode_msg3,
-                            encode, protocol_bits, ts_bits)
+                            check_fresh, decode, decode_msg1, decode_msg2,
+                            decode_msg3, encode, protocol_bits, ts_bits)
 
 
 def field(width=160):
@@ -100,6 +100,16 @@ def test_fuzzed_decode_is_total():
 def test_ts_bits_wraps_to_32_bits():
     assert ts_bits(5).value == 5
     assert ts_bits(2 ** 32 + 5).value == 5
+
+
+def test_check_fresh_compares_modulo_2_32():
+    assert check_fresh("MSG1", ts_bits(7), 7, 2) == 0
+    assert check_fresh("MSG1", ts_bits(2 ** 32 - 1), 2 ** 32, 2) == -1
+    assert check_fresh("MSG1", ts_bits(2 ** 32), 2 ** 32 - 1, 2) == 1
+    assert check_fresh("MSG1", ts_bits(3), 2 ** 33 + 4, 2) == -1
+    for ts, now in ((0, 2), (2, 0), (2 ** 32 - 1, 2 ** 32 + 1), (2 ** 31, 0)):
+        with pytest.raises(StaleTimestamp, match="MSG1 outside freshness window"):
+            check_fresh("MSG1", ts_bits(ts), now, 2)
 
 
 class _FakeEntry:
