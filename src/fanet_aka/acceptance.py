@@ -10,16 +10,16 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bits import BitString
 from .closure import compute_closure
 from .crypto import FeParams, fe_gen, fe_rep
 from .metrics import count_session, overhead_report
-from .scenarios import (_session_ephemerals, run_dynamic_addition,
+from .scenarios import (_session_ephemerals, _world, run_dynamic_addition,
                         run_lifecycle_replacement, run_lifecycle_update,
                         run_scenario)
-from .simnet import SimConfig, build_world, enroll_user, enroll_uav, run_aka
+from .simnet import SimConfig, run_aka
 from .wire import protocol_bits
 
 
@@ -40,16 +40,13 @@ class CriterionResult:
 RUNTIME_BOUNDS_S = {1: 1.0, 4: 30.0, 5: 120.0, 7: 60.0, 10: 10.0}
 
 
-def _fresh_session(seed: int, cfg: SimConfig | None = None):
-    cfg = cfg or SimConfig(seed=seed)
-    world = build_world(cfg, rng=random.Random(f"{seed}:acceptance"))
-    enroll_user(world, "alice", "alice-passphrase")
-    enroll_uav(world, "uav-1")
+def _fresh_session(cfg: SimConfig):
+    world = _world(cfg, "acceptance")
     return world, run_aka(world, "alice", "uav-1")
 
 
 def communication_bits(cfg: SimConfig) -> CriterionResult:
-    _, result = _fresh_session(cfg.seed, cfg)
+    _, result = _fresh_session(cfg)
     measured = protocol_bits(result.transcript)
     expected = {"MSG1": 672, "MSG2": 672, "MSG3": 512,
                 "total": 1856, "message_count": 3}
@@ -59,7 +56,7 @@ def communication_bits(cfg: SimConfig) -> CriterionResult:
 
 
 def computation_counts(cfg: SimConfig) -> CriterionResult:
-    _, result = _fresh_session(cfg.seed, cfg)
+    _, result = _fresh_session(cfg)
     counts = count_session(result)
     ok = (counts["user"]["fe"] == 1 and counts["user"]["hash"] == 11
           and counts["user"]["puf"] == 0
@@ -77,7 +74,7 @@ def computation_counts(cfg: SimConfig) -> CriterionResult:
 
 
 def timing_arithmetic(cfg: SimConfig) -> CriterionResult:
-    _, result = _fresh_session(cfg.seed, cfg)
+    _, result = _fresh_session(cfg)
     report = overhead_report(count_session(result),
                              protocol_bits(result.transcript), timings="preset")
     estimates = report["proposed"]["estimated_ms"]
@@ -91,7 +88,7 @@ def timing_arithmetic(cfg: SimConfig) -> CriterionResult:
 def protocol_correctness(cfg: SimConfig, seeds: int = 1000) -> CriterionResult:
     failures = []
     for seed in range(seeds):
-        _, result = _fresh_session(seed)
+        _, result = _fresh_session(replace(cfg, seed=seed))
         if not (result.ok and result.keys_agree and all(result.checks.values())):
             failures.append(seed)
             if len(failures) >= 5:
@@ -101,7 +98,7 @@ def protocol_correctness(cfg: SimConfig, seeds: int = 1000) -> CriterionResult:
 
 
 def tamper_exhaustion(cfg: SimConfig) -> CriterionResult:
-    world, _ = _fresh_session(cfg.seed, cfg)
+    world, _ = _fresh_session(cfg)
     widths = {"MSG1": 672, "MSG2": 672, "MSG3": 512}
     undetected = []
     for kind, width in widths.items():
@@ -139,12 +136,11 @@ def closure_suite(cfg: SimConfig) -> CriterionResult:
         ok = ok and scenario_ok
 
     # standalone positive control proving the engine is not vacuous
-    world, result = _fresh_session(cfg.seed, cfg)
+    world, result = _fresh_session(cfg)
     terms = _session_ephemerals(world, "alice", "uav-1", result)
     augmented = [tr.payload for tr in result.transcript] + [
         terms["n_k"], terms["tid_i"], terms["rid_j"], terms["v3"]]
-    control = compute_closure(augmented, [result.user_sk],
-                              depth=cfg.closure_depth, budget=cfg.closure_budget)
+    control = compute_closure(augmented, [result.user_sk], depth=cfg.closure_depth)
     positive = result.user_sk in control
     details["positive_control"] = {
         "sk_derived": positive,
@@ -213,7 +209,7 @@ def determinism(cfg: SimConfig) -> CriterionResult:
 
 
 def _canonical_report(cfg: SimConfig) -> dict:
-    world, result = _fresh_session(cfg.seed, cfg)
+    world, result = _fresh_session(cfg)
     return {
         "scenario": run_scenario("mutual_auth", cfg).to_json(),
         "overhead": overhead_report(count_session(result),

@@ -21,6 +21,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .acceptance import run_all
@@ -30,7 +31,7 @@ from .errors import ConfigError, ProtocolError, StateError, UnknownScenario
 from .gwn import Gateway
 from .metrics import count_session, overhead_report, render_table
 from .scenarios import SCENARIOS, feature_matrix, run_scenario
-from .simnet import SimConfig, SimClock, Channel, World, enroll_user, enroll_uav, run_aka
+from .simnet import Channel, SimClock, SimConfig, World, enroll_uav, enroll_user, run_aka
 from .uav import Uav
 from .user import SmartCard, User
 from .wire import protocol_bits
@@ -53,8 +54,10 @@ class StateDir:
     def path(self, name: str) -> Path:
         return self.root / name
 
-    def load(self, name: str) -> dict:
+    def load(self, name: str, default: dict | None = None) -> dict:
         p = self.path(name)
+        if not p.exists() and default is not None:
+            return default
         if not p.exists():
             raise StateError(f"missing state file {p}; run the registration "
                              f"subcommands first")
@@ -67,28 +70,15 @@ class StateDir:
         self.root.mkdir(parents=True, exist_ok=True)
         self.path(name).write_text(_dump(doc))
 
-    def secrets(self) -> dict:
-        p = self.path("secrets.json")
-        if not p.exists():
-            return {"_comment": "simulation-only secrets; a real deployment "
-                                "never stores these", "puf_seeds": {},
-                    "users": {}}
-        return self.load("secrets.json")
-
 
 def _sim_config(args) -> SimConfig:
-    cfg = SimConfig()
-    if getattr(args, "config", None):
-        cfg = _load_config_file(Path(args.config), cfg)
-    for name, attr in (("seed", "seed"), ("delta_t", "delta_t"),
-                       ("closure_depth", "closure_depth")):
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg = SimConfig(**{**cfg.__dict__, attr: value})
-    return cfg
+    cfg = _load_config_file(Path(args.config)) if args.config else SimConfig()
+    flags = {f.name: getattr(args, f.name) for f in fields(SimConfig)
+             if getattr(args, f.name) is not None}
+    return replace(cfg, **flags)
 
 
-def _load_config_file(path: Path, cfg: SimConfig) -> SimConfig:
+def _load_config_file(path: Path) -> SimConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} not found")
     text = path.read_text()
@@ -106,123 +96,119 @@ def _load_config_file(path: Path, cfg: SimConfig) -> SimConfig:
     except (ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     known = SimConfig().__dict__
-    fields = {}
+    values = {}
     for key, value in doc.items():
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
         target = type(known[key])
         try:
-            fields[key] = target(value)
+            values[key] = target(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-    return SimConfig(**{**known, **fields})
+    return SimConfig(**values)
 
 
-def _invocation_rng(state: StateDir, cfg: SimConfig) -> random.Random:
-    """Fresh deterministic stream per state-mutating invocation."""
-    meta = {"invocations": 0}
-    if state.path("meta.json").exists():
-        meta = state.load("meta.json")
+def load_world(state: StateDir, cfg: SimConfig,
+               new_gateway: str | None = None) -> World:
+    """Restore the gateway, every user, every UAV and their secrets.
+
+    ``new_gateway`` starts a fresh gateway of that name instead of reading
+    ``gwn.json``. Every call draws a new deterministic rng stream:
+    ``meta.json`` counts the calls, and is written at once, so a command
+    that then fails still moves the next command to a new stream.
+    """
+    meta = state.load("meta.json", {"invocations": 0})
     rng = random.Random(f"{cfg.seed}:{meta['invocations']}")
     meta["invocations"] += 1
     state.save("meta.json", meta)
-    return rng
 
-
-def _rebuild_world(state: StateDir, cfg: SimConfig,
-                   rng: random.Random) -> tuple[World, dict]:
-    secrets = state.secrets()
-    gwn_doc = state.load("gwn.json")
-    if "gwn_secret" not in secrets:
-        raise ConfigError("secrets.json lacks the gateway secret")
-    gateway = Gateway.from_json(gwn_doc, secrets["gwn_secret"])
-    clock = SimClock(gwn_doc.get("clock", 0))
+    secrets = state.load("secrets.json", {})
+    if new_gateway is not None:
+        gateway, now = Gateway(new_gateway, rng, delta_t=cfg.delta_t), 0
+    else:
+        gwn_doc = state.load("gwn.json")
+        if "gwn_secret" not in secrets:
+            raise ConfigError("secrets.json lacks the gateway secret")
+        gateway = Gateway.from_json(gwn_doc, secrets["gwn_secret"])
+        now = gwn_doc.get("clock", 0)
+    clock = SimClock(now)
     world = World(config=cfg, rng=rng, clock=clock, channel=Channel(clock),
                   gateway=gateway)
-    return world, secrets
+    for name, secret in secrets.get("users", {}).items():
+        card = SmartCard.from_json(state.load(f"user_{name}.json"))
+        user = User(name, fe_params=card.fe_params)
+        user.card = card
+        world.users[name] = user
+        world.user_secrets[name] = {
+            "password": secret["password"],
+            "bio": BitString.from_hex(secret["bio"], width=card.fe_params.bio_width),
+        }
+    for name, seed in secrets.get("puf_seeds", {}).items():
+        world.uavs[name] = Uav.from_json(state.load(f"uav_{name}.json"), seed)
+    return world
 
 
-def _persist_gateway(state: StateDir, world: World) -> None:
+def save_world(state: StateDir, world: World) -> None:
+    """Write back what :func:`load_world` reads."""
     doc = world.gateway.to_json()
     doc["clock"] = world.clock.now
     state.save("gwn.json", doc)
+    secrets = {"_comment": "simulation-only secrets; a real deployment never "
+                           "stores these",
+               "gwn_secret": world.gateway.export_secret(), "users": {},
+               "puf_seeds": {}}
+    for name, user in world.users.items():
+        state.save(f"user_{name}.json", user.card.to_json())
+        secret = world.user_secrets[name]
+        secrets["users"][name] = {"password": secret["password"],
+                                  "bio": secret["bio"].hex()}
+    for name, uav in world.uavs.items():
+        state.save(f"uav_{name}.json", uav.to_json())
+        secrets["puf_seeds"][name] = uav._puf.seed.hex()
+    state.save("secrets.json", secrets)
+
+
+def _registered(world: World, user: str, uav: str | None = None) -> None:
+    """A party with no entry in the state directory is missing state."""
+    if user not in world.users:
+        raise StateError(f"no registered user {user}")
+    if uav is not None and uav not in world.uavs:
+        raise StateError(f"no registered uav {uav}")
 
 
 # -- subcommands -----------------------------------------------------------
 
 def cmd_init_gwn(args) -> int:
-    cfg = _sim_config(args)
     state = StateDir(Path(args.state_dir))
-    rng = _invocation_rng(state, cfg)
-    gateway = Gateway(args.identity, rng, delta_t=cfg.delta_t)
-    doc = gateway.to_json()
-    doc["clock"] = 0
-    state.save("gwn.json", doc)
-    secrets = state.secrets()
-    secrets["gwn_secret"] = gateway.export_secret()
-    state.save("secrets.json", secrets)
+    save_world(state, load_world(state, _sim_config(args), new_gateway=args.identity))
     print(f"gateway {args.identity} initialized in {state.root}")
     return 0
 
 
 def cmd_register_user(args) -> int:
-    cfg = _sim_config(args)
     state = StateDir(Path(args.state_dir))
-    rng = _invocation_rng(state, cfg)
-    world, secrets = _rebuild_world(state, cfg, rng)
-    user = enroll_user(world, args.user, args.password)
-    state.save(f"user_{args.user}.json", user.card.to_json())
-    user_secrets = world.user_secrets[args.user]
-    secrets.setdefault("users", {})[args.user] = {
-        "password": args.password,
-        "bio": user_secrets["bio"].hex(),
-    }
-    state.save("secrets.json", secrets)
-    _persist_gateway(state, world)
+    world = load_world(state, _sim_config(args))
+    enroll_user(world, args.user, args.password)
+    save_world(state, world)
     print(f"user {args.user} registered; card written")
     return 0
 
 
 def cmd_register_uav(args, announce: bool = False) -> int:
-    cfg = _sim_config(args)
     state = StateDir(Path(args.state_dir))
-    rng = _invocation_rng(state, cfg)
-    world, secrets = _rebuild_world(state, cfg, rng)
-    uav = enroll_uav(world, args.uav, announce=announce)
-    state.save(f"uav_{args.uav}.json", uav.to_json())
-    secrets.setdefault("puf_seeds", {})[args.uav] = uav._puf.seed.hex()
-    state.save("secrets.json", secrets)
-    _persist_gateway(state, world)
+    world = load_world(state, _sim_config(args))
+    enroll_uav(world, args.uav, announce=announce)
+    save_world(state, world)
     verb = "added dynamically" if announce else "registered"
     print(f"uav {args.uav} {verb}; memory image written")
     return 0
 
 
 def cmd_run_aka(args) -> int:
-    cfg = _sim_config(args)
     state = StateDir(Path(args.state_dir))
-    rng = _invocation_rng(state, cfg)
-    world, secrets = _rebuild_world(state, cfg, rng)
-
-    card_doc = state.load(f"user_{args.user}.json")
-    uav_doc = state.load(f"uav_{args.uav}.json")
-    user_secret = secrets.get("users", {}).get(args.user)
-    puf_seed = secrets.get("puf_seeds", {}).get(args.uav)
-    if user_secret is None or puf_seed is None:
-        raise StateError(f"secrets.json lacks entries for {args.user}/{args.uav}")
-
-    user = User(args.user, fe_params=cfg.fe_params)
-    user.card = SmartCard.from_json(card_doc)
-    world.users[args.user] = user
-    world.user_secrets[args.user] = {
-        "password": args.password or user_secret["password"],
-        "bio": BitString.from_hex(user_secret["bio"],
-                                  width=cfg.fe_params.bio_width),
-    }
-    world.uavs[args.uav] = Uav.from_json(uav_doc, puf_seed,
-                                         noise_rate=cfg.puf_noise)
-
-    result = run_aka(world, args.user, args.uav)
+    world = load_world(state, _sim_config(args))
+    _registered(world, args.user, args.uav)
+    result = run_aka(world, args.user, args.uav, password=args.password or None)
     if not result.ok:
         print(f"key agreement failed at {result.stage}: {result.error}")
         return EXIT_FAIL
@@ -236,7 +222,7 @@ def cmd_run_aka(args) -> int:
         "op_counts": count_session(result),
     }
     state.save("last_session.json", session)
-    _persist_gateway(state, world)
+    save_world(state, world)
     if args.format == "json":
         print(_dump(session), end="")
     else:
@@ -250,44 +236,25 @@ def cmd_run_aka(args) -> int:
 
 
 def cmd_update_credentials(args) -> int:
-    cfg = _sim_config(args)
     state = StateDir(Path(args.state_dir))
-    rng = _invocation_rng(state, cfg)
-    secrets = state.secrets()
-    user_secret = secrets.get("users", {}).get(args.user)
-    if user_secret is None:
-        raise StateError(f"no registered user {args.user}")
-    user = User(args.user, fe_params=cfg.fe_params)
-    user.card = SmartCard.from_json(state.load(f"user_{args.user}.json"))
-    old_bio = BitString.from_hex(user_secret["bio"],
-                                 width=cfg.fe_params.bio_width)
-    new_bio = BitString.random(cfg.fe_params.bio_width, rng)
-    user.update_credentials(user_secret["password"], old_bio,
-                            args.new_password, new_bio, rng)
-    state.save(f"user_{args.user}.json", user.card.to_json())
-    user_secret.update(password=args.new_password, bio=new_bio.hex())
-    state.save("secrets.json", secrets)
+    world = load_world(state, _sim_config(args))
+    _registered(world, args.user)
+    user, secret = world.users[args.user], world.user_secrets[args.user]
+    new_bio = BitString.random(user.fe_params.bio_width, world.rng)
+    user.update_credentials(secret["password"], secret["bio"],
+                            args.new_password, new_bio, world.rng)
+    secret.update(password=args.new_password, bio=new_bio)
+    save_world(state, world)
     print(f"credentials updated for {args.user}")
     return 0
 
 
 def cmd_replace_card(args) -> int:
-    cfg = _sim_config(args)
     state = StateDir(Path(args.state_dir))
-    rng = _invocation_rng(state, cfg)
-    world, secrets = _rebuild_world(state, cfg, rng)
-    user_secret = secrets.get("users", {}).get(args.user)
-    if user_secret is None:
-        raise StateError(f"no registered user {args.user}")
-    user = User(args.user, fe_params=cfg.fe_params)
-    request = user.register_begin(args.new_password, rng)
-    response = world.gateway.register_user(request)
-    bio = BitString.random(cfg.fe_params.bio_width, rng)
-    user.register_complete(response, bio, rng)
-    state.save(f"user_{args.user}.json", user.card.to_json())
-    user_secret.update(password=args.new_password, bio=bio.hex())
-    state.save("secrets.json", secrets)
-    _persist_gateway(state, world)
+    world = load_world(state, _sim_config(args))
+    _registered(world, args.user)
+    enroll_user(world, args.user, args.new_password)
+    save_world(state, world)
     print(f"replacement card issued for {args.user}")
     return 0
 
@@ -417,6 +384,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG
     except ProtocolError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except ValueError as exc:  # input a role refuses, e.g. an empty password
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -34,18 +34,14 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .bits import BitString
+from .crypto import DIGEST_BITS as FIELD_BITS, TS_BITS as TS_FIELD_BITS
+from .wire import MESSAGE_TYPES
 
-#: Field boundaries used by the slicing rule, keyed by total width.
-#: 672-bit payloads share one layout; the 512-bit payload has its
-#: timestamp third; 320-bit registration payloads are two field elements.
-SLICE_LAYOUTS = {
-    672: (160, 160, 160, 160, 32),
-    512: (160, 160, 32, 160),
-    320: (160, 160),
-}
-
-FIELD_BITS = 160
-TS_FIELD_BITS = 32
+#: Field boundaries used by the slicing rule, keyed by total width: the
+#: layout of every multi-field message. Messages of one width share one
+#: layout (MSG1 and MSG2 at 672 bits, the 320-bit registration payloads).
+SLICE_LAYOUTS = {sum(cls.WIDTHS): cls.WIDTHS for cls in MESSAGE_TYPES
+                 if len(cls.WIDTHS) > 1}
 
 #: Widths whose all-zero constants the adversary is assumed to know.
 ZERO_WIDTHS = (32, 128, 160)

@@ -58,44 +58,27 @@ def lift(value: BitString, width: int = DIGEST_BITS) -> BitString:
 class PufDevice:
     """Simulated physical unclonable function.
 
-    Modeled as a keyed pseudorandom function of a per-device 256-bit seed
-    and the challenge; ideal (noise-free) by default. ``noise_rate`` flips
-    each response bit independently and exists only for experimentation.
+    Modeled as an ideal (noise-free) keyed pseudorandom function of a
+    per-device 256-bit seed and the challenge: the protocol has no error
+    correction for the response, so a noisy PUF fails nearly every session.
     """
 
     seed: BitString
-    noise_rate: float = 0.0
 
     def __post_init__(self):
         if self.seed.width != PUF_SEED_BITS:
             raise WidthMismatch(f"device seed must be {PUF_SEED_BITS} bits")
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ValueError("noise_rate must be in [0, 1]")
 
     @classmethod
-    def generate(cls, rng: random.Random, noise_rate: float = 0.0) -> "PufDevice":
-        return cls(BitString.random(PUF_SEED_BITS, rng), noise_rate)
+    def generate(cls, rng: random.Random) -> "PufDevice":
+        return cls(BitString.random(PUF_SEED_BITS, rng))
 
-    def eval(self, challenge: BitString, rng: random.Random | None = None) -> BitString:
-        """Response to a 160-bit challenge.
-
-        Deterministic when ``noise_rate`` is zero; the rng is consumed only
-        when noise is enabled, so noiseless runs never disturb the shared
-        random stream.
-        """
+    def eval(self, challenge: BitString) -> BitString:
+        """Deterministic response to a 160-bit challenge."""
         if challenge.width != CHALLENGE_BITS:
             raise WidthMismatch(f"challenge must be {CHALLENGE_BITS} bits")
-        raw = hashlib.sha1(self.seed.to_bytes() + challenge.to_bytes()).digest()
-        response = BitString.from_bytes(raw)
-        if self.noise_rate > 0.0:
-            if rng is None:
-                raise ValueError("noisy evaluation needs an rng handle")
-            flips = 0
-            for i in range(response.width):
-                if rng.random() < self.noise_rate:
-                    flips |= 1 << i
-            response = BitString(response.width, response.value ^ flips)
-        return response
+        return BitString.from_bytes(
+            hashlib.sha1(self.seed.to_bytes() + challenge.to_bytes()).digest())
 
 
 @dataclass(frozen=True)

@@ -113,10 +113,9 @@ class OpCounter:
         self.xor_count += 1
         return a ^ b
 
-    def puf(self, device: PufDevice, challenge: BitString,
-            rng: random.Random | None = None) -> BitString:
+    def puf(self, device: PufDevice, challenge: BitString) -> BitString:
         self.puf_count += 1
-        return device.eval(challenge, rng)
+        return device.eval(challenge)
 
     def fe_gen(self, bio: BitString, params: FeParams,
                rng: random.Random) -> tuple[BitString, BitString]:

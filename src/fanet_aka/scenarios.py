@@ -10,7 +10,7 @@ actually attempting the attack against the real state machines.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bits import BitString
 from .closure import Closure, compute_closure
@@ -73,8 +73,7 @@ def _closure(cfg: SimConfig, knowledge: list[BitString],
              secrets: list[BitString]) -> Closure:
     """Closure of ``knowledge`` that answers for each secret's variants."""
     targets = [v for term in secrets for v in _variants(term)]
-    return compute_closure(knowledge, targets, depth=cfg.closure_depth,
-                           budget=cfg.closure_budget)
+    return compute_closure(knowledge, targets, depth=cfg.closure_depth)
 
 
 def _not_derivable(report, cfg: SimConfig, knowledge: list[BitString],
@@ -265,8 +264,8 @@ def anonymity_untraceability(cfg: SimConfig) -> ScenarioReport:
 
     a = decode(Msg1, first.transcript[0].payload)
     b = decode(Msg1, second.transcript[0].payload)
-    identical = [name for name in ("mac1", "rid_j", "g_i", "f_i_prime", "ts1")
-                 if getattr(a, name) == getattr(b, name)]
+    identical = [f.name for f in fields(Msg1)
+                 if getattr(a, f.name) == getattr(b, f.name)]
     report.check("no request field repeats across sessions",
                  not identical, identical_fields=identical)
     return _finish(report, world, second)
@@ -378,15 +377,11 @@ def mitm(cfg: SimConfig) -> ScenarioReport:
     report.check("honest session completes", reference.ok)
     observed = {tr.kind: tr.payload for tr in reference.transcript}
 
-    layouts = {
-        "MSG1": (Msg1, ("mac1", "rid_j", "g_i", "f_i_prime", "ts1")),
-        "MSG2": (Msg2, ("mac2", "v1", "h_i", "f_i_dprime", "ts2")),
-        "MSG3": (Msg3, ("v5", "v4", "ts3", "v2")),
-    }
     undetected = []
     skipped = []
-    for kind, (cls, names) in layouts.items():
-        for name in names:
+    for cls in (Msg1, Msg2, Msg3):
+        kind = cls.KIND
+        for name in (f.name for f in fields(cls)):
             for substitute in ("random", "cross-session"):
                 world.clock.advance(cfg.delta_t + 1)
                 modified = []
@@ -574,7 +569,7 @@ def run_lifecycle_update(cfg: SimConfig) -> dict:
     world = _world(cfg, "lifecycle_update")
     user = world.users["alice"]
     secrets = world.user_secrets["alice"]
-    new_bio = BitString.random(cfg.fe_params.bio_width, world.rng)
+    new_bio = BitString.random(user.fe_params.bio_width, world.rng)
     user.update_credentials(secrets["password"], secrets["bio"],
                             "updated-passphrase", new_bio, world.rng)
     old_rejected = False
@@ -592,18 +587,9 @@ def run_lifecycle_update(cfg: SimConfig) -> dict:
 def run_lifecycle_replacement(cfg: SimConfig) -> dict:
     """Card replacement, replayed-pseudonym rejection, and a fresh session."""
     world = _world(cfg, "lifecycle_replacement")
-    user = world.users["alice"]
     old_tid = world.user_secrets["alice"]["tid_i"]
     old_tpw = world.user_secrets["alice"]["tpw_i"]
-
-    request = user.register_begin("replacement-pw", world.rng)
-    n_i = user._reg_nonce
-    response = world.gateway.register_user(request)
-    bio = BitString.random(cfg.fe_params.bio_width, world.rng)
-    user.register_complete(response, bio, world.rng)
-    world.user_secrets["alice"].update(password="replacement-pw",
-                                       bio=bio, n_i=n_i, tid_i=request.tid_i,
-                                       tpw_i=request.tpw_i)
+    enroll_user(world, "alice", "replacement-pw")
 
     old_refused = False
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .bits import BitString
-from .crypto import FeParams, PufDevice
+from .crypto import PufDevice
 from .errors import DisallowedAction, ProtocolError
 from .gwn import Gateway
 from .metrics import diff_counts
@@ -32,16 +32,7 @@ class SimConfig:
 
     seed: int = 0
     delta_t: int = 2
-    fe_key_bits: int = 32
-    fe_repetition: int = 5
-    puf_noise: float = 0.0
     closure_depth: int = 4
-    closure_budget: int = 2_000_000
-    gateway_identity: str = "gateway-0"
-
-    @property
-    def fe_params(self) -> FeParams:
-        return FeParams(key_bits=self.fe_key_bits, repetition=self.fe_repetition)
 
 
 class SimClock:
@@ -140,15 +131,19 @@ def build_world(config: SimConfig | None = None,
     rng = rng or random.Random(config.seed)
     clock = SimClock()
     channel = Channel(clock)
-    gateway = Gateway(config.gateway_identity, rng, delta_t=config.delta_t)
+    gateway = Gateway("gateway-0", rng, delta_t=config.delta_t)
     return World(config=config, rng=rng, clock=clock, channel=channel,
                  gateway=gateway)
 
 
 def enroll_user(world: World, identity: str, password: str) -> User:
-    """Run the full user registration phase over the secure channel."""
-    user = User(identity, fe_params=world.config.fe_params)
-    bio = BitString.random(world.config.fe_params.bio_width, world.rng)
+    """Run the full user registration phase over the secure channel.
+
+    Enrolling a registered identity again is card replacement: a new
+    ``User`` with a fresh pseudonym, password and biometric.
+    """
+    user = User(identity)
+    bio = BitString.random(user.fe_params.bio_width, world.rng)
     request = user.register_begin(password, world.rng)
     n_i = user._reg_nonce  # harness ground truth for the leak checks
     world.channel.send(identity, world.gateway.identity, wire.UserRegRequest.KIND,
@@ -168,14 +163,14 @@ def enroll_user(world: World, identity: str, password: str) -> User:
 
 def enroll_uav(world: World, identity: str, announce: bool = False) -> Uav:
     """Run the full UAV registration phase; ``announce`` tells every user."""
-    puf = PufDevice.generate(world.rng, world.config.puf_noise)
+    puf = PufDevice.generate(world.rng)
     uav = Uav(identity, puf, delta_t=world.config.delta_t)
     world.channel.send(identity, world.gateway.identity, wire.UavRegRequest.KIND,
                        encode(wire.UavRegRequest(id_j=uav.id_j)), secure=True)
     response = world.gateway.register_uav_begin(identity, world.rng)
     world.channel.send(world.gateway.identity, identity, wire.UavRegResponse.KIND,
                        encode(response), secure=True)
-    submit = uav.register(response, world.rng)
+    submit = uav.register(response)
     world.channel.send(identity, world.gateway.identity, wire.UavRegSubmit.KIND,
                        encode(submit), secure=True)
     world.gateway.register_uav_complete(identity, submit.r_j)

@@ -31,12 +31,11 @@ class Uav:
 
     # -- registration (secure channel) --------------------------------------
 
-    def register(self, response: UavRegResponse,
-                 rng: random.Random | None = None) -> UavRegSubmit:
+    def register(self, response: UavRegResponse) -> UavRegSubmit:
         """Answer the enrollment challenge; store only the public triple."""
         self.c_j = response.c_j
         self.tc_id_j = response.tc_id_j
-        r_j = self.ops.puf(self._puf, response.c_j, rng)
+        r_j = self.ops.puf(self._puf, response.c_j)
         return UavRegSubmit(r_j=r_j)
 
     # -- key agreement ---------------------------------------------------------
@@ -50,7 +49,7 @@ class Uav:
             raise ProtocolError("UAV not registered")
         expiry = self.guard.check(msg2.mac2, msg2.ts2, clock.now)
 
-        r_j = self.ops.puf(self._puf, self.c_j, rng)
+        r_j = self.ops.puf(self._puf, self.c_j)
         n_j = self.ops.xor(msg2.v1, self.ops.h(self.id_j, self.tc_id_j, r_j))
         # recovered nonce must carry the 32-bit zero prefix of a lifted
         # 128-bit nonce; anything else is a tampered or misdirected message
@@ -94,9 +93,8 @@ class Uav:
                 "tc_id_j": self.tc_id_j.hex(), "delta_t": self.guard.delta_t}
 
     @classmethod
-    def from_json(cls, doc: dict, puf_seed_hex: str,
-                  noise_rate: float = 0.0) -> "Uav":
-        puf = PufDevice(BitString.from_hex(puf_seed_hex), noise_rate)
+    def from_json(cls, doc: dict, puf_seed_hex: str) -> "Uav":
+        puf = PufDevice(BitString.from_hex(puf_seed_hex))
         uav = cls(doc["identity"], puf, delta_t=doc["delta_t"])
         uav.c_j = BitString.from_hex(doc["c_j"])
         uav.tc_id_j = BitString.from_hex(doc["tc_id_j"])

@@ -105,10 +105,6 @@ class UavRegSubmit:
 MESSAGE_TYPES = (Msg1, Msg2, Msg3, UserRegRequest, UserRegResponse, UavRegRequest,
                  UavRegResponse, UavRegSubmit)
 
-MSG1_BITS = sum(Msg1.WIDTHS)
-MSG2_BITS = sum(Msg2.WIDTHS)
-MSG3_BITS = sum(Msg3.WIDTHS)
-
 
 def encode(msg) -> BitString:
     """Serialize a message; raises WidthMismatch on any ill-sized field."""

@@ -56,6 +56,13 @@ def test_criterion(results, number, name):
             f"criterion {number} took {result.elapsed_s:.1f}s, bound {bound}s"
 
 
+def test_correctness_criterion_runs_under_the_callers_window():
+    """Criterion 4 uses the caller's config: at delta_t=1 every MSG1 is stale."""
+    result = acceptance.protocol_correctness(SimConfig(delta_t=1), seeds=3)
+    assert not result.passed
+    assert result.details["failing_seeds"] == [0, 1, 2]
+
+
 def test_selftest_cli_is_byte_deterministic(tmp_path):
     """The CLI selftest twice at one seed yields byte-identical reports."""
     env = dict(os.environ)

@@ -2,7 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+import pytest
+
+from fanet_aka.cli import build_parser
+from fanet_aka.simnet import SimConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -127,3 +133,42 @@ def test_same_seed_same_state_files(tmp_path):
                  "secrets.json", "last_session.json"):
         assert (a / "state" / name).read_bytes() == \
             (b / "state" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", [
+    ["register-user", "--user", "bob", "--password", ""],
+    ["replace-card", "--user", "alice", "--new-password", ""],
+])
+def test_empty_password_is_a_one_line_error(tmp_path, command):
+    bootstrap(tmp_path)
+    proc = run_cli(command, tmp_path, check=False)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_run_aka_rewrites_only_gateway_meta_and_session(tmp_path):
+    bootstrap(tmp_path)
+    run_cli(["register-user", "--user", "bob", "--password", "pw-bob"], tmp_path)
+    run_cli(["add-uav", "--uav", "uav-2"], tmp_path)
+    state = tmp_path / "state"
+    before = {p.name: p.read_bytes() for p in state.iterdir()}
+    run_cli(["run-aka", "--user", "alice", "--uav", "uav-2"], tmp_path)
+    after = {p.name: p.read_bytes() for p in state.iterdir()}
+    changed = {name for name in after if before.get(name) != after[name]}
+    assert changed == {"gwn.json", "meta.json", "last_session.json"}
+
+
+def test_every_config_field_is_a_top_level_flag():
+    """A SimConfig field that no flag sets, or a knob flag with no field, fails."""
+    not_knobs = {"help", "state_dir", "format", "config", "command"}
+    dests = {action.dest for action in build_parser()._actions} - not_knobs
+    assert dests == {f.name for f in fields(SimConfig)}
+
+
+@pytest.mark.parametrize("user,uav", [("carol", "uav-1"), ("alice", "uav-9")])
+def test_unregistered_party_exit_code(tmp_path, user, uav):
+    bootstrap(tmp_path)
+    proc = run_cli(["run-aka", "--user", user, "--uav", uav], tmp_path, check=False)
+    assert proc.returncode == 3

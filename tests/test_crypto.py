@@ -95,23 +95,6 @@ def test_puf_inter_device_uniqueness():
         assert 48 <= a.hamming(b) <= 112
 
 
-def test_puf_noise_flips_expected_fraction():
-    # two noisy evals differ in about 2*p*(1-p)*160 = 15.2 bits
-    rng = random.Random(9)
-    dev = PufDevice.generate(rng, noise_rate=0.05)
-    challenge = BitString.random(160, rng)
-    distances = [dev.eval(challenge, rng).hamming(dev.eval(challenge, rng))
-                 for _ in range(300)]
-    mean = sum(distances) / len(distances)
-    assert abs(mean - 15.2) < 1.5
-
-
-def test_puf_noise_requires_rng():
-    dev = PufDevice.generate(random.Random(1), noise_rate=0.1)
-    with pytest.raises(ValueError):
-        dev.eval(BitString.zeros(160))
-
-
 # -- fuzzy extractor ----------------------------------------------------------
 
 def test_fe_round_trip_without_noise():

@@ -31,7 +31,7 @@ def test_register_stores_triple_and_returns_response():
     uav = Uav("uav-1", puf)
     response = UavRegResponse(tc_id_j=BitString(160, 9),
                               c_j=BitString.random(160, rng))
-    submit = uav.register(response, rng)
+    submit = uav.register(response)
     assert submit.r_j == puf.eval(response.c_j)
     assert uav.c_j == response.c_j
     assert uav.tc_id_j == response.tc_id_j
@@ -51,7 +51,7 @@ def test_capture_memory_is_exactly_the_triple():
     with pytest.raises(ProtocolError):
         uav.capture_memory()
     uav.register(UavRegResponse(tc_id_j=BitString(160, 1),
-                                c_j=BitString.random(160, rng)), rng)
+                                c_j=BitString.random(160, rng)))
     memory = uav.capture_memory()
     assert sorted(memory) == ["c_j", "id_j", "tc_id_j"]
     # neither the response nor the device seed is in the image
