@@ -75,8 +75,7 @@ def computation_counts(cfg: SimConfig) -> CriterionResult:
 
 def timing_arithmetic(cfg: SimConfig) -> CriterionResult:
     _, result = _fresh_session(cfg)
-    report = overhead_report(count_session(result),
-                             protocol_bits(result.transcript), timings="preset")
+    report = overhead_report(count_session(result), protocol_bits(result.transcript))
     estimates = report["proposed"]["estimated_ms"]
     expected = {"user": 0.643, "gwn": 0.006, "uav": 0.023, "total": 0.672}
     deltas = {k: abs(estimates[k] - v) for k, v in expected.items()}
@@ -150,11 +149,11 @@ def closure_suite(cfg: SimConfig) -> CriterionResult:
     return CriterionResult(7, "knowledge-closure suite at depth 4", ok, details)
 
 
-def fuzzy_tolerance(cfg: SimConfig, cases: int = 500) -> CriterionResult:
+def fuzzy_tolerance(cfg: SimConfig) -> CriterionResult:
     params = FeParams()
     rng = random.Random(f"{cfg.seed}:fe-tolerance")
     failures = 0
-    for _ in range(cases):
+    for _ in range(500):
         bio = BitString.random(params.bio_width, rng)
         sigma, tau = fe_gen(bio, params, rng)
         error = 0
@@ -174,7 +173,7 @@ def fuzzy_tolerance(cfg: SimConfig, cases: int = 500) -> CriterionResult:
     for f in range(params.tolerance + 1):
         concentrated = concentrated.flip(f)  # t+1 flips inside block 0
     beyond_differs = fe_rep(concentrated, tau, params) != sigma
-    return CriterionResult(8, f"fuzzy extractor tolerance over {cases} cases",
+    return CriterionResult(8, "fuzzy extractor tolerance over 500 cases",
                            failures == 0 and beyond_differs,
                            {"failures": failures,
                             "beyond_tolerance_differs": beyond_differs})
@@ -190,12 +189,12 @@ def lifecycle(cfg: SimConfig) -> CriterionResult:
                                 "addition": addition})
 
 
-def dos_bound(cfg: SimConfig, flood: int = 10_000) -> CriterionResult:
+def dos_bound(cfg: SimConfig) -> CriterionResult:
     report = run_scenario("dos", cfg)
     bound = next(v for v in report.verdicts if "bounded" in v["claim"])
     emitted = next(v for v in report.verdicts if "emitted" in v["claim"])
-    ok = report.passed and bound["details"]["flood"] >= flood
-    return CriterionResult(10, f"DoS bound over {flood} garbage requests", ok,
+    ok = report.passed and bound["details"]["flood"] >= 10_000
+    return CriterionResult(10, "DoS bound over 10000 garbage requests", ok,
                            {"max_hashes": bound["details"]["max_hashes_per_message"],
                             "emitted": emitted["details"]["emitted"]})
 

@@ -21,6 +21,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -108,6 +109,15 @@ def _load_config_file(path: Path) -> SimConfig:
     return SimConfig(**values)
 
 
+@contextmanager
+def _parsing(path: Path):
+    """A document that lacks a key or holds a badly typed value is malformed."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed state file {path}") from exc
+
+
 def load_world(state: StateDir, cfg: SimConfig,
                new_gateway: str | None = None) -> World:
     """Restore the gateway, every user, every UAV and their secrets.
@@ -115,7 +125,8 @@ def load_world(state: StateDir, cfg: SimConfig,
     ``new_gateway`` starts a fresh gateway of that name instead of reading
     ``gwn.json``. Every call draws a new deterministic rng stream:
     ``meta.json`` counts the calls, and is written at once, so a command
-    that then fails still moves the next command to a new stream.
+    that then fails still moves the next command to a new stream. The
+    freshness window is not state: the clock takes it from ``cfg``.
     """
     meta = state.load("meta.json", {"invocations": 0})
     rng = random.Random(f"{cfg.seed}:{meta['invocations']}")
@@ -124,27 +135,31 @@ def load_world(state: StateDir, cfg: SimConfig,
 
     secrets = state.load("secrets.json", {})
     if new_gateway is not None:
-        gateway, now = Gateway(new_gateway, rng, delta_t=cfg.delta_t), 0
+        gateway, now = Gateway(new_gateway, rng), 0
     else:
         gwn_doc = state.load("gwn.json")
         if "gwn_secret" not in secrets:
             raise ConfigError("secrets.json lacks the gateway secret")
-        gateway = Gateway.from_json(gwn_doc, secrets["gwn_secret"])
-        now = gwn_doc.get("clock", 0)
-    clock = SimClock(now)
+        with _parsing(state.path("gwn.json")):
+            gateway = Gateway.from_json(gwn_doc, secrets["gwn_secret"])
+            now = gwn_doc.get("clock", 0)
+    clock = SimClock(cfg.delta_t, now)
     world = World(config=cfg, rng=rng, clock=clock, channel=Channel(clock),
                   gateway=gateway)
-    for name, secret in secrets.get("users", {}).items():
-        card = SmartCard.from_json(state.load(f"user_{name}.json"))
-        user = User(name, fe_params=card.fe_params)
+    with _parsing(state.path("secrets.json")):
+        users = secrets.get("users", {}).items()
+        uavs = secrets.get("puf_seeds", {}).items()
+    for name, secret in users:
+        with _parsing(state.path(f"user_{name}.json")):
+            card = SmartCard.from_json(state.load(f"user_{name}.json"))
+        with _parsing(state.path("secrets.json")):
+            bio = BitString.from_hex(secret["bio"], width=card.fe_params.bio_width)
+            world.user_secrets[name] = {"password": secret["password"], "bio": bio}
+        world.users[name] = user = User(name, fe_params=card.fe_params)
         user.card = card
-        world.users[name] = user
-        world.user_secrets[name] = {
-            "password": secret["password"],
-            "bio": BitString.from_hex(secret["bio"], width=card.fe_params.bio_width),
-        }
-    for name, seed in secrets.get("puf_seeds", {}).items():
-        world.uavs[name] = Uav.from_json(state.load(f"uav_{name}.json"), seed)
+    for name, seed in uavs:
+        with _parsing(state.path(f"uav_{name}.json")):
+            world.uavs[name] = Uav.from_json(state.load(f"uav_{name}.json"), seed)
     return world
 
 
@@ -180,6 +195,10 @@ def _registered(world: World, user: str, uav: str | None = None) -> None:
 
 def cmd_init_gwn(args) -> int:
     state = StateDir(Path(args.state_dir))
+    if state.path("gwn.json").exists():
+        # a new gateway secret would orphan every card and UAV image on file
+        print(f"error: gateway already initialized in {state.root}", file=sys.stderr)
+        return EXIT_FAIL
     save_world(state, load_world(state, _sim_config(args), new_gateway=args.identity))
     print(f"gateway {args.identity} initialized in {state.root}")
     return 0
@@ -284,8 +303,7 @@ def cmd_report(args) -> int:
     cfg = _sim_config(args)
     state = StateDir(Path(args.state_dir))
     session = state.load("last_session.json")
-    report = overhead_report(session.get("op_counts"),
-                             session.get("bit_counts"), timings="preset")
+    report = overhead_report(session.get("op_counts"), session.get("bit_counts"))
     if args.format == "json":
         print(_dump(report), end="")
     else:

@@ -44,14 +44,14 @@ def random_nonce(rng: random.Random) -> BitString:
     return BitString.random(NONCE_BITS, rng)
 
 
-def lift(value: BitString, width: int = DIGEST_BITS) -> BitString:
+def lift(value: BitString) -> BitString:
     """Zero-extend a value (typically a nonce) to the 160-bit field width.
 
     Nonces are 128 bits on the wire accounting but always enter hashes and
     XOR masks zero-extended to 160 bits, so both sides of the protocol
     concatenate identical byte sequences.
     """
-    return value.zext(width)
+    return value.zext(DIGEST_BITS)
 
 
 @dataclass

@@ -17,15 +17,9 @@ class LoginFailed(ProtocolError):
     test harness only, via ``debug_cause``.
     """
 
-    def __init__(self, debug_cause: str = "unknown", debug: dict | None = None):
+    def __init__(self, debug_cause: str = "unknown"):
         super().__init__("login failed")
-        self._debug_cause = debug_cause
-        self._debug = debug or {}
-
-    @property
-    def debug_cause(self) -> str:
-        """Harness inspection hook; not part of the user-visible contract."""
-        return self._debug_cause
+        self.debug_cause = debug_cause
 
 
 class StaleTimestamp(ProtocolError):

@@ -44,13 +44,12 @@ class UavRecord:
 class Gateway:
     """Trusted gateway state machine."""
 
-    def __init__(self, identity: str, rng: random.Random,
-                 ops: OpCounter | None = None, delta_t: int = 2):
+    def __init__(self, identity: str, rng: random.Random):
         self.identity = identity
         self.id_g = BitString.from_text(identity)
         self._s = BitString.random(160, rng)
-        self.ops = ops or OpCounter()
-        self.guard = FreshnessGuard(Msg1.KIND, delta_t)
+        self.ops = OpCounter()
+        self.guard = FreshnessGuard(Msg1.KIND)
         self.user_tids: set[BitString] = set()
         self.registry: dict[str, UavRecord] = {}
 
@@ -96,7 +95,7 @@ class Gateway:
         the three digests needed to check its MAC, and nothing is emitted
         on any error path.
         """
-        expiry = self.guard.check(msg1.mac1, msg1.ts1, clock.now)
+        expiry = self.guard.check(msg1.mac1, msg1.ts1, clock)
 
         m1 = self.ops.h(self.id_g, self._s)
         e_i = self.ops.h(m1, msg1.ts1)
@@ -133,7 +132,6 @@ class Gateway:
     def to_json(self) -> dict:
         return {
             "identity": self.identity,
-            "delta_t": self.guard.delta_t,
             "user_tids": sorted(t.hex() for t in self.user_tids),
             "registry": {name: rec.to_json() for name, rec in sorted(self.registry.items())},
         }
@@ -149,7 +147,7 @@ class Gateway:
         gw.id_g = BitString.from_text(doc["identity"])
         gw._s = BitString.from_hex(secret_hex)
         gw.ops = OpCounter()
-        gw.guard = FreshnessGuard(Msg1.KIND, doc["delta_t"])
+        gw.guard = FreshnessGuard(Msg1.KIND)
         gw.user_tids = {BitString.from_hex(t) for t in doc["user_tids"]}
         gw.registry = {name: UavRecord.from_json(rec)
                        for name, rec in doc["registry"].items()}

@@ -142,10 +142,9 @@ def count_session(result) -> dict:
     return {role: dict(counts) for role, counts in result.op_counts.items()}
 
 
-def estimate_ms(ops: dict, timings: dict | None = None) -> float:
+def estimate_ms(ops: dict) -> float:
     """Sum of count * per-op constant. XOR is excluded as negligible."""
-    timings = TIMING_PRESET_MS if timings is None else timings
-    return sum(n * timings[op] for op, n in ops.items() if op != "xor" and n)
+    return sum(n * TIMING_PRESET_MS[op] for op, n in ops.items() if op != "xor" and n)
 
 
 def _role_totals(per_role: dict) -> dict:
@@ -156,28 +155,25 @@ def _role_totals(per_role: dict) -> dict:
     return total
 
 
-def overhead_report(session_counts: dict | None, bit_counts: dict | None,
-                    timings: dict | str | None = "preset") -> dict:
+def _estimates(per_role: dict) -> dict:
+    return {role: round(estimate_ms(ops), 3) for role, ops in per_role.items()}
+
+
+def overhead_report(session_counts: dict | None, bit_counts: dict | None) -> dict:
     """Comparison of the measured session against the baseline constants.
 
     ``session_counts`` and ``bit_counts`` may be None (e.g. a registration
-    only run); the baseline side of the report still renders. ``timings``
-    may be "preset", a mapping, or None to skip the millisecond estimates,
-    which are labeled estimates because only counts are measured.
+    only run); the baseline side of the report still renders. The
+    millisecond figures are labeled estimates from ``TIMING_PRESET_MS``,
+    because only counts are measured.
     """
-    if timings == "preset":
-        timings = TIMING_PRESET_MS
-    report: dict = {"baselines": [], "timing_constants_ms": timings}
+    report: dict = {"baselines": [], "timing_constants_ms": TIMING_PRESET_MS}
 
     proposed: dict = {"name": "proposed"}
     if session_counts:
         roles = {r: session_counts[r] for r in ("user", "gwn", "uav")}
         proposed["ops"] = {**roles, "total": _role_totals(roles)}
-        if timings:
-            proposed["estimated_ms"] = {
-                role: round(estimate_ms(ops, timings), 3)
-                for role, ops in proposed["ops"].items()
-            }
+        proposed["estimated_ms"] = _estimates(proposed["ops"])
     if bit_counts:
         proposed["bits"] = bit_counts["total"]
         proposed["messages"] = bit_counts["message_count"]
@@ -187,14 +183,9 @@ def overhead_report(session_counts: dict | None, bit_counts: dict | None,
     report["proposed"] = proposed
 
     for base in BASELINES:
-        entry = {"name": base["name"], "ops": base["ops"],
-                 "messages": base["messages"], "bits": base["bits"]}
-        if timings:
-            entry["estimated_ms"] = {
-                role: round(estimate_ms(ops, timings), 3)
-                for role, ops in base["ops"].items()
-            }
-        report["baselines"].append(entry)
+        report["baselines"].append({
+            "name": base["name"], "ops": base["ops"], "messages": base["messages"],
+            "bits": base["bits"], "estimated_ms": _estimates(base["ops"])})
     return report
 
 

@@ -164,7 +164,13 @@ def privileged_insider(cfg: SimConfig) -> ScenarioReport:
     return _finish(report, world, result)
 
 
-def impersonation(cfg: SimConfig, attempts: int = 48) -> ScenarioReport:
+#: Random forgeries tried per message in ``impersonation``.
+ATTEMPTS = 48
+#: Garbage requests sent to the gateway in ``dos``.
+FLOOD = 10_000
+
+
+def impersonation(cfg: SimConfig) -> ScenarioReport:
     """Forged messages from transcript knowledge are always rejected."""
     report = ScenarioReport("impersonation", cfg.seed)
     world = _world(cfg, "impersonation")
@@ -176,43 +182,31 @@ def impersonation(cfg: SimConfig, attempts: int = 48) -> ScenarioReport:
     msg3 = decode(Msg3, honest.transcript[2].payload)
 
     accepted = {"MSG1": 0, "MSG2": 0, "MSG3": 0}
-    for _ in range(attempts):
+
+    def deliver(forged1: Msg1, forged2: Msg2) -> None:
+        for msg, receive in ((forged1, world.gateway.relay_auth),
+                             (forged2, world.uavs["uav-1"].aka_respond)):
+            try:
+                receive(msg, world.clock, world.rng)
+                accepted[msg.KIND] += 1
+            except ProtocolError:
+                pass
+
+    for _ in range(ATTEMPTS):
         world.clock.advance(1)
         now = ts_bits(world.clock.now)
         # random forgeries with a fresh, valid timestamp
-        forged1 = Msg1(*(BitString.random(160, rng) for _ in range(4)), ts1=now)
-        forged2 = Msg2(*(BitString.random(160, rng) for _ in range(4)), ts2=now)
-        try:
-            world.gateway.relay_auth(forged1, world.clock, world.rng)
-            accepted["MSG1"] += 1
-        except ProtocolError:
-            pass
-        try:
-            world.uavs["uav-1"].aka_respond(forged2, world.clock, world.rng)
-            accepted["MSG2"] += 1
-        except ProtocolError:
-            pass
+        deliver(Msg1(*(BitString.random(160, rng) for _ in range(4)), ts1=now),
+                Msg2(*(BitString.random(160, rng) for _ in range(4)), ts2=now))
 
     # structured best effort: observed fields with a fresh timestamp
     world.clock.advance(1)
     now = ts_bits(world.clock.now)
-    try:
-        world.gateway.relay_auth(
-            Msg1(msg1.mac1, msg1.rid_j, msg1.g_i, msg1.f_i_prime, now),
-            world.clock, world.rng)
-        accepted["MSG1"] += 1
-    except ProtocolError:
-        pass
-    try:
-        world.uavs["uav-1"].aka_respond(
-            Msg2(msg2.mac2, msg2.v1, msg2.h_i, msg2.f_i_dprime, now),
-            world.clock, world.rng)
-        accepted["MSG2"] += 1
-    except ProtocolError:
-        pass
+    deliver(Msg1(msg1.mac1, msg1.rid_j, msg1.g_i, msg1.f_i_prime, now),
+            Msg2(msg2.mac2, msg2.v1, msg2.h_i, msg2.f_i_dprime, now))
 
     # MSG3 forgeries against a live pending session
-    for i in range(attempts):
+    for _ in range(ATTEMPTS):
         world.clock.advance(1)
 
         def forge3(kind, payload, _rng=rng):
@@ -450,7 +444,7 @@ def esl(cfg: SimConfig) -> ScenarioReport:
     return _finish(report, world, session_a)
 
 
-def dos(cfg: SimConfig, flood: int = 10_000) -> ScenarioReport:
+def dos(cfg: SimConfig) -> ScenarioReport:
     """Garbage floods are rejected cheaply and emit nothing."""
     report = ScenarioReport("dos", cfg.seed)
     world = _world(cfg, "dos")
@@ -459,7 +453,7 @@ def dos(cfg: SimConfig, flood: int = 10_000) -> ScenarioReport:
     gwn.ops.reset()
     emitted = 0
     max_hashes = 0
-    for i in range(flood):
+    for i in range(FLOOD):
         payload = BitString.random(672, rng)
         if i % 2 == 0:
             # give half the flood a fresh timestamp so the MAC path runs
@@ -475,7 +469,7 @@ def dos(cfg: SimConfig, flood: int = 10_000) -> ScenarioReport:
         max_hashes = max(max_hashes, gwn.ops.hash_count - before)
     report.check("no relay message emitted", emitted == 0, emitted=emitted)
     report.check("per-message work bounded", max_hashes <= 3,
-                 max_hashes_per_message=max_hashes, flood=flood)
+                 max_hashes_per_message=max_hashes, flood=FLOOD)
     return _finish(report, world)
 
 
@@ -542,14 +536,8 @@ SCENARIOS = {
 
 #: Feature coverage: the twelve scenario verdicts plus the two lifecycle
 #: integrations, in the order the comparison matrix reports them.
-FEATURES = [
-    ("FSF_1", "stolen_card"), ("FSF_2", "privileged_insider"),
-    ("FSF_3", "impersonation"), ("FSF_4", "anonymity_untraceability"),
-    ("FSF_5", "uav_capture"), ("FSF_6", "mutual_auth"),
-    ("FSF_7", "replay"), ("FSF_8", "mitm"), ("FSF_9", "esl"),
-    ("FSF_10", "dos"), ("FSF_11", "side_channel"), ("FSF_12", "crp_leakage"),
-    ("FSF_13", "lifecycle_update_replace"), ("FSF_14", "dynamic_addition"),
-]
+FEATURES = [(f"FSF_{i}", name) for i, name in enumerate(
+    [*SCENARIOS, "lifecycle_update_replace", "dynamic_addition"], start=1)]
 
 
 def run_scenario(name: str, cfg: SimConfig | None = None) -> ScenarioReport:

@@ -36,9 +36,11 @@ class SimConfig:
 
 
 class SimClock:
-    """Shared monotone tick counter; every party reads the same clock."""
+    """Shared monotone tick counter and the freshness window ``delta_t``
+    (the bound on transmission delay); every party reads the same clock."""
 
-    def __init__(self, now: int = 0):
+    def __init__(self, delta_t: int, now: int = 0):
+        self.delta_t = delta_t
         self.now = now
 
     def advance(self, ticks: int = 1) -> int:
@@ -91,17 +93,14 @@ class Adversary:
         self.channel = channel
         self.insider = insider
 
-    def _check(self, tr: Transmission) -> None:
-        if tr.secure and not self.insider:
-            raise DisallowedAction("secure-channel message is out of reach")
-
     def observe(self) -> list[BitString]:
         """Everything visible: public always, secure only for an insider."""
         return [tr.payload for tr in self.channel.log
                 if self.insider or not tr.secure]
 
     def replay(self, tr: Transmission) -> Transmission:
-        self._check(tr)
+        if tr.secure and not self.insider:
+            raise DisallowedAction("secure-channel message is out of reach")
         copy = self.channel.send(tr.origin, tr.dest, tr.kind, tr.payload,
                                  secure=tr.secure)
         copy.events.append("replayed")
@@ -129,9 +128,9 @@ def build_world(config: SimConfig | None = None,
                 rng: random.Random | None = None) -> World:
     config = config or SimConfig()
     rng = rng or random.Random(config.seed)
-    clock = SimClock()
+    clock = SimClock(config.delta_t)
     channel = Channel(clock)
-    gateway = Gateway("gateway-0", rng, delta_t=config.delta_t)
+    gateway = Gateway("gateway-0", rng)
     return World(config=config, rng=rng, clock=clock, channel=channel,
                  gateway=gateway)
 
@@ -164,7 +163,7 @@ def enroll_user(world: World, identity: str, password: str) -> User:
 def enroll_uav(world: World, identity: str, announce: bool = False) -> Uav:
     """Run the full UAV registration phase; ``announce`` tells every user."""
     puf = PufDevice.generate(world.rng)
-    uav = Uav(identity, puf, delta_t=world.config.delta_t)
+    uav = Uav(identity, puf)
     world.channel.send(identity, world.gateway.identity, wire.UavRegRequest.KIND,
                        encode(wire.UavRegRequest(id_j=uav.id_j)), secure=True)
     response = world.gateway.register_uav_begin(identity, world.rng)
@@ -186,6 +185,12 @@ def enroll_uav(world: World, identity: str, announce: bool = False) -> Uav:
 Intercept = Callable[[str, BitString], BitString | None]
 
 
+#: The stages of a run, and the check that ends each one: a run stopped
+#: at a stage passed exactly the checks of the stages before it.
+STAGES = ("login", "MSG1", "MSG2", "MSG3", "complete")
+CHECKS = ("credential", "mac1", "mac2", "confirmation")
+
+
 @dataclass
 class AkaResult:
     """Outcome of one driven key-agreement run."""
@@ -198,7 +203,11 @@ class AkaResult:
     transcript: list[Transmission]
     op_counts: dict
     phase_counts: dict
-    checks: dict
+
+    @property
+    def checks(self) -> dict:
+        reached = STAGES.index(self.stage)
+        return {name: i < reached for i, name in enumerate(CHECKS)}
 
     @property
     def keys_agree(self) -> bool:
@@ -208,7 +217,7 @@ class AkaResult:
 
 def run_aka(world: World, user_identity: str, uav_identity: str,
             intercept: Intercept | None = None,
-            password: str | None = None, bio: BitString | None = None) -> AkaResult:
+            password: str | None = None) -> AkaResult:
     """Drive one full key agreement, optionally through an interceptor.
 
     The interceptor sees the serialized public payloads exactly as the
@@ -220,78 +229,54 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
     gwn = world.gateway
     secrets = world.user_secrets[user_identity]
     password = secrets["password"] if password is None else password
-    bio = secrets["bio"] if bio is None else bio
     start = len(world.channel.log)
     for ops in (user.ops, gwn.ops, uav.ops):
         ops.reset()
-    checks = {"credential": False, "mac1": False, "mac2": False, "confirmation": False}
     phases: dict[str, dict] = {}
-    user_sk = uav_sk = None
+    user_sk = uav_sk = error = None
 
-    def finish(ok: bool, stage: str, error: Exception | None) -> AkaResult:
-        transcript = world.channel.log[start:]
-        return AkaResult(
-            ok=ok, stage=stage, error=None if error is None else type(error).__name__,
-            user_sk=user_sk, uav_sk=uav_sk, transcript=transcript,
-            op_counts={"user": user.ops.snapshot(), "gwn": gwn.ops.snapshot(),
-                       "uav": uav.ops.snapshot()},
-            phase_counts=phases, checks=checks)
+    def send(origin: str, dest: str, msg) -> BitString:
+        payload = encode(msg)
+        tr = world.channel.send(origin, dest, msg.KIND, payload)
+        if intercept is not None:
+            payload = intercept(msg.KIND, payload)
+            if payload is None:
+                raise ProtocolError("dropped")
+            tr.payload = payload
+        return payload
 
-    def through(kind: str, payload: BitString) -> BitString | None:
-        return payload if intercept is None else intercept(kind, payload)
-
+    stage = "login"
     try:
         before = user.ops.snapshot()
-        ctx = user.login(password, bio)
-        checks["credential"] = True
+        ctx = user.login(password, secrets["bio"])
         phases["login"] = diff_counts(before, user.ops.snapshot())
+        stage = "MSG1"
 
         before = user.ops.snapshot()
         msg1 = user.aka_initiate(ctx, uav_identity, world.clock)
         phases["initiate"] = diff_counts(before, user.ops.snapshot())
-        tr1 = world.channel.send(user_identity, gwn.identity, wire.Msg1.KIND,
-                                 encode(msg1))
-        payload = through(wire.Msg1.KIND, tr1.payload)
-        if payload is None:
-            return finish(False, "MSG1", ProtocolError("dropped"))
-        tr1.payload = payload
+        payload = send(user_identity, gwn.identity, msg1)
         world.clock.advance(1)
 
         msg2 = gwn.relay_auth(wire.decode_msg1(payload), world.clock, world.rng)
-        checks["mac1"] = True
-        tr2 = world.channel.send(gwn.identity, uav_identity, wire.Msg2.KIND,
-                                 encode(msg2))
-        payload = through(wire.Msg2.KIND, tr2.payload)
-        if payload is None:
-            return finish(False, "MSG2", ProtocolError("dropped"))
-        tr2.payload = payload
+        stage = "MSG2"
+        payload = send(gwn.identity, uav_identity, msg2)
         world.clock.advance(1)
 
         msg3, uav_sk = uav.aka_respond(wire.decode_msg2(payload), world.clock,
                                        world.rng)
-        checks["mac2"] = True
-        tr3 = world.channel.send(uav_identity, user_identity, wire.Msg3.KIND,
-                                 encode(msg3))
-        payload = through(wire.Msg3.KIND, tr3.payload)
-        if payload is None:
-            return finish(False, "MSG3", ProtocolError("dropped"))
-        tr3.payload = payload
+        stage = "MSG3"
+        payload = send(uav_identity, user_identity, msg3)
 
         before = user.ops.snapshot()
-        user_sk = user.aka_finalize(wire.decode_msg3(payload), world.clock,
-                                    world.config.delta_t)
-        checks["confirmation"] = True
+        user_sk = user.aka_finalize(wire.decode_msg3(payload), world.clock)
         phases["finalize"] = diff_counts(before, user.ops.snapshot())
+        stage = "complete"
     except ProtocolError as exc:
-        return finish(False, _failed_stage(checks), exc)
-    return finish(True, "complete", None)
-
-
-def _failed_stage(checks: dict) -> str:
-    if not checks["credential"]:
-        return "login"
-    if not checks["mac1"]:
-        return "MSG1"
-    if not checks["mac2"]:
-        return "MSG2"
-    return "MSG3"
+        error = type(exc).__name__
+    return AkaResult(
+        ok=error is None, stage=stage, error=error, user_sk=user_sk,
+        uav_sk=uav_sk, transcript=world.channel.log[start:],
+        op_counts={"user": user.ops.snapshot(), "gwn": gwn.ops.snapshot(),
+                   "uav": uav.ops.snapshot()},
+        phase_counts=phases)

@@ -19,13 +19,12 @@ from .wire import FreshnessGuard, Msg2, Msg3, UavRegResponse, UavRegSubmit, ts_b
 class Uav:
     """Protocol state machine for one UAV."""
 
-    def __init__(self, identity: str, puf: PufDevice,
-                 ops: OpCounter | None = None, delta_t: int = 2):
+    def __init__(self, identity: str, puf: PufDevice):
         self.identity = identity
         self.id_j = BitString.from_text(identity)
         self._puf = puf
-        self.ops = ops or OpCounter()
-        self.guard = FreshnessGuard(Msg2.KIND, delta_t)
+        self.ops = OpCounter()
+        self.guard = FreshnessGuard(Msg2.KIND)
         self.c_j: BitString | None = None
         self.tc_id_j: BitString | None = None
 
@@ -47,7 +46,7 @@ class Uav:
         """
         if self.c_j is None:
             raise ProtocolError("UAV not registered")
-        expiry = self.guard.check(msg2.mac2, msg2.ts2, clock.now)
+        expiry = self.guard.check(msg2.mac2, msg2.ts2, clock)
 
         r_j = self.ops.puf(self._puf, self.c_j)
         n_j = self.ops.xor(msg2.v1, self.ops.h(self.id_j, self.tc_id_j, r_j))
@@ -90,12 +89,12 @@ class Uav:
         if self.c_j is None or self.tc_id_j is None:
             raise ProtocolError("UAV not registered")
         return {"identity": self.identity, "c_j": self.c_j.hex(),
-                "tc_id_j": self.tc_id_j.hex(), "delta_t": self.guard.delta_t}
+                "tc_id_j": self.tc_id_j.hex()}
 
     @classmethod
     def from_json(cls, doc: dict, puf_seed_hex: str) -> "Uav":
         puf = PufDevice(BitString.from_hex(puf_seed_hex))
-        uav = cls(doc["identity"], puf, delta_t=doc["delta_t"])
+        uav = cls(doc["identity"], puf)
         uav.c_j = BitString.from_hex(doc["c_j"])
         uav.tc_id_j = BitString.from_hex(doc["tc_id_j"])
         return uav

@@ -64,7 +64,6 @@ class SmartCard:
 class LoginContext:
     """Secrets recovered by a successful credential check; never persisted."""
 
-    id_i: BitString
     tid_i: BitString
     tpw_i: BitString
     n_i: BitString
@@ -84,13 +83,12 @@ class PendingSession:
 class User:
     """Protocol state machine for one registered user."""
 
-    def __init__(self, identity: str, ops: OpCounter | None = None,
-                 fe_params: FeParams | None = None):
+    def __init__(self, identity: str, fe_params: FeParams | None = None):
         if not identity:
             raise ValueError("identity must be non-empty")
         self.identity = identity
         self.id_i = BitString.from_text(identity)
-        self.ops = ops or OpCounter()
+        self.ops = OpCounter()
         self.fe_params = fe_params or FeParams()
         self.card: SmartCard | None = None
         self.known_uavs: set[str] = set()
@@ -144,10 +142,9 @@ class User:
         tpw_star = self.ops.h(BitString.from_text(password), n_i_star)
         b_star = self.ops.h(self.id_i, tpw_star, sigma_star)
         if b_star != card.b_i:
-            raise LoginFailed(debug_cause="credential-check",
-                              debug={"sigma_star": sigma_star, "b_star": b_star})
-        return LoginContext(id_i=self.id_i, tid_i=tid_star, tpw_i=tpw_star,
-                            n_i=n_i_star, c_i=card.c_i)
+            raise LoginFailed(debug_cause="credential-check")
+        return LoginContext(tid_i=tid_star, tpw_i=tpw_star, n_i=n_i_star,
+                            c_i=card.c_i)
 
     def aka_initiate(self, ctx: LoginContext, uav_identity: str, clock) -> Msg1:
         """Build MSG1 toward the chosen UAV and retain the pending session."""
@@ -163,12 +160,12 @@ class User:
                                        id_j=id_j, ts1=ts1)
         return Msg1(mac1=mac1, rid_j=rid_j, g_i=g_i, f_i_prime=f_i_prime, ts1=ts1)
 
-    def aka_finalize(self, msg3: Msg3, clock, delta_t: int) -> BitString:
+    def aka_finalize(self, msg3: Msg3, clock) -> BitString:
         """Verify MSG3 and derive the session key. Consumes the pending state."""
         if self._pending is None:
             raise ProtocolError("no session pending")
         pend, self._pending = self._pending, None
-        check_fresh(Msg3.KIND, msg3.ts3, clock.now, delta_t)
+        check_fresh(Msg3.KIND, msg3.ts3, clock.now, clock.delta_t)
         n_k = self.ops.xor(msg3.v5, self.ops.h(pend.tid_i, pend.rid_j, msg3.ts3))
         v2_star = self.ops.xor(self.ops.h(pend.id_j, pend.tid_i, msg3.ts3), n_k)
         if v2_star != msg3.v2:

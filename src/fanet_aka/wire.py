@@ -169,7 +169,7 @@ def check_fresh(kind: str, ts: BitString, now: int, delta_t: int) -> int:
 
 
 class FreshnessGuard:
-    """Freshness window and replay cache of one receiving party.
+    """Replay cache of one receiving party, checked against the clock's window.
 
     ``check`` runs before any hashing: the window, then the purge of
     expired MACs, then the replay lookup. ``accept`` caches the MAC of a
@@ -177,20 +177,20 @@ class FreshnessGuard:
     a message that fails verification never enters the cache.
     """
 
-    def __init__(self, kind: str, delta_t: int):
+    def __init__(self, kind: str):
         self.kind = kind
-        self.delta_t = delta_t
         self._cache: dict[BitString, int] = {}
 
-    def check(self, mac: BitString, ts: BitString, now: int) -> int:
+    def check(self, mac: BitString, ts: BitString, clock) -> int:
         """Reject a stale or replayed message; return its cache expiry tick."""
-        offset = check_fresh(self.kind, ts, now, self.delta_t)
+        now, delta_t = clock.now, clock.delta_t
+        offset = check_fresh(self.kind, ts, now, delta_t)
         expired = [m for m, expiry in self._cache.items() if expiry <= now]
         for m in expired:
             del self._cache[m]
         if mac in self._cache:
             raise ReplayDetected(f"{self.kind} MAC already accepted in this window")
-        return now + offset + self.delta_t
+        return now + offset + delta_t
 
     def accept(self, mac: BitString, expiry: int) -> None:
         self._cache[mac] = expiry
@@ -202,17 +202,13 @@ def protocol_bits(transcript) -> dict:
     Counts are measured from the serialized payloads in the transcript,
     never from constants; an incomplete run raises.
     """
+    kinds = [cls.KIND for cls in (Msg1, Msg2, Msg3)]
     sizes: dict[str, int] = {}
     for entry in transcript:
-        if entry.kind in ("MSG1", "MSG2", "MSG3") and entry.kind not in sizes:
+        if entry.kind in kinds and entry.kind not in sizes:
             sizes[entry.kind] = entry.payload.width
-    missing = [k for k in ("MSG1", "MSG2", "MSG3") if k not in sizes]
+    missing = [k for k in kinds if k not in sizes]
     if missing:
         raise IncompleteTranscript(f"transcript missing {', '.join(missing)}")
-    return {
-        "MSG1": sizes["MSG1"],
-        "MSG2": sizes["MSG2"],
-        "MSG3": sizes["MSG3"],
-        "total": sizes["MSG1"] + sizes["MSG2"] + sizes["MSG3"],
-        "message_count": 3,
-    }
+    counts = {k: sizes[k] for k in kinds}
+    return {**counts, "total": sum(counts.values()), "message_count": len(kinds)}

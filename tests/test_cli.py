@@ -79,10 +79,55 @@ def test_malformed_config_exit_code(tmp_path):
 
 
 def test_config_file_keys_are_applied(tmp_path):
-    (tmp_path / "sim.cfg").write_text("seed = 7\ndelta_t = 5\n")
-    run_cli(["--config", "sim.cfg", "init-gwn"], tmp_path)
-    gwn = json.loads((tmp_path / "state" / "gwn.json").read_text())
-    assert gwn["delta_t"] == 5
+    bootstrap(tmp_path)
+    (tmp_path / "sim.cfg").write_text("seed = 7\ndelta_t = 1\n")
+    proc = run_cli(["--config", "sim.cfg", "run-aka", "--user", "alice",
+                    "--uav", "uav-1"], tmp_path, check=False)
+    assert proc.returncode == 1
+    assert "failed at MSG1: StaleTimestamp" in proc.stdout
+
+
+def test_window_flag_reaches_every_party(tmp_path):
+    bootstrap(tmp_path)
+    proc = run_cli(["--delta-t", "1", "run-aka", "--user", "alice",
+                    "--uav", "uav-1"], tmp_path, check=False)
+    assert proc.returncode == 1
+    assert "failed at MSG1: StaleTimestamp" in proc.stdout
+
+
+def test_window_is_not_stored_in_state(tmp_path):
+    run_cli(["--delta-t", "1", "init-gwn"], tmp_path)
+    run_cli(["register-user", "--user", "alice", "--password", "pw-alice"], tmp_path)
+    run_cli(["register-uav", "--uav", "uav-1"], tmp_path)
+    run_cli(["run-aka", "--user", "alice", "--uav", "uav-1"], tmp_path)
+
+
+def test_init_gwn_refuses_a_populated_deployment(tmp_path):
+    bootstrap(tmp_path)
+    state = tmp_path / "state"
+    before = {p.name: p.read_bytes() for p in state.iterdir()}
+    proc = run_cli(["init-gwn"], tmp_path, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in state.iterdir()} == before
+    run_cli(["run-aka", "--user", "alice", "--uav", "uav-1"], tmp_path)
+
+
+@pytest.mark.parametrize("name,edit", [
+    ("user_alice.json", lambda doc: {}),
+    ("uav_uav-1.json", lambda doc: {**doc, "c_j": "not-hex"}),
+    ("secrets.json", lambda doc: {**doc, "users": []}),
+])
+def test_malformed_state_file_exit_code(tmp_path, name, edit):
+    bootstrap(tmp_path)
+    path = tmp_path / "state" / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    proc = run_cli(["run-aka", "--user", "alice", "--uav", "uav-1"],
+                   tmp_path, check=False)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: malformed state file {Path('state') / name}\n"
 
 
 def test_lifecycle_subcommands(tmp_path):

@@ -92,12 +92,7 @@ def test_report_renders_without_session():
     assert "baseline-ecc" in table
     lines = table.splitlines()
     assert len(lines) == 2 + 1 + len(BASELINES)
-
-
-def test_report_without_timings_skips_estimates():
-    report = overhead_report(None, None, timings=None)
-    assert "estimated_ms" not in report["baselines"][0]
-    assert "-" in render_table(report)
+    assert "-" in table
 
 
 def test_deleting_a_primitive_call_would_fail_the_pin():

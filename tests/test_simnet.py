@@ -18,7 +18,7 @@ def _ready(seed=0, **kwargs):
 
 
 def test_clock_is_monotone():
-    clock = SimClock()
+    clock = SimClock(2)
     assert clock.advance(3) == 3
     with pytest.raises(ValueError):
         clock.advance(-1)
@@ -66,6 +66,8 @@ def test_dropped_message_stalls_without_keys():
     assert not result.ok
     assert result.stage == "MSG2"
     assert result.user_sk is None and result.uav_sk is None
+    assert result.checks == {"credential": True, "mac1": True, "mac2": False,
+                             "confirmation": False}
 
 
 @pytest.mark.parametrize("held", ["MSG1", "MSG2", "MSG3"])
@@ -82,6 +84,8 @@ def test_delayed_message_goes_stale(held):
     assert result.stage == held
     assert result.error == "StaleTimestamp"
     assert result.user_sk is None
+    passed = ["credential", "mac1", "mac2", "confirmation"][:int(held[-1])]
+    assert [name for name, ok in result.checks.items() if ok] == passed
 
 
 @pytest.mark.parametrize("start", [2**32 - 2, 2**32 + 5])

@@ -118,7 +118,7 @@ def test_finalize_requires_pending_session():
     msg3 = Msg3(BitString.zeros(160), BitString.zeros(160), ts_bits(0),
                 BitString.zeros(160))
     with pytest.raises(ProtocolError):
-        user.aka_finalize(msg3, SimClock(), 2)
+        user.aka_finalize(msg3, SimClock(2))
 
 
 def test_pending_session_is_single_use():
@@ -130,8 +130,7 @@ def test_pending_session_is_single_use():
     from fanet_aka.wire import decode_msg3
     msg3 = decode_msg3(result.transcript[2].payload)
     with pytest.raises(ProtocolError):
-        world.users["alice"].aka_finalize(msg3, world.clock,
-                                          world.config.delta_t)
+        world.users["alice"].aka_finalize(msg3, world.clock)
 
 
 def test_relay_recovers_pseudonym_from_request():
