@@ -95,6 +95,16 @@ def test_report_renders_without_session():
     assert "-" in table
 
 
+def test_report_without_timings_skips_estimates():
+    # with no session to count, the proposed row has nothing to estimate:
+    # every millisecond, message and bit cell renders as "-"
+    report = overhead_report(None, None)
+    assert "estimated_ms" not in report["proposed"]
+    assert all("estimated_ms" in b for b in report["baselines"])
+    proposed_line = render_table(report).splitlines()[2]
+    assert proposed_line.split() == ["proposed"] + ["-"] * 6
+
+
 def test_deleting_a_primitive_call_would_fail_the_pin():
     # simulate an implementation that lost one gateway hash: the pinned
     # comparison must reject it
