@@ -4,18 +4,21 @@ Every identity, nonce, digest and message field is a :class:`BitString`.
 Widths are explicit and equality is bit-exact: ``BitString(32, 5)`` and
 ``BitString(160, 5)`` are different values. Bit 0 is the most significant
 bit (big-endian), both for indexing and for the wire layout.
+
+Values are validated where they enter: the public constructor and the
+``from_*`` and ``random`` constructors check that the value fits its width.
+Results that fit by construction (XOR, slices, concatenation, digests, the
+wire codec) are built by :func:`_unchecked`, which skips that check.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import WidthMismatch
 
 
-@dataclass(frozen=True)
 class BitString:
     """Immutable bit sequence with a fixed width.
 
@@ -23,14 +26,33 @@ class BitString:
     width, so zero-extension on the left is a no-op on the integer.
     """
 
-    width: int
-    value: int
+    __slots__ = ("width", "value")
 
-    def __post_init__(self):
-        if self.width < 0:
-            raise ValueError(f"negative width {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value does not fit in {self.width} bits")
+    def __init__(self, width: int, value: int):
+        if width < 0:
+            raise ValueError(f"negative width {width}")
+        if not 0 <= value < (1 << width):
+            raise ValueError(f"value does not fit in {width} bits")
+        _set_width(self, width)
+        _set_value(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BitString is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"BitString is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not BitString:
+            return NotImplemented
+        return self.width == other.width and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.value))
+
+    def __reduce__(self):
+        # copy and pickle would otherwise restore the slots via __setattr__
+        return BitString, (self.width, self.value)
 
     # -- constructors ----------------------------------------------------
 
@@ -53,13 +75,22 @@ class BitString:
 
     @classmethod
     def from_hex(cls, text: str, width: int | None = None) -> "BitString":
+        """Inverse of :meth:`hex`.
+
+        Without ``width`` every digit is four bits. With it, the text must
+        be exactly the ``2 * ceil(width / 8)`` digits :meth:`hex` writes,
+        with the padding bits zero; anything else raises WidthMismatch.
+        """
         text = text.strip().lower()
-        w = 4 * len(text) if width is None else width
         value = int(text, 16) if text else 0
-        if w != 4 * len(text):
-            if not 0 <= value < (1 << w):
-                raise WidthMismatch(f"hex value does not fit in {w} bits")
-        return cls(w, value)
+        if width is None:
+            return cls(4 * len(text), value)
+        nbytes = (width + 7) // 8
+        pad = 8 * nbytes - width
+        if len(text) != 2 * nbytes or value & ((1 << pad) - 1):
+            raise WidthMismatch(f"{width}-bit field needs {2 * nbytes} hex digits, "
+                                f"got {text!r}")
+        return cls(width, value >> pad)
 
     @classmethod
     def from_text(cls, text: str, width: int = 160) -> "BitString":
@@ -100,13 +131,13 @@ class BitString:
 
     def __xor__(self, other: "BitString") -> "BitString":
         """Bitwise XOR; the shorter operand is zero-extended on the left."""
-        return BitString(max(self.width, other.width), self.value ^ other.value)
+        return _unchecked(max(self.width, other.width), self.value ^ other.value)
 
     def zext(self, width: int) -> "BitString":
         """Zero-extend on the left to ``width`` bits."""
         if width < self.width:
             raise WidthMismatch(f"cannot zero-extend {self.width} down to {width}")
-        return BitString(width, self.value)
+        return _unchecked(width, self.value)
 
     def bit(self, index: int) -> int:
         """Bit at ``index`` counting from the most significant bit."""
@@ -118,14 +149,14 @@ class BitString:
         """Copy with the bit at ``index`` inverted (tamper primitive)."""
         if not 0 <= index < self.width:
             raise IndexError(index)
-        return BitString(self.width, self.value ^ (1 << (self.width - 1 - index)))
+        return _unchecked(self.width, self.value ^ (1 << (self.width - 1 - index)))
 
     def slice(self, start: int, stop: int) -> "BitString":
         """Bits ``[start, stop)`` in MSB-first order."""
         if not 0 <= start <= stop <= self.width:
             raise IndexError((start, stop))
         w = stop - start
-        return BitString(w, (self.value >> (self.width - stop)) & ((1 << w) - 1) if w else 0)
+        return _unchecked(w, (self.value >> (self.width - stop)) & ((1 << w) - 1))
 
     def hamming(self, other: "BitString") -> int:
         if self.width != other.width:
@@ -150,4 +181,17 @@ def concat(parts: Sequence[BitString] | Iterable[BitString]) -> BitString:
     for part in parts:
         width += part.width
         value = (value << part.width) | part.value
-    return BitString(width, value)
+    return _unchecked(width, value)
+
+
+_set_width = BitString.width.__set__
+_set_value = BitString.value.__set__
+_new = object.__new__
+
+
+def _unchecked(width: int, value: int) -> BitString:
+    """A BitString whose value the caller guarantees fits ``width``."""
+    bits = _new(BitString)
+    _set_width(bits, width)
+    _set_value(bits, value)
+    return bits

@@ -27,9 +27,9 @@ from pathlib import Path
 
 from .acceptance import run_all
 from .bits import BitString
-from .crypto import hash_parts
-from .errors import ConfigError, ProtocolError, StateError, UnknownScenario
-from .gwn import Gateway
+from .crypto import PUF_SEED_BITS, hash_parts
+from .errors import ConfigError, ProtocolError, StateError, UnknownScenario, WidthMismatch
+from .gwn import SECRET_BITS, Gateway
 from .metrics import count_session, overhead_report, render_table
 from .scenarios import SCENARIOS, feature_matrix, run_scenario
 from .simnet import Channel, SimClock, SimConfig, World, enroll_uav, enroll_user, run_aka
@@ -111,10 +111,11 @@ def _load_config_file(path: Path) -> SimConfig:
 
 @contextmanager
 def _parsing(path: Path):
-    """A document that lacks a key or holds a badly typed value is malformed."""
+    """A document that lacks a key, holds a badly typed value or a field of
+    the wrong width is malformed."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, WidthMismatch) as exc:
         raise ConfigError(f"malformed state file {path}") from exc
 
 
@@ -140,8 +141,10 @@ def load_world(state: StateDir, cfg: SimConfig,
         gwn_doc = state.load("gwn.json")
         if "gwn_secret" not in secrets:
             raise ConfigError("secrets.json lacks the gateway secret")
+        with _parsing(state.path("secrets.json")):
+            secret = BitString.from_hex(secrets["gwn_secret"], width=SECRET_BITS)
         with _parsing(state.path("gwn.json")):
-            gateway = Gateway.from_json(gwn_doc, secrets["gwn_secret"])
+            gateway = Gateway.from_json(gwn_doc, secret.hex())
             now = gwn_doc.get("clock", 0)
     clock = SimClock(cfg.delta_t, now)
     world = World(config=cfg, rng=rng, clock=clock, channel=Channel(clock),
@@ -158,6 +161,8 @@ def load_world(state: StateDir, cfg: SimConfig,
         world.users[name] = user = User(name, fe_params=card.fe_params)
         user.card = card
     for name, seed in uavs:
+        with _parsing(state.path("secrets.json")):
+            seed = BitString.from_hex(seed, width=PUF_SEED_BITS).hex()
         with _parsing(state.path(f"uav_{name}.json")):
             world.uavs[name] = Uav.from_json(state.load(f"uav_{name}.json"), seed)
     return world

@@ -13,7 +13,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .bits import BitString, concat
+from .bits import BitString, _unchecked, concat
 from .errors import WidthMismatch
 
 DIGEST_BITS = 160
@@ -31,7 +31,11 @@ def sha1_digest(data: BitString) -> BitString:
     hashing (see :meth:`BitString.to_bytes`); all parties share this rule,
     so digests computed from algebraically equal inputs match.
     """
-    return BitString.from_bytes(hashlib.sha1(data.to_bytes()).digest())
+    return _digest(data.to_bytes())
+
+
+def _digest(raw: bytes) -> BitString:
+    return _unchecked(DIGEST_BITS, int.from_bytes(hashlib.sha1(raw).digest(), "big"))
 
 
 def hash_parts(*parts: BitString) -> BitString:
@@ -77,8 +81,7 @@ class PufDevice:
         """Deterministic response to a 160-bit challenge."""
         if challenge.width != CHALLENGE_BITS:
             raise WidthMismatch(f"challenge must be {CHALLENGE_BITS} bits")
-        return BitString.from_bytes(
-            hashlib.sha1(self.seed.to_bytes() + challenge.to_bytes()).digest())
+        return _digest(self.seed.to_bytes() + challenge.to_bytes())
 
 
 @dataclass(frozen=True)
@@ -141,10 +144,10 @@ def fe_rep(bio: BitString, tau: BitString, params: FeParams) -> BitString:
     """
     if bio.width != params.bio_width or tau.width != params.bio_width:
         raise WidthMismatch(f"biometric and helper must be {params.bio_width} bits")
-    noisy = tau ^ bio
-    r = params.repetition
+    noisy = tau.value ^ bio.value
+    r, half = params.repetition, params.repetition // 2
+    block = (1 << r) - 1
     word = 0
-    for i in range(params.key_bits):
-        ones = noisy.slice(i * r, (i + 1) * r).value.bit_count()
-        word = (word << 1) | (1 if ones > r // 2 else 0)
-    return sha1_digest(BitString(params.key_bits, word))
+    for shift in range(params.bio_width - r, -1, -r):
+        word = (word << 1) | (((noisy >> shift) & block).bit_count() > half)
+    return sha1_digest(_unchecked(params.key_bits, word))

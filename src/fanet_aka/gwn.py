@@ -3,7 +3,9 @@ of the key agreement.
 
 The gateway holds the long-term secret ``s``; nothing derived from it
 leaves the node unhashed or unmasked. It keeps no per-session state other
-than a replay cache of recently accepted request MACs.
+than a replay cache of recently accepted request MACs. The UAV registry is
+keyed by name and indexed by the 160-bit wire identity ``id_j``, which is
+what a request carries, so no two names may share one.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ import random
 from dataclasses import dataclass
 
 from .bits import BitString
-from .crypto import CHALLENGE_BITS, lift, random_nonce
+from .crypto import CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS, lift, random_nonce
 from .errors import DuplicateRegistration, MacMismatch, UnknownUav
 from .metrics import OpCounter
 from .wire import (FreshnessGuard, Msg1, Msg2, UavRegResponse, UserRegRequest,
                    UserRegResponse, ts_bits)
+
+SECRET_BITS = 160
 
 
 @dataclass
@@ -35,10 +39,11 @@ class UavRecord:
 
     @classmethod
     def from_json(cls, doc: dict) -> "UavRecord":
-        return cls(n_j=BitString.from_hex(doc["n_j"], width=128),
-                   tc_id_j=BitString.from_hex(doc["tc_id_j"]),
-                   c_j=BitString.from_hex(doc["c_j"]),
-                   r_j=None if doc["r_j"] is None else BitString.from_hex(doc["r_j"]))
+        return cls(n_j=BitString.from_hex(doc["n_j"], width=NONCE_BITS),
+                   tc_id_j=BitString.from_hex(doc["tc_id_j"], width=DIGEST_BITS),
+                   c_j=BitString.from_hex(doc["c_j"], width=CHALLENGE_BITS),
+                   r_j=None if doc["r_j"] is None
+                   else BitString.from_hex(doc["r_j"], width=DIGEST_BITS))
 
 
 class Gateway:
@@ -47,11 +52,12 @@ class Gateway:
     def __init__(self, identity: str, rng: random.Random):
         self.identity = identity
         self.id_g = BitString.from_text(identity)
-        self._s = BitString.random(160, rng)
+        self._s = BitString.random(SECRET_BITS, rng)
         self.ops = OpCounter()
         self.guard = FreshnessGuard(Msg1.KIND)
         self.user_tids: set[BitString] = set()
         self.registry: dict[str, UavRecord] = {}
+        self._uav_index: dict[BitString, UavRecord] = {}
 
     # -- registrations (secure channel) -------------------------------------
 
@@ -73,11 +79,16 @@ class Gateway:
         if uav_identity in self.registry:
             raise DuplicateRegistration(f"{uav_identity} already registered")
         id_j = BitString.from_text(uav_identity)
+        if id_j in self._uav_index:
+            # from_text zero-pads, so "uav-1" and "uav-1\x00" are one identity
+            raise DuplicateRegistration(f"{uav_identity!r} has the wire identity "
+                                        f"of a registered UAV")
         n_j = random_nonce(rng)
         tid_j = self.ops.h(id_j, lift(n_j))
         tc_id_j = self.ops.h(tid_j, self._s)
         c_j = BitString.random(CHALLENGE_BITS, rng)
-        self.registry[uav_identity] = UavRecord(n_j=n_j, tc_id_j=tc_id_j, c_j=c_j)
+        record = UavRecord(n_j=n_j, tc_id_j=tc_id_j, c_j=c_j)
+        self.registry[uav_identity] = self._uav_index[id_j] = record
         return UavRegResponse(tc_id_j=tc_id_j, c_j=c_j)
 
     def register_uav_complete(self, uav_identity: str, r_j: BitString) -> None:
@@ -105,7 +116,7 @@ class Gateway:
             raise MacMismatch("MSG1 authentication code mismatch")
 
         id_j = self.ops.xor(msg1.rid_j, f_i)
-        record = self._find_uav(id_j)
+        record = self._uav_index.get(id_j)
         if record is None or record.r_j is None:
             raise UnknownUav("recovered UAV identity not registered")
         self.guard.accept(msg1.mac1, expiry)
@@ -118,14 +129,6 @@ class Gateway:
         f_i_dprime = self.ops.xor(f_i, record.r_j)
         h_i = self.ops.xor(tid_i, lift(record.n_j))
         return Msg2(mac2=mac2, v1=v1, h_i=h_i, f_i_dprime=f_i_dprime, ts2=ts2)
-
-    # -- internals --------------------------------------------------------------
-
-    def _find_uav(self, id_j: BitString) -> UavRecord | None:
-        for identity, record in self.registry.items():
-            if BitString.from_text(identity) == id_j:
-                return record
-        return None
 
     # -- persistence ---------------------------------------------------------------
 
@@ -145,10 +148,15 @@ class Gateway:
         gw = cls.__new__(cls)
         gw.identity = doc["identity"]
         gw.id_g = BitString.from_text(doc["identity"])
-        gw._s = BitString.from_hex(secret_hex)
+        gw._s = BitString.from_hex(secret_hex, width=SECRET_BITS)
         gw.ops = OpCounter()
         gw.guard = FreshnessGuard(Msg1.KIND)
-        gw.user_tids = {BitString.from_hex(t) for t in doc["user_tids"]}
+        gw.user_tids = {BitString.from_hex(t, width=DIGEST_BITS)
+                        for t in doc["user_tids"]}
         gw.registry = {name: UavRecord.from_json(rec)
                        for name, rec in doc["registry"].items()}
+        gw._uav_index = {BitString.from_text(name): rec
+                         for name, rec in gw.registry.items()}
+        if len(gw._uav_index) != len(gw.registry):
+            raise ValueError("two registered UAVs share a wire identity")
         return gw

@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 
 from .bits import BitString
-from .crypto import DIGEST_BITS, NONCE_BITS, PufDevice, lift, random_nonce
+from .crypto import (CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS, PUF_SEED_BITS, PufDevice,
+                     lift, random_nonce)
 from .errors import MacMismatch, ProtocolError
 from .metrics import OpCounter
 from .wire import FreshnessGuard, Msg2, Msg3, UavRegResponse, UavRegSubmit, ts_bits
@@ -93,8 +94,8 @@ class Uav:
 
     @classmethod
     def from_json(cls, doc: dict, puf_seed_hex: str) -> "Uav":
-        puf = PufDevice(BitString.from_hex(puf_seed_hex))
+        puf = PufDevice(BitString.from_hex(puf_seed_hex, width=PUF_SEED_BITS))
         uav = cls(doc["identity"], puf)
-        uav.c_j = BitString.from_hex(doc["c_j"])
-        uav.tc_id_j = BitString.from_hex(doc["tc_id_j"])
+        uav.c_j = BitString.from_hex(doc["c_j"], width=CHALLENGE_BITS)
+        uav.tc_id_j = BitString.from_hex(doc["tc_id_j"], width=DIGEST_BITS)
         return uav

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .bits import BitString
-from .crypto import FeParams, lift, random_nonce
+from .crypto import DIGEST_BITS, FeParams, lift, random_nonce
 from .errors import AuthFailed, LoginFailed, ProtocolError
 from .metrics import OpCounter
 from .wire import Msg1, Msg3, UserRegRequest, UserRegResponse, check_fresh, ts_bits
@@ -52,9 +52,9 @@ class SmartCard:
     def from_json(cls, doc: dict) -> "SmartCard":
         params = FeParams(**doc["fe_params"])
         return cls(
-            a_i=BitString.from_hex(doc["a_i"]),
-            b_i=BitString.from_hex(doc["b_i"]),
-            c_i=BitString.from_hex(doc["c_i"]),
+            a_i=BitString.from_hex(doc["a_i"], width=DIGEST_BITS),
+            b_i=BitString.from_hex(doc["b_i"], width=DIGEST_BITS),
+            c_i=BitString.from_hex(doc["c_i"], width=DIGEST_BITS),
             tau_i=BitString.from_hex(doc["tau_i"], width=params.bio_width),
             fe_params=params,
         )
@@ -81,7 +81,13 @@ class PendingSession:
 
 
 class User:
-    """Protocol state machine for one registered user."""
+    """Protocol state machine for one registered user.
+
+    At most one key agreement is pending. A second ``aka_initiate`` before
+    ``aka_finalize`` replaces the pending session: the first session's
+    MSG3 then fails the confirmation check with AuthFailed, and, like every
+    finalization, that failure consumes the pending state.
+    """
 
     def __init__(self, identity: str, fe_params: FeParams | None = None):
         if not identity:

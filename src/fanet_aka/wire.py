@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dc_fields
 
-from .bits import BitString, concat
+from .bits import BitString, _unchecked
 from .crypto import DIGEST_BITS, ID_BITS, TS_BITS
 from .errors import IncompleteTranscript, ReplayDetected, StaleTimestamp, WidthMismatch
 
@@ -106,17 +106,24 @@ MESSAGE_TYPES = (Msg1, Msg2, Msg3, UserRegRequest, UserRegResponse, UavRegReques
                  UavRegResponse, UavRegSubmit)
 
 
+#: Per message class: its (field name, width) pairs in wire order, and
+#: the total width.
+_LAYOUTS = {cls: (tuple((f.name, w) for f, w in zip(dc_fields(cls), cls.WIDTHS)),
+                 sum(cls.WIDTHS))
+           for cls in MESSAGE_TYPES}
+
+
 def encode(msg) -> BitString:
     """Serialize a message; raises WidthMismatch on any ill-sized field."""
-    names = [f.name for f in dc_fields(msg)]
-    parts = []
-    for name, width in zip(names, msg.WIDTHS):
-        value: BitString = getattr(msg, name)
-        if value.width != width:
+    layout, total = _LAYOUTS[type(msg)]
+    value = 0
+    for name, width in layout:
+        part: BitString = getattr(msg, name)
+        if part.width != width:
             raise WidthMismatch(f"{type(msg).__name__}.{name} must be {width} bits, "
-                                f"got {value.width}")
-        parts.append(value)
-    return concat(parts)
+                                f"got {part.width}")
+        value = (value << width) | part.value
+    return _unchecked(total, value)
 
 
 def decode(cls, raw: BitString):
@@ -125,14 +132,14 @@ def decode(cls, raw: BitString):
     Total on any input of the right width: field slicing cannot fail, so
     fuzzed payloads decode into (garbage) field values rather than faults.
     """
-    total = sum(cls.WIDTHS)
+    layout, total = _LAYOUTS[cls]
     if raw.width != total:
         raise WidthMismatch(f"{cls.__name__} is {total} bits, got {raw.width}")
+    value = raw.value
     values = []
-    offset = 0
-    for width in cls.WIDTHS:
-        values.append(raw.slice(offset, offset + width))
-        offset += width
+    for _, width in layout:
+        total -= width
+        values.append(_unchecked(width, (value >> total) & ((1 << width) - 1)))
     return cls(*values)
 
 

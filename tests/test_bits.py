@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -142,3 +144,35 @@ def test_zext():
 def test_random_reproducible():
     assert BitString.random(128, random.Random(7)) == \
         BitString.random(128, random.Random(7))
+
+
+def test_bitstring_is_immutable():
+    x = BitString(32, 5)
+    for name in ("width", "value", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    with pytest.raises(AttributeError):
+        del x.value
+    assert x == BitString(32, 5)
+    assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
+@given(bitstrings())
+def test_equal_values_hash_equal_however_built(x):
+    # results built without validation (xor, slice, concat) must be
+    # indistinguishable from validated constructions
+    built = [BitString(x.width, x.value), x ^ BitString.zeros(x.width),
+             x.slice(0, x.width), concat([x]), BitString.from_hex(x.hex(), x.width)]
+    for y in built:
+        assert y == x and hash(y) == hash(x)
+    assert BitString(x.width + 1, x.value) != x
+
+
+def test_from_hex_with_width_takes_exactly_the_hex_of_that_width():
+    assert BitString.from_hex("ab", width=8) == BitString(8, 0xAB)
+    # hex() pads on the right to a byte boundary; from_hex undoes it
+    odd = BitString(3, 0b101)
+    assert BitString.from_hex(odd.hex(), width=3) == odd
+    for text, width in (("ab", 160), ("00", 160), ("abcd", 8), ("a1", 3)):
+        with pytest.raises(WidthMismatch):
+            BitString.from_hex(text, width=width)

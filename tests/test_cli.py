@@ -118,6 +118,12 @@ def test_init_gwn_refuses_a_populated_deployment(tmp_path):
     ("user_alice.json", lambda doc: {}),
     ("uav_uav-1.json", lambda doc: {**doc, "c_j": "not-hex"}),
     ("secrets.json", lambda doc: {**doc, "users": []}),
+    pytest.param("uav_uav-1.json", lambda doc: {**doc, "c_j": "ab"},
+                 id="uav_uav-1.json-short-c_j"),
+    pytest.param("secrets.json", lambda doc: {**doc, "gwn_secret": "00"},
+                 id="secrets.json-short-gwn_secret"),
+    pytest.param("secrets.json", lambda doc: {**doc, "puf_seeds": {"uav-1": "00"}},
+                 id="secrets.json-short-puf_seed"),
 ])
 def test_malformed_state_file_exit_code(tmp_path, name, edit):
     bootstrap(tmp_path)

@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanet_aka.bits import BitString
+from fanet_aka.bits import BitString, concat
 from fanet_aka.crypto import (FeParams, PufDevice, fe_gen, fe_rep, hash_parts,
                               lift, random_nonce, sha1_digest)
 from fanet_aka.errors import WidthMismatch
@@ -32,6 +33,14 @@ def test_sha1_pads_input_to_byte_boundary():
     import hashlib
     expected = hashlib.sha1(bytes([0b10100000])).hexdigest()
     assert sha1_digest(BitString(3, 0b101)).hex() == expected
+
+
+@given(st.integers(min_value=0, max_value=300).flatmap(
+    lambda w: st.tuples(st.just(w), st.integers(min_value=0, max_value=(1 << w) - 1))))
+def test_sha1_digest_matches_hashlib_on_the_padded_bytes(width_value):
+    x = BitString(*width_value)
+    expected = hashlib.sha1(x.to_bytes()).digest()
+    assert sha1_digest(x) == BitString.from_bytes(expected)
 
 
 def test_short_corpus_has_no_collisions():
@@ -211,3 +220,31 @@ def test_hash_parts_matches_manual_concatenation():
     a, b = BitString.from_text("a"), BitString.from_text("b")
     from fanet_aka.bits import concat
     assert hash_parts(a, b) == sha1_digest(concat([a, b]))
+
+
+def _slice_reference_rep(bio, tau, params):
+    """Majority decode written with BitString slices, one block at a time."""
+    noisy = tau ^ bio
+    r = params.repetition
+    word = [BitString(1, int(noisy.slice(i * r, (i + 1) * r).value.bit_count() > r // 2))
+            for i in range(params.key_bits)]
+    return sha1_digest(concat(word))
+
+
+@given(st.data())
+def test_fe_rep_integer_decode_matches_slice_reference(data):
+    params = FeParams(key_bits=data.draw(st.integers(min_value=1, max_value=40)),
+                      repetition=data.draw(st.sampled_from([1, 3, 5, 7])))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    bio = BitString.random(params.bio_width, rng)
+    sigma, tau = fe_gen(bio, params, rng)
+    r = params.repetition
+    flips = data.draw(st.lists(st.integers(min_value=0, max_value=r),
+                               min_size=params.key_bits, max_size=params.key_bits))
+    error = 0
+    for count in flips:
+        error = (error << r) | sum(1 << i for i in rng.sample(range(r), count))
+    noisy = BitString(params.bio_width, bio.value ^ error)
+    got = fe_rep(noisy, tau, params)
+    assert got == _slice_reference_rep(noisy, tau, params)
+    assert (got == sigma) == (max(flips) <= params.tolerance)

@@ -203,3 +203,30 @@ def test_registry_json_round_trip():
     restored = Gateway.from_json(doc, world.gateway.export_secret())
     assert restored.to_json() == doc
     assert restored.registry["uav-1"].r_j == world.gateway.registry["uav-1"].r_j
+
+
+def test_uav_sharing_a_wire_identity_is_refused():
+    # from_text zero-pads, so both names encode to the same 160-bit id_j;
+    # a second record could never be reached by a session
+    world = build_world(SimConfig(seed=15))
+    enroll_uav(world, "uav-1")
+    with pytest.raises(DuplicateRegistration):
+        enroll_uav(world, "uav-1\x00")
+    assert list(world.gateway.registry) == ["uav-1"]
+
+    doc = world.gateway.to_json()
+    doc["registry"]["uav-1\x00"] = doc["registry"]["uav-1"]
+    with pytest.raises(ValueError):
+        Gateway.from_json(doc, world.gateway.export_secret())
+
+
+def test_restored_gateway_relays_to_every_registered_uav():
+    world = build_world(SimConfig(seed=16))
+    enroll_user(world, "alice", "pw-alice")
+    for i in range(6):
+        enroll_uav(world, f"uav-{i}")
+    world.gateway = Gateway.from_json(world.gateway.to_json(),
+                                      world.gateway.export_secret())
+    for name in world.uavs:
+        result = run_aka(world, "alice", name)
+        assert result.ok and result.keys_agree, name

@@ -1,7 +1,8 @@
-"""A short benchmark run: every workload check passes on the current code.
+"""Short benchmark runs: every workload check passes on the current code.
 
-The span-name guard covers only what the traced run wraps; this also covers
-what the workloads read from the program, such as ``AkaResult.checks``.
+The span-name guard covers only what the traced run wraps; these also cover
+what the workloads read from the program, such as ``AkaResult.checks``, and
+the traced run's span table and ``BitString.__init__`` counter end to end.
 """
 
 import json
@@ -12,11 +13,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_aka_hot_runs_correct():
+def _run(workload, *extra):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "aka_hot",
-         "--seed", "1", "--seconds", "0.1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0.1", *extra],
         cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_aka_hot_runs_correct():
+    assert _run("aka_hot")["correct"] is True
+
+
+def test_fleet_mixed_runs_correct():
+    # reaches the gateway's UAV index on its tamper and replay paths
+    assert _run("fleet_mixed")["correct"] is True
+
+
+def test_traced_aka_hot_runs_correct():
+    # the span table and the BitString.__init__ counter, end to end
+    result = _run("aka_hot", "--trace", "1")
     assert result["correct"] is True
+    metrics = result["metrics"]
+    assert metrics["metrics.hash_per_session"]["value"] == 25
+    assert metrics["bits.constructions_per_session"]["value"] > 0

@@ -5,7 +5,7 @@ import pytest
 
 from fanet_aka.bits import BitString
 from fanet_aka.crypto import FeParams, fe_rep, hash_parts, lift
-from fanet_aka.errors import LoginFailed, ProtocolError
+from fanet_aka.errors import AuthFailed, LoginFailed, ProtocolError
 from fanet_aka.gwn import Gateway
 from fanet_aka.simnet import SimConfig, build_world, enroll_user, enroll_uav, run_aka
 from fanet_aka.user import SmartCard, User
@@ -131,6 +131,25 @@ def test_pending_session_is_single_use():
     msg3 = decode_msg3(result.transcript[2].payload)
     with pytest.raises(ProtocolError):
         world.users["alice"].aka_finalize(msg3, world.clock)
+
+
+def test_second_initiation_replaces_the_pending_session():
+    world = build_world(SimConfig(seed=4))
+    enroll_user(world, "alice", "pw-alice")
+    enroll_uav(world, "uav-1")
+    user, uav = world.users["alice"], world.uavs["uav-1"]
+    secrets = world.user_secrets["alice"]
+    ctx = user.login(secrets["password"], secrets["bio"])
+    first = user.aka_initiate(ctx, "uav-1", world.clock)
+    world.clock.advance(1)
+    user.aka_initiate(ctx, "uav-1", world.clock)
+
+    msg2 = world.gateway.relay_auth(first, world.clock, world.rng)
+    msg3, _ = uav.aka_respond(msg2, world.clock, world.rng)
+    with pytest.raises(AuthFailed):
+        user.aka_finalize(msg3, world.clock)
+    with pytest.raises(ProtocolError, match="no session pending"):
+        user.aka_finalize(msg3, world.clock)
 
 
 def test_relay_recovers_pseudonym_from_request():
