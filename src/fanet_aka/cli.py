@@ -340,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deterministic seed (default 0)")
     parser.add_argument("--delta-t", type=int, default=None, dest="delta_t",
                         help="freshness window in clock ticks (default 2)")
-    parser.add_argument("--closure-depth", type=int, default=None,
-                        help="adversary derivation depth bound (default 4)")
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--config", help="JSON or key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)

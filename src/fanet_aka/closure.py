@@ -16,12 +16,11 @@ trace) but deliberately incomplete beyond its bounds:
   and would make every value a vacuous "XOR combination".
 * Hash-of-concatenation is explored over field-shaped tuples (sequences
   of 160-bit terms, optionally suffixed by one 32-bit timestamp), the
-  shapes the protocol itself uses, under a configurable tuple budget
-  and one composition level deep. Digests are streamed and compared
-  with the declared targets, never stored; shapes that do not fit the
-  budget are recorded as skipped.
-* Single-term hash chains, slicing and zero-extension iterate to the
-  configured depth.
+  shapes the protocol itself uses, under a fixed tuple budget
+  (:data:`BUDGET`) and one composition level deep. Digests are streamed
+  and compared with the declared targets, never stored; shapes that do
+  not fit the budget are recorded as skipped.
+* Single-term hash chains iterate to a fixed depth (:data:`DEPTH`).
 
 This is an engineering proxy for the informal infeasibility arguments,
 not a cryptographic proof, and is documented as such.
@@ -43,6 +42,11 @@ from .wire import MESSAGE_TYPES
 SLICE_LAYOUTS = {sum(cls.WIDTHS): cls.WIDTHS for cls in MESSAGE_TYPES
                  if len(cls.WIDTHS) > 1}
 
+#: Rounds of the single-term hash-chain rule; 0 stops at the givens.
+DEPTH = 4
+#: Most hash-concatenation tuples one closure streams.
+BUDGET = 2_000_000
+
 #: Widths whose all-zero constants the adversary is assumed to know.
 ZERO_WIDTHS = (32, 128, 160)
 
@@ -62,8 +66,6 @@ def _key(term: BitString) -> tuple[int, int]:
 class Closure:
     """Result of a closure computation; decides membership of its targets."""
 
-    depth: int
-    budget: int
     targets: set = field(default_factory=set)     # queryable (width, value) keys
     terms: dict = field(default_factory=dict)     # (width, value) -> trace
     hits: dict = field(default_factory=dict)      # target key -> hash-concat preimage
@@ -164,16 +166,15 @@ def _atoms(terms: list[BitString]) -> tuple[list[BitString], list[BitString]]:
     return seen160, seen32
 
 
-def compute_closure(knowledge: list[BitString], targets: list[BitString],
-                    depth: int = 4, budget: int = 2_000_000) -> Closure:
-    """Least fixed point of the derivation rules, truncated at ``depth``.
+def compute_closure(knowledge: list[BitString], targets: list[BitString]) -> Closure:
+    """Least fixed point of the derivation rules, truncated at :data:`DEPTH`.
 
     Only the ``targets`` may be queried afterwards: the hash-of-concatenation
-    search records a preimage for them alone. ``budget`` caps how many
+    search records a preimage for them alone. :data:`BUDGET` caps how many
     tuples are tried; shape exploration skips any shape that would exceed
-    it, so runs are deterministic for a fixed (knowledge, depth, budget).
+    it, so runs are deterministic for a fixed knowledge.
     """
-    clo = Closure(depth=depth, budget=budget, targets={_key(t) for t in targets})
+    clo = Closure(targets={_key(t) for t in targets})
 
     def add(term: BitString, rule: str, parents: tuple = ()) -> bool:
         key = _key(term)
@@ -188,7 +189,7 @@ def compute_closure(knowledge: list[BitString], targets: list[BitString],
         for w in ZERO_WIDTHS:
             add(BitString.zeros(w), "zero-constant")
 
-    if depth <= 0:
+    if DEPTH <= 0:
         return clo
 
     # saturate the cheap structural rules: field slicing and lifting
@@ -214,7 +215,7 @@ def compute_closure(knowledge: list[BitString], targets: list[BitString],
         cost = len(atoms160) ** m * (len(atoms32) if shape == "ts" else 1)
         if cost == 0:
             continue
-        if clo.bulk_count + cost > budget:
+        if clo.bulk_count + cost > BUDGET:
             clo.skipped_shapes.append((shape, m))
             continue
         clo.bulk_count += cost
@@ -227,9 +228,9 @@ def compute_closure(knowledge: list[BitString], targets: list[BitString],
                 clo.hits.setdefault(wanted[digest],
                                     [BitString.from_bytes(b) for b in combo])
 
-    # single-term hash chains iterate with depth
+    # single-term hash chains iterate to DEPTH
     frontier = clo._materialized()
-    for _ in range(depth):
+    for _ in range(DEPTH):
         new = []
         for term in frontier:
             digest = BitString.from_bytes(hashlib.sha1(term.to_bytes()).digest())

@@ -74,8 +74,8 @@ class Gateway:
         self.user_tids.add(request.tid_i)
         return UserRegResponse(tc_id_i=tc)
 
-    def register_uav_begin(self, uav_identity: str,
-                           rng: random.Random) -> UavRegResponse:
+    def check_uav_name(self, uav_identity: str) -> BitString:
+        """Refuse a taken name or wire identity; return the wire identity."""
         if uav_identity in self.registry:
             raise DuplicateRegistration(f"{uav_identity} already registered")
         id_j = BitString.from_text(uav_identity)
@@ -83,6 +83,11 @@ class Gateway:
             # from_text zero-pads, so "uav-1" and "uav-1\x00" are one identity
             raise DuplicateRegistration(f"{uav_identity!r} has the wire identity "
                                         f"of a registered UAV")
+        return id_j
+
+    def register_uav_begin(self, uav_identity: str,
+                           rng: random.Random) -> UavRegResponse:
+        id_j = self.check_uav_name(uav_identity)
         n_j = random_nonce(rng)
         tid_j = self.ops.h(id_j, lift(n_j))
         tc_id_j = self.ops.h(tid_j, self._s)

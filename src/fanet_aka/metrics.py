@@ -9,6 +9,7 @@ a role changes the tally and fails the pinned-count tests.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import crypto
@@ -80,6 +81,22 @@ BASELINES = [
 ]
 
 
+#: The table of the innermost open :func:`recording` scope, None outside one.
+_recorded: dict | None = None
+
+
+@contextmanager
+def recording():
+    """Yield a table of digest -> parts for every counted hash made inside
+    the scope. Leaving an inner scope, also by an exception, restores the outer."""
+    global _recorded
+    outer, _recorded = _recorded, {}
+    try:
+        yield _recorded
+    finally:
+        _recorded = outer
+
+
 @dataclass
 class OpCounter:
     """Counted facade over the primitives, one per protocol role.
@@ -107,7 +124,10 @@ class OpCounter:
 
     def h(self, *parts: BitString) -> BitString:
         self.hash_count += 1
-        return crypto.sha1_digest(concat(parts))
+        digest = crypto.sha1_digest(concat(parts))
+        if _recorded is not None:
+            _recorded[digest] = parts
+        return digest
 
     def xor(self, a: BitString, b: BitString) -> BitString:
         self.xor_count += 1

@@ -13,13 +13,14 @@ import random
 from dataclasses import dataclass, field, fields
 
 from .bits import BitString
-from .closure import Closure, compute_closure
-from .crypto import fe_rep, hash_parts, lift
+from .closure import compute_closure
+from .crypto import NONCE_BITS, fe_rep, hash_parts, lift
 from .errors import (DuplicateRegistration, ProtocolError, ReplayDetected,
                      StaleTimestamp, UnknownScenario)
+from .metrics import recording
 from .simnet import SimConfig, World, build_world, enroll_user, enroll_uav, run_aka
-from .wire import (Msg1, Msg2, Msg3, UserRegRequest, decode, decode_msg1,
-                   encode, protocol_bits, ts_bits)
+from .wire import (Msg1, Msg2, Msg3, UserRegRequest, decode, encode, protocol_bits,
+                   ts_bits)
 
 
 @dataclass
@@ -69,43 +70,22 @@ def _variants(term: BitString) -> list[BitString]:
     return [term] if term.width >= 160 else [term, lift(term)]
 
 
-def _closure(cfg: SimConfig, knowledge: list[BitString],
-             secrets: list[BitString]) -> Closure:
-    """Closure of ``knowledge`` that answers for each secret's variants."""
-    targets = [v for term in secrets for v in _variants(term)]
-    return compute_closure(knowledge, targets, depth=cfg.closure_depth)
-
-
-def _not_derivable(report, cfg: SimConfig, knowledge: list[BitString],
-                   claims: dict) -> None:
+def _not_derivable(report, knowledge: list[BitString], claims: dict) -> None:
     """Check each claim's named secrets against one closure of ``knowledge``.
 
     ``claims`` maps a claim to its {label: secret} dict; every claim's
-    secrets are declared in a single closure computation.
+    secrets' variants are declared in a single closure computation. Each
+    verdict's ``leaked`` detail marks it as a secrecy claim.
     """
-    clo = _closure(cfg, knowledge, [term for secrets in claims.values()
-                                    for term in secrets.values()])
+    clo = compute_closure(knowledge, [v for secrets in claims.values()
+                                      for term in secrets.values()
+                                      for v in _variants(term)])
     for claim, secrets in claims.items():
         leaked = [label for label, term in secrets.items()
                   if any(v in clo for v in _variants(term))]
         report.check(claim, not leaked, leaked=leaked,
                      closure_terms=len(clo.terms), closure_bulk=clo.bulk_count,
                      closure_skipped=clo.skipped_shapes)
-
-
-def _session_ephemerals(world: World, user_id: str, uav_id: str, result) -> dict:
-    """Harness-side reconstruction of one session's internal values."""
-    n_i = world.user_secrets[user_id]["n_i"]
-    user = world.users[user_id]
-    tid_i = hash_parts(user.id_i, lift(n_i))
-    msg1 = decode_msg1(result.transcript[0].payload)
-    msg3 = decode(Msg3, result.transcript[2].payload)
-    n_k = msg3.v5 ^ hash_parts(tid_i, msg1.rid_j, msg3.ts3)
-    rec = world.gateway.registry[uav_id]
-    tid_j = hash_parts(world.uavs[uav_id].id_j, lift(rec.n_j))
-    v3 = hash_parts(tid_j, rec.tc_id_j)
-    return {"tid_i": tid_i, "rid_j": msg1.rid_j, "ts3": msg3.ts3,
-            "n_k": n_k, "n_j": rec.n_j, "v3": v3}
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +96,22 @@ def stolen_card(cfg: SimConfig) -> ScenarioReport:
     """Card theft with full power-analysis readout of the card contents."""
     report = ScenarioReport("stolen_card", cfg.seed)
     world = _world(cfg, "stolen_card")
-    result = run_aka(world, "alice", "uav-1")
+    with recording() as hashes:
+        result = run_aka(world, "alice", "uav-1")
     report.check("honest session completes", result.ok and result.keys_agree)
 
     user = world.users["alice"]
     card = user.card
     secrets = world.user_secrets["alice"]
+    # the key hashes (v3, TID_i, RID_j, N_k, ts3); TID_i hashes (ID_i, lift(N_i))
+    tid_i = hashes[result.user_sk][1]
+    n_i = BitString(NONCE_BITS, hashes[tid_i][1].value)
     card_terms = [card.a_i, card.b_i, card.c_i, card.tau_i]
-    _not_derivable(report, cfg, card_terms + [tr.payload for tr in result.transcript], {
+    _not_derivable(report, card_terms + [tr.payload for tr in result.transcript], {
         "identity, password, nonce stay hidden": {
             "id_i": user.id_i,
             "pw_i": BitString.from_text(secrets["password"]),
-            "n_i": secrets["n_i"],
+            "n_i": n_i,
         },
         "session key stays hidden": {"sk": result.user_sk},
     })
@@ -136,7 +120,7 @@ def stolen_card(cfg: SimConfig) -> ScenarioReport:
     # verifiable check value without the biometric key
     sigma_i = fe_rep(secrets["bio"], card.tau_i, card.fe_params)
     guess = card_terms + [BitString.from_text(secrets["password"]), user.id_i]
-    _not_derivable(report, cfg, guess, {
+    _not_derivable(report, guess, {
         "offline password guess yields no check value": {
             "tpw_i": secrets["tpw_i"],
             "sigma_i": sigma_i,
@@ -154,7 +138,7 @@ def privileged_insider(cfg: SimConfig) -> ScenarioReport:
 
     insider = world.adversary(insider=True)
     secrets = world.user_secrets["alice"]
-    _not_derivable(report, cfg, insider.observe(), {
+    _not_derivable(report, insider.observe(), {
         "password stays hidden from insider": {
             "pw_i": BitString.from_text(secrets["password"]),
             "id_i": world.users["alice"].id_i,
@@ -249,7 +233,7 @@ def anonymity_untraceability(cfg: SimConfig) -> ScenarioReport:
                  first.ok and second.ok and first.keys_agree and second.keys_agree)
 
     public = [tr.payload for tr in first.transcript + second.transcript]
-    _not_derivable(report, cfg, public, {
+    _not_derivable(report, public, {
         "identity stays hidden": {"id_i": world.users["alice"].id_i},
         "session keys stay hidden": {
             "sk_first": first.user_sk, "sk_second": second.user_sk,
@@ -280,7 +264,7 @@ def uav_capture(cfg: SimConfig) -> ScenarioReport:
     # (r_j = f_i'' xor rid_j xor id_j once id_j is known); the protocol's
     # claim is only that the session key and other pairs stay safe
     knowledge = list(memory.values()) + [tr.payload for tr in result.transcript]
-    _not_derivable(report, cfg, knowledge, {
+    _not_derivable(report, knowledge, {
         "session key stays hidden after capture": {"sk": result.user_sk},
     })
 
@@ -406,28 +390,34 @@ def mitm(cfg: SimConfig) -> ScenarioReport:
     return _finish(report, world, reference)
 
 
+POSITIVE_CONTROL = "engine positive control derives the key"
+
+
 def esl(cfg: SimConfig) -> ScenarioReport:
     """Leaked per-session randoms never surrender a session key."""
     report = ScenarioReport("esl", cfg.seed)
     world = _world(cfg, "esl")
-    session_a = run_aka(world, "alice", "uav-1")
-    world.clock.advance(cfg.delta_t + 1)
-    session_b = run_aka(world, "alice", "uav-1")
+    with recording() as hashes:
+        session_a = run_aka(world, "alice", "uav-1")
+        world.clock.advance(cfg.delta_t + 1)
+        session_b = run_aka(world, "alice", "uav-1")
     report.check("both sessions complete", session_a.ok and session_b.ok)
 
     pub_a = [tr.payload for tr in session_a.transcript]
     pub_b = [tr.payload for tr in session_b.transcript]
-    terms_a = _session_ephemerals(world, "alice", "uav-1", session_a)
-    terms_b = _session_ephemerals(world, "alice", "uav-1", session_b)
+    # each key hashes (v3, TID_i, RID_j, N_k, ts3), N_k lifted
+    v3, tid_i, rid_j, n_k_a, _ = hashes[session_a.user_sk]
+    n_k_b = hashes[session_b.user_sk][3]
+    n_j = lift(world.gateway.registry["uav-1"].n_j)
 
-    _not_derivable(report, cfg, pub_a + [terms_a["n_k"]], {
+    _not_derivable(report, pub_a + [n_k_a], {
         "key safe despite responder nonce leak": {"sk": session_a.user_sk},
     })
-    _not_derivable(report, cfg, pub_a + [lift(terms_a["n_j"])], {
+    _not_derivable(report, pub_a + [n_j], {
         "key safe despite registry nonce leak": {"sk": session_a.user_sk},
     })
-    opened = pub_a + pub_b + [lift(terms_b["n_j"]), terms_b["n_k"], session_b.user_sk]
-    _not_derivable(report, cfg, opened, {
+    opened = pub_a + pub_b + [n_j, n_k_b, session_b.user_sk]
+    _not_derivable(report, opened, {
         "one session fully opened, other keys stay safe": {
             "sk_other": session_a.user_sk,
         },
@@ -435,11 +425,8 @@ def esl(cfg: SimConfig) -> ScenarioReport:
 
     # positive control: with the key-derivation inputs the engine does
     # reconstruct the key, so the negative verdicts are not vacuous
-    control = _closure(cfg, pub_a + [terms_a["n_k"], terms_a["tid_i"],
-                                     terms_a["rid_j"], terms_a["v3"]],
-                       [session_a.user_sk])
-    report.check("engine positive control derives the key",
-                 session_a.user_sk in control,
+    control = compute_closure(pub_a + [n_k_a, tid_i, rid_j, v3], [session_a.user_sk])
+    report.check(POSITIVE_CONTROL, session_a.user_sk in control,
                  derivation=control.derivation(session_a.user_sk))
     return _finish(report, world, session_a)
 
@@ -485,10 +472,10 @@ def side_channel(cfg: SimConfig) -> ScenarioReport:
                  sorted(memory) == ["c_j", "id_j", "tc_id_j"])
     rec = world.gateway.registry["uav-1"]
     readout = list(memory.values())
-    _not_derivable(report, cfg, readout, {
+    _not_derivable(report, readout, {
         "response not derivable from readout": {"r_j": rec.r_j},
     })
-    _not_derivable(report, cfg, readout + [tr.payload for tr in result.transcript], {
+    _not_derivable(report, readout + [tr.payload for tr in result.transcript], {
         "session key stays hidden": {"sk": result.user_sk},
     })
     return _finish(report, world, result)
@@ -513,7 +500,7 @@ def crp_leakage(cfg: SimConfig) -> ScenarioReport:
     report.check("response appears in no public payload", not leaks,
                  leaking_uavs=leaks, payloads_scanned=len(public))
 
-    _not_derivable(report, cfg, public, {
+    _not_derivable(report, public, {
         "session key stays hidden": {"sk": results[0].user_sk},
     })
     return _finish(report, world, results[0])

@@ -32,7 +32,6 @@ class SimConfig:
 
     seed: int = 0
     delta_t: int = 2
-    closure_depth: int = 4
 
 
 class SimClock:
@@ -144,7 +143,6 @@ def enroll_user(world: World, identity: str, password: str) -> User:
     user = User(identity)
     bio = BitString.random(user.fe_params.bio_width, world.rng)
     request = user.register_begin(password, world.rng)
-    n_i = user._reg_nonce  # harness ground truth for the leak checks
     world.channel.send(identity, world.gateway.identity, wire.UserRegRequest.KIND,
                        encode(request), secure=True)
     response = world.gateway.register_user(request)
@@ -153,15 +151,16 @@ def enroll_user(world: World, identity: str, password: str) -> User:
     user.register_complete(response, bio, world.rng)
     world.users[identity] = user
     world.user_secrets[identity] = {
-        "password": password, "bio": bio, "n_i": n_i,
+        "password": password, "bio": bio,
         "tid_i": request.tid_i, "tpw_i": request.tpw_i,
-        "tc_id_i": response.tc_id_i,
     }
     return user
 
 
 def enroll_uav(world: World, identity: str, announce: bool = False) -> Uav:
-    """Run the full UAV registration phase; ``announce`` tells every user."""
+    """Run the full UAV registration phase; ``announce`` tells every user.
+    A name the gateway refuses draws and sends nothing."""
+    world.gateway.check_uav_name(identity)
     puf = PufDevice.generate(world.rng)
     uav = Uav(identity, puf)
     world.channel.send(identity, world.gateway.identity, wire.UavRegRequest.KIND,

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` and in the
 CLI ``selftest``, which runs the same list).
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from fanet_aka import acceptance
+from fanet_aka.scenarios import POSITIVE_CONTROL, run_scenario
 from fanet_aka.simnet import SimConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -54,6 +56,40 @@ def test_criterion(results, number, name):
     if bound is not None:
         assert result.elapsed_s < bound, \
             f"criterion {number} took {result.elapsed_s:.1f}s, bound {bound}s"
+
+
+@pytest.fixture(scope="module")
+def closure_reports():
+    """The real scenario reports of criterion 7, each computed once."""
+    cache = {}
+
+    def report(name, cfg):
+        if name not in cache:
+            cache[name] = run_scenario(name, cfg)
+        return copy.deepcopy(cache[name])
+    return report
+
+
+@pytest.mark.parametrize("tamper", ["fails", "missing"])
+def test_closure_criterion_requires_the_esl_positive_control(monkeypatch,
+                                                             closure_reports, tamper):
+    """Criterion 7 fails when esl's positive control fails or is absent."""
+    def tampered(name, cfg):
+        report = closure_reports(name, cfg)
+        if tamper == "missing":
+            report.verdicts = [v for v in report.verdicts
+                               if v["claim"] != POSITIVE_CONTROL]
+        for verdict in report.verdicts:
+            if verdict["claim"] == POSITIVE_CONTROL:
+                verdict["passed"] = False
+        return report
+
+    monkeypatch.setattr(acceptance, "run_scenario", tampered)
+    result = acceptance.closure_suite(CONFIG)
+    assert not result.passed
+    assert result.details["positive_control"]["sk_derived"] is False
+    # without the verdict, esl's report still passes: only the name check fails it
+    assert result.details["esl"]["passed"] is (tamper == "missing")
 
 
 def test_correctness_criterion_runs_under_the_callers_window():

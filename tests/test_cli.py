@@ -70,7 +70,7 @@ def test_unknown_subcommand_exit_code(tmp_path):
 
 
 def test_malformed_config_exit_code(tmp_path):
-    (tmp_path / "bad.cfg").write_text("closure_depth = not-a-number\n")
+    (tmp_path / "bad.cfg").write_text("delta_t = not-a-number\n")
     proc = run_cli(["--config", "bad.cfg", "init-gwn"], tmp_path, check=False)
     assert proc.returncode == 4
     (tmp_path / "unknown.cfg").write_text("no_such_knob = 1\n")

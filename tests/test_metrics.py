@@ -1,10 +1,12 @@
 import pytest
 
+from fanet_aka import metrics
 from fanet_aka.bits import BitString
+from fanet_aka.crypto import hash_parts, lift
 from fanet_aka.errors import IncompleteTranscript
 from fanet_aka.metrics import (BASELINES, OpCounter, TIMING_PRESET_MS,
                                count_session, estimate_ms, overhead_report,
-                               render_table)
+                               recording, render_table)
 from fanet_aka.simnet import SimConfig, build_world, enroll_user, enroll_uav, run_aka
 from fanet_aka.wire import protocol_bits
 
@@ -23,6 +25,59 @@ def test_counter_facade_counts_real_calls():
     assert ops.snapshot() == {"hash": 1, "puf": 0, "fe": 0, "xor": 1}
     ops.reset()
     assert ops.snapshot() == {"hash": 0, "puf": 0, "fe": 0, "xor": 0}
+
+
+X, Y = BitString.from_text("x"), BitString.from_text("y")
+
+
+def test_hash_outside_a_recording_scope_records_nothing():
+    ops = OpCounter()
+    with recording() as table:
+        pass
+    ops.h(X)
+    assert table == {}
+    assert metrics._recorded is None
+
+
+def test_nested_recording_scope_restores_the_outer_table():
+    ops = OpCounter()
+    with recording() as outer:
+        dx = ops.h(X)
+        with recording() as inner:
+            dy = ops.h(Y)
+        dxy = ops.h(X, Y)
+    assert inner == {dy: (Y,)}
+    assert outer == {dx: (X,), dxy: (X, Y)}
+
+
+def test_exception_inside_a_recording_scope_restores_the_outer_table():
+    ops = OpCounter()
+    with recording() as outer:
+        with pytest.raises(RuntimeError):
+            with recording():
+                ops.h(Y)
+                raise RuntimeError("inside the inner scope")
+        dx = ops.h(X)
+    assert outer == {dx: (X,)}
+    assert metrics._recorded is None
+
+
+def test_session_key_recorded_inputs_rehash_to_the_key():
+    world = build_world(SimConfig(seed=0))
+    enroll_user(world, "alice", "pw-alice")
+    enroll_uav(world, "uav-1")
+    with recording() as hashes:
+        result = run_aka(world, "alice", "uav-1")
+    parts = hashes[result.user_sk]
+    assert [p.width for p in parts] == [160] * 4 + [32]
+    assert hash_parts(*parts) == result.user_sk == result.uav_sk
+    # (v3, TID_i, RID_j, N_k, ts3); TID_i hashes (ID_i, lift(N_i))
+    tid_i = parts[1]
+    assert tid_i == world.user_secrets["alice"]["tid_i"]
+    id_i, n_i = hashes[tid_i]
+    assert id_i == world.users["alice"].id_i
+    assert n_i == lift(BitString(128, n_i.value))
+    assert hash_parts(id_i, n_i) == tid_i
 
 
 def test_count_session_matches_reference_tallies():

@@ -4,7 +4,8 @@ from dataclasses import fields
 import pytest
 
 from fanet_aka.bits import BitString
-from fanet_aka.errors import DisallowedAction, MacMismatch, ReplayDetected
+from fanet_aka.errors import (DisallowedAction, DuplicateRegistration, MacMismatch,
+                              ReplayDetected)
 from fanet_aka.simnet import (SimClock, SimConfig, build_world, enroll_user,
                               enroll_uav, run_aka)
 from fanet_aka.wire import decode, decode_msg1, encode, protocol_bits, ts_bits
@@ -188,3 +189,15 @@ def test_transmission_json_shape():
                         "events"}
     assert doc["kind"] == "MSG1"
     assert decode_msg1(BitString.from_hex(doc["hex"])).ts1.value == doc["tick"]
+
+
+def test_refused_uav_enrollment_draws_and_sends_nothing():
+    world = build_world(SimConfig(seed=1))
+    enroll_uav(world, "uav-1")
+    for name in ("uav-1", "uav-1\x00"):  # a taken name, a taken wire identity
+        log_len, rng_state = len(world.channel.log), world.rng.getstate()
+        with pytest.raises(DuplicateRegistration):
+            enroll_uav(world, name)
+        assert len(world.channel.log) == log_len
+        assert world.rng.getstate() == rng_state
+    assert list(world.uavs) == ["uav-1"]
