@@ -8,7 +8,7 @@ knowledge-closure engine, operation/bit accounting, and a CLI driver.
 
 from .bits import BitString, concat
 from .closure import Closure, compute_closure
-from .crypto import FeParams, PufDevice, fe_gen, fe_rep, random_nonce, sha1_digest
+from .crypto import PufDevice, fe_gen, fe_rep, random_nonce, sha1_digest
 from .errors import ProtocolError
 from .gwn import Gateway
 from .metrics import OpCounter, count_session, overhead_report
@@ -21,8 +21,8 @@ from .wire import Msg1, Msg2, Msg3, decode, encode, protocol_bits
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitString", "concat", "Closure", "compute_closure", "FeParams",
-    "PufDevice", "fe_gen", "fe_rep", "random_nonce", "sha1_digest",
+    "BitString", "concat", "Closure", "compute_closure", "PufDevice",
+    "fe_gen", "fe_rep", "random_nonce", "sha1_digest",
     "ProtocolError", "Gateway", "OpCounter", "count_session",
     "overhead_report", "SCENARIOS", "feature_matrix", "run_scenario",
     "SimClock", "SimConfig", "build_world", "enroll_uav", "enroll_user",

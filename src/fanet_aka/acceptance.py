@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .bits import BitString
-from .crypto import FeParams, fe_gen, fe_rep
+from .crypto import BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE, fe_gen, fe_rep
 from .metrics import count_session, overhead_report
 from .scenarios import (POSITIVE_CONTROL, _world, run_dynamic_addition,
                         run_lifecycle_replacement, run_lifecycle_update,
@@ -138,29 +138,26 @@ def closure_suite(cfg: SimConfig) -> CriterionResult:
 
 
 def fuzzy_tolerance(cfg: SimConfig) -> CriterionResult:
-    params = FeParams()
     rng = random.Random(f"{cfg.seed}:fe-tolerance")
     failures = 0
     for _ in range(500):
-        bio = BitString.random(params.bio_width, rng)
-        sigma, tau = fe_gen(bio, params, rng)
+        bio = BitString.random(BIO_BITS, rng)
+        sigma, tau = fe_gen(bio, rng)
         error = 0
-        for block in range(params.key_bits):
-            flips = rng.sample(range(params.repetition),
-                               rng.randint(0, params.tolerance))
+        for block in range(FE_KEY_BITS):
+            flips = rng.sample(range(FE_REPETITION), rng.randint(0, FE_TOLERANCE))
             for f in flips:
-                error |= 1 << (params.bio_width - 1
-                               - (block * params.repetition + f))
-        noisy = BitString(params.bio_width, bio.value ^ error)
-        if fe_rep(noisy, tau, params) != sigma:
+                error |= 1 << (BIO_BITS - 1 - (block * FE_REPETITION + f))
+        noisy = BitString(BIO_BITS, bio.value ^ error)
+        if fe_rep(noisy, tau) != sigma:
             failures += 1
 
-    bio = BitString.random(params.bio_width, rng)
-    sigma, tau = fe_gen(bio, params, rng)
+    bio = BitString.random(BIO_BITS, rng)
+    sigma, tau = fe_gen(bio, rng)
     concentrated = bio
-    for f in range(params.tolerance + 1):
+    for f in range(FE_TOLERANCE + 1):
         concentrated = concentrated.flip(f)  # t+1 flips inside block 0
-    beyond_differs = fe_rep(concentrated, tau, params) != sigma
+    beyond_differs = fe_rep(concentrated, tau) != sigma
     return CriterionResult(8, "fuzzy extractor tolerance over 500 cases",
                            failures == 0 and beyond_differs,
                            {"failures": failures,
@@ -234,8 +231,13 @@ def run_all(cfg: SimConfig | None = None, echo=None) -> dict:
         results.append(result)
         if echo:
             echo(result.line())
+    return summary(cfg.seed, results)
+
+
+def summary(seed: int, results: list[CriterionResult]) -> dict:
+    """The JSON-ready report of one run of every criterion."""
     return {
-        "seed": cfg.seed,
+        "seed": seed,
         "passed": all(r.passed for r in results),
         "criteria": [{"number": r.number, "name": r.name, "passed": r.passed,
                       "details": r.details} for r in results],

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 from .errors import WidthMismatch
 
+TEXT_BYTES = 20  # identities and passwords fill one 160-bit field
+
 
 class BitString:
     """Immutable bit sequence with a fixed width.
@@ -65,13 +67,8 @@ class BitString:
         return cls(width, rng.getrandbits(width))
 
     @classmethod
-    def from_bytes(cls, data: bytes, width: int | None = None) -> "BitString":
-        w = 8 * len(data) if width is None else width
-        if w > 8 * len(data):
-            raise WidthMismatch(f"width {w} exceeds {8 * len(data)} available bits")
-        # keep the leading (most significant) w bits
-        value = int.from_bytes(data, "big") >> (8 * len(data) - w)
-        return cls(w, value)
+    def from_bytes(cls, data: bytes) -> "BitString":
+        return cls(8 * len(data), int.from_bytes(data, "big"))
 
     @classmethod
     def from_hex(cls, text: str, width: int | None = None) -> "BitString":
@@ -93,18 +90,16 @@ class BitString:
         return cls(width, value >> pad)
 
     @classmethod
-    def from_text(cls, text: str, width: int = 160) -> "BitString":
+    def from_text(cls, text: str) -> "BitString":
         """Canonical encoding of identities and passwords.
 
-        UTF-8 bytes, zero-padded on the right to ``width`` bits. The width
-        must be a byte multiple and the text must fit.
+        UTF-8 bytes, zero-padded on the right to the 160-bit identity
+        field. The text must fit.
         """
-        if width % 8:
-            raise WidthMismatch("text fields must have byte-aligned widths")
         raw = text.encode("utf-8")
-        if 8 * len(raw) > width:
-            raise WidthMismatch(f"{text!r} does not fit in {width} bits")
-        return cls.from_bytes(raw.ljust(width // 8, b"\x00"))
+        if len(raw) > TEXT_BYTES:
+            raise WidthMismatch(f"{text!r} does not fit in {8 * TEXT_BYTES} bits")
+        return cls.from_bytes(raw.ljust(TEXT_BYTES, b"\x00"))
 
     # -- views ------------------------------------------------------------
 

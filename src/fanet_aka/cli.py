@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import random
 import sys
-from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
 from .acceptance import run_all
 from .bits import BitString
-from .crypto import PUF_SEED_BITS, hash_parts
+from .crypto import BIO_BITS, PUF_SEED_BITS, hash_parts
 from .errors import ConfigError, ProtocolError, StateError, UnknownScenario, WidthMismatch
 from .gwn import SECRET_BITS, Gateway
 from .metrics import count_session, overhead_report, render_table
@@ -55,17 +55,24 @@ class StateDir:
     def path(self, name: str) -> Path:
         return self.root / name
 
-    def load(self, name: str, default: dict | None = None) -> dict:
+    def read(self, name: str, parse, default: dict | None = None):
+        """``parse`` applied to the document in ``name``, or to ``default``
+        when there is no such file.
+
+        A missing file without a default is missing state. A file that is
+        not JSON, lacks a key, or holds a badly typed value or a field of
+        the wrong width is malformed.
+        """
         p = self.path(name)
-        if not p.exists() and default is not None:
-            return default
         if not p.exists():
-            raise StateError(f"missing state file {p}; run the registration "
-                             f"subcommands first")
+            if default is None:
+                raise StateError(f"missing state file {p}; run the registration "
+                                 f"subcommands first")
+            return parse(default)
         try:
-            return json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed state file {p}: {exc}") from exc
+            return parse(json.loads(p.read_text()))
+        except (AttributeError, KeyError, TypeError, ValueError, WidthMismatch) as exc:
+            raise ConfigError(f"malformed state file {p}") from exc
 
     def save(self, name: str, doc: dict) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -109,14 +116,22 @@ def _load_config_file(path: Path) -> SimConfig:
     return SimConfig(**values)
 
 
-@contextmanager
-def _parsing(path: Path):
-    """A document that lacks a key, holds a badly typed value or a field of
-    the wrong width is malformed."""
-    try:
-        yield
-    except (AttributeError, KeyError, TypeError, ValueError, WidthMismatch) as exc:
-        raise ConfigError(f"malformed state file {path}") from exc
+def _parse_secrets(doc: dict) -> dict:
+    """``secrets.json``: the gateway secret, each user's password and
+    biometric, and each UAV's PUF seed."""
+    secret = doc.get("gwn_secret")
+    users = {}
+    for name, entry in doc.get("users", {}).items():
+        BitString.from_text(entry["password"])  # a string that fits its field
+        users[name] = {"password": entry["password"],
+                       "bio": BitString.from_hex(entry["bio"], width=BIO_BITS)}
+    return {
+        "gwn_secret": None if secret is None
+        else BitString.from_hex(secret, width=SECRET_BITS).hex(),
+        "users": users,
+        "puf_seeds": {name: BitString.from_hex(seed, width=PUF_SEED_BITS).hex()
+                      for name, seed in doc.get("puf_seeds", {}).items()},
+    }
 
 
 def load_world(state: StateDir, cfg: SimConfig,
@@ -129,42 +144,33 @@ def load_world(state: StateDir, cfg: SimConfig,
     that then fails still moves the next command to a new stream. The
     freshness window is not state: the clock takes it from ``cfg``.
     """
-    meta = state.load("meta.json", {"invocations": 0})
-    rng = random.Random(f"{cfg.seed}:{meta['invocations']}")
-    meta["invocations"] += 1
-    state.save("meta.json", meta)
+    invocations = state.read("meta.json", lambda doc: operator.index(doc["invocations"]),
+                             default={"invocations": 0})
+    rng = random.Random(f"{cfg.seed}:{invocations}")
+    state.save("meta.json", {"invocations": invocations + 1})
 
-    secrets = state.load("secrets.json", {})
+    secrets = state.read("secrets.json", _parse_secrets, default={})
+    secret = secrets["gwn_secret"]
+
+    def parse_gateway(doc: dict) -> tuple[Gateway, int]:
+        if secret is None:
+            raise ConfigError("secrets.json lacks the gateway secret")
+        return Gateway.from_json(doc, secret), operator.index(doc.get("clock", 0))
+
     if new_gateway is not None:
         gateway, now = Gateway(new_gateway, rng), 0
     else:
-        gwn_doc = state.load("gwn.json")
-        if "gwn_secret" not in secrets:
-            raise ConfigError("secrets.json lacks the gateway secret")
-        with _parsing(state.path("secrets.json")):
-            secret = BitString.from_hex(secrets["gwn_secret"], width=SECRET_BITS)
-        with _parsing(state.path("gwn.json")):
-            gateway = Gateway.from_json(gwn_doc, secret.hex())
-            now = gwn_doc.get("clock", 0)
+        gateway, now = state.read("gwn.json", parse_gateway)
     clock = SimClock(cfg.delta_t, now)
     world = World(config=cfg, rng=rng, clock=clock, channel=Channel(clock),
                   gateway=gateway)
-    with _parsing(state.path("secrets.json")):
-        users = secrets.get("users", {}).items()
-        uavs = secrets.get("puf_seeds", {}).items()
-    for name, secret in users:
-        with _parsing(state.path(f"user_{name}.json")):
-            card = SmartCard.from_json(state.load(f"user_{name}.json"))
-        with _parsing(state.path("secrets.json")):
-            bio = BitString.from_hex(secret["bio"], width=card.fe_params.bio_width)
-            world.user_secrets[name] = {"password": secret["password"], "bio": bio}
-        world.users[name] = user = User(name, fe_params=card.fe_params)
-        user.card = card
-    for name, seed in uavs:
-        with _parsing(state.path("secrets.json")):
-            seed = BitString.from_hex(seed, width=PUF_SEED_BITS).hex()
-        with _parsing(state.path(f"uav_{name}.json")):
-            world.uavs[name] = Uav.from_json(state.load(f"uav_{name}.json"), seed)
+    for name, user_secret in secrets["users"].items():
+        world.users[name] = user = User(name)
+        user.card = state.read(f"user_{name}.json", SmartCard.from_json)
+        world.user_secrets[name] = user_secret
+    for name, seed in secrets["puf_seeds"].items():
+        world.uavs[name] = state.read(f"uav_{name}.json",
+                                      lambda doc: Uav.from_json(doc, seed))
     return world
 
 
@@ -264,7 +270,7 @@ def cmd_update_credentials(args) -> int:
     world = load_world(state, _sim_config(args))
     _registered(world, args.user)
     user, secret = world.users[args.user], world.user_secrets[args.user]
-    new_bio = BitString.random(user.fe_params.bio_width, world.rng)
+    new_bio = BitString.random(BIO_BITS, world.rng)
     user.update_credentials(secret["password"], secret["bio"],
                             args.new_password, new_bio, world.rng)
     secret.update(password=args.new_password, bio=new_bio)
@@ -307,8 +313,8 @@ def cmd_attack(args) -> int:
 def cmd_report(args) -> int:
     cfg = _sim_config(args)
     state = StateDir(Path(args.state_dir))
-    session = state.load("last_session.json")
-    report = overhead_report(session.get("op_counts"), session.get("bit_counts"))
+    report = state.read("last_session.json", lambda doc: overhead_report(
+        doc.get("op_counts"), doc.get("bit_counts")))
     if args.format == "json":
         print(_dump(report), end="")
     else:

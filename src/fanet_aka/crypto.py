@@ -84,70 +84,52 @@ class PufDevice:
         return _digest(self.seed.to_bytes() + challenge.to_bytes())
 
 
-@dataclass(frozen=True)
-class FeParams:
-    """Code-offset fuzzy extractor parameters (repetition code).
-
-    ``key_bits`` random bits are expanded by repeating each bit
-    ``repetition`` times; the biometric width is their product and up to
-    ``tolerance`` flipped bits per block are corrected by majority vote.
-    """
-
-    key_bits: int = 32
-    repetition: int = 5
-
-    def __post_init__(self):
-        if self.key_bits <= 0:
-            raise ValueError("key_bits must be positive")
-        if self.repetition <= 0 or self.repetition % 2 == 0:
-            raise ValueError("repetition must be a positive odd integer")
-
-    @property
-    def bio_width(self) -> int:
-        return self.key_bits * self.repetition
-
-    @property
-    def tolerance(self) -> int:
-        return self.repetition // 2
+#: The code-offset fuzzy extractor (Dodis, Reyzin & Smith) over one
+#: repetition code: each of the ``FE_KEY_BITS`` random key bits is repeated
+#: ``FE_REPETITION`` times, so the biometric is ``BIO_BITS`` wide and up to
+#: ``FE_TOLERANCE`` flipped bits per block are corrected by majority vote.
+FE_KEY_BITS = 32
+FE_REPETITION = 5
+BIO_BITS = FE_KEY_BITS * FE_REPETITION
+FE_TOLERANCE = FE_REPETITION // 2
 
 
-def _expand(word: BitString, r: int) -> BitString:
-    """Repetition-code codeword: every bit of ``word`` repeated ``r`` times."""
-    block = (1 << r) - 1
+def _expand(word: BitString) -> BitString:
+    """Repetition-code codeword: every bit of ``word`` repeated."""
+    block = (1 << FE_REPETITION) - 1
     value = 0
     for i in range(word.width):
-        value = (value << r) | (block if word.bit(i) else 0)
-    return BitString(word.width * r, value)
+        value = (value << FE_REPETITION) | (block if word.bit(i) else 0)
+    return BitString(BIO_BITS, value)
 
 
-def fe_gen(bio: BitString, params: FeParams, rng: random.Random) -> tuple[BitString, BitString]:
+def fe_gen(bio: BitString, rng: random.Random) -> tuple[BitString, BitString]:
     """Enroll a biometric: returns (key digest sigma, public helper tau).
 
     tau = codeword(w) XOR bio for a fresh random word w; sigma = h(w).
     tau is safe to publish: without a close biometric it reveals nothing
     usable about sigma.
     """
-    if bio.width != params.bio_width:
-        raise WidthMismatch(f"biometric must be {params.bio_width} bits")
-    word = BitString.random(params.key_bits, rng)
-    tau = _expand(word, params.repetition) ^ bio
+    if bio.width != BIO_BITS:
+        raise WidthMismatch(f"biometric must be {BIO_BITS} bits")
+    word = BitString.random(FE_KEY_BITS, rng)
+    tau = _expand(word) ^ bio
     return sha1_digest(word), tau
 
 
-def fe_rep(bio: BitString, tau: BitString, params: FeParams) -> BitString:
+def fe_rep(bio: BitString, tau: BitString) -> BitString:
     """Reproduce the enrolled key digest from a noisy biometric reading.
 
     Majority-decodes each repetition block of tau XOR bio. Guaranteed to
     return enrollment's sigma whenever every block of the error pattern has
-    at most ``params.tolerance`` set bits; beyond that it silently yields a
+    at most ``FE_TOLERANCE`` set bits; beyond that it silently yields a
     different digest, which downstream credential checks reject.
     """
-    if bio.width != params.bio_width or tau.width != params.bio_width:
-        raise WidthMismatch(f"biometric and helper must be {params.bio_width} bits")
+    if bio.width != BIO_BITS or tau.width != BIO_BITS:
+        raise WidthMismatch(f"biometric and helper must be {BIO_BITS} bits")
     noisy = tau.value ^ bio.value
-    r, half = params.repetition, params.repetition // 2
-    block = (1 << r) - 1
+    block = (1 << FE_REPETITION) - 1
     word = 0
-    for shift in range(params.bio_width - r, -1, -r):
-        word = (word << 1) | (((noisy >> shift) & block).bit_count() > half)
-    return sha1_digest(_unchecked(params.key_bits, word))
+    for shift in range(BIO_BITS - FE_REPETITION, -1, -FE_REPETITION):
+        word = (word << 1) | (((noisy >> shift) & block).bit_count() > FE_TOLERANCE)
+    return sha1_digest(_unchecked(FE_KEY_BITS, word))

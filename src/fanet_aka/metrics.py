@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .bits import BitString, concat
-from .crypto import FeParams, PufDevice
+from .crypto import PufDevice
 from .errors import IncompleteTranscript
 
 #: Per-operation timing constants (milliseconds) used for *estimates* only.
@@ -137,14 +137,13 @@ class OpCounter:
         self.puf_count += 1
         return device.eval(challenge)
 
-    def fe_gen(self, bio: BitString, params: FeParams,
-               rng: random.Random) -> tuple[BitString, BitString]:
+    def fe_gen(self, bio: BitString, rng: random.Random) -> tuple[BitString, BitString]:
         self.fe_count += 1
-        return crypto.fe_gen(bio, params, rng)
+        return crypto.fe_gen(bio, rng)
 
-    def fe_rep(self, bio: BitString, tau: BitString, params: FeParams) -> BitString:
+    def fe_rep(self, bio: BitString, tau: BitString) -> BitString:
         self.fe_count += 1
-        return crypto.fe_rep(bio, tau, params)
+        return crypto.fe_rep(bio, tau)
 
 
 def diff_counts(before: dict, after: dict) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 from .bits import BitString
 from .closure import compute_closure
-from .crypto import NONCE_BITS, fe_rep, hash_parts, lift
+from .crypto import BIO_BITS, NONCE_BITS, fe_rep, hash_parts, lift
 from .errors import (DuplicateRegistration, ProtocolError, ReplayDetected,
                      StaleTimestamp, UnknownScenario)
 from .metrics import recording
@@ -118,7 +118,7 @@ def stolen_card(cfg: SimConfig) -> ScenarioReport:
 
     # offline guessing: even the right password plus the card yields no
     # verifiable check value without the biometric key
-    sigma_i = fe_rep(secrets["bio"], card.tau_i, card.fe_params)
+    sigma_i = fe_rep(secrets["bio"], card.tau_i)
     guess = card_terms + [BitString.from_text(secrets["password"]), user.id_i]
     _not_derivable(report, guess, {
         "offline password guess yields no check value": {
@@ -544,7 +544,7 @@ def run_lifecycle_update(cfg: SimConfig) -> dict:
     world = _world(cfg, "lifecycle_update")
     user = world.users["alice"]
     secrets = world.user_secrets["alice"]
-    new_bio = BitString.random(user.fe_params.bio_width, world.rng)
+    new_bio = BitString.random(BIO_BITS, world.rng)
     user.update_credentials(secrets["password"], secrets["bio"],
                             "updated-passphrase", new_bio, world.rng)
     old_rejected = False

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .bits import BitString
-from .crypto import PufDevice
+from .crypto import BIO_BITS, PufDevice
 from .errors import DisallowedAction, ProtocolError
 from .gwn import Gateway
 from .metrics import diff_counts
@@ -141,7 +141,7 @@ def enroll_user(world: World, identity: str, password: str) -> User:
     ``User`` with a fresh pseudonym, password and biometric.
     """
     user = User(identity)
-    bio = BitString.random(user.fe_params.bio_width, world.rng)
+    bio = BitString.random(BIO_BITS, world.rng)
     request = user.register_begin(password, world.rng)
     world.channel.send(identity, world.gateway.identity, wire.UserRegRequest.KIND,
                        encode(request), secure=True)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .bits import BitString
-from .crypto import DIGEST_BITS, FeParams, lift, random_nonce
+from .crypto import BIO_BITS, DIGEST_BITS, lift, random_nonce
 from .errors import AuthFailed, LoginFailed, ProtocolError
 from .metrics import OpCounter
 from .wire import Msg1, Msg3, UserRegRequest, UserRegResponse, check_fresh, ts_bits
@@ -31,11 +31,6 @@ class SmartCard:
     b_i: BitString          # credential check digest
     c_i: BitString          # gateway digest recovered by XOR cancellation
     tau_i: BitString        # fuzzy-extractor helper data, public
-    fe_params: FeParams
-
-    @property
-    def tolerance(self) -> int:
-        return self.fe_params.tolerance
 
     def to_json(self) -> dict:
         return {
@@ -43,20 +38,15 @@ class SmartCard:
             "b_i": self.b_i.hex(),
             "c_i": self.c_i.hex(),
             "tau_i": self.tau_i.hex(),
-            "fe_params": {"key_bits": self.fe_params.key_bits,
-                          "repetition": self.fe_params.repetition},
-            "tolerance": self.tolerance,
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "SmartCard":
-        params = FeParams(**doc["fe_params"])
         return cls(
             a_i=BitString.from_hex(doc["a_i"], width=DIGEST_BITS),
             b_i=BitString.from_hex(doc["b_i"], width=DIGEST_BITS),
             c_i=BitString.from_hex(doc["c_i"], width=DIGEST_BITS),
-            tau_i=BitString.from_hex(doc["tau_i"], width=params.bio_width),
-            fe_params=params,
+            tau_i=BitString.from_hex(doc["tau_i"], width=BIO_BITS),
         )
 
 
@@ -89,17 +79,16 @@ class User:
     finalization, that failure consumes the pending state.
     """
 
-    def __init__(self, identity: str, fe_params: FeParams | None = None):
+    def __init__(self, identity: str):
         if not identity:
             raise ValueError("identity must be non-empty")
         self.identity = identity
         self.id_i = BitString.from_text(identity)
         self.ops = OpCounter()
-        self.fe_params = fe_params or FeParams()
         self.card: SmartCard | None = None
         self.known_uavs: set[str] = set()
-        self._reg_nonce: BitString | None = None
-        self._reg_tpw: BitString | None = None
+        # (N_i, TID_i, TPW_i) of a registration awaiting the gateway's reply
+        self._reg: tuple[BitString, BitString, BitString] | None = None
         self._pending: PendingSession | None = None
 
     # -- registration (secure channel) ------------------------------------
@@ -111,23 +100,20 @@ class User:
         pw = BitString.from_text(password)
         tid_i = self.ops.h(self.id_i, lift(n_i))
         tpw_i = self.ops.h(pw, lift(n_i))
-        self._reg_nonce = n_i
-        self._reg_tpw = tpw_i
+        self._reg = (n_i, tid_i, tpw_i)
         return UserRegRequest(tid_i=tid_i, tpw_i=tpw_i)
 
     def register_complete(self, response: UserRegResponse, bio: BitString,
                           rng: random.Random) -> SmartCard:
-        if self._reg_nonce is None:
+        if self._reg is None:
             raise ProtocolError("no registration in progress")
-        n_i, tpw_i = self._reg_nonce, self._reg_tpw
-        tid_i = self.ops.h(self.id_i, lift(n_i))
-        sigma, tau = self.ops.fe_gen(bio, self.fe_params, rng)
+        n_i, tid_i, tpw_i = self._reg
+        sigma, tau = self.ops.fe_gen(bio, rng)
         a_i = self.ops.xor(lift(n_i), self.ops.h(self.id_i, sigma))
         b_i = self.ops.h(self.id_i, tpw_i, sigma)
         c_i = self.ops.xor(self.ops.xor(response.tc_id_i, tid_i), tpw_i)
-        self.card = SmartCard(a_i=a_i, b_i=b_i, c_i=c_i, tau_i=tau,
-                              fe_params=self.fe_params)
-        self._reg_nonce = self._reg_tpw = None
+        self.card = SmartCard(a_i=a_i, b_i=b_i, c_i=c_i, tau_i=tau)
+        self._reg = None
         return self.card
 
     # -- login and key agreement ------------------------------------------
@@ -142,7 +128,7 @@ class User:
         if self.card is None:
             raise ProtocolError("no card issued")
         card = self.card
-        sigma_star = self.ops.fe_rep(bio, card.tau_i, card.fe_params)
+        sigma_star = self.ops.fe_rep(bio, card.tau_i)
         n_i_star = self.ops.xor(card.a_i, self.ops.h(self.id_i, sigma_star))
         tid_star = self.ops.h(self.id_i, n_i_star)
         tpw_star = self.ops.h(BitString.from_text(password), n_i_star)
@@ -191,12 +177,11 @@ class User:
         card carries is the same before and after the update.
         """
         ctx = self.login(old_password, old_bio)
-        sigma_new, tau_new = self.ops.fe_gen(new_bio, self.fe_params, rng)
+        sigma_new, tau_new = self.ops.fe_gen(new_bio, rng)
         tpw_new = self.ops.h(BitString.from_text(new_password), ctx.n_i)
         a_new = self.ops.xor(ctx.n_i, self.ops.h(self.id_i, sigma_new))
         b_new = self.ops.h(self.id_i, tpw_new, sigma_new)
-        self.card = SmartCard(a_i=a_new, b_i=b_new, c_i=ctx.c_i, tau_i=tau_new,
-                              fe_params=self.fe_params)
+        self.card = SmartCard(a_i=a_new, b_i=b_new, c_i=ctx.c_i, tau_i=tau_new)
         return self.card
 
     # -- bookkeeping --------------------------------------------------------

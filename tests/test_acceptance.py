@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from fanet_aka import acceptance
+from fanet_aka.cli import _dump
 from fanet_aka.scenarios import POSITIVE_CONTROL, run_scenario
 from fanet_aka.simnet import SimConfig
 
@@ -99,19 +100,17 @@ def test_correctness_criterion_runs_under_the_callers_window():
     assert result.details["failing_seeds"] == [0, 1, 2]
 
 
-def test_selftest_cli_is_byte_deterministic(tmp_path):
-    """The CLI selftest twice at one seed yields byte-identical reports."""
+def test_selftest_cli_is_byte_deterministic(tmp_path, results):
+    """The CLI selftest writes, byte for byte, the report of this process's run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    reports = []
-    for run in ("one", "two"):
-        out = tmp_path / f"report-{run}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "fanet_aka.cli", "--seed", "0", "selftest",
-             "--report-file", str(out)],
-            cwd=tmp_path, env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "PASS criterion 11" in proc.stdout
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
-    assert json.loads(reports[0])["passed"] is True
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanet_aka.cli", "--seed", "0", "selftest",
+         "--report-file", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASS criterion 11" in proc.stdout
+    in_process = acceptance.summary(CONFIG.seed, [results[n] for n in sorted(results)])
+    assert out.read_bytes() == _dump(in_process).encode()
+    assert json.loads(out.read_bytes())["passed"] is True

@@ -119,11 +119,11 @@ def test_hex_round_trip():
 
 
 def test_from_text_pads_and_rejects_overflow():
-    alice = BitString.from_text("alice", width=160)
+    alice = BitString.from_text("alice")
     assert alice.width == 160
     assert alice.to_bytes() == b"alice" + b"\x00" * 15
     with pytest.raises(WidthMismatch):
-        BitString.from_text("x" * 21, width=160)
+        BitString.from_text("x" * 21)
 
 
 def test_contains_finds_contiguous_patterns():

@@ -62,6 +62,11 @@ def test_missing_state_exit_code(tmp_path):
     proc = run_cli(["run-aka", "--user", "alice", "--uav", "uav-1"],
                    tmp_path, check=False)
     assert proc.returncode == 3
+    bootstrap(tmp_path)
+    (tmp_path / "state" / "gwn.json").unlink()
+    proc = run_cli(["run-aka", "--user", "alice", "--uav", "uav-1"],
+                   tmp_path, check=False)
+    assert proc.returncode == 3
 
 
 def test_unknown_subcommand_exit_code(tmp_path):
@@ -124,6 +129,11 @@ def test_init_gwn_refuses_a_populated_deployment(tmp_path):
                  id="secrets.json-short-gwn_secret"),
     pytest.param("secrets.json", lambda doc: {**doc, "puf_seeds": {"uav-1": "00"}},
                  id="secrets.json-short-puf_seed"),
+    pytest.param("meta.json", lambda doc: {}, id="meta.json-empty"),
+    pytest.param("meta.json", lambda doc: {"invocations": "x"}, id="meta.json-text-count"),
+    pytest.param("secrets.json", lambda doc: 5, id="secrets.json-number"),
+    pytest.param("secrets.json", lambda doc: {**doc, "users": {
+        "alice": {**doc["users"]["alice"], "password": 5}}}, id="secrets.json-number-password"),
 ])
 def test_malformed_state_file_exit_code(tmp_path, name, edit):
     bootstrap(tmp_path)
@@ -134,6 +144,15 @@ def test_malformed_state_file_exit_code(tmp_path, name, edit):
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"error: malformed state file {Path('state') / name}\n"
+
+
+@pytest.mark.parametrize("doc", [[], {"op_counts": {"user": {}}}])
+def test_malformed_last_session_exit_code(tmp_path, doc):
+    bootstrap(tmp_path)
+    (tmp_path / "state" / "last_session.json").write_text(json.dumps(doc))
+    proc = run_cli(["report"], tmp_path, check=False)
+    assert proc.returncode == 4
+    assert proc.stderr == f"error: malformed state file {Path('state') / 'last_session.json'}\n"
 
 
 def test_lifecycle_subcommands(tmp_path):

@@ -141,11 +141,10 @@ def test_zero_constants_are_assumed_public():
 
 def test_helper_data_reveals_nothing_about_the_key():
     # fuzzy-extractor helper alone never yields the extracted digest
-    from fanet_aka.crypto import FeParams, fe_gen
-    params = FeParams()
+    from fanet_aka.crypto import BIO_BITS, fe_gen
     rng = random.Random(77)
-    bio = BitString.random(params.bio_width, rng)
-    sigma, tau = fe_gen(bio, params, rng)
+    bio = BitString.random(BIO_BITS, rng)
+    sigma, tau = fe_gen(bio, rng)
     clo = compute_closure([tau], [sigma])
     assert sigma not in clo
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanet_aka.bits import BitString, concat
-from fanet_aka.crypto import (FeParams, PufDevice, fe_gen, fe_rep, hash_parts,
-                              lift, random_nonce, sha1_digest)
+from fanet_aka.crypto import (BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE,
+                              PufDevice, fe_gen, fe_rep, hash_parts, lift, random_nonce,
+                              sha1_digest)
 from fanet_aka.errors import WidthMismatch
 
 
@@ -107,112 +108,90 @@ def test_puf_inter_device_uniqueness():
 # -- fuzzy extractor ----------------------------------------------------------
 
 def test_fe_round_trip_without_noise():
-    params = FeParams()
     rng = random.Random(5)
-    bio = BitString.random(params.bio_width, rng)
-    sigma, tau = fe_gen(bio, params, rng)
+    bio = BitString.random(BIO_BITS, rng)
+    sigma, tau = fe_gen(bio, rng)
     assert sigma.width == 160
-    assert tau.width == params.bio_width
-    assert fe_rep(bio, tau, params) == sigma
+    assert tau.width == BIO_BITS == 160
+    assert fe_rep(bio, tau) == sigma
 
 
 def test_fe_all_zero_bio_exposes_codeword():
     # with a zero biometric the helper is exactly the repetition codeword
-    params = FeParams(key_bits=4, repetition=3)
     rng = random.Random(6)
-    sigma, tau = fe_gen(BitString.zeros(12), params, rng)
-    blocks = [tau.slice(i * 3, (i + 1) * 3).value for i in range(4)]
-    assert all(b in (0b000, 0b111) for b in blocks)
+    sigma, tau = fe_gen(BitString.zeros(BIO_BITS), rng)
+    blocks = [tau.slice(i * FE_REPETITION, (i + 1) * FE_REPETITION).value
+              for i in range(FE_KEY_BITS)]
+    assert all(b in (0b00000, 0b11111) for b in blocks)
 
 
 def test_fe_rejects_width_mismatch():
-    params = FeParams()
     with pytest.raises(WidthMismatch):
-        fe_gen(BitString.zeros(8), params, random.Random(0))
+        fe_gen(BitString.zeros(8), random.Random(0))
     with pytest.raises(WidthMismatch):
-        fe_rep(BitString.zeros(8), BitString.zeros(160), params)
+        fe_rep(BitString.zeros(8), BitString.zeros(160))
 
 
-def test_fe_params_validation():
-    with pytest.raises(ValueError):
-        FeParams(repetition=4)
-    with pytest.raises(ValueError):
-        FeParams(key_bits=0)
-    assert FeParams().tolerance == 2
-    assert FeParams().bio_width == 160
-
-
-def _per_block_error(rng, params, max_flips):
+def _per_block_error(rng, max_flips):
     error = 0
-    for block in range(params.key_bits):
-        for offset in rng.sample(range(params.repetition),
-                                 rng.randint(0, max_flips)):
-            error |= 1 << (params.bio_width - 1
-                           - (block * params.repetition + offset))
+    for block in range(FE_KEY_BITS):
+        for offset in rng.sample(range(FE_REPETITION), rng.randint(0, max_flips)):
+            error |= 1 << (BIO_BITS - 1 - (block * FE_REPETITION + offset))
     return error
 
 
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_fe_corrects_any_within_tolerance_pattern(seed):
-    params = FeParams()
     rng = random.Random(seed)
-    bio = BitString.random(params.bio_width, rng)
-    sigma, tau = fe_gen(bio, params, rng)
-    error = _per_block_error(rng, params, params.tolerance)
-    noisy = BitString(params.bio_width, bio.value ^ error)
-    assert fe_rep(noisy, tau, params) == sigma
+    bio = BitString.random(BIO_BITS, rng)
+    sigma, tau = fe_gen(bio, rng)
+    error = _per_block_error(rng, FE_TOLERANCE)
+    noisy = BitString(BIO_BITS, bio.value ^ error)
+    assert fe_rep(noisy, tau) == sigma
 
 
-def test_fe_exhaustive_small_parameters():
-    # k=2, r=3: every biometric, every <=1-flip-per-block pattern
-    params = FeParams(key_bits=2, repetition=3)
+def test_fe_exhaustive_over_each_block():
+    # every error pattern of every block, alone: it decodes iff it has at
+    # most FE_TOLERANCE set bits
     rng = random.Random(11)
-    patterns = []
-    for b0 in (None, 0, 1, 2):
-        for b1 in (None, 0, 1, 2):
-            e = 0
-            if b0 is not None:
-                e |= 1 << (5 - b0)
-            if b1 is not None:
-                e |= 1 << (2 - b1)
-            patterns.append(e)
-    for value in range(1 << params.bio_width):
-        bio = BitString(params.bio_width, value)
-        sigma, tau = fe_gen(bio, params, rng)
-        for e in patterns:
-            assert fe_rep(BitString(6, value ^ e), tau, params) == sigma
+    bio = BitString.random(BIO_BITS, rng)
+    sigma, tau = fe_gen(bio, rng)
+    for block in range(FE_KEY_BITS):
+        shift = BIO_BITS - (block + 1) * FE_REPETITION
+        for pattern in range(1 << FE_REPETITION):
+            noisy = BitString(BIO_BITS, bio.value ^ (pattern << shift))
+            assert (fe_rep(noisy, tau) == sigma) == (pattern.bit_count() <= FE_TOLERANCE)
 
 
 def test_fe_fails_beyond_tolerance_in_one_block():
     # t+1 flips inside one block flip that key bit: sigma must differ
-    params = FeParams()
     rng = random.Random(12)
-    bio = BitString.random(params.bio_width, rng)
-    sigma, tau = fe_gen(bio, params, rng)
+    bio = BitString.random(BIO_BITS, rng)
+    sigma, tau = fe_gen(bio, rng)
     noisy = bio
-    for i in range(params.tolerance + 1):
+    for i in range(FE_TOLERANCE + 1):
         noisy = noisy.flip(i)
-    assert fe_rep(noisy, tau, params) != sigma
+    assert fe_rep(noisy, tau) != sigma
 
 
 def test_fe_beyond_tolerance_matches_bit_flip_oracle():
     # majority decode with t+1 errors in block 0 recovers w with bit 0
-    # inverted; the independent oracle recomputes sigma from that word
-    params = FeParams(key_bits=8, repetition=5)
+    # inverted; the oracle reads w off the noise-free codeword instead
     rng = random.Random(13)
-    bio = BitString.random(params.bio_width, rng)
-    sigma, tau = fe_gen(bio, params, rng)
+    bio = BitString.random(BIO_BITS, rng)
+    sigma, tau = fe_gen(bio, rng)
 
     noisy = bio
     for i in range(3):  # t + 1 = 3 flips, all inside block 0
         noisy = noisy.flip(i)
-    got = fe_rep(noisy, tau, params)
+    got = fe_rep(noisy, tau)
 
-    # oracle: brute-force the 8-bit word whose hash gen returned, flip bit 0
-    word = next(w for w in range(256)
-                if sha1_digest(BitString(8, w)) == sigma)
-    expected = sha1_digest(BitString(8, word ^ 0x80))
+    codeword = tau ^ bio
+    word = BitString(FE_KEY_BITS, int("".join(str(codeword.bit(i * FE_REPETITION))
+                                              for i in range(FE_KEY_BITS)), 2))
+    assert sha1_digest(word) == sigma
+    expected = sha1_digest(word.flip(0))
     assert got == expected
 
 
@@ -222,29 +201,27 @@ def test_hash_parts_matches_manual_concatenation():
     assert hash_parts(a, b) == sha1_digest(concat([a, b]))
 
 
-def _slice_reference_rep(bio, tau, params):
+def _slice_reference_rep(bio, tau):
     """Majority decode written with BitString slices, one block at a time."""
     noisy = tau ^ bio
-    r = params.repetition
+    r = FE_REPETITION
     word = [BitString(1, int(noisy.slice(i * r, (i + 1) * r).value.bit_count() > r // 2))
-            for i in range(params.key_bits)]
+            for i in range(FE_KEY_BITS)]
     return sha1_digest(concat(word))
 
 
 @given(st.data())
 def test_fe_rep_integer_decode_matches_slice_reference(data):
-    params = FeParams(key_bits=data.draw(st.integers(min_value=1, max_value=40)),
-                      repetition=data.draw(st.sampled_from([1, 3, 5, 7])))
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
-    bio = BitString.random(params.bio_width, rng)
-    sigma, tau = fe_gen(bio, params, rng)
-    r = params.repetition
+    bio = BitString.random(BIO_BITS, rng)
+    sigma, tau = fe_gen(bio, rng)
+    r = FE_REPETITION
     flips = data.draw(st.lists(st.integers(min_value=0, max_value=r),
-                               min_size=params.key_bits, max_size=params.key_bits))
+                               min_size=FE_KEY_BITS, max_size=FE_KEY_BITS))
     error = 0
     for count in flips:
         error = (error << r) | sum(1 << i for i in rng.sample(range(r), count))
-    noisy = BitString(params.bio_width, bio.value ^ error)
-    got = fe_rep(noisy, tau, params)
-    assert got == _slice_reference_rep(noisy, tau, params)
-    assert (got == sigma) == (max(flips) <= params.tolerance)
+    noisy = BitString(BIO_BITS, bio.value ^ error)
+    got = fe_rep(noisy, tau)
+    assert got == _slice_reference_rep(noisy, tau)
+    assert (got == sigma) == (max(flips) <= FE_TOLERANCE)

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from fanet_aka.bits import BitString
-from fanet_aka.crypto import FeParams, fe_rep, hash_parts, lift
+from fanet_aka.crypto import (BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE, fe_rep,
+                              hash_parts)
 from fanet_aka.errors import AuthFailed, LoginFailed, ProtocolError
 from fanet_aka.gwn import Gateway
 from fanet_aka.simnet import SimConfig, build_world, enroll_user, enroll_uav, run_aka
@@ -17,7 +18,7 @@ def _registered_user(seed=0, password="correct-horse"):
     request = user.register_begin(password, rng)
     gwn = Gateway("gateway-0", random.Random(seed + 1000))
     response = gwn.register_user(request)
-    bio = BitString.random(user.fe_params.bio_width, rng)
+    bio = BitString.random(BIO_BITS, rng)
     user.register_complete(response, bio, rng)
     return user, gwn, bio, request, response
 
@@ -27,6 +28,11 @@ def test_registration_golden_values_seed_zero():
     request = User("alice").register_begin("correct-horse", rng)
     assert request.tid_i.hex() == "e8e1407bbaeb8ba819fb718038aa792963f86bde"
     assert request.tpw_i.hex() == "66fd22f74c10486eb35ab5f8268ade9552a1f243"
+
+
+def test_enrollment_costs_four_hashes_and_one_extraction():
+    user, _, _, _, _ = _registered_user()
+    assert user.ops.snapshot() == {"hash": 4, "puf": 0, "fe": 1, "xor": 3}
 
 
 def test_pseudonym_is_not_the_identity():
@@ -57,7 +63,7 @@ def test_card_contains_no_plaintext_secret():
     secrets = [
         user.id_i,
         BitString.from_text("correct-horse"),
-        fe_rep(bio, card.tau_i, card.fe_params),  # sigma
+        fe_rep(bio, card.tau_i),  # sigma
     ]
     fields = [card.a_i, card.b_i, card.c_i, card.tau_i]
     for secret in secrets:
@@ -89,18 +95,17 @@ def test_login_wrong_password_fails_opaquely():
 
 def test_login_tolerates_bounded_biometric_noise():
     user, _, bio, _, _ = _registered_user()
-    params = user.fe_params
     noisy = bio
-    for block in range(0, params.key_bits, 3):
-        for offset in range(params.tolerance):
-            noisy = noisy.flip(block * params.repetition + offset)
+    for block in range(0, FE_KEY_BITS, 3):
+        for offset in range(FE_TOLERANCE):
+            noisy = noisy.flip(block * FE_REPETITION + offset)
     assert user.login("correct-horse", noisy) is not None
 
 
 def test_login_rejects_noise_beyond_tolerance():
     user, _, bio, _, _ = _registered_user()
     noisy = bio
-    for i in range(user.fe_params.tolerance + 1):
+    for i in range(FE_TOLERANCE + 1):
         noisy = noisy.flip(i)  # t+1 flips inside one block
     with pytest.raises(LoginFailed):
         user.login("correct-horse", noisy)
@@ -187,7 +192,7 @@ def test_update_keeps_nonce_and_gateway_digest():
     user, _, bio, _, _ = _registered_user()
     old_ctx = user.login("correct-horse", bio)
     rng = random.Random(99)
-    new_bio = BitString.random(user.fe_params.bio_width, rng)
+    new_bio = BitString.random(BIO_BITS, rng)
     old_card_c = user.card.c_i
     user.update_credentials("correct-horse", bio, "new-horse", new_bio, rng)
 
@@ -213,7 +218,7 @@ def test_aka_succeeds_after_update():
     enroll_uav(world, "uav-1")
     user = world.users["alice"]
     secrets = world.user_secrets["alice"]
-    new_bio = BitString.random(user.fe_params.bio_width, world.rng)
+    new_bio = BitString.random(BIO_BITS, world.rng)
     user.update_credentials(secrets["password"], secrets["bio"],
                             "pw-alice-2", new_bio, world.rng)
     secrets.update(password="pw-alice-2", bio=new_bio)
@@ -226,12 +231,12 @@ def test_replacement_mints_fresh_values():
     rng = random.Random(55)
     new_request = user.register_begin("fresh-pw", rng)
     assert new_request.tid_i != request.tid_i
-    assert user._reg_nonce is not None
+    assert user._reg is not None
     from fanet_aka.wire import encode
     assert encode(new_request).width == 320
 
     response = gwn.register_user(new_request)
-    new_bio = BitString.random(user.fe_params.bio_width, rng)
+    new_bio = BitString.random(BIO_BITS, rng)
     user.register_complete(response, new_bio, rng)
     assert user.login("fresh-pw", new_bio).tid_i == new_request.tid_i
     with pytest.raises(LoginFailed):
