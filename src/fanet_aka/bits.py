@@ -6,9 +6,10 @@ Widths are explicit and equality is bit-exact: ``BitString(32, 5)`` and
 bit (big-endian), both for indexing and for the wire layout.
 
 Values are validated where they enter: the public constructor and the
-``from_*`` and ``random`` constructors check that the value fits its width.
-Results that fit by construction (XOR, slices, concatenation, digests, the
-wire codec) are built by :func:`_unchecked`, which skips that check.
+``from_*`` constructors check that the value fits its width. Values that
+fit by construction (XOR, slices, concatenation, digests, ``random``,
+timestamps, the wire codec) are built by :func:`_unchecked`, which skips
+that check.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ class BitString:
 
     @classmethod
     def random(cls, width: int, rng: random.Random) -> "BitString":
-        return cls(width, rng.getrandbits(width))
+        if width < 0:
+            raise ValueError(f"negative width {width}")
+        return _unchecked(width, rng.getrandbits(width))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitString":
@@ -126,7 +129,9 @@ class BitString:
 
     def __xor__(self, other: "BitString") -> "BitString":
         """Bitwise XOR; the shorter operand is zero-extended on the left."""
-        return _unchecked(max(self.width, other.width), self.value ^ other.value)
+        width, other_width = self.width, other.width
+        return _unchecked(width if width >= other_width else other_width,
+                          self.value ^ other.value)
 
     def zext(self, width: int) -> "BitString":
         """Zero-extend on the left to ``width`` bits."""

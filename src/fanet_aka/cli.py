@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .acceptance import run_all
 from .bits import BitString
-from .crypto import BIO_BITS, PUF_SEED_BITS, hash_parts
+from .crypto import BIO_BITS, PUF_SEED_BITS, sha1_digest
 from .errors import ConfigError, ProtocolError, StateError, UnknownScenario, WidthMismatch
 from .gwn import SECRET_BITS, Gateway
 from .metrics import count_session, overhead_report, render_table
@@ -247,7 +247,7 @@ def cmd_run_aka(args) -> int:
         "user": args.user,
         "uav": args.uav,
         "keys_agree": result.keys_agree,
-        "session_key_fingerprint": hash_parts(result.user_sk).hex(),
+        "session_key_fingerprint": sha1_digest(result.user_sk).hex(),
         "bit_counts": bits,
         "op_counts": count_session(result),
     }

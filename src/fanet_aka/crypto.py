@@ -13,7 +13,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .bits import BitString, _unchecked, concat
+from .bits import BitString, _unchecked
 from .errors import WidthMismatch
 
 DIGEST_BITS = 160
@@ -24,23 +24,20 @@ CHALLENGE_BITS = 160
 PUF_SEED_BITS = 256
 
 
-def sha1_digest(data: BitString) -> BitString:
-    """160-bit digest of a bit string.
+def sha1_digest(*parts: BitString) -> BitString:
+    """160-bit digest of the concatenation of ``parts`` (the protocol's h(a || b)).
 
-    The input is right-padded with zero bits to a byte boundary before
-    hashing (see :meth:`BitString.to_bytes`); all parties share this rule,
-    so digests computed from algebraically equal inputs match.
+    The concatenation is right-padded with zero bits to a byte boundary
+    before hashing (see :meth:`BitString.to_bytes`); all parties share this
+    rule, so digests computed from algebraically equal inputs match.
     """
-    return _digest(data.to_bytes())
-
-
-def _digest(raw: bytes) -> BitString:
+    width = value = 0
+    for part in parts:
+        width += part.width
+        value = (value << part.width) | part.value
+    nbytes = (width + 7) >> 3
+    raw = (value << (8 * nbytes - width)).to_bytes(nbytes, "big")
     return _unchecked(DIGEST_BITS, int.from_bytes(hashlib.sha1(raw).digest(), "big"))
-
-
-def hash_parts(*parts: BitString) -> BitString:
-    """Digest of the concatenation of ``parts`` (the protocol's h(a || b))."""
-    return sha1_digest(concat(parts))
 
 
 def random_nonce(rng: random.Random) -> BitString:
@@ -81,7 +78,7 @@ class PufDevice:
         """Deterministic response to a 160-bit challenge."""
         if challenge.width != CHALLENGE_BITS:
             raise WidthMismatch(f"challenge must be {CHALLENGE_BITS} bits")
-        return _digest(self.seed.to_bytes() + challenge.to_bytes())
+        return sha1_digest(self.seed, challenge)
 
 
 #: The code-offset fuzzy extractor (Dodis, Reyzin & Smith) over one
@@ -92,6 +89,14 @@ FE_KEY_BITS = 32
 FE_REPETITION = 5
 BIO_BITS = FE_KEY_BITS * FE_REPETITION
 FE_TOLERANCE = FE_REPETITION // 2
+
+#: fe_rep decodes two repetition blocks per step: this table maps their
+#: ``2 * FE_REPETITION`` noisy bits to the two majority bits, first block high.
+_PAIR_BITS = 2 * FE_REPETITION
+_PAIR_MASK = (1 << _PAIR_BITS) - 1
+_PAIR_MAJORITY = tuple(((pair >> FE_REPETITION).bit_count() > FE_TOLERANCE) << 1
+                       | ((pair & ((1 << FE_REPETITION) - 1)).bit_count() > FE_TOLERANCE)
+                       for pair in range(1 << _PAIR_BITS))
 
 
 def _expand(word: BitString) -> BitString:
@@ -128,8 +133,7 @@ def fe_rep(bio: BitString, tau: BitString) -> BitString:
     if bio.width != BIO_BITS or tau.width != BIO_BITS:
         raise WidthMismatch(f"biometric and helper must be {BIO_BITS} bits")
     noisy = tau.value ^ bio.value
-    block = (1 << FE_REPETITION) - 1
     word = 0
-    for shift in range(BIO_BITS - FE_REPETITION, -1, -FE_REPETITION):
-        word = (word << 1) | (((noisy >> shift) & block).bit_count() > FE_TOLERANCE)
+    for shift in range(BIO_BITS - _PAIR_BITS, -1, -_PAIR_BITS):
+        word = (word << 2) | _PAIR_MAJORITY[(noisy >> shift) & _PAIR_MASK]
     return sha1_digest(_unchecked(FE_KEY_BITS, word))

@@ -127,12 +127,12 @@ class Gateway:
         self.guard.accept(msg1.mac1, expiry)
 
         ts2 = ts_bits(clock.now)
-        tid_j = self.ops.h(id_j, lift(record.n_j))
-        v1 = self.ops.xor(self.ops.h(id_j, record.tc_id_j, record.r_j),
-                          lift(record.n_j))
+        n_j = lift(record.n_j)
+        tid_j = self.ops.h(id_j, n_j)
+        v1 = self.ops.xor(self.ops.h(id_j, record.tc_id_j, record.r_j), n_j)
         mac2 = self.ops.h(v1, tid_j, record.r_j, ts2)
         f_i_dprime = self.ops.xor(f_i, record.r_j)
-        h_i = self.ops.xor(tid_i, lift(record.n_j))
+        h_i = self.ops.xor(tid_i, n_j)
         return Msg2(mac2=mac2, v1=v1, h_i=h_i, f_i_dprime=f_i_dprime, ts2=ts2)
 
     # -- persistence ---------------------------------------------------------------

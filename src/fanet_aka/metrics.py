@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import crypto
-from .bits import BitString, concat
+from .bits import BitString
 from .crypto import PufDevice
 from .errors import IncompleteTranscript
 
@@ -124,7 +124,7 @@ class OpCounter:
 
     def h(self, *parts: BitString) -> BitString:
         self.hash_count += 1
-        digest = crypto.sha1_digest(concat(parts))
+        digest = crypto.sha1_digest(*parts)
         if _recorded is not None:
             _recorded[digest] = parts
         return digest

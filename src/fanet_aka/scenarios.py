@@ -10,11 +10,11 @@ actually attempting the attack against the real state machines.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .bits import BitString
 from .closure import compute_closure
-from .crypto import BIO_BITS, NONCE_BITS, fe_rep, hash_parts, lift
+from .crypto import BIO_BITS, NONCE_BITS, fe_rep, lift, sha1_digest
 from .errors import (DuplicateRegistration, ProtocolError, ReplayDetected,
                      StaleTimestamp, UnknownScenario)
 from .metrics import recording
@@ -287,7 +287,7 @@ def mutual_auth(cfg: SimConfig) -> ScenarioReport:
                  all(result.checks.values()), checks=result.checks)
     report.check("session keys agree", result.ok and result.keys_agree,
                  fingerprint=None if result.user_sk is None
-                 else hash_parts(result.user_sk).hex())
+                 else sha1_digest(result.user_sk).hex())
     bits = protocol_bits(result.transcript)
     report.check("measured message bits", bits == {
         "MSG1": 672, "MSG2": 672, "MSG3": 512, "total": 1856, "message_count": 3,
@@ -378,7 +378,7 @@ def mitm(cfg: SimConfig) -> ScenarioReport:
                         # stable field, same value: not a modification
                         return payload
                     _modified.append(_name)
-                    return encode(type(msg)(**{**msg.__dict__, _name: value}))
+                    return encode(replace(msg, **{_name: value}))
 
                 outcome = run_aka(world, "alice", "uav-1", intercept=attack)
                 if not modified:
@@ -601,9 +601,9 @@ def feature_matrix(cfg: SimConfig | None = None) -> dict:
             rows[feature] = {"source": name, "passed": run_scenario(name, cfg).passed}
         elif name == "lifecycle_update_replace":
             update = run_lifecycle_update(cfg)
-            replace = run_lifecycle_replacement(cfg)
+            replacement = run_lifecycle_replacement(cfg)
             rows[feature] = {"source": name,
-                             "passed": update["passed"] and replace["passed"]}
+                             "passed": update["passed"] and replacement["passed"]}
         else:
             rows[feature] = {"source": name,
                              "passed": run_dynamic_addition(cfg)["passed"]}

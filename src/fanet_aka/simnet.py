@@ -49,7 +49,7 @@ class SimClock:
         return self.now
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
     """One logged channel event."""
 
@@ -190,7 +190,7 @@ STAGES = ("login", "MSG1", "MSG2", "MSG3", "complete")
 CHECKS = ("credential", "mac1", "mac2", "confirmation")
 
 
-@dataclass
+@dataclass(slots=True)
 class AkaResult:
     """Outcome of one driven key-agreement run."""
 
@@ -220,8 +220,9 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
     """Drive one full key agreement, optionally through an interceptor.
 
     The interceptor sees the serialized public payloads exactly as the
-    receiving party will, so tampering operates on wire bits. Counter
-    snapshots around each phase feed the operation accounting.
+    receiving party will, so tampering operates on wire bits. Counters are
+    reset at the start and the user's is read after each of its phases;
+    the differences feed the operation accounting.
     """
     user = world.users[user_identity]
     uav = world.uavs[uav_identity]
@@ -246,14 +247,13 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
 
     stage = "login"
     try:
-        before = user.ops.snapshot()
         ctx = user.login(password, secrets["bio"])
-        phases["login"] = diff_counts(before, user.ops.snapshot())
+        phases["login"] = logged_in = user.ops.snapshot()  # counters start at zero
         stage = "MSG1"
 
-        before = user.ops.snapshot()
         msg1 = user.aka_initiate(ctx, uav_identity, world.clock)
-        phases["initiate"] = diff_counts(before, user.ops.snapshot())
+        initiated = user.ops.snapshot()
+        phases["initiate"] = diff_counts(logged_in, initiated)
         payload = send(user_identity, gwn.identity, msg1)
         world.clock.advance(1)
 
@@ -267,9 +267,8 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
         stage = "MSG3"
         payload = send(uav_identity, user_identity, msg3)
 
-        before = user.ops.snapshot()
         user_sk = user.aka_finalize(wire.decode_msg3(payload), world.clock)
-        phases["finalize"] = diff_counts(before, user.ops.snapshot())
+        phases["finalize"] = diff_counts(initiated, user.ops.snapshot())
         stage = "complete"
     except ProtocolError as exc:
         error = type(exc).__name__

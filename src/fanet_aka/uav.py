@@ -53,23 +53,23 @@ class Uav:
         n_j = self.ops.xor(msg2.v1, self.ops.h(self.id_j, self.tc_id_j, r_j))
         # recovered nonce must carry the 32-bit zero prefix of a lifted
         # 128-bit nonce; anything else is a tampered or misdirected message
-        if n_j.slice(0, DIGEST_BITS - NONCE_BITS).value != 0:
+        if n_j.value >> NONCE_BITS:
             raise MacMismatch("recovered nonce prefix violates width rule")
         tid_j = self.ops.h(self.id_j, n_j)
         if self.ops.h(msg2.v1, tid_j, r_j, msg2.ts2) != msg2.mac2:
             raise MacMismatch("MSG2 authentication code mismatch")
         self.guard.accept(msg2.mac2, expiry)
 
-        n_k = random_nonce(rng)
+        n_k = lift(random_nonce(rng))
         ts3 = ts_bits(clock.now)
         tid_i = self.ops.xor(msg2.h_i, n_j)
-        v2 = self.ops.xor(self.ops.h(self.id_j, tid_i, ts3), lift(n_k))
+        v2 = self.ops.xor(self.ops.h(self.id_j, tid_i, ts3), n_k)
         f_i = self.ops.xor(msg2.f_i_dprime, r_j)
         rid_j = self.ops.xor(self.id_j, f_i)
         v3 = self.ops.h(tid_j, self.tc_id_j)
-        session_key = self.ops.h(v3, tid_i, rid_j, lift(n_k), ts3)
-        v4 = self.ops.xor(v3, self.ops.h(tid_i, rid_j, lift(n_k)))
-        v5 = self.ops.xor(self.ops.h(tid_i, rid_j, ts3), lift(n_k))
+        session_key = self.ops.h(v3, tid_i, rid_j, n_k, ts3)
+        v4 = self.ops.xor(v3, self.ops.h(tid_i, rid_j, n_k))
+        v5 = self.ops.xor(self.ops.h(tid_i, rid_j, ts3), n_k)
         return Msg3(v5=v5, v4=v4, ts3=ts3, v2=v2), session_key
 
     # -- adversary capability ----------------------------------------------------

@@ -50,7 +50,7 @@ class SmartCard:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class LoginContext:
     """Secrets recovered by a successful credential check; never persisted."""
 
@@ -60,7 +60,7 @@ class LoginContext:
     c_i: BitString
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingSession:
     """Values retained between sending MSG1 and processing MSG3. Single use."""
 

@@ -6,6 +6,10 @@ are carried out of band by the simulated channel and are excluded from the
 bit counts. Identities and digests are 160 bits, timestamps 32 bits, so
 the three key-agreement messages measure 672, 672 and 512 bits. The
 freshness decision on the 32-bit timestamp field lives here too.
+
+Message objects are mutable slotted records. The encoded payload is the
+immutable wire value: it is what the channel logs and what an intercept
+sees and may replace.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .errors import IncompleteTranscript, ReplayDetected, StaleTimestamp, WidthM
 F = DIGEST_BITS  # every non-timestamp wire field is one 160-bit element
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Msg1:
     """User to gateway: authentication request."""
 
@@ -33,7 +37,7 @@ class Msg1:
     KIND = "MSG1"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Msg2:
     """Gateway to UAV: relayed, re-keyed authentication material."""
 
@@ -47,7 +51,7 @@ class Msg2:
     KIND = "MSG2"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Msg3:
     """UAV to user: key confirmation. Note the timestamp sits third."""
 
@@ -60,7 +64,7 @@ class Msg3:
     KIND = "MSG3"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UserRegRequest:
     tid_i: BitString
     tpw_i: BitString
@@ -69,7 +73,7 @@ class UserRegRequest:
     KIND = "USER_REG_REQUEST"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UserRegResponse:
     tc_id_i: BitString
 
@@ -77,7 +81,7 @@ class UserRegResponse:
     KIND = "USER_REG_RESPONSE"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UavRegRequest:
     id_j: BitString
 
@@ -85,7 +89,7 @@ class UavRegRequest:
     KIND = "UAV_REG_REQUEST"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UavRegResponse:
     tc_id_j: BitString
     c_j: BitString
@@ -94,7 +98,7 @@ class UavRegResponse:
     KIND = "UAV_REG_RESPONSE"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UavRegSubmit:
     r_j: BitString
 
@@ -158,7 +162,7 @@ def decode_msg3(raw: BitString) -> Msg3:
 
 def ts_bits(tick: int) -> BitString:
     """Timestamp field: unsigned 32-bit simulated-clock ticks."""
-    return BitString(TS_BITS, tick & 0xFFFFFFFF)
+    return _unchecked(TS_BITS, tick & 0xFFFFFFFF)
 
 
 def check_fresh(kind: str, ts: BitString, now: int, delta_t: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 from fanet_aka import closure
 from fanet_aka.bits import BitString, concat
 from fanet_aka.closure import compute_closure
-from fanet_aka.crypto import hash_parts, sha1_digest
+from fanet_aka.crypto import sha1_digest
 
 
 def _rand(width=160, seed=0):
@@ -68,17 +68,17 @@ def test_depth_zero_is_just_the_givens(monkeypatch):
 def test_hash_of_concatenation_is_explored():
     a, b = _rand(seed=12), _rand(seed=13)
     ts = BitString(32, 77)
-    targets = [hash_parts(a, b), hash_parts(b, a), hash_parts(a, b, ts), hash_parts(a, ts)]
+    targets = [sha1_digest(a, b), sha1_digest(b, a), sha1_digest(a, b, ts), sha1_digest(a, ts)]
     clo = compute_closure([a, b, ts], targets)
-    assert hash_parts(a, b) in clo
-    assert hash_parts(b, a) in clo
-    assert hash_parts(a, b, ts) in clo
-    assert hash_parts(a, ts) in clo
+    assert sha1_digest(a, b) in clo
+    assert sha1_digest(b, a) in clo
+    assert sha1_digest(a, b, ts) in clo
+    assert sha1_digest(a, ts) in clo
 
 
 def test_concat_hash_trace_reconstruction():
     a, b = _rand(seed=14), _rand(seed=15)
-    target = hash_parts(a, b)
+    target = sha1_digest(a, b)
     clo = compute_closure([a, b], [target])
     steps = clo.derivation(target)
     assert steps and "hash-concat" in steps[0]
@@ -106,7 +106,7 @@ def test_nonce_masked_by_multipart_hash_stays_hidden():
     # v = h(a || b) xor n with a, b unknown: n must not be derivable
     a, b = _rand(seed=21), _rand(seed=22)
     n = _rand(width=128, seed=23)
-    v = hash_parts(a, b) ^ n
+    v = sha1_digest(a, b) ^ n
     clo = compute_closure([v], [n, n.zext(160)])
     assert n not in clo
     assert n.zext(160) not in clo
@@ -126,9 +126,9 @@ def test_digest_mixtures_do_not_saturate_the_span():
 def test_budget_zero_skips_tuple_enumeration(monkeypatch):
     monkeypatch.setattr(closure, "BUDGET", 0)
     a, b = _rand(seed=41), _rand(seed=42)
-    clo = compute_closure([a, b], [hash_parts(a, b), sha1_digest(a)])
+    clo = compute_closure([a, b], [sha1_digest(a, b), sha1_digest(a)])
     assert clo.bulk_count == 0
-    assert hash_parts(a, b) not in clo
+    assert sha1_digest(a, b) not in clo
     assert sha1_digest(a) in clo  # single-term rule is not budgeted
 
 
@@ -152,8 +152,8 @@ def test_helper_data_reveals_nothing_about_the_key():
 def test_closure_is_deterministic():
     knowledge = [_rand(seed=s) for s in range(50, 56)]
     ts = BitString(32, 9)
-    targets = [hash_parts(knowledge[0], knowledge[1]), hash_parts(*knowledge[:3], ts),
-               hash_parts(knowledge[2], ts)]
+    targets = [sha1_digest(knowledge[0], knowledge[1]), sha1_digest(*knowledge[:3], ts),
+               sha1_digest(knowledge[2], ts)]
     a = compute_closure(knowledge + [ts], targets)
     b = compute_closure(knowledge + [ts], targets)
     assert a.hits == b.hits and len(a.hits) == len(targets)
@@ -163,10 +163,10 @@ def test_closure_is_deterministic():
 
 def test_undeclared_query_raises():
     a, b = _rand(seed=60), _rand(seed=61)
-    clo = compute_closure([a, b], [hash_parts(a, b)])
+    clo = compute_closure([a, b], [sha1_digest(a, b)])
     for query in (lambda t: t in clo, clo.derivation):
         with pytest.raises(ValueError):
-            query(hash_parts(b, a))
+            query(sha1_digest(b, a))
         with pytest.raises(ValueError):
             query(a)  # a given term is a member, but it was not declared
 
@@ -175,7 +175,7 @@ def test_ts4_shaped_target_trace_rehashes_to_target():
     # the session key's input shape: four field elements and one timestamp
     a, b, c, d = (_rand(seed=s) for s in range(62, 66))
     ts = BitString(32, 3)
-    target = hash_parts(a, b, c, d, ts)
+    target = sha1_digest(a, b, c, d, ts)
     clo = compute_closure([a, b, c, d, ts], [target])
     assert ("ts", 4) in clo.enumerated_shapes and not clo.skipped_shapes
     assert target in clo
@@ -183,7 +183,7 @@ def test_ts4_shaped_target_trace_rehashes_to_target():
     args = line[line.index("(") + 1:line.index(")")].split(", ")
     parts = [BitString.from_hex(h) for h in args]
     assert [p.width for p in parts] == [160] * 4 + [32]
-    assert hash_parts(*parts) == target
+    assert sha1_digest(*parts) == target
     assert line.endswith(f"= {target.hex()}")
 
 
@@ -192,7 +192,7 @@ def test_budget_starved_shape_is_listed_as_skipped(monkeypatch):
     atoms = [_rand(seed=s) for s in range(66, 76)] + [BitString(32, 1), BitString(32, 2)]
     # with the zero constants: 11 field atoms and 3 timestamps, so every
     # shape but ("ts", 4) (11**4 * 3 = 43,923 tuples) fits in 10,000
-    clo = compute_closure(atoms, [hash_parts(*atoms[:4], atoms[-1])])
+    clo = compute_closure(atoms, [sha1_digest(*atoms[:4], atoms[-1])])
     assert clo.skipped_shapes == [("ts", 4)]
     assert ("ts", 4) not in clo.enumerated_shapes
     assert clo.bulk_count == 11**2 + 11 * 3 + 11**3 + 11**2 * 3 + 11**3 * 3

@@ -2,12 +2,11 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanet_aka.bits import BitString, concat
 from fanet_aka.crypto import (BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE,
-                              PufDevice, fe_gen, fe_rep, hash_parts, lift, random_nonce,
-                              sha1_digest)
+                              PufDevice, fe_gen, fe_rep, lift, random_nonce, sha1_digest)
 from fanet_aka.errors import WidthMismatch
 
 
@@ -36,12 +35,17 @@ def test_sha1_pads_input_to_byte_boundary():
     assert sha1_digest(BitString(3, 0b101)).hex() == expected
 
 
-@given(st.integers(min_value=0, max_value=300).flatmap(
-    lambda w: st.tuples(st.just(w), st.integers(min_value=0, max_value=(1 << w) - 1))))
-def test_sha1_digest_matches_hashlib_on_the_padded_bytes(width_value):
-    x = BitString(*width_value)
-    expected = hashlib.sha1(x.to_bytes()).digest()
-    assert sha1_digest(x) == BitString.from_bytes(expected)
+_part = st.one_of(st.sampled_from([3, 12, 33]), st.integers(min_value=0, max_value=300)).flatmap(
+    lambda w: st.builds(BitString, st.just(w),
+                        st.integers(min_value=0, max_value=(1 << w) - 1)))
+
+
+@given(st.lists(_part, max_size=6))
+@example([BitString(3, 0b101), BitString(12, 0xABC), BitString(33, (1 << 33) - 1)])
+def test_sha1_digest_matches_hashlib_on_the_padded_bytes(parts):
+    # the parts are hashed as their concatenation, padded once at the end
+    expected = hashlib.sha1(concat(parts).to_bytes()).digest()
+    assert sha1_digest(*parts) == BitString.from_bytes(expected)
 
 
 def test_short_corpus_has_no_collisions():
@@ -86,6 +90,7 @@ def test_puf_deterministic_without_noise():
     challenge = BitString.random(160, random.Random(2))
     assert dev.eval(challenge) == dev.eval(challenge)
     assert dev.eval(challenge).width == 160
+    assert dev.eval(challenge).hex() == "1373e3816748765e24b52ee89e70c45dc106ed3a"
 
 
 def test_puf_rejects_bad_challenge_width():
@@ -195,12 +200,6 @@ def test_fe_beyond_tolerance_matches_bit_flip_oracle():
     assert got == expected
 
 
-def test_hash_parts_matches_manual_concatenation():
-    a, b = BitString.from_text("a"), BitString.from_text("b")
-    from fanet_aka.bits import concat
-    assert hash_parts(a, b) == sha1_digest(concat([a, b]))
-
-
 def _slice_reference_rep(bio, tau):
     """Majority decode written with BitString slices, one block at a time."""
     noisy = tau ^ bio
@@ -210,14 +209,20 @@ def _slice_reference_rep(bio, tau):
     return sha1_digest(concat(word))
 
 
-@given(st.data())
-def test_fe_rep_integer_decode_matches_slice_reference(data):
-    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(st.integers(min_value=0, max_value=FE_REPETITION),
+                min_size=FE_KEY_BITS, max_size=FE_KEY_BITS))
+@example(0, [FE_TOLERANCE] * FE_KEY_BITS)
+@example(1, [FE_TOLERANCE + 1] * FE_KEY_BITS)
+@example(2, [FE_REPETITION] * FE_KEY_BITS)
+@example(3, [FE_TOLERANCE, FE_TOLERANCE + 1] * (FE_KEY_BITS // 2))
+def test_fe_rep_integer_decode_matches_slice_reference(seed, flips):
+    # fe_rep decodes two blocks per step from a table; the reference, one
+    # block at a time, must agree at, and beyond, the tolerance of each block
+    rng = random.Random(seed)
     bio = BitString.random(BIO_BITS, rng)
     sigma, tau = fe_gen(bio, rng)
     r = FE_REPETITION
-    flips = data.draw(st.lists(st.integers(min_value=0, max_value=r),
-                               min_size=FE_KEY_BITS, max_size=FE_KEY_BITS))
     error = 0
     for count in flips:
         error = (error << r) | sum(1 << i for i in rng.sample(range(r), count))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fanet_aka.bits import BitString
-from fanet_aka.crypto import hash_parts
+from fanet_aka.crypto import sha1_digest
 from fanet_aka.errors import (DuplicateRegistration, MacMismatch,
                               ReplayDetected, StaleTimestamp, UnknownUav)
 from fanet_aka.gwn import Gateway
@@ -23,7 +23,7 @@ def test_register_user_cancellation_identity():
     request = UserRegRequest(tid_i=BitString(160, 111), tpw_i=BitString(160, 222))
     response = gwn.register_user(request)
     recovered = response.tc_id_i ^ request.tid_i ^ request.tpw_i
-    assert recovered == hash_parts(gwn.id_g,
+    assert recovered == sha1_digest(gwn.id_g,
                                    BitString.from_hex(gwn.export_secret()))
 
 
@@ -175,9 +175,9 @@ def test_relay_requires_registration_argument_order():
     secrets = world.user_secrets["alice"]
     ctx = user.login(secrets["password"], secrets["bio"])
     s = BitString.from_hex(world.gateway.export_secret())
-    assert ctx.c_i == hash_parts(world.gateway.id_g, s)
+    assert ctx.c_i == sha1_digest(world.gateway.id_g, s)
 
-    ctx.c_i = hash_parts(s, world.gateway.id_g)  # reversed order
+    ctx.c_i = sha1_digest(s, world.gateway.id_g)  # reversed order
     msg1 = user.aka_initiate(ctx, "uav-1", world.clock)
     with pytest.raises((MacMismatch, UnknownUav)):
         world.gateway.relay_auth(msg1, world.clock, world.rng)

@@ -1,8 +1,8 @@
 import pytest
 
-from fanet_aka import metrics
+from fanet_aka import bits, metrics
 from fanet_aka.bits import BitString
-from fanet_aka.crypto import hash_parts, lift
+from fanet_aka.crypto import lift, sha1_digest
 from fanet_aka.errors import IncompleteTranscript
 from fanet_aka.metrics import (BASELINES, OpCounter, TIMING_PRESET_MS,
                                count_session, estimate_ms, overhead_report,
@@ -70,14 +70,14 @@ def test_session_key_recorded_inputs_rehash_to_the_key():
         result = run_aka(world, "alice", "uav-1")
     parts = hashes[result.user_sk]
     assert [p.width for p in parts] == [160] * 4 + [32]
-    assert hash_parts(*parts) == result.user_sk == result.uav_sk
+    assert sha1_digest(*parts) == result.user_sk == result.uav_sk
     # (v3, TID_i, RID_j, N_k, ts3); TID_i hashes (ID_i, lift(N_i))
     tid_i = parts[1]
     assert tid_i == world.user_secrets["alice"]["tid_i"]
     id_i, n_i = hashes[tid_i]
     assert id_i == world.users["alice"].id_i
     assert n_i == lift(BitString(128, n_i.value))
-    assert hash_parts(id_i, n_i) == tid_i
+    assert sha1_digest(id_i, n_i) == tid_i
 
 
 def test_count_session_matches_reference_tallies():
@@ -88,6 +88,37 @@ def test_count_session_matches_reference_tallies():
     assert counts["gwn"]["puf"] == 0
     assert counts["uav"]["puf"] == 1
     assert counts["uav"]["hash"] == 8
+
+
+def test_honest_session_builds_at_most_73_bit_strings(monkeypatch):
+    # every BitString is built by bits._new (unchecked) or by __init__; an
+    # honest session builds about one per primitive result (104 before the
+    # hash, XOR and message layers were flattened)
+    world = build_world(SimConfig(seed=0))
+    enroll_user(world, "alice", "pw-alice")
+    enroll_uav(world, "uav-1")
+    built = 0
+    new, init = bits._new, BitString.__init__
+
+    def counted_new(cls):
+        nonlocal built
+        built += 1
+        return new(cls)
+
+    def counted_init(self, width, value):
+        nonlocal built
+        built += 1
+        init(self, width, value)
+
+    monkeypatch.setattr(bits, "_new", counted_new)
+    monkeypatch.setattr(BitString, "__init__", counted_init)
+    result = run_aka(world, "alice", "uav-1")
+    monkeypatch.undo()
+    assert result.ok and result.keys_agree
+    assert built <= 73
+    assert result.op_counts == {"user": {"hash": 11, "puf": 0, "fe": 1, "xor": 7},
+                                "gwn": {"hash": 6, "puf": 0, "fe": 0, "xor": 6},
+                                "uav": {"hash": 8, "puf": 1, "fe": 0, "xor": 7}}
 
 
 def test_user_phase_decomposition_is_pinned():

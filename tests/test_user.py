@@ -5,7 +5,7 @@ import pytest
 
 from fanet_aka.bits import BitString
 from fanet_aka.crypto import (BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE, fe_rep,
-                              hash_parts)
+                              sha1_digest)
 from fanet_aka.errors import AuthFailed, LoginFailed, ProtocolError
 from fanet_aka.gwn import Gateway
 from fanet_aka.simnet import SimConfig, build_world, enroll_user, enroll_uav, run_aka
@@ -53,7 +53,7 @@ def test_same_password_different_nonce_different_tpw():
 def test_card_carries_gateway_digest():
     # C_i must cancel down to the gateway's own digest of (identity, secret)
     user, gwn, _, _, _ = _registered_user()
-    expected = hash_parts(gwn.id_g, BitString.from_hex(gwn.export_secret()))
+    expected = sha1_digest(gwn.id_g, BitString.from_hex(gwn.export_secret()))
     assert user.card.c_i == expected
 
 
@@ -168,8 +168,8 @@ def test_relay_recovers_pseudonym_from_request():
     msg1 = user.aka_initiate(ctx, "uav-1", world.clock)
 
     s = BitString.from_hex(world.gateway.export_secret())
-    m1 = hash_parts(world.gateway.id_g, s)
-    e_i = hash_parts(m1, msg1.ts1)
+    m1 = sha1_digest(world.gateway.id_g, s)
+    e_i = sha1_digest(m1, msg1.ts1)
     assert msg1.g_i ^ (msg1.f_i_prime ^ e_i) == ctx.tid_i
 
 
