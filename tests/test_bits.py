@@ -21,6 +21,8 @@ def test_width_is_validated():
         BitString(4, 16)
     with pytest.raises(ValueError):
         BitString(-1, 0)
+    with pytest.raises(ValueError, match="negative width"):
+        BitString.random(-1, random.Random(0))
     assert BitString(0, 0).width == 0
 
 
