@@ -48,6 +48,12 @@ def test_sha1_digest_matches_hashlib_on_the_padded_bytes(parts):
     assert sha1_digest(*parts) == BitString.from_bytes(expected)
 
 
+def test_hash_parts_matches_manual_concatenation():
+    # h(a || b) over separate parts equals the digest of their concatenation
+    a, b = BitString.from_text("a"), BitString.from_text("b")
+    assert sha1_digest(a, b) == sha1_digest(concat([a, b]))
+
+
 def test_short_corpus_has_no_collisions():
     corpus = [BitString.from_text(f"input-{i}") for i in range(200)]
     digests = {sha1_digest(x).value for x in corpus}
