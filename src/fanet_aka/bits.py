@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 from .errors import WidthMismatch
 
 TEXT_BYTES = 20  # identities and passwords fill one 160-bit field
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 class BitString:
@@ -77,11 +78,15 @@ class BitString:
     def from_hex(cls, text: str, width: int | None = None) -> "BitString":
         """Inverse of :meth:`hex`.
 
+        The text must be hex digits alone, or ValueError is raised: no
+        ``0x``, sign, ``_`` or space, which ``int(text, 16)`` would take.
         Without ``width`` every digit is four bits. With it, the text must
         be exactly the ``2 * ceil(width / 8)`` digits :meth:`hex` writes,
         with the padding bits zero; anything else raises WidthMismatch.
         """
-        text = text.strip().lower()
+        text = text.lower()
+        if not _HEX_DIGITS.issuperset(text):
+            raise ValueError(f"not hex digits: {text!r}")
         value = int(text, 16) if text else 0
         if width is None:
             return cls(4 * len(text), value)

@@ -83,7 +83,13 @@ def _sim_config(args) -> SimConfig:
     cfg = _load_config_file(Path(args.config)) if args.config else SimConfig()
     flags = {f.name: getattr(args, f.name) for f in fields(SimConfig)
              if getattr(args, f.name) is not None}
-    return replace(cfg, **flags)
+    cfg = replace(cfg, **flags)
+    # below one tick not even the current tick is fresh; check_fresh's serial
+    # offset never reaches 2**31 ticks, so a window that wide never expires
+    if not 1 <= cfg.delta_t < 2**31:
+        raise ConfigError(f"delta_t must be at least 1 and below 2**31, "
+                          f"got {cfg.delta_t}")
+    return cfg
 
 
 def _load_config_file(path: Path) -> SimConfig:
@@ -103,14 +109,18 @@ def _load_config_file(path: Path) -> SimConfig:
                 doc[key.strip()] = value.strip()
     except (ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     known = SimConfig().__dict__
     values = {}
     for key, value in doc.items():
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        target = type(known[key])
         try:
-            values[key] = target(value)
+            # every knob is an integer: a bool or a fraction is refused, not truncated
+            if isinstance(value, bool):
+                raise TypeError("a bool is not a number")
+            values[key] = int(value) if isinstance(value, str) else operator.index(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     return SimConfig(**values)

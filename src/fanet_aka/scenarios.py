@@ -9,8 +9,10 @@ actually attempting the attack against the real state machines.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
 from .bits import BitString
 from .closure import compute_closure
@@ -57,12 +59,34 @@ def _world(cfg: SimConfig, name: str, users=("alice",), uavs=("uav-1",)) -> Worl
     return world
 
 
-def _finish(report: ScenarioReport, world: World, result=None) -> ScenarioReport:
-    if result is not None and result.ok:
-        report.op_counts = result.op_counts
-        report.bit_counts = protocol_bits(result.transcript)
-    report.transcript = [tr.to_json() for tr in world.channel.log]
-    return report
+#: The catalog, in registration order: the order the feature matrix reports.
+SCENARIOS: dict[str, Callable[[SimConfig], ScenarioReport]] = {}
+
+
+def _scenario(users=("alice",), uavs=("uav-1",)):
+    """Register ``attack(report, world, cfg)`` as the scenario ``(cfg) -> report``.
+
+    The attack's function name is its catalog key, its report's name and
+    its world's rng label. It returns the run whose counts the report
+    carries, or None; the report's transcript is the channel log.
+    """
+    def register(attack):
+        name = attack.__name__
+
+        @functools.wraps(attack)
+        def scenario(cfg: SimConfig) -> ScenarioReport:
+            report = ScenarioReport(name, cfg.seed)
+            world = _world(cfg, name, users, uavs)
+            result = attack(report, world, cfg)
+            if result is not None and result.ok:
+                report.op_counts = result.op_counts
+                report.bit_counts = protocol_bits(result.transcript)
+            report.transcript = [tr.to_json() for tr in world.channel.log]
+            return report
+
+        SCENARIOS[name] = scenario
+        return scenario
+    return register
 
 
 def _variants(term: BitString) -> list[BitString]:
@@ -92,10 +116,9 @@ def _not_derivable(report, knowledge: list[BitString], claims: dict) -> None:
 # catalog
 # ---------------------------------------------------------------------------
 
-def stolen_card(cfg: SimConfig) -> ScenarioReport:
+@_scenario()
+def stolen_card(report: ScenarioReport, world: World, cfg: SimConfig):
     """Card theft with full power-analysis readout of the card contents."""
-    report = ScenarioReport("stolen_card", cfg.seed)
-    world = _world(cfg, "stolen_card")
     with recording() as hashes:
         result = run_aka(world, "alice", "uav-1")
     report.check("honest session completes", result.ok and result.keys_agree)
@@ -126,26 +149,24 @@ def stolen_card(cfg: SimConfig) -> ScenarioReport:
             "sigma_i": sigma_i,
         },
     })
-    return _finish(report, world, result)
+    return result
 
 
-def privileged_insider(cfg: SimConfig) -> ScenarioReport:
+@_scenario()
+def privileged_insider(report: ScenarioReport, world: World, cfg: SimConfig):
     """Insider sees the secure registration request."""
-    report = ScenarioReport("privileged_insider", cfg.seed)
-    world = _world(cfg, "privileged_insider")
     result = run_aka(world, "alice", "uav-1")
     report.check("honest session completes", result.ok and result.keys_agree)
 
-    insider = world.adversary(insider=True)
     secrets = world.user_secrets["alice"]
-    _not_derivable(report, insider.observe(), {
+    _not_derivable(report, [tr.payload for tr in world.channel.log], {
         "password stays hidden from insider": {
             "pw_i": BitString.from_text(secrets["password"]),
             "id_i": world.users["alice"].id_i,
         },
         "session key stays hidden from insider": {"sk": result.user_sk},
     })
-    return _finish(report, world, result)
+    return result
 
 
 #: Random forgeries tried per message in ``impersonation``.
@@ -154,10 +175,9 @@ ATTEMPTS = 48
 FLOOD = 10_000
 
 
-def impersonation(cfg: SimConfig) -> ScenarioReport:
+@_scenario()
+def impersonation(report: ScenarioReport, world: World, cfg: SimConfig):
     """Forged messages from transcript knowledge are always rejected."""
-    report = ScenarioReport("impersonation", cfg.seed)
-    world = _world(cfg, "impersonation")
     rng = random.Random(f"{cfg.seed}:impersonation:forge")
     honest = run_aka(world, "alice", "uav-1")
     report.check("honest session completes", honest.ok)
@@ -219,13 +239,12 @@ def impersonation(cfg: SimConfig) -> ScenarioReport:
 
     report.check("all forgeries rejected",
                  all(n == 0 for n in accepted.values()), accepted=accepted)
-    return _finish(report, world, honest)
+    return honest
 
 
-def anonymity_untraceability(cfg: SimConfig) -> ScenarioReport:
+@_scenario()
+def anonymity_untraceability(report: ScenarioReport, world: World, cfg: SimConfig):
     """Transcripts reveal no identity and no linkable request fields."""
-    report = ScenarioReport("anonymity_untraceability", cfg.seed)
-    world = _world(cfg, "anonymity_untraceability")
     first = run_aka(world, "alice", "uav-1")
     world.clock.advance(cfg.delta_t + 1)
     second = run_aka(world, "alice", "uav-1")
@@ -246,14 +265,12 @@ def anonymity_untraceability(cfg: SimConfig) -> ScenarioReport:
                  if getattr(a, f.name) == getattr(b, f.name)]
     report.check("no request field repeats across sessions",
                  not identical, identical_fields=identical)
-    return _finish(report, world, second)
+    return second
 
 
-def uav_capture(cfg: SimConfig) -> ScenarioReport:
+@_scenario(users=("alice", "bob"), uavs=("uav-1", "uav-2"))
+def uav_capture(report: ScenarioReport, world: World, cfg: SimConfig):
     """Physical capture of one UAV leaves sessions and peers intact."""
-    report = ScenarioReport("uav_capture", cfg.seed)
-    world = _world(cfg, "uav_capture", users=("alice", "bob"),
-                   uavs=("uav-1", "uav-2"))
     result = run_aka(world, "alice", "uav-1")
     report.check("honest session completes", result.ok and result.keys_agree)
 
@@ -275,13 +292,12 @@ def uav_capture(cfg: SimConfig) -> ScenarioReport:
     report.check("uncompromised pairs still agree on keys",
                  other.ok and other.keys_agree
                  and same_user.ok and same_user.keys_agree)
-    return _finish(report, world, result)
+    return result
 
 
-def mutual_auth(cfg: SimConfig) -> ScenarioReport:
+@_scenario()
+def mutual_auth(report: ScenarioReport, world: World, cfg: SimConfig):
     """All verification checks pass and both sides derive the same key."""
-    report = ScenarioReport("mutual_auth", cfg.seed)
-    world = _world(cfg, "mutual_auth")
     result = run_aka(world, "alice", "uav-1")
     report.check("credential, relay and responder checks pass",
                  all(result.checks.values()), checks=result.checks)
@@ -292,14 +308,12 @@ def mutual_auth(cfg: SimConfig) -> ScenarioReport:
     report.check("measured message bits", bits == {
         "MSG1": 672, "MSG2": 672, "MSG3": 512, "total": 1856, "message_count": 3,
     }, measured=bits)
-    return _finish(report, world, result)
+    return result
 
 
-def replay(cfg: SimConfig) -> ScenarioReport:
+@_scenario()
+def replay(report: ScenarioReport, world: World, cfg: SimConfig):
     """Replays bounce off the MAC cache in-window and freshness out-of-window."""
-    report = ScenarioReport("replay", cfg.seed)
-    world = _world(cfg, "replay")
-    adversary = world.adversary()
     user, gwn, uav = world.users["alice"], world.gateway, world.uavs["uav-1"]
     secrets = world.user_secrets["alice"]
 
@@ -310,46 +324,28 @@ def replay(cfg: SimConfig) -> ScenarioReport:
     tr2 = world.channel.send(gwn.identity, "uav-1", "MSG2", encode(msg2))
     report.check("original messages accepted", True)
 
-    outcomes = {}
-    copy1 = adversary.replay(tr1)
-    outcomes["MSG1 within window"] = _expect(
-        lambda: gwn.relay_auth(decode(Msg1, copy1.payload), world.clock, world.rng),
-        ReplayDetected)
-    msg3, _ = uav.aka_respond(decode(Msg2, tr2.payload), world.clock, world.rng)
-    copy2 = adversary.replay(tr2)
-    outcomes["MSG2 within window"] = _expect(
-        lambda: uav.aka_respond(decode(Msg2, copy2.payload), world.clock, world.rng),
-        ReplayDetected)
+    def replayed(tr, cls, receive, when: str, expected: type) -> None:
+        """Replay ``tr`` into ``receive``; the claim holds if it raises ``expected``."""
+        claim = f"{tr.kind} {when} rejected"
+        copy = world.channel.replay(tr)
+        try:
+            receive(decode(cls, copy.payload), world.clock, world.rng)
+        except ProtocolError as exc:
+            report.check(claim, isinstance(exc, expected), rejection=type(exc).__name__)
+        else:
+            report.check(claim, False, rejection="accepted")
 
+    replayed(tr1, Msg1, gwn.relay_auth, "within window", ReplayDetected)
+    uav.aka_respond(decode(Msg2, tr2.payload), world.clock, world.rng)
+    replayed(tr2, Msg2, uav.aka_respond, "within window", ReplayDetected)
     world.clock.advance(cfg.delta_t + 1)
-    late1 = adversary.replay(tr1)
-    outcomes["MSG1 after window"] = _expect(
-        lambda: gwn.relay_auth(decode(Msg1, late1.payload), world.clock, world.rng),
-        StaleTimestamp)
-    late2 = adversary.replay(tr2)
-    outcomes["MSG2 after window"] = _expect(
-        lambda: uav.aka_respond(decode(Msg2, late2.payload), world.clock, world.rng),
-        StaleTimestamp)
-
-    for claim, outcome in outcomes.items():
-        report.check(f"{claim} rejected", outcome[0], rejection=outcome[1])
-    return _finish(report, world)
+    replayed(tr1, Msg1, gwn.relay_auth, "after window", StaleTimestamp)
+    replayed(tr2, Msg2, uav.aka_respond, "after window", StaleTimestamp)
 
 
-def _expect(action, exc_type) -> tuple[bool, str]:
-    try:
-        action()
-    except exc_type as exc:
-        return True, type(exc).__name__
-    except ProtocolError as exc:
-        return False, type(exc).__name__
-    return False, "accepted"
-
-
-def mitm(cfg: SimConfig) -> ScenarioReport:
+@_scenario()
+def mitm(report: ScenarioReport, world: World, cfg: SimConfig):
     """Per-field substitutions never end with both sides agreeing on a key."""
-    report = ScenarioReport("mitm", cfg.seed)
-    world = _world(cfg, "mitm")
     rng = random.Random(f"{cfg.seed}:mitm:fields")
     reference = run_aka(world, "alice", "uav-1")
     report.check("honest session completes", reference.ok)
@@ -387,16 +383,15 @@ def mitm(cfg: SimConfig) -> ScenarioReport:
                     undetected.append(f"{kind}.{name}:{substitute}")
     report.check("no substitution yields agreeing keys", not undetected,
                  undetected=undetected, no_op_substitutions=skipped)
-    return _finish(report, world, reference)
+    return reference
 
 
 POSITIVE_CONTROL = "engine positive control derives the key"
 
 
-def esl(cfg: SimConfig) -> ScenarioReport:
+@_scenario()
+def esl(report: ScenarioReport, world: World, cfg: SimConfig):
     """Leaked per-session randoms never surrender a session key."""
-    report = ScenarioReport("esl", cfg.seed)
-    world = _world(cfg, "esl")
     with recording() as hashes:
         session_a = run_aka(world, "alice", "uav-1")
         world.clock.advance(cfg.delta_t + 1)
@@ -428,13 +423,12 @@ def esl(cfg: SimConfig) -> ScenarioReport:
     control = compute_closure(pub_a + [n_k_a, tid_i, rid_j, v3], [session_a.user_sk])
     report.check(POSITIVE_CONTROL, session_a.user_sk in control,
                  derivation=control.derivation(session_a.user_sk))
-    return _finish(report, world, session_a)
+    return session_a
 
 
-def dos(cfg: SimConfig) -> ScenarioReport:
+@_scenario()
+def dos(report: ScenarioReport, world: World, cfg: SimConfig):
     """Garbage floods are rejected cheaply and emit nothing."""
-    report = ScenarioReport("dos", cfg.seed)
-    world = _world(cfg, "dos")
     rng = random.Random(f"{cfg.seed}:dos:flood")
     gwn = world.gateway
     gwn.ops.reset()
@@ -457,13 +451,11 @@ def dos(cfg: SimConfig) -> ScenarioReport:
     report.check("no relay message emitted", emitted == 0, emitted=emitted)
     report.check("per-message work bounded", max_hashes <= 3,
                  max_hashes_per_message=max_hashes, flood=FLOOD)
-    return _finish(report, world)
 
 
-def side_channel(cfg: SimConfig) -> ScenarioReport:
+@_scenario()
+def side_channel(report: ScenarioReport, world: World, cfg: SimConfig):
     """Physical readout exposes no response material: the PUF is not memory."""
-    report = ScenarioReport("side_channel", cfg.seed)
-    world = _world(cfg, "side_channel")
     result = run_aka(world, "alice", "uav-1")
     report.check("honest session completes", result.ok)
 
@@ -478,13 +470,12 @@ def side_channel(cfg: SimConfig) -> ScenarioReport:
     _not_derivable(report, readout + [tr.payload for tr in result.transcript], {
         "session key stays hidden": {"sk": result.user_sk},
     })
-    return _finish(report, world, result)
+    return result
 
 
-def crp_leakage(cfg: SimConfig) -> ScenarioReport:
+@_scenario(uavs=("uav-1", "uav-2"))
+def crp_leakage(report: ScenarioReport, world: World, cfg: SimConfig):
     """The challenge response never crosses the public channel."""
-    report = ScenarioReport("crp_leakage", cfg.seed)
-    world = _world(cfg, "crp_leakage", uavs=("uav-1", "uav-2"))
     results = []
     for uav_id in ("uav-1", "uav-2"):
         results.append(run_aka(world, "alice", uav_id))
@@ -503,23 +494,8 @@ def crp_leakage(cfg: SimConfig) -> ScenarioReport:
     _not_derivable(report, public, {
         "session key stays hidden": {"sk": results[0].user_sk},
     })
-    return _finish(report, world, results[0])
+    return results[0]
 
-
-SCENARIOS = {
-    "stolen_card": stolen_card,
-    "privileged_insider": privileged_insider,
-    "impersonation": impersonation,
-    "anonymity_untraceability": anonymity_untraceability,
-    "uav_capture": uav_capture,
-    "mutual_auth": mutual_auth,
-    "replay": replay,
-    "mitm": mitm,
-    "esl": esl,
-    "dos": dos,
-    "side_channel": side_channel,
-    "crp_leakage": crp_leakage,
-}
 
 #: Feature coverage: the twelve scenario verdicts plus the two lifecycle
 #: integrations, in the order the comparison matrix reports them.

@@ -1,12 +1,12 @@
 """Deterministic simulated network: logical clock, recorded channel,
-adversary actions, and the scripted honest-run driver.
+and the scripted honest-run driver.
 
 Everything is single threaded and driven explicitly by scenario code, so
 a (seed, script) pair always reproduces the same transcript byte for
-byte. The adversary owns the public channel in full: ``Adversary``
-observes and replays logged messages, and ``run_aka``'s ``intercept`` hook
-tampers with, delays or drops them in flight. Secure-channel payloads are
-invisible to it unless a scenario explicitly grants insider access.
+byte. The channel is the Dolev-Yao adversary: it observes its log,
+``Channel.replay`` re-sends a logged public message, and ``run_aka``'s
+``intercept`` hook tampers with, delays or drops messages in flight.
+Secure-channel messages are out of its reach; an insider scenario reads them.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class SimClock:
 
 @dataclass(slots=True)
 class Transmission:
-    """One logged channel event."""
+    """One logged channel event; ``replayed`` marks an adversary's copy."""
 
     tick: int
     origin: str
@@ -59,12 +59,12 @@ class Transmission:
     kind: str
     payload: BitString
     secure: bool = False
-    events: list = field(default_factory=list)
+    replayed: bool = False
 
     def to_json(self) -> dict:
         return {"tick": self.tick, "origin": self.origin, "dest": self.dest,
-                "kind": self.kind, "secure": self.secure,
-                "hex": self.payload.hex(), "events": list(self.events)}
+                "kind": self.kind, "secure": self.secure, "hex": self.payload.hex(),
+                "events": ["replayed"] if self.replayed else []}
 
 
 class Channel:
@@ -84,25 +84,12 @@ class Channel:
     def public_payloads(self) -> list[BitString]:
         return [tr.payload for tr in self.log if not tr.secure]
 
-
-class Adversary:
-    """Dolev-Yao observation and replay over the channel; replays are logged."""
-
-    def __init__(self, channel: Channel, insider: bool = False):
-        self.channel = channel
-        self.insider = insider
-
-    def observe(self) -> list[BitString]:
-        """Everything visible: public always, secure only for an insider."""
-        return [tr.payload for tr in self.channel.log
-                if self.insider or not tr.secure]
-
     def replay(self, tr: Transmission) -> Transmission:
-        if tr.secure and not self.insider:
+        """Re-send the logged public ``tr`` now; the copy is logged as replayed."""
+        if tr.secure:
             raise DisallowedAction("secure-channel message is out of reach")
-        copy = self.channel.send(tr.origin, tr.dest, tr.kind, tr.payload,
-                                 secure=tr.secure)
-        copy.events.append("replayed")
+        copy = self.send(tr.origin, tr.dest, tr.kind, tr.payload)
+        copy.replayed = True
         return copy
 
 
@@ -118,9 +105,6 @@ class World:
     users: dict[str, User] = field(default_factory=dict)
     uavs: dict[str, Uav] = field(default_factory=dict)
     user_secrets: dict[str, dict] = field(default_factory=dict)
-
-    def adversary(self, insider: bool = False) -> Adversary:
-        return Adversary(self.channel, insider=insider)
 
 
 def build_world(config: SimConfig | None = None,

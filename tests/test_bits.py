@@ -178,3 +178,8 @@ def test_from_hex_with_width_takes_exactly_the_hex_of_that_width():
     for text, width in (("ab", 160), ("00", 160), ("abcd", 8), ("a1", 3)):
         with pytest.raises(WidthMismatch):
             BitString.from_hex(text, width=width)
+    # int(text, 16) reads each of these as 0x0012; hex() writes none of them
+    for text in ("0x12", "+012", "0_12", "-012", " 012", "012 ", "0012\n"):
+        with pytest.raises(ValueError):
+            BitString.from_hex(text, width=16)
+    assert BitString.from_hex("0012", width=16) == BitString(16, 0x12)

@@ -81,6 +81,18 @@ def test_malformed_config_exit_code(tmp_path):
     (tmp_path / "unknown.cfg").write_text("no_such_knob = 1\n")
     proc = run_cli(["--config", "unknown.cfg", "init-gwn"], tmp_path, check=False)
     assert proc.returncode == 4
+    (tmp_path / "list.json").write_text("[1, 2]")
+    proc = run_cli(["--config", "list.json", "init-gwn"], tmp_path, check=False)
+    assert proc.returncode == 4 and "Traceback" not in proc.stderr
+    # a bool or a fraction is refused in either format, never truncated
+    for name, text in (("frac.json", '{"delta_t": 2.5}'),
+                       ("whole.json", '{"delta_t": 2.0}'),
+                       ("bool.json", '{"seed": true}'),
+                       ("frac.cfg", "delta_t = 2.5\n"), ("bool.cfg", "seed = true\n")):
+        (tmp_path / name).write_text(text)
+        proc = run_cli(["--config", name, "attack", "mutual_auth"], tmp_path, check=False)
+        assert proc.returncode == 4, name
+        assert proc.stderr.startswith("error: bad value for "), name
 
 
 def test_config_file_keys_are_applied(tmp_path):
@@ -98,6 +110,21 @@ def test_window_flag_reaches_every_party(tmp_path):
                     "--uav", "uav-1"], tmp_path, check=False)
     assert proc.returncode == 1
     assert "failed at MSG1: StaleTimestamp" in proc.stdout
+
+
+@pytest.mark.parametrize("window", ["0", "-1", str(2**31)])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_window_outside_its_range_is_refused(tmp_path, window, source):
+    if source == "flag":
+        args = [f"--delta-t={window}"]
+    else:
+        (tmp_path / "sim.cfg").write_text(f"delta_t = {window}\n")
+        args = ["--config", "sim.cfg"]
+    proc = run_cli([*args, "init-gwn"], tmp_path, check=False)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: delta_t must be")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "state").exists()
 
 
 def test_window_is_not_stored_in_state(tmp_path):
@@ -134,6 +161,9 @@ def test_init_gwn_refuses_a_populated_deployment(tmp_path):
     pytest.param("secrets.json", lambda doc: 5, id="secrets.json-number"),
     pytest.param("secrets.json", lambda doc: {**doc, "users": {
         "alice": {**doc["users"]["alice"], "password": 5}}}, id="secrets.json-number-password"),
+    # int(text, 16) reads this as a challenge with a zero first byte
+    pytest.param("uav_uav-1.json", lambda doc: {**doc, "c_j": "0x" + doc["c_j"][2:]},
+                 id="uav_uav-1.json-0x-c_j"),
 ])
 def test_malformed_state_file_exit_code(tmp_path, name, edit):
     bootstrap(tmp_path)

@@ -15,8 +15,17 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_passes_at_seed_zero(name):
     report = run_scenario(name, SimConfig(seed=0))
+    assert report.scenario == name
     failed = [v["claim"] for v in report.verdicts if not v["passed"]]
     assert report.passed, f"{name} failed: {failed}"
+
+
+def test_catalog_order_is_the_feature_order():
+    # registration order is definition order; moving a function reorders the matrix
+    assert list(SCENARIOS) == [name for _, name in FEATURES[:12]] == [
+        "stolen_card", "privileged_insider", "impersonation",
+        "anonymity_untraceability", "uav_capture", "mutual_auth", "replay",
+        "mitm", "esl", "dos", "side_channel", "crp_leakage"]
 
 
 def test_unknown_scenario_rejected():

@@ -39,23 +39,21 @@ def test_adversary_cannot_touch_secure_channel():
     world = _ready()
     secure_tr = world.channel.log[0]
     logged = len(world.channel.log)
-    adversary = world.adversary()
     with pytest.raises(DisallowedAction):
-        adversary.replay(secure_tr)
+        world.channel.replay(secure_tr)
     assert len(world.channel.log) == logged
-    assert adversary.observe() == []
-    insider = world.adversary(insider=True)
-    assert len(insider.observe()) == logged
-    assert insider.replay(secure_tr).secure
+    assert world.channel.public_payloads() == []
 
 
 def test_adversary_actions_are_logged():
     world = _ready()
     result = run_aka(world, "alice", "uav-1")
     tr = result.transcript[0]
-    copy = world.adversary().replay(tr)
+    copy = world.channel.replay(tr)
     assert copy is world.channel.log[-1]
-    assert copy.events == ["replayed"] and tr.events == []
+    assert copy.replayed and not tr.replayed
+    assert copy.to_json()["events"] == ["replayed"] and tr.to_json()["events"] == []
+    assert not copy.secure
     assert (copy.kind, copy.dest, copy.payload) == (tr.kind, tr.dest, tr.payload)
     assert copy.tick == world.clock.now
 
@@ -109,7 +107,7 @@ def test_msg1_replayed_after_the_clock_wrap_is_refused(start):
     tr = world.channel.send("alice", gwn.identity, "MSG1", encode(msg1))
     gwn.relay_auth(msg1, world.clock, world.rng)
     world.clock.advance(1)
-    copy = world.adversary().replay(tr)
+    copy = world.channel.replay(tr)
     with pytest.raises(ReplayDetected):
         gwn.relay_auth(decode_msg1(copy.payload), world.clock, world.rng)
 
