@@ -167,8 +167,13 @@ def load_world(state: StateDir, cfg: SimConfig,
             raise ConfigError("secrets.json lacks the gateway secret")
         return Gateway.from_json(doc, secret), operator.index(doc.get("clock", 0))
 
+    def parse_uav(doc: dict, name: str, seed: str) -> Uav:
+        if doc["identity"] != name:  # a session would run under the wrong id_j
+            raise ValueError(f"memory image of {doc['identity']!r}, not {name!r}")
+        return Uav.from_json(doc, seed)
+
     if new_gateway is not None:
-        gateway, now = Gateway(new_gateway, rng), 0
+        gateway, now = Gateway(new_gateway, BitString.random(SECRET_BITS, rng)), 0
     else:
         gateway, now = state.read("gwn.json", parse_gateway)
     clock = SimClock(cfg.delta_t, now)
@@ -180,7 +185,7 @@ def load_world(state: StateDir, cfg: SimConfig,
         world.user_secrets[name] = user_secret
     for name, seed in secrets["puf_seeds"].items():
         world.uavs[name] = state.read(f"uav_{name}.json",
-                                      lambda doc: Uav.from_json(doc, seed))
+                                      lambda doc: parse_uav(doc, name, seed))
     return world
 
 

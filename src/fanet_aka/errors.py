@@ -13,13 +13,8 @@ class LoginFailed(ProtocolError):
     """Local credential check failed.
 
     Deliberately cause-opaque: the message never says whether the password
-    or the biometric was wrong. The underlying cause is attached for the
-    test harness only, via ``debug_cause``.
+    or the biometric was wrong.
     """
-
-    def __init__(self, debug_cause: str = "unknown"):
-        super().__init__("login failed")
-        self.debug_cause = debug_cause
 
 
 class StaleTimestamp(ProtocolError):

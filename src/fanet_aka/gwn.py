@@ -49,15 +49,21 @@ class UavRecord:
 class Gateway:
     """Trusted gateway state machine."""
 
-    def __init__(self, identity: str, rng: random.Random):
+    def __init__(self, identity: str, secret: BitString,
+                 user_tids: set[BitString] | None = None,
+                 registry: dict[str, UavRecord] | None = None):
+        """A restored gateway also brings the pseudonyms and UAV records on file."""
         self.identity = identity
         self.id_g = BitString.from_text(identity)
-        self._s = BitString.random(SECRET_BITS, rng)
+        self._s = secret
         self.ops = OpCounter()
         self.guard = FreshnessGuard(Msg1.KIND)
-        self.user_tids: set[BitString] = set()
-        self.registry: dict[str, UavRecord] = {}
-        self._uav_index: dict[BitString, UavRecord] = {}
+        self.user_tids = set() if user_tids is None else user_tids
+        self.registry = {} if registry is None else registry
+        self._uav_index = {BitString.from_text(name): rec
+                           for name, rec in self.registry.items()}
+        if len(self._uav_index) != len(self.registry):
+            raise ValueError("two registered UAVs share a wire identity")
 
     # -- registrations (secure channel) -------------------------------------
 
@@ -150,18 +156,7 @@ class Gateway:
 
     @classmethod
     def from_json(cls, doc: dict, secret_hex: str) -> "Gateway":
-        gw = cls.__new__(cls)
-        gw.identity = doc["identity"]
-        gw.id_g = BitString.from_text(doc["identity"])
-        gw._s = BitString.from_hex(secret_hex, width=SECRET_BITS)
-        gw.ops = OpCounter()
-        gw.guard = FreshnessGuard(Msg1.KIND)
-        gw.user_tids = {BitString.from_hex(t, width=DIGEST_BITS)
-                        for t in doc["user_tids"]}
-        gw.registry = {name: UavRecord.from_json(rec)
-                       for name, rec in doc["registry"].items()}
-        gw._uav_index = {BitString.from_text(name): rec
-                         for name, rec in gw.registry.items()}
-        if len(gw._uav_index) != len(gw.registry):
-            raise ValueError("two registered UAVs share a wire identity")
-        return gw
+        return cls(doc["identity"], BitString.from_hex(secret_hex, width=SECRET_BITS),
+                   {BitString.from_hex(t, width=DIGEST_BITS) for t in doc["user_tids"]},
+                   {name: UavRecord.from_json(rec)
+                    for name, rec in doc["registry"].items()})

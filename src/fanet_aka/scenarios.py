@@ -16,7 +16,7 @@ from typing import Callable
 
 from .bits import BitString
 from .closure import compute_closure
-from .crypto import BIO_BITS, NONCE_BITS, fe_rep, lift, sha1_digest
+from .crypto import BIO_BITS, NONCE_BITS, lift, sha1_digest
 from .errors import (DuplicateRegistration, ProtocolError, ReplayDetected,
                      StaleTimestamp, UnknownScenario)
 from .metrics import recording
@@ -140,12 +140,13 @@ def stolen_card(report: ScenarioReport, world: World, cfg: SimConfig):
     })
 
     # offline guessing: even the right password plus the card yields no
-    # verifiable check value without the biometric key
-    sigma_i = fe_rep(secrets["bio"], card.tau_i)
+    # verifiable check value without the biometric key; login's check
+    # digest b_i hashes (ID_i, TPW_i, sigma_i)
+    _, tpw_i, sigma_i = hashes[card.b_i]
     guess = card_terms + [BitString.from_text(secrets["password"]), user.id_i]
     _not_derivable(report, guess, {
         "offline password guess yields no check value": {
-            "tpw_i": secrets["tpw_i"],
+            "tpw_i": tpw_i,
             "sigma_i": sigma_i,
         },
     })
@@ -319,9 +320,9 @@ def replay(report: ScenarioReport, world: World, cfg: SimConfig):
 
     ctx = user.login(secrets["password"], secrets["bio"])
     msg1 = user.aka_initiate(ctx, "uav-1", world.clock)
-    tr1 = world.channel.send("alice", gwn.identity, "MSG1", encode(msg1))
+    tr1 = world.channel.send("alice", gwn.identity, msg1)
     msg2 = gwn.relay_auth(decode(Msg1, tr1.payload), world.clock, world.rng)
-    tr2 = world.channel.send(gwn.identity, "uav-1", "MSG2", encode(msg2))
+    tr2 = world.channel.send(gwn.identity, "uav-1", msg2)
     report.check("original messages accepted", True)
 
     def replayed(tr, cls, receive, when: str, expected: type) -> None:
@@ -538,13 +539,12 @@ def run_lifecycle_update(cfg: SimConfig) -> dict:
 def run_lifecycle_replacement(cfg: SimConfig) -> dict:
     """Card replacement, replayed-pseudonym rejection, and a fresh session."""
     world = _world(cfg, "lifecycle_replacement")
-    old_tid = world.user_secrets["alice"]["tid_i"]
-    old_tpw = world.user_secrets["alice"]["tpw_i"]
+    original = next(tr for tr in world.channel.log if tr.kind == UserRegRequest.KIND)
     enroll_user(world, "alice", "replacement-pw")
 
     old_refused = False
     try:
-        world.gateway.register_user(UserRegRequest(tid_i=old_tid, tpw_i=old_tpw))
+        world.gateway.register_user(decode(UserRegRequest, original.payload))
     except DuplicateRegistration:
         old_refused = True
 

@@ -18,7 +18,7 @@ from typing import Callable
 from .bits import BitString
 from .crypto import BIO_BITS, PufDevice
 from .errors import DisallowedAction, ProtocolError
-from .gwn import Gateway
+from .gwn import SECRET_BITS, Gateway
 from .metrics import diff_counts
 from .uav import Uav
 from .user import User
@@ -74,10 +74,10 @@ class Channel:
         self.clock = clock
         self.log: list[Transmission] = []
 
-    def send(self, origin: str, dest: str, kind: str, payload: BitString,
-             secure: bool = False) -> Transmission:
+    def send(self, origin: str, dest: str, msg, secure: bool = False) -> Transmission:
+        """Encode ``msg`` and log it under its own kind."""
         tr = Transmission(tick=self.clock.now, origin=origin, dest=dest,
-                          kind=kind, payload=payload, secure=secure)
+                          kind=msg.KIND, payload=encode(msg), secure=secure)
         self.log.append(tr)
         return tr
 
@@ -88,8 +88,9 @@ class Channel:
         """Re-send the logged public ``tr`` now; the copy is logged as replayed."""
         if tr.secure:
             raise DisallowedAction("secure-channel message is out of reach")
-        copy = self.send(tr.origin, tr.dest, tr.kind, tr.payload)
-        copy.replayed = True
+        copy = Transmission(tick=self.clock.now, origin=tr.origin, dest=tr.dest,
+                            kind=tr.kind, payload=tr.payload, replayed=True)
+        self.log.append(copy)
         return copy
 
 
@@ -113,7 +114,7 @@ def build_world(config: SimConfig | None = None,
     rng = rng or random.Random(config.seed)
     clock = SimClock(config.delta_t)
     channel = Channel(clock)
-    gateway = Gateway("gateway-0", rng)
+    gateway = Gateway("gateway-0", BitString.random(SECRET_BITS, rng))
     return World(config=config, rng=rng, clock=clock, channel=channel,
                  gateway=gateway)
 
@@ -127,35 +128,28 @@ def enroll_user(world: World, identity: str, password: str) -> User:
     user = User(identity)
     bio = BitString.random(BIO_BITS, world.rng)
     request = user.register_begin(password, world.rng)
-    world.channel.send(identity, world.gateway.identity, wire.UserRegRequest.KIND,
-                       encode(request), secure=True)
+    world.channel.send(identity, world.gateway.identity, request, secure=True)
     response = world.gateway.register_user(request)
-    world.channel.send(world.gateway.identity, identity, wire.UserRegResponse.KIND,
-                       encode(response), secure=True)
+    world.channel.send(world.gateway.identity, identity, response, secure=True)
     user.register_complete(response, bio, world.rng)
     world.users[identity] = user
-    world.user_secrets[identity] = {
-        "password": password, "bio": bio,
-        "tid_i": request.tid_i, "tpw_i": request.tpw_i,
-    }
+    world.user_secrets[identity] = {"password": password, "bio": bio}
     return user
 
 
 def enroll_uav(world: World, identity: str, announce: bool = False) -> Uav:
     """Run the full UAV registration phase; ``announce`` tells every user.
     A name the gateway refuses draws and sends nothing."""
-    world.gateway.check_uav_name(identity)
+    gwn = world.gateway
+    id_j = gwn.check_uav_name(identity)
     puf = PufDevice.generate(world.rng)
-    uav = Uav(identity, puf)
-    world.channel.send(identity, world.gateway.identity, wire.UavRegRequest.KIND,
-                       encode(wire.UavRegRequest(id_j=uav.id_j)), secure=True)
-    response = world.gateway.register_uav_begin(identity, world.rng)
-    world.channel.send(world.gateway.identity, identity, wire.UavRegResponse.KIND,
-                       encode(response), secure=True)
-    submit = uav.register(response)
-    world.channel.send(identity, world.gateway.identity, wire.UavRegSubmit.KIND,
-                       encode(submit), secure=True)
-    world.gateway.register_uav_complete(identity, submit.r_j)
+    world.channel.send(identity, gwn.identity, wire.UavRegRequest(id_j=id_j), secure=True)
+    response = gwn.register_uav_begin(identity, world.rng)
+    world.channel.send(gwn.identity, identity, response, secure=True)
+    uav = Uav(identity, puf, response.c_j, response.tc_id_j)
+    submit = uav.register()
+    world.channel.send(identity, gwn.identity, submit, secure=True)
+    gwn.register_uav_complete(identity, submit.r_j)
     world.uavs[identity] = uav
     if announce:
         for user in world.users.values():
@@ -220,14 +214,13 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
     user_sk = uav_sk = error = None
 
     def send(origin: str, dest: str, msg) -> BitString:
-        payload = encode(msg)
-        tr = world.channel.send(origin, dest, msg.KIND, payload)
+        tr = world.channel.send(origin, dest, msg)
         if intercept is not None:
-            payload = intercept(msg.KIND, payload)
+            payload = intercept(tr.kind, tr.payload)
             if payload is None:
                 raise ProtocolError("dropped")
             tr.payload = payload
-        return payload
+        return tr.payload
 
     stage = "login"
     try:

@@ -12,31 +12,30 @@ import random
 from .bits import BitString
 from .crypto import (CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS, PUF_SEED_BITS, PufDevice,
                      lift, random_nonce)
-from .errors import MacMismatch, ProtocolError
+from .errors import MacMismatch
 from .metrics import OpCounter
-from .wire import FreshnessGuard, Msg2, Msg3, UavRegResponse, UavRegSubmit, ts_bits
+from .wire import FreshnessGuard, Msg2, Msg3, UavRegSubmit, ts_bits
 
 
 class Uav:
-    """Protocol state machine for one UAV."""
+    """Protocol state machine for one UAV, built from its enrollment response:
+    the gateway's challenge ``c_j`` and certificate ``tc_id_j``."""
 
-    def __init__(self, identity: str, puf: PufDevice):
+    def __init__(self, identity: str, puf: PufDevice, c_j: BitString,
+                 tc_id_j: BitString):
         self.identity = identity
         self.id_j = BitString.from_text(identity)
         self._puf = puf
+        self.c_j = c_j
+        self.tc_id_j = tc_id_j
         self.ops = OpCounter()
         self.guard = FreshnessGuard(Msg2.KIND)
-        self.c_j: BitString | None = None
-        self.tc_id_j: BitString | None = None
 
     # -- registration (secure channel) --------------------------------------
 
-    def register(self, response: UavRegResponse) -> UavRegSubmit:
-        """Answer the enrollment challenge; store only the public triple."""
-        self.c_j = response.c_j
-        self.tc_id_j = response.tc_id_j
-        r_j = self.ops.puf(self._puf, response.c_j)
-        return UavRegSubmit(r_j=r_j)
+    def register(self) -> UavRegSubmit:
+        """Answer the enrollment challenge with its PUF response."""
+        return UavRegSubmit(r_j=self.ops.puf(self._puf, self.c_j))
 
     # -- key agreement ---------------------------------------------------------
 
@@ -45,8 +44,6 @@ class Uav:
 
         No key material leaves this method on any error path.
         """
-        if self.c_j is None:
-            raise ProtocolError("UAV not registered")
         expiry = self.guard.check(msg2.mac2, msg2.ts2, clock)
 
         r_j = self.ops.puf(self._puf, self.c_j)
@@ -80,22 +77,17 @@ class Uav:
         The PUF seed is a hardware property, not memory contents, so it is
         deliberately absent.
         """
-        if self.c_j is None or self.tc_id_j is None:
-            raise ProtocolError("UAV not registered")
         return {"c_j": self.c_j, "id_j": self.id_j, "tc_id_j": self.tc_id_j}
 
     # -- persistence ----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.c_j is None or self.tc_id_j is None:
-            raise ProtocolError("UAV not registered")
         return {"identity": self.identity, "c_j": self.c_j.hex(),
                 "tc_id_j": self.tc_id_j.hex()}
 
     @classmethod
     def from_json(cls, doc: dict, puf_seed_hex: str) -> "Uav":
-        puf = PufDevice(BitString.from_hex(puf_seed_hex, width=PUF_SEED_BITS))
-        uav = cls(doc["identity"], puf)
-        uav.c_j = BitString.from_hex(doc["c_j"], width=CHALLENGE_BITS)
-        uav.tc_id_j = BitString.from_hex(doc["tc_id_j"], width=DIGEST_BITS)
-        return uav
+        return cls(doc["identity"],
+                   PufDevice(BitString.from_hex(puf_seed_hex, width=PUF_SEED_BITS)),
+                   BitString.from_hex(doc["c_j"], width=CHALLENGE_BITS),
+                   BitString.from_hex(doc["tc_id_j"], width=DIGEST_BITS))

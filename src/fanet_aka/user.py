@@ -108,12 +108,17 @@ class User:
         if self._reg is None:
             raise ProtocolError("no registration in progress")
         n_i, tid_i, tpw_i = self._reg
-        sigma, tau = self.ops.fe_gen(bio, rng)
-        a_i = self.ops.xor(lift(n_i), self.ops.h(self.id_i, sigma))
-        b_i = self.ops.h(self.id_i, tpw_i, sigma)
         c_i = self.ops.xor(self.ops.xor(response.tc_id_i, tid_i), tpw_i)
-        self.card = SmartCard(a_i=a_i, b_i=b_i, c_i=c_i, tau_i=tau)
         self._reg = None
+        return self._mint_card(lift(n_i), tpw_i, c_i, bio, rng)
+
+    def _mint_card(self, n_i: BitString, tpw_i: BitString, c_i: BitString,
+                   bio: BitString, rng: random.Random) -> SmartCard:
+        """The card for lifted nonce ``n_i`` and ``tpw_i`` under a fresh biometric key."""
+        sigma, tau = self.ops.fe_gen(bio, rng)
+        a_i = self.ops.xor(n_i, self.ops.h(self.id_i, sigma))
+        b_i = self.ops.h(self.id_i, tpw_i, sigma)
+        self.card = SmartCard(a_i=a_i, b_i=b_i, c_i=c_i, tau_i=tau)
         return self.card
 
     # -- login and key agreement ------------------------------------------
@@ -134,7 +139,7 @@ class User:
         tpw_star = self.ops.h(BitString.from_text(password), n_i_star)
         b_star = self.ops.h(self.id_i, tpw_star, sigma_star)
         if b_star != card.b_i:
-            raise LoginFailed(debug_cause="credential-check")
+            raise LoginFailed("login failed")
         return LoginContext(tid_i=tid_star, tpw_i=tpw_star, n_i=n_i_star,
                             c_i=card.c_i)
 
@@ -177,12 +182,8 @@ class User:
         card carries is the same before and after the update.
         """
         ctx = self.login(old_password, old_bio)
-        sigma_new, tau_new = self.ops.fe_gen(new_bio, rng)
         tpw_new = self.ops.h(BitString.from_text(new_password), ctx.n_i)
-        a_new = self.ops.xor(ctx.n_i, self.ops.h(self.id_i, sigma_new))
-        b_new = self.ops.h(self.id_i, tpw_new, sigma_new)
-        self.card = SmartCard(a_i=a_new, b_i=b_new, c_i=ctx.c_i, tau_i=tau_new)
-        return self.card
+        return self._mint_card(ctx.n_i, tpw_new, ctx.c_i, new_bio, rng)
 
     # -- bookkeeping --------------------------------------------------------
 

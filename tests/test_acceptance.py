@@ -100,6 +100,17 @@ def test_correctness_criterion_runs_under_the_callers_window():
     assert result.details["failing_seeds"] == [0, 1, 2]
 
 
+def test_runtime_overrun_keeps_the_report_deterministic(monkeypatch):
+    """An overrun fails its criterion and records the bound, not the wall time."""
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.timing_arithmetic])
+    monkeypatch.setitem(acceptance.RUNTIME_BOUNDS_S, 3, 0.0)
+    first, second = (_dump(acceptance.run_all(CONFIG)) for _ in range(2))
+    assert first == second
+    report = json.loads(first)
+    assert report["passed"] is False
+    assert report["criteria"][0]["details"]["runtime_bound_s"] == 0.0
+
+
 def test_selftest_cli_is_byte_deterministic(tmp_path, results):
     """The CLI selftest writes, byte for byte, the report of this process's run."""
     env = dict(os.environ)

@@ -164,6 +164,9 @@ def test_init_gwn_refuses_a_populated_deployment(tmp_path):
     # int(text, 16) reads this as a challenge with a zero first byte
     pytest.param("uav_uav-1.json", lambda doc: {**doc, "c_j": "0x" + doc["c_j"][2:]},
                  id="uav_uav-1.json-0x-c_j"),
+    # a session would run under uav-2's wire identity and fail its MAC
+    pytest.param("uav_uav-1.json", lambda doc: {**doc, "identity": "uav-2"},
+                 id="uav_uav-1.json-other-identity"),
 ])
 def test_malformed_state_file_exit_code(tmp_path, name, edit):
     bootstrap(tmp_path)

@@ -6,20 +6,20 @@ from fanet_aka.bits import BitString
 from fanet_aka.crypto import sha1_digest
 from fanet_aka.errors import (DuplicateRegistration, MacMismatch,
                               ReplayDetected, StaleTimestamp, UnknownUav)
-from fanet_aka.gwn import Gateway
+from fanet_aka.gwn import SECRET_BITS, Gateway
 from fanet_aka.simnet import SimConfig, SimClock, build_world, enroll_user, enroll_uav, run_aka
 from fanet_aka.wire import Msg1, UserRegRequest, decode_msg1, encode, ts_bits
 
 
 def test_gateway_secret_is_seed_deterministic():
-    assert Gateway("g", random.Random(0)).export_secret() == \
-        Gateway("g", random.Random(0)).export_secret()
-    assert Gateway("g", random.Random(0)).export_secret() != \
-        Gateway("g", random.Random(1)).export_secret()
+    def secret(seed):
+        return build_world(SimConfig(seed=seed)).gateway.export_secret()
+    assert secret(0) == secret(0)
+    assert secret(0) != secret(1)
 
 
 def test_register_user_cancellation_identity():
-    gwn = Gateway("gateway-0", random.Random(2))
+    gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, random.Random(2)))
     request = UserRegRequest(tid_i=BitString(160, 111), tpw_i=BitString(160, 222))
     response = gwn.register_user(request)
     recovered = response.tc_id_i ^ request.tid_i ^ request.tpw_i
@@ -31,13 +31,13 @@ def test_register_user_golden_seed_zero():
     rng = random.Random(0)
     from fanet_aka.user import User
     request = User("alice").register_begin("correct-horse", rng)
-    gwn = Gateway("gateway-0", random.Random(0))
+    gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, random.Random(0)))
     response = gwn.register_user(request)
     assert response.tc_id_i.hex() == "8ecf89a82baf010167098e07ae54eb16f6794148"
 
 
 def test_duplicate_user_registration_rejected():
-    gwn = Gateway("gateway-0", random.Random(2))
+    gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, random.Random(2)))
     request = UserRegRequest(tid_i=BitString(160, 1), tpw_i=BitString(160, 2))
     gwn.register_user(request)
     with pytest.raises(DuplicateRegistration):
@@ -46,7 +46,7 @@ def test_duplicate_user_registration_rejected():
 
 def test_uav_registration_flow():
     rng = random.Random(3)
-    gwn = Gateway("gateway-0", rng)
+    gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, rng))
     response = gwn.register_uav_begin("uav-1", rng)
     assert encode(response).width == 320
     with pytest.raises(DuplicateRegistration):
@@ -59,7 +59,7 @@ def test_uav_registration_flow():
 
 def test_distinct_uavs_get_distinct_challenges():
     rng = random.Random(4)
-    gwn = Gateway("gateway-0", rng)
+    gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, rng))
     challenges = {gwn.register_uav_begin(f"uav-{i}", rng).c_j.value
                   for i in range(20)}
     assert len(challenges) == 20
@@ -203,6 +203,13 @@ def test_registry_json_round_trip():
     restored = Gateway.from_json(doc, world.gateway.export_secret())
     assert restored.to_json() == doc
     assert restored.registry["uav-1"].r_j == world.gateway.registry["uav-1"].r_j
+
+
+def test_restored_gateway_has_the_attributes_of_a_new_one():
+    world = build_world(SimConfig(seed=14))
+    enroll_uav(world, "uav-1")
+    restored = Gateway.from_json(world.gateway.to_json(), world.gateway.export_secret())
+    assert vars(restored).keys() == vars(build_world().gateway).keys()
 
 
 def test_uav_sharing_a_wire_identity_is_refused():

@@ -8,7 +8,7 @@ from fanet_aka.metrics import (BASELINES, OpCounter, TIMING_PRESET_MS,
                                count_session, estimate_ms, overhead_report,
                                recording, render_table)
 from fanet_aka.simnet import SimConfig, build_world, enroll_user, enroll_uav, run_aka
-from fanet_aka.wire import protocol_bits
+from fanet_aka.wire import UserRegRequest, decode, protocol_bits
 
 
 def _session(seed=0):
@@ -73,7 +73,9 @@ def test_session_key_recorded_inputs_rehash_to_the_key():
     assert sha1_digest(*parts) == result.user_sk == result.uav_sk
     # (v3, TID_i, RID_j, N_k, ts3); TID_i hashes (ID_i, lift(N_i))
     tid_i = parts[1]
-    assert tid_i == world.user_secrets["alice"]["tid_i"]
+    request = world.channel.log[0]
+    assert request.kind == UserRegRequest.KIND
+    assert tid_i == decode(UserRegRequest, request.payload).tid_i
     id_i, n_i = hashes[tid_i]
     assert id_i == world.users["alice"].id_i
     assert n_i == lift(BitString(128, n_i.value))

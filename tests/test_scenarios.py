@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,6 +11,14 @@ from fanet_aka.scenarios import (FEATURES, SCENARIOS, feature_matrix,
 from fanet_aka.simnet import SimConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
+#: SHA-1 of each seed-0 scenario report and lifecycle result, as
+#: ``json.dumps(..., sort_keys=True)``; a change that moves a report on
+#: purpose re-records this file and says so.
+DIGESTS = json.loads((FIXTURES / "report_digests_seed0.json").read_text())
+
+
+def _digest(doc: dict) -> str:
+    return hashlib.sha1(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -18,6 +27,7 @@ def test_scenario_passes_at_seed_zero(name):
     assert report.scenario == name
     failed = [v["claim"] for v in report.verdicts if not v["passed"]]
     assert report.passed, f"{name} failed: {failed}"
+    assert _digest(report.to_json()) == DIGESTS[name]
 
 
 def test_catalog_order_is_the_feature_order():
@@ -72,16 +82,19 @@ def test_scenario_runs_do_not_share_state():
 def test_lifecycle_update_flow():
     outcome = run_lifecycle_update(SimConfig(seed=0))
     assert outcome["passed"], outcome
+    assert _digest(outcome) == DIGESTS["lifecycle_update"]
 
 
 def test_lifecycle_replacement_flow():
     outcome = run_lifecycle_replacement(SimConfig(seed=0))
     assert outcome["passed"], outcome
+    assert _digest(outcome) == DIGESTS["lifecycle_replacement"]
 
 
 def test_dynamic_addition_flow():
     outcome = run_dynamic_addition(SimConfig(seed=0))
     assert outcome["passed"], outcome
+    assert _digest(outcome) == DIGESTS["dynamic_addition"]
 
 
 def test_feature_matrix_covers_all_rows():

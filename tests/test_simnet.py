@@ -104,7 +104,7 @@ def test_msg1_replayed_after_the_clock_wrap_is_refused(start):
     secrets = world.user_secrets["alice"]
     msg1 = user.aka_initiate(user.login(secrets["password"], secrets["bio"]),
                              "uav-1", world.clock)
-    tr = world.channel.send("alice", gwn.identity, "MSG1", encode(msg1))
+    tr = world.channel.send("alice", gwn.identity, msg1)
     gwn.relay_auth(msg1, world.clock, world.rng)
     world.clock.advance(1)
     copy = world.channel.replay(tr)

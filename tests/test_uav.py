@@ -4,11 +4,10 @@ import pytest
 
 from fanet_aka.bits import BitString
 from fanet_aka.crypto import PufDevice
-from fanet_aka.errors import (MacMismatch, ProtocolError, ReplayDetected,
-                              StaleTimestamp)
+from fanet_aka.errors import MacMismatch, ReplayDetected, StaleTimestamp
 from fanet_aka.simnet import SimConfig, build_world, enroll_user, enroll_uav, run_aka
 from fanet_aka.uav import Uav
-from fanet_aka.wire import UavRegResponse, decode_msg2, encode
+from fanet_aka.wire import decode_msg2, encode
 
 
 def _world_with_msg2(seed=20):
@@ -28,13 +27,12 @@ def _world_with_msg2(seed=20):
 def test_register_stores_triple_and_returns_response():
     rng = random.Random(1)
     puf = PufDevice.generate(rng)
-    uav = Uav("uav-1", puf)
-    response = UavRegResponse(tc_id_j=BitString(160, 9),
-                              c_j=BitString.random(160, rng))
-    submit = uav.register(response)
-    assert submit.r_j == puf.eval(response.c_j)
-    assert uav.c_j == response.c_j
-    assert uav.tc_id_j == response.tc_id_j
+    c_j, tc_id_j = BitString.random(160, rng), BitString(160, 9)
+    uav = Uav("uav-1", puf, c_j, tc_id_j)
+    submit = uav.register()
+    assert submit.r_j == puf.eval(c_j)
+    assert uav.c_j == c_j
+    assert uav.tc_id_j == tc_id_j
 
 
 def test_same_challenge_different_devices_differ():
@@ -47,11 +45,8 @@ def test_same_challenge_different_devices_differ():
 
 def test_capture_memory_is_exactly_the_triple():
     rng = random.Random(3)
-    uav = Uav("uav-1", PufDevice.generate(rng))
-    with pytest.raises(ProtocolError):
-        uav.capture_memory()
-    uav.register(UavRegResponse(tc_id_j=BitString(160, 1),
-                                c_j=BitString.random(160, rng)))
+    uav = Uav("uav-1", PufDevice.generate(rng), BitString.random(160, rng),
+              BitString(160, 1))
     memory = uav.capture_memory()
     assert sorted(memory) == ["c_j", "id_j", "tc_id_j"]
     # neither the response nor the device seed is in the image
@@ -131,13 +126,6 @@ def test_respond_emits_no_key_on_error():
     tampered = decode_msg2(encode(msg2).flip(3))  # mac2 region
     with pytest.raises(MacMismatch):
         uav.aka_respond(tampered, world.clock, world.rng)
-
-
-def test_unregistered_uav_refuses_to_respond():
-    world, msg2 = _world_with_msg2()
-    fresh = Uav("uav-9", PufDevice.generate(world.rng))
-    with pytest.raises(ProtocolError):
-        fresh.aka_respond(msg2, world.clock, world.rng)
 
 
 def test_state_json_round_trip():
