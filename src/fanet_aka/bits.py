@@ -1,9 +1,13 @@
 """Fixed-width bit strings and the operators the protocol algebra runs on.
 
-Every identity, nonce, digest and message field is a :class:`BitString`.
-Widths are explicit and equality is bit-exact: ``BitString(32, 5)`` and
-``BitString(160, 5)`` are different values. Bit 0 is the most significant
-bit (big-endian), both for indexing and for the wire layout.
+Every value that leaves a protocol step is a :class:`BitString`: an
+identity, nonce, card or registry record, message field or session key.
+Inside a role step the algebra runs on the plain ``int`` of each 160-bit
+field (see :class:`~fanet_aka.metrics.OpCounter`), and only the results
+that leave the step are built as BitStrings. Widths are explicit and
+equality is bit-exact: ``BitString(32, 5)`` and ``BitString(160, 5)`` are
+different values. Bit 0 is the most significant bit (big-endian), both
+for indexing and for the wire layout.
 
 Values are validated where they enter: the public constructor and the
 ``from_*`` constructors check that the value fits its width. Values that

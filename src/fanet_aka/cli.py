@@ -165,7 +165,13 @@ def load_world(state: StateDir, cfg: SimConfig,
     def parse_gateway(doc: dict) -> tuple[Gateway, int]:
         if secret is None:
             raise ConfigError("secrets.json lacks the gateway secret")
-        return Gateway.from_json(doc, secret), operator.index(doc.get("clock", 0))
+        gateway = Gateway.from_json(doc, secret)
+        # a UAV the gateway forgot would fail every session and could be
+        # registered anew over its memory image
+        lost = set(secrets["puf_seeds"]) - set(gateway.registry)
+        if lost:
+            raise ValueError(f"registry lacks {sorted(lost)}")
+        return gateway, operator.index(doc.get("clock", 0))
 
     def parse_uav(doc: dict, name: str, seed: str) -> Uav:
         if doc["identity"] != name:  # a session would run under the wrong id_j

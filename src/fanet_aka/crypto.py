@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .bits import BitString, _unchecked
 from .errors import WidthMismatch
@@ -24,20 +25,34 @@ CHALLENGE_BITS = 160
 PUF_SEED_BITS = 256
 
 
-def sha1_digest(*parts: BitString) -> BitString:
-    """160-bit digest of the concatenation of ``parts`` (the protocol's h(a || b)).
+def sha1_value(parts) -> int:
+    """160-bit digest, as an int, of the concatenation of ``parts``.
 
+    A part is a :class:`BitString` or an ``int`` holding one 160-bit field.
     The concatenation is right-padded with zero bits to a byte boundary
     before hashing (see :meth:`BitString.to_bytes`); all parties share this
     rule, so digests computed from algebraically equal inputs match.
     """
     width = value = 0
     for part in parts:
-        width += part.width
-        value = (value << part.width) | part.value
+        if type(part) is int:
+            width += DIGEST_BITS
+            value = (value << DIGEST_BITS) | part
+        else:
+            width += part.width
+            value = (value << part.width) | part.value
     nbytes = (width + 7) >> 3
     raw = (value << (8 * nbytes - width)).to_bytes(nbytes, "big")
-    return _unchecked(DIGEST_BITS, int.from_bytes(hashlib.sha1(raw).digest(), "big"))
+    return int.from_bytes(hashlib.sha1(raw).digest(), "big")
+
+
+def sha1_digest(*parts: BitString) -> BitString:
+    """The protocol's h(a || b) as a 160-bit BitString (see :func:`sha1_value`)."""
+    return _unchecked(DIGEST_BITS, sha1_value(parts))
+
+
+#: A 160-bit field BitString from the int a role step computed.
+field = partial(_unchecked, DIGEST_BITS)
 
 
 def random_nonce(rng: random.Random) -> BitString:

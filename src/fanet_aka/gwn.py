@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .bits import BitString
-from .crypto import CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS, lift, random_nonce
+from .crypto import CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS, field, lift, random_nonce
 from .errors import DuplicateRegistration, MacMismatch, UnknownUav
 from .metrics import OpCounter
 from .wire import (FreshnessGuard, Msg1, Msg2, UavRegResponse, UserRegRequest,
@@ -60,7 +60,7 @@ class Gateway:
         self.guard = FreshnessGuard(Msg1.KIND)
         self.user_tids = set() if user_tids is None else user_tids
         self.registry = {} if registry is None else registry
-        self._uav_index = {BitString.from_text(name): rec
+        self._uav_index = {BitString.from_text(name).value: rec
                            for name, rec in self.registry.items()}
         if len(self._uav_index) != len(self.registry):
             raise ValueError("two registered UAVs share a wire identity")
@@ -75,17 +75,17 @@ class Gateway:
         """
         if request.tid_i in self.user_tids:
             raise DuplicateRegistration("pseudonym already registered")
-        tc = self.ops.xor(self.ops.xor(request.tid_i, request.tpw_i),
+        tc = self.ops.xor(self.ops.xor(request.tid_i.value, request.tpw_i.value),
                           self.ops.h(self.id_g, self._s))
         self.user_tids.add(request.tid_i)
-        return UserRegResponse(tc_id_i=tc)
+        return UserRegResponse(tc_id_i=field(tc))
 
     def check_uav_name(self, uav_identity: str) -> BitString:
         """Refuse a taken name or wire identity; return the wire identity."""
         if uav_identity in self.registry:
             raise DuplicateRegistration(f"{uav_identity} already registered")
         id_j = BitString.from_text(uav_identity)
-        if id_j in self._uav_index:
+        if id_j.value in self._uav_index:
             # from_text zero-pads, so "uav-1" and "uav-1\x00" are one identity
             raise DuplicateRegistration(f"{uav_identity!r} has the wire identity "
                                         f"of a registered UAV")
@@ -96,10 +96,10 @@ class Gateway:
         id_j = self.check_uav_name(uav_identity)
         n_j = random_nonce(rng)
         tid_j = self.ops.h(id_j, lift(n_j))
-        tc_id_j = self.ops.h(tid_j, self._s)
+        tc_id_j = field(self.ops.h(tid_j, self._s))
         c_j = BitString.random(CHALLENGE_BITS, rng)
         record = UavRecord(n_j=n_j, tc_id_j=tc_id_j, c_j=c_j)
-        self.registry[uav_identity] = self._uav_index[id_j] = record
+        self.registry[uav_identity] = self._uav_index[id_j.value] = record
         return UavRegResponse(tc_id_j=tc_id_j, c_j=c_j)
 
     def register_uav_complete(self, uav_identity: str, r_j: BitString) -> None:
@@ -117,29 +117,30 @@ class Gateway:
         the three digests needed to check its MAC, and nothing is emitted
         on any error path.
         """
-        expiry = self.guard.check(msg1.mac1, msg1.ts1, clock)
+        ts1 = msg1.ts1
+        expiry = self.guard.check(msg1.mac1, ts1, clock)
 
-        m1 = self.ops.h(self.id_g, self._s)
-        e_i = self.ops.h(m1, msg1.ts1)
-        f_i = self.ops.xor(e_i, msg1.f_i_prime)
-        tid_i = self.ops.xor(msg1.g_i, f_i)
-        if self.ops.h(tid_i, e_i, msg1.ts1) != msg1.mac1:
+        ops = self.ops
+        m1 = ops.h(self.id_g.value, self._s.value)
+        e_i = ops.h(m1, ts1)
+        f_i = ops.xor(e_i, msg1.f_i_prime.value)
+        tid_i = ops.xor(msg1.g_i.value, f_i)
+        if ops.h(tid_i, e_i, ts1) != msg1.mac1.value:
             raise MacMismatch("MSG1 authentication code mismatch")
 
-        id_j = self.ops.xor(msg1.rid_j, f_i)
+        id_j = ops.xor(msg1.rid_j.value, f_i)
         record = self._uav_index.get(id_j)
         if record is None or record.r_j is None:
             raise UnknownUav("recovered UAV identity not registered")
         self.guard.accept(msg1.mac1, expiry)
 
         ts2 = ts_bits(clock.now)
-        n_j = lift(record.n_j)
-        tid_j = self.ops.h(id_j, n_j)
-        v1 = self.ops.xor(self.ops.h(id_j, record.tc_id_j, record.r_j), n_j)
-        mac2 = self.ops.h(v1, tid_j, record.r_j, ts2)
-        f_i_dprime = self.ops.xor(f_i, record.r_j)
-        h_i = self.ops.xor(tid_i, n_j)
-        return Msg2(mac2=mac2, v1=v1, h_i=h_i, f_i_dprime=f_i_dprime, ts2=ts2)
+        n_j, r_j = record.n_j.value, record.r_j.value  # n_j lifted: the int is unchanged
+        tid_j = ops.h(id_j, n_j)
+        v1 = ops.xor(ops.h(id_j, record.tc_id_j.value, r_j), n_j)
+        mac2 = ops.h(v1, tid_j, r_j, ts2)
+        return Msg2(mac2=field(mac2), v1=field(v1), h_i=field(ops.xor(tid_i, n_j)),
+                    f_i_dprime=field(ops.xor(f_i, r_j)), ts2=ts2)
 
     # -- persistence ---------------------------------------------------------------
 

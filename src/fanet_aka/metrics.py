@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .bits import BitString
-from .crypto import PufDevice
+from .crypto import PufDevice, field, sha1_value
 from .errors import IncompleteTranscript
 
 #: Per-operation timing constants (milliseconds) used for *estimates* only.
@@ -101,6 +101,12 @@ def recording():
 class OpCounter:
     """Counted facade over the primitives, one per protocol role.
 
+    The role steps compute on plain ``int``s: :meth:`h` takes 160-bit
+    ``int`` fields and :class:`BitString` parts (timestamps, card records)
+    alike and returns the digest as an ``int``, and :meth:`xor` combines
+    two ints. Inside a :func:`recording` scope each digest is still keyed
+    and its parts kept as BitStrings, the ints as 160-bit fields.
+
     XOR is tallied for information only; it never enters time estimates.
     """
 
@@ -122,14 +128,15 @@ class OpCounter:
 
     # counted primitive calls -------------------------------------------
 
-    def h(self, *parts: BitString) -> BitString:
+    def h(self, *parts: int | BitString) -> int:
         self.hash_count += 1
-        digest = crypto.sha1_digest(*parts)
+        digest = sha1_value(parts)
         if _recorded is not None:
-            _recorded[digest] = parts
+            _recorded[field(digest)] = tuple(
+                field(part) if type(part) is int else part for part in parts)
         return digest
 
-    def xor(self, a: BitString, b: BitString) -> BitString:
+    def xor(self, a: int, b: int) -> int:
         self.xor_count += 1
         return a ^ b
 

@@ -11,7 +11,7 @@ import random
 
 from .bits import BitString
 from .crypto import (CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS, PUF_SEED_BITS, PufDevice,
-                     lift, random_nonce)
+                     field, random_nonce)
 from .errors import MacMismatch
 from .metrics import OpCounter
 from .wire import FreshnessGuard, Msg2, Msg3, UavRegSubmit, ts_bits
@@ -44,30 +44,33 @@ class Uav:
 
         No key material leaves this method on any error path.
         """
-        expiry = self.guard.check(msg2.mac2, msg2.ts2, clock)
+        ts2 = msg2.ts2
+        expiry = self.guard.check(msg2.mac2, ts2, clock)
 
-        r_j = self.ops.puf(self._puf, self.c_j)
-        n_j = self.ops.xor(msg2.v1, self.ops.h(self.id_j, self.tc_id_j, r_j))
+        ops, id_j, tc_id_j = self.ops, self.id_j.value, self.tc_id_j.value
+        v1 = msg2.v1.value
+        r_j = ops.puf(self._puf, self.c_j).value
+        n_j = ops.xor(v1, ops.h(id_j, tc_id_j, r_j))
         # recovered nonce must carry the 32-bit zero prefix of a lifted
         # 128-bit nonce; anything else is a tampered or misdirected message
-        if n_j.value >> NONCE_BITS:
+        if n_j >> NONCE_BITS:
             raise MacMismatch("recovered nonce prefix violates width rule")
-        tid_j = self.ops.h(self.id_j, n_j)
-        if self.ops.h(msg2.v1, tid_j, r_j, msg2.ts2) != msg2.mac2:
+        tid_j = ops.h(id_j, n_j)
+        if ops.h(v1, tid_j, r_j, ts2) != msg2.mac2.value:
             raise MacMismatch("MSG2 authentication code mismatch")
         self.guard.accept(msg2.mac2, expiry)
 
-        n_k = lift(random_nonce(rng))
+        n_k = random_nonce(rng).value  # lifted: the int is unchanged
         ts3 = ts_bits(clock.now)
-        tid_i = self.ops.xor(msg2.h_i, n_j)
-        v2 = self.ops.xor(self.ops.h(self.id_j, tid_i, ts3), n_k)
-        f_i = self.ops.xor(msg2.f_i_dprime, r_j)
-        rid_j = self.ops.xor(self.id_j, f_i)
-        v3 = self.ops.h(tid_j, self.tc_id_j)
-        session_key = self.ops.h(v3, tid_i, rid_j, n_k, ts3)
-        v4 = self.ops.xor(v3, self.ops.h(tid_i, rid_j, n_k))
-        v5 = self.ops.xor(self.ops.h(tid_i, rid_j, ts3), n_k)
-        return Msg3(v5=v5, v4=v4, ts3=ts3, v2=v2), session_key
+        tid_i = ops.xor(msg2.h_i.value, n_j)
+        v2 = ops.xor(ops.h(id_j, tid_i, ts3), n_k)
+        f_i = ops.xor(msg2.f_i_dprime.value, r_j)
+        rid_j = ops.xor(id_j, f_i)
+        v3 = ops.h(tid_j, tc_id_j)
+        session_key = ops.h(v3, tid_i, rid_j, n_k, ts3)
+        v4 = ops.xor(v3, ops.h(tid_i, rid_j, n_k))
+        v5 = ops.xor(ops.h(tid_i, rid_j, ts3), n_k)
+        return Msg3(v5=field(v5), v4=field(v4), ts3=ts3, v2=field(v2)), field(session_key)
 
     # -- adversary capability ----------------------------------------------------
 

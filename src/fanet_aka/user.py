@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .bits import BitString
-from .crypto import BIO_BITS, DIGEST_BITS, lift, random_nonce
+from .crypto import BIO_BITS, DIGEST_BITS, field, lift, random_nonce
 from .errors import AuthFailed, LoginFailed, ProtocolError
 from .metrics import OpCounter
 from .wire import Msg1, Msg3, UserRegRequest, UserRegResponse, check_fresh, ts_bits
@@ -62,12 +62,12 @@ class LoginContext:
 
 @dataclass(slots=True)
 class PendingSession:
-    """Values retained between sending MSG1 and processing MSG3. Single use."""
+    """Values retained between sending MSG1 and processing MSG3, as the ints
+    of their 160-bit fields. Single use."""
 
-    tid_i: BitString
-    rid_j: BitString
-    id_j: BitString
-    ts1: BitString
+    tid_i: int
+    rid_j: int
+    id_j: int
 
 
 class User:
@@ -98,8 +98,8 @@ class User:
             raise ValueError("password must be non-empty")
         n_i = random_nonce(rng)
         pw = BitString.from_text(password)
-        tid_i = self.ops.h(self.id_i, lift(n_i))
-        tpw_i = self.ops.h(pw, lift(n_i))
+        tid_i = field(self.ops.h(self.id_i, lift(n_i)))
+        tpw_i = field(self.ops.h(pw, lift(n_i)))
         self._reg = (n_i, tid_i, tpw_i)
         return UserRegRequest(tid_i=tid_i, tpw_i=tpw_i)
 
@@ -108,17 +108,17 @@ class User:
         if self._reg is None:
             raise ProtocolError("no registration in progress")
         n_i, tid_i, tpw_i = self._reg
-        c_i = self.ops.xor(self.ops.xor(response.tc_id_i, tid_i), tpw_i)
+        c_i = self.ops.xor(self.ops.xor(response.tc_id_i.value, tid_i.value), tpw_i.value)
         self._reg = None
-        return self._mint_card(lift(n_i), tpw_i, c_i, bio, rng)
+        return self._mint_card(n_i.value, tpw_i.value, field(c_i), bio, rng)
 
-    def _mint_card(self, n_i: BitString, tpw_i: BitString, c_i: BitString,
-                   bio: BitString, rng: random.Random) -> SmartCard:
+    def _mint_card(self, n_i: int, tpw_i: int, c_i: BitString, bio: BitString,
+                   rng: random.Random) -> SmartCard:
         """The card for lifted nonce ``n_i`` and ``tpw_i`` under a fresh biometric key."""
         sigma, tau = self.ops.fe_gen(bio, rng)
         a_i = self.ops.xor(n_i, self.ops.h(self.id_i, sigma))
         b_i = self.ops.h(self.id_i, tpw_i, sigma)
-        self.card = SmartCard(a_i=a_i, b_i=b_i, c_i=c_i, tau_i=tau)
+        self.card = SmartCard(a_i=field(a_i), b_i=field(b_i), c_i=c_i, tau_i=tau)
         return self.card
 
     # -- login and key agreement ------------------------------------------
@@ -132,43 +132,45 @@ class User:
         """
         if self.card is None:
             raise ProtocolError("no card issued")
-        card = self.card
-        sigma_star = self.ops.fe_rep(bio, card.tau_i)
-        n_i_star = self.ops.xor(card.a_i, self.ops.h(self.id_i, sigma_star))
-        tid_star = self.ops.h(self.id_i, n_i_star)
-        tpw_star = self.ops.h(BitString.from_text(password), n_i_star)
-        b_star = self.ops.h(self.id_i, tpw_star, sigma_star)
-        if b_star != card.b_i:
+        card, ops, id_i = self.card, self.ops, self.id_i.value
+        sigma_star = ops.fe_rep(bio, card.tau_i).value
+        n_i_star = ops.xor(card.a_i.value, ops.h(id_i, sigma_star))
+        tid_star = ops.h(id_i, n_i_star)
+        tpw_star = ops.h(BitString.from_text(password).value, n_i_star)
+        if ops.h(id_i, tpw_star, sigma_star) != card.b_i.value:
             raise LoginFailed("login failed")
-        return LoginContext(tid_i=tid_star, tpw_i=tpw_star, n_i=n_i_star,
-                            c_i=card.c_i)
+        return LoginContext(tid_i=field(tid_star), tpw_i=field(tpw_star),
+                            n_i=field(n_i_star), c_i=card.c_i)
 
     def aka_initiate(self, ctx: LoginContext, uav_identity: str, clock) -> Msg1:
         """Build MSG1 toward the chosen UAV and retain the pending session."""
-        id_j = BitString.from_text(uav_identity)
+        ops = self.ops
+        id_j = BitString.from_text(uav_identity).value
+        tid_i = ctx.tid_i.value
         ts1 = ts_bits(clock.now)
-        e_i = self.ops.h(ctx.c_i, ts1)
-        f_i = self.ops.h(ctx.tid_i, ctx.tpw_i, ts1)
-        mac1 = self.ops.h(ctx.tid_i, e_i, ts1)
-        rid_j = self.ops.xor(id_j, f_i)
-        f_i_prime = self.ops.xor(e_i, f_i)
-        g_i = self.ops.xor(ctx.tid_i, f_i)
-        self._pending = PendingSession(tid_i=ctx.tid_i, rid_j=rid_j,
-                                       id_j=id_j, ts1=ts1)
-        return Msg1(mac1=mac1, rid_j=rid_j, g_i=g_i, f_i_prime=f_i_prime, ts1=ts1)
+        e_i = ops.h(ctx.c_i.value, ts1)
+        f_i = ops.h(tid_i, ctx.tpw_i.value, ts1)
+        mac1 = ops.h(tid_i, e_i, ts1)
+        rid_j = ops.xor(id_j, f_i)
+        f_i_prime = ops.xor(e_i, f_i)
+        g_i = ops.xor(tid_i, f_i)
+        self._pending = PendingSession(tid_i=tid_i, rid_j=rid_j, id_j=id_j)
+        return Msg1(mac1=field(mac1), rid_j=field(rid_j), g_i=field(g_i),
+                    f_i_prime=field(f_i_prime), ts1=ts1)
 
     def aka_finalize(self, msg3: Msg3, clock) -> BitString:
         """Verify MSG3 and derive the session key. Consumes the pending state."""
         if self._pending is None:
             raise ProtocolError("no session pending")
         pend, self._pending = self._pending, None
-        check_fresh(Msg3.KIND, msg3.ts3, clock.now, clock.delta_t)
-        n_k = self.ops.xor(msg3.v5, self.ops.h(pend.tid_i, pend.rid_j, msg3.ts3))
-        v2_star = self.ops.xor(self.ops.h(pend.id_j, pend.tid_i, msg3.ts3), n_k)
-        if v2_star != msg3.v2:
+        ts3 = msg3.ts3
+        check_fresh(Msg3.KIND, ts3, clock.now, clock.delta_t)
+        ops, tid_i, rid_j = self.ops, pend.tid_i, pend.rid_j
+        n_k = ops.xor(msg3.v5.value, ops.h(tid_i, rid_j, ts3))
+        if ops.xor(ops.h(pend.id_j, tid_i, ts3), n_k) != msg3.v2.value:
             raise AuthFailed("MSG3 confirmation check failed")
-        v3_star = self.ops.xor(msg3.v4, self.ops.h(pend.tid_i, pend.rid_j, n_k))
-        return self.ops.h(v3_star, pend.tid_i, pend.rid_j, n_k, msg3.ts3)
+        v3_star = ops.xor(msg3.v4.value, ops.h(tid_i, rid_j, n_k))
+        return field(ops.h(v3_star, tid_i, rid_j, n_k, ts3))
 
     # -- credential maintenance -------------------------------------------
 
@@ -183,7 +185,7 @@ class User:
         """
         ctx = self.login(old_password, old_bio)
         tpw_new = self.ops.h(BitString.from_text(new_password), ctx.n_i)
-        return self._mint_card(ctx.n_i, tpw_new, ctx.c_i, new_bio, rng)
+        return self._mint_card(ctx.n_i.value, tpw_new, ctx.c_i, new_bio, rng)
 
     # -- bookkeeping --------------------------------------------------------
 

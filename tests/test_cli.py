@@ -167,6 +167,9 @@ def test_init_gwn_refuses_a_populated_deployment(tmp_path):
     # a session would run under uav-2's wire identity and fail its MAC
     pytest.param("uav_uav-1.json", lambda doc: {**doc, "identity": "uav-2"},
                  id="uav_uav-1.json-other-identity"),
+    # secrets.json and uav_uav-1.json still hold the UAV the registry lost
+    pytest.param("gwn.json", lambda doc: {**doc, "registry": {}},
+                 id="gwn.json-registry-lacks-uav"),
 ])
 def test_malformed_state_file_exit_code(tmp_path, name, edit):
     bootstrap(tmp_path)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from fanet_aka import bits, metrics
 from fanet_aka.bits import BitString
@@ -46,8 +47,9 @@ def test_nested_recording_scope_restores_the_outer_table():
         with recording() as inner:
             dy = ops.h(Y)
         dxy = ops.h(X, Y)
-    assert inner == {dy: (Y,)}
-    assert outer == {dx: (X,), dxy: (X, Y)}
+    # h returns the digest's int; the tables key the digest as a BitString
+    assert inner == {BitString(160, dy): (Y,)}
+    assert outer == {BitString(160, dx): (X,), BitString(160, dxy): (X, Y)}
 
 
 def test_exception_inside_a_recording_scope_restores_the_outer_table():
@@ -58,8 +60,41 @@ def test_exception_inside_a_recording_scope_restores_the_outer_table():
                 ops.h(Y)
                 raise RuntimeError("inside the inner scope")
         dx = ops.h(X)
-    assert outer == {dx: (X,)}
+    assert outer == {BitString(160, dx): (X,)}
     assert metrics._recorded is None
+
+
+#: A hash part: a 160-bit field or a bit string of any width, byte-aligned or not.
+_parts = st.lists(st.one_of(
+    st.integers(0, (1 << 160) - 1).map(lambda v: BitString(160, v)),
+    st.integers(0, 300).flatmap(
+        lambda w: st.integers(0, (1 << w) - 1).map(lambda v: BitString(w, v)))),
+    max_size=6)
+
+
+@given(_parts, st.data())
+def test_int_parts_hash_and_record_like_bit_strings(parts, data):
+    # any 160-bit part may reach h as its int; the digest, the key and the
+    # recorded parts are those of the all-BitString call
+    mixed = [p.value if p.width == 160 and data.draw(st.booleans()) else p
+             for p in parts]
+    ops = OpCounter()
+    with recording() as table:
+        digest = ops.h(*mixed)
+    assert BitString(160, digest) == sha1_digest(*parts)
+    assert table == {sha1_digest(*parts): tuple(parts)}
+
+
+def test_every_recorded_session_hash_rehashes_to_its_key():
+    world = build_world(SimConfig(seed=0))
+    enroll_user(world, "alice", "pw-alice")
+    with recording() as hashes:
+        enroll_uav(world, "uav-1")
+        result = run_aka(world, "alice", "uav-1")
+    assert result.ok and result.user_sk in hashes
+    for digest, parts in hashes.items():
+        assert all(isinstance(p, BitString) for p in parts)
+        assert sha1_digest(*parts) == digest
 
 
 def test_session_key_recorded_inputs_rehash_to_the_key():
@@ -92,10 +127,11 @@ def test_count_session_matches_reference_tallies():
     assert counts["uav"]["hash"] == 8
 
 
-def test_honest_session_builds_at_most_73_bit_strings(monkeypatch):
-    # every BitString is built by bits._new (unchecked) or by __init__; an
-    # honest session builds about one per primitive result (104 before the
-    # hash, XOR and message layers were flattened)
+def test_honest_session_builds_at_most_42_bit_strings(monkeypatch):
+    # every BitString is built by bits._new (unchecked) or by __init__; the
+    # role steps compute on ints and build one only for a message field, the
+    # session key, a LoginContext field or a timestamp (73 before that, 104
+    # before the hash, XOR and message layers were flattened)
     world = build_world(SimConfig(seed=0))
     enroll_user(world, "alice", "pw-alice")
     enroll_uav(world, "uav-1")
@@ -117,7 +153,7 @@ def test_honest_session_builds_at_most_73_bit_strings(monkeypatch):
     result = run_aka(world, "alice", "uav-1")
     monkeypatch.undo()
     assert result.ok and result.keys_agree
-    assert built <= 73
+    assert built <= 42
     assert result.op_counts == {"user": {"hash": 11, "puf": 0, "fe": 1, "xor": 7},
                                 "gwn": {"hash": 6, "puf": 0, "fe": 0, "xor": 6},
                                 "uav": {"hash": 8, "puf": 1, "fe": 0, "xor": 7}}
