@@ -1,19 +1,21 @@
 """Fixed-width bit strings and the operators the protocol algebra runs on.
 
-Every value that leaves a protocol step is a :class:`BitString`: an
-identity, nonce, card or registry record, message field or session key.
-Inside a role step the algebra runs on the plain ``int`` of each 160-bit
-field (see :class:`~fanet_aka.metrics.OpCounter`), and only the results
-that leave the step are built as BitStrings. Widths are explicit and
+Every value that leaves the protocol is a :class:`BitString`: an
+identity, nonce, card or registry record, encoded payload, timestamp or
+session key. Inside a role step the algebra runs on the plain ``int`` of
+each 160-bit field (see :class:`~fanet_aka.metrics.OpCounter`), and the
+message records carry those ints too (see :mod:`~fanet_aka.wire`), so a
+BitString is built only where a value leaves. Widths are explicit and
 equality is bit-exact: ``BitString(32, 5)`` and ``BitString(160, 5)`` are
 different values. Bit 0 is the most significant bit (big-endian), both
 for indexing and for the wire layout.
 
 Values are validated where they enter: the public constructor and the
-``from_*`` constructors check that the value fits its width. Values that
-fit by construction (XOR, slices, concatenation, digests, ``random``,
-timestamps, the wire codec) are built by :func:`_unchecked`, which skips
-that check.
+``from_*`` constructors check that the value fits its width, and so do a
+message record's constructor and ``encode`` for the fields they take.
+Values that fit by construction (XOR, slices, concatenation, digests,
+``random``, timestamps, the wire codec) are built by :func:`_unchecked`,
+which skips that check.
 """
 
 from __future__ import annotations

@@ -25,6 +25,10 @@ CHALLENGE_BITS = 160
 PUF_SEED_BITS = 256
 
 
+_sha1 = hashlib.sha1
+_from_bytes = int.from_bytes
+
+
 def sha1_value(parts) -> int:
     """160-bit digest, as an int, of the concatenation of ``parts``.
 
@@ -41,9 +45,9 @@ def sha1_value(parts) -> int:
         else:
             width += part.width
             value = (value << part.width) | part.value
-    nbytes = (width + 7) >> 3
-    raw = (value << (8 * nbytes - width)).to_bytes(nbytes, "big")
-    return int.from_bytes(hashlib.sha1(raw).digest(), "big")
+    pad = -width & 7
+    return _from_bytes(_sha1((value << pad).to_bytes((width + pad) >> 3, "big")).digest(),
+                       "big")
 
 
 def sha1_digest(*parts: BitString) -> BitString:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .bits import BitString
-from .crypto import CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS, field, lift, random_nonce
+from .crypto import CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS, field, random_nonce
 from .errors import DuplicateRegistration, MacMismatch, UnknownUav
 from .metrics import OpCounter
 from .wire import (FreshnessGuard, Msg1, Msg2, UavRegResponse, UserRegRequest,
@@ -73,12 +73,13 @@ class Gateway:
         This is also card replacement: the user re-registers under a fresh
         pseudonym, and any pseudonym already on file is refused for good.
         """
-        if request.tid_i in self.user_tids:
+        tid_i = field(request.tid_i)
+        if tid_i in self.user_tids:
             raise DuplicateRegistration("pseudonym already registered")
-        tc = self.ops.xor(self.ops.xor(request.tid_i.value, request.tpw_i.value),
+        tc = self.ops.xor(self.ops.xor(request.tid_i, request.tpw_i),
                           self.ops.h(self.id_g, self._s))
-        self.user_tids.add(request.tid_i)
-        return UserRegResponse(tc_id_i=field(tc))
+        self.user_tids.add(tid_i)
+        return UserRegResponse(tc_id_i=tc)
 
     def check_uav_name(self, uav_identity: str) -> BitString:
         """Refuse a taken name or wire identity; return the wire identity."""
@@ -95,12 +96,12 @@ class Gateway:
                            rng: random.Random) -> UavRegResponse:
         id_j = self.check_uav_name(uav_identity)
         n_j = random_nonce(rng)
-        tid_j = self.ops.h(id_j, lift(n_j))
-        tc_id_j = field(self.ops.h(tid_j, self._s))
+        tid_j = self.ops.h(id_j, n_j.value)  # n_j lifted: the int is unchanged
+        tc_id_j = self.ops.h(tid_j, self._s)
         c_j = BitString.random(CHALLENGE_BITS, rng)
-        record = UavRecord(n_j=n_j, tc_id_j=tc_id_j, c_j=c_j)
+        record = UavRecord(n_j=n_j, tc_id_j=field(tc_id_j), c_j=c_j)
         self.registry[uav_identity] = self._uav_index[id_j.value] = record
-        return UavRegResponse(tc_id_j=tc_id_j, c_j=c_j)
+        return UavRegResponse(tc_id_j=tc_id_j, c_j=c_j.value)
 
     def register_uav_complete(self, uav_identity: str, r_j: BitString) -> None:
         record = self.registry.get(uav_identity)
@@ -123,12 +124,12 @@ class Gateway:
         ops = self.ops
         m1 = ops.h(self.id_g.value, self._s.value)
         e_i = ops.h(m1, ts1)
-        f_i = ops.xor(e_i, msg1.f_i_prime.value)
-        tid_i = ops.xor(msg1.g_i.value, f_i)
-        if ops.h(tid_i, e_i, ts1) != msg1.mac1.value:
+        f_i = ops.xor(e_i, msg1.f_i_prime)
+        tid_i = ops.xor(msg1.g_i, f_i)
+        if ops.h(tid_i, e_i, ts1) != msg1.mac1:
             raise MacMismatch("MSG1 authentication code mismatch")
 
-        id_j = ops.xor(msg1.rid_j.value, f_i)
+        id_j = ops.xor(msg1.rid_j, f_i)
         record = self._uav_index.get(id_j)
         if record is None or record.r_j is None:
             raise UnknownUav("recovered UAV identity not registered")
@@ -139,8 +140,8 @@ class Gateway:
         tid_j = ops.h(id_j, n_j)
         v1 = ops.xor(ops.h(id_j, record.tc_id_j.value, r_j), n_j)
         mac2 = ops.h(v1, tid_j, r_j, ts2)
-        return Msg2(mac2=field(mac2), v1=field(v1), h_i=field(ops.xor(tid_i, n_j)),
-                    f_i_dprime=field(ops.xor(f_i, r_j)), ts2=ts2)
+        return Msg2(mac2=mac2, v1=v1, h_i=ops.xor(tid_i, n_j),
+                    f_i_dprime=ops.xor(f_i, r_j), ts2=ts2)
 
     # -- persistence ---------------------------------------------------------------
 

@@ -356,26 +356,26 @@ def mitm(report: ScenarioReport, world: World, cfg: SimConfig):
     skipped = []
     for cls in (Msg1, Msg2, Msg3):
         kind = cls.KIND
-        for name in (f.name for f in fields(cls)):
+        for name, width in zip((f.name for f in fields(cls)), cls.WIDTHS):
             for substitute in ("random", "cross-session"):
                 world.clock.advance(cfg.delta_t + 1)
                 modified = []
 
-                def attack(k, payload, _kind=kind, _cls=cls, _name=name,
+                def attack(k, payload, _kind=kind, _cls=cls, _name=name, _width=width,
                            _mode=substitute, _modified=modified):
                     if k != _kind:
                         return payload
                     msg = decode(_cls, payload)
-                    width = getattr(msg, _name).width
                     if _mode == "random":
-                        value = BitString.random(width, rng)
+                        value = BitString.random(_width, rng)
                     else:
                         value = getattr(decode(_cls, observed[_kind]), _name)
-                    if value == getattr(msg, _name):
+                    forged = replace(msg, **{_name: value})
+                    if forged == msg:
                         # stable field, same value: not a modification
                         return payload
                     _modified.append(_name)
-                    return encode(replace(msg, **{_name: value}))
+                    return encode(forged)
 
                 outcome = run_aka(world, "alice", "uav-1", intercept=attack)
                 if not modified:

@@ -23,7 +23,7 @@ from .metrics import diff_counts
 from .uav import Uav
 from .user import User
 from .wire import decode, encode  # decode: the benchmark's traced run wraps it here
-from . import wire
+from . import crypto, wire
 
 
 @dataclass
@@ -143,13 +143,14 @@ def enroll_uav(world: World, identity: str, announce: bool = False) -> Uav:
     gwn = world.gateway
     id_j = gwn.check_uav_name(identity)
     puf = PufDevice.generate(world.rng)
-    world.channel.send(identity, gwn.identity, wire.UavRegRequest(id_j=id_j), secure=True)
+    world.channel.send(identity, gwn.identity, wire.UavRegRequest(id_j=id_j.value),
+                       secure=True)
     response = gwn.register_uav_begin(identity, world.rng)
     world.channel.send(gwn.identity, identity, response, secure=True)
-    uav = Uav(identity, puf, response.c_j, response.tc_id_j)
+    uav = Uav(identity, puf, crypto.field(response.c_j), crypto.field(response.tc_id_j))
     submit = uav.register()
     world.channel.send(identity, gwn.identity, submit, secure=True)
-    gwn.register_uav_complete(identity, submit.r_j)
+    gwn.register_uav_complete(identity, crypto.field(submit.r_j))
     world.uavs[identity] = uav
     if announce:
         for user in world.users.values():

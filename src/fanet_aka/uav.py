@@ -35,7 +35,7 @@ class Uav:
 
     def register(self) -> UavRegSubmit:
         """Answer the enrollment challenge with its PUF response."""
-        return UavRegSubmit(r_j=self.ops.puf(self._puf, self.c_j))
+        return UavRegSubmit(r_j=self.ops.puf(self._puf, self.c_j).value)
 
     # -- key agreement ---------------------------------------------------------
 
@@ -48,7 +48,7 @@ class Uav:
         expiry = self.guard.check(msg2.mac2, ts2, clock)
 
         ops, id_j, tc_id_j = self.ops, self.id_j.value, self.tc_id_j.value
-        v1 = msg2.v1.value
+        v1 = msg2.v1
         r_j = ops.puf(self._puf, self.c_j).value
         n_j = ops.xor(v1, ops.h(id_j, tc_id_j, r_j))
         # recovered nonce must carry the 32-bit zero prefix of a lifted
@@ -56,21 +56,21 @@ class Uav:
         if n_j >> NONCE_BITS:
             raise MacMismatch("recovered nonce prefix violates width rule")
         tid_j = ops.h(id_j, n_j)
-        if ops.h(v1, tid_j, r_j, ts2) != msg2.mac2.value:
+        if ops.h(v1, tid_j, r_j, ts2) != msg2.mac2:
             raise MacMismatch("MSG2 authentication code mismatch")
         self.guard.accept(msg2.mac2, expiry)
 
         n_k = random_nonce(rng).value  # lifted: the int is unchanged
         ts3 = ts_bits(clock.now)
-        tid_i = ops.xor(msg2.h_i.value, n_j)
+        tid_i = ops.xor(msg2.h_i, n_j)
         v2 = ops.xor(ops.h(id_j, tid_i, ts3), n_k)
-        f_i = ops.xor(msg2.f_i_dprime.value, r_j)
+        f_i = ops.xor(msg2.f_i_dprime, r_j)
         rid_j = ops.xor(id_j, f_i)
         v3 = ops.h(tid_j, tc_id_j)
         session_key = ops.h(v3, tid_i, rid_j, n_k, ts3)
         v4 = ops.xor(v3, ops.h(tid_i, rid_j, n_k))
         v5 = ops.xor(ops.h(tid_i, rid_j, ts3), n_k)
-        return Msg3(v5=field(v5), v4=field(v4), ts3=ts3, v2=field(v2)), field(session_key)
+        return Msg3(v5=v5, v4=v4, ts3=ts3, v2=v2), field(session_key)
 
     # -- adversary capability ----------------------------------------------------
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .bits import BitString
-from .crypto import BIO_BITS, DIGEST_BITS, field, lift, random_nonce
+from .crypto import BIO_BITS, DIGEST_BITS, field, random_nonce
 from .errors import AuthFailed, LoginFailed, ProtocolError
 from .metrics import OpCounter
 from .wire import Msg1, Msg3, UserRegRequest, UserRegResponse, check_fresh, ts_bits
@@ -52,12 +52,13 @@ class SmartCard:
 
 @dataclass(slots=True)
 class LoginContext:
-    """Secrets recovered by a successful credential check; never persisted."""
+    """Secrets recovered by a successful credential check, as the ints of
+    their 160-bit fields; never persisted."""
 
-    tid_i: BitString
-    tpw_i: BitString
-    n_i: BitString
-    c_i: BitString
+    tid_i: int
+    tpw_i: int
+    n_i: int
+    c_i: int
 
 
 @dataclass(slots=True)
@@ -87,8 +88,9 @@ class User:
         self.ops = OpCounter()
         self.card: SmartCard | None = None
         self.known_uavs: set[str] = set()
-        # (N_i, TID_i, TPW_i) of a registration awaiting the gateway's reply
-        self._reg: tuple[BitString, BitString, BitString] | None = None
+        # the ints of (lifted N_i, TID_i, TPW_i) of a registration awaiting
+        # the gateway's reply
+        self._reg: tuple[int, int, int] | None = None
         self._pending: PendingSession | None = None
 
     # -- registration (secure channel) ------------------------------------
@@ -96,10 +98,10 @@ class User:
     def register_begin(self, password: str, rng: random.Random) -> UserRegRequest:
         if not password:
             raise ValueError("password must be non-empty")
-        n_i = random_nonce(rng)
+        n_i = random_nonce(rng).value  # lifted: the int is unchanged
         pw = BitString.from_text(password)
-        tid_i = field(self.ops.h(self.id_i, lift(n_i)))
-        tpw_i = field(self.ops.h(pw, lift(n_i)))
+        tid_i = self.ops.h(self.id_i, n_i)
+        tpw_i = self.ops.h(pw, n_i)
         self._reg = (n_i, tid_i, tpw_i)
         return UserRegRequest(tid_i=tid_i, tpw_i=tpw_i)
 
@@ -108,9 +110,9 @@ class User:
         if self._reg is None:
             raise ProtocolError("no registration in progress")
         n_i, tid_i, tpw_i = self._reg
-        c_i = self.ops.xor(self.ops.xor(response.tc_id_i.value, tid_i.value), tpw_i.value)
+        c_i = self.ops.xor(self.ops.xor(response.tc_id_i, tid_i), tpw_i)
         self._reg = None
-        return self._mint_card(n_i.value, tpw_i.value, field(c_i), bio, rng)
+        return self._mint_card(n_i, tpw_i, field(c_i), bio, rng)
 
     def _mint_card(self, n_i: int, tpw_i: int, c_i: BitString, bio: BitString,
                    rng: random.Random) -> SmartCard:
@@ -139,24 +141,23 @@ class User:
         tpw_star = ops.h(BitString.from_text(password).value, n_i_star)
         if ops.h(id_i, tpw_star, sigma_star) != card.b_i.value:
             raise LoginFailed("login failed")
-        return LoginContext(tid_i=field(tid_star), tpw_i=field(tpw_star),
-                            n_i=field(n_i_star), c_i=card.c_i)
+        return LoginContext(tid_i=tid_star, tpw_i=tpw_star, n_i=n_i_star,
+                            c_i=card.c_i.value)
 
     def aka_initiate(self, ctx: LoginContext, uav_identity: str, clock) -> Msg1:
         """Build MSG1 toward the chosen UAV and retain the pending session."""
         ops = self.ops
         id_j = BitString.from_text(uav_identity).value
-        tid_i = ctx.tid_i.value
+        tid_i = ctx.tid_i
         ts1 = ts_bits(clock.now)
-        e_i = ops.h(ctx.c_i.value, ts1)
-        f_i = ops.h(tid_i, ctx.tpw_i.value, ts1)
+        e_i = ops.h(ctx.c_i, ts1)
+        f_i = ops.h(tid_i, ctx.tpw_i, ts1)
         mac1 = ops.h(tid_i, e_i, ts1)
         rid_j = ops.xor(id_j, f_i)
         f_i_prime = ops.xor(e_i, f_i)
         g_i = ops.xor(tid_i, f_i)
         self._pending = PendingSession(tid_i=tid_i, rid_j=rid_j, id_j=id_j)
-        return Msg1(mac1=field(mac1), rid_j=field(rid_j), g_i=field(g_i),
-                    f_i_prime=field(f_i_prime), ts1=ts1)
+        return Msg1(mac1=mac1, rid_j=rid_j, g_i=g_i, f_i_prime=f_i_prime, ts1=ts1)
 
     def aka_finalize(self, msg3: Msg3, clock) -> BitString:
         """Verify MSG3 and derive the session key. Consumes the pending state."""
@@ -166,10 +167,10 @@ class User:
         ts3 = msg3.ts3
         check_fresh(Msg3.KIND, ts3, clock.now, clock.delta_t)
         ops, tid_i, rid_j = self.ops, pend.tid_i, pend.rid_j
-        n_k = ops.xor(msg3.v5.value, ops.h(tid_i, rid_j, ts3))
-        if ops.xor(ops.h(pend.id_j, tid_i, ts3), n_k) != msg3.v2.value:
+        n_k = ops.xor(msg3.v5, ops.h(tid_i, rid_j, ts3))
+        if ops.xor(ops.h(pend.id_j, tid_i, ts3), n_k) != msg3.v2:
             raise AuthFailed("MSG3 confirmation check failed")
-        v3_star = ops.xor(msg3.v4.value, ops.h(tid_i, rid_j, n_k))
+        v3_star = ops.xor(msg3.v4, ops.h(tid_i, rid_j, n_k))
         return field(ops.h(v3_star, tid_i, rid_j, n_k, ts3))
 
     # -- credential maintenance -------------------------------------------
@@ -185,7 +186,7 @@ class User:
         """
         ctx = self.login(old_password, old_bio)
         tpw_new = self.ops.h(BitString.from_text(new_password), ctx.n_i)
-        return self._mint_card(ctx.n_i.value, tpw_new, ctx.c_i, new_bio, rng)
+        return self._mint_card(ctx.n_i, tpw_new, self.card.c_i, new_bio, rng)
 
     # -- bookkeeping --------------------------------------------------------
 

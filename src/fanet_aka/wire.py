@@ -7,14 +7,19 @@ bit counts. Identities and digests are 160 bits, timestamps 32 bits, so
 the three key-agreement messages measure 672, 672 and 512 bits. The
 freshness decision on the 32-bit timestamp field lives here too.
 
-Message objects are mutable slotted records. The encoded payload is the
-immutable wire value: it is what the channel logs and what an intercept
-sees and may replace.
+Message objects are mutable slotted records. Each 160-bit field holds the
+plain ``int`` the role steps compute on; a timestamp stays a
+:class:`~fanet_aka.bits.BitString`, because hashes take it at its own
+width. The record constructor is the boundary, as ``BitString.__init__``
+is: it also takes a BitString of a field's width and keeps its ``int``.
+The encoded payload is the immutable wire value: it is what the channel
+logs and what an intercept sees and may replace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dc_fields
+from heapq import heappop, heappush
 
 from .bits import BitString, _unchecked
 from .crypto import DIGEST_BITS, ID_BITS, TS_BITS
@@ -23,84 +28,119 @@ from .errors import IncompleteTranscript, ReplayDetected, StaleTimestamp, WidthM
 F = DIGEST_BITS  # every non-timestamp wire field is one 160-bit element
 
 
-@dataclass(slots=True)
+def _field_int(value, width: int, where: str) -> int:
+    """The ``int`` of a BitString handed to a record's ``width``-bit field."""
+    if type(value) is not BitString:
+        raise TypeError(f"{where} takes an int or a BitString, "
+                        f"got {type(value).__name__}")
+    if value.width != width:
+        raise WidthMismatch(f"{where} must be {width} bits, got {value.width}")
+    return value.value
+
+
+def _record(cls):
+    """Make ``cls`` a slotted dataclass message record with a boundary
+    constructor.
+
+    The constructor keeps an ``int`` as it is (``encode`` range-checks it),
+    turns a BitString of the field's width into its ``int``, and raises
+    WidthMismatch on any other width. A timestamp is kept as given. The
+    source is generated per class, as ``dataclasses`` does, so the ints
+    a role step or ``decode`` passes cost one type test per field.
+    """
+    cls = dataclass(slots=True, init=False)(cls)
+    names = [f.name for f in dc_fields(cls)]
+    lines = [f"def __init__(self, {', '.join(names)}):"]
+    for name, width in zip(names, cls.WIDTHS):
+        if width == TS_BITS:
+            lines.append(f"    self.{name} = {name}")
+        else:
+            lines.append(f"    self.{name} = {name} if type({name}) is int else "
+                         f"_field_int({name}, {width}, '{cls.__name__}.{name}')")
+    namespace = {"_field_int": _field_int}
+    exec("\n".join(lines), namespace)
+    cls.__init__ = namespace["__init__"]
+    return cls
+
+
+@_record
 class Msg1:
     """User to gateway: authentication request."""
 
-    mac1: BitString
-    rid_j: BitString
-    g_i: BitString
-    f_i_prime: BitString
+    mac1: int
+    rid_j: int
+    g_i: int
+    f_i_prime: int
     ts1: BitString
 
     WIDTHS = (F, F, F, F, TS_BITS)
     KIND = "MSG1"
 
 
-@dataclass(slots=True)
+@_record
 class Msg2:
     """Gateway to UAV: relayed, re-keyed authentication material."""
 
-    mac2: BitString
-    v1: BitString
-    h_i: BitString
-    f_i_dprime: BitString
+    mac2: int
+    v1: int
+    h_i: int
+    f_i_dprime: int
     ts2: BitString
 
     WIDTHS = (F, F, F, F, TS_BITS)
     KIND = "MSG2"
 
 
-@dataclass(slots=True)
+@_record
 class Msg3:
     """UAV to user: key confirmation. Note the timestamp sits third."""
 
-    v5: BitString
-    v4: BitString
+    v5: int
+    v4: int
     ts3: BitString
-    v2: BitString
+    v2: int
 
     WIDTHS = (F, F, TS_BITS, F)
     KIND = "MSG3"
 
 
-@dataclass(slots=True)
+@_record
 class UserRegRequest:
-    tid_i: BitString
-    tpw_i: BitString
+    tid_i: int
+    tpw_i: int
 
     WIDTHS = (F, F)
     KIND = "USER_REG_REQUEST"
 
 
-@dataclass(slots=True)
+@_record
 class UserRegResponse:
-    tc_id_i: BitString
+    tc_id_i: int
 
     WIDTHS = (F,)
     KIND = "USER_REG_RESPONSE"
 
 
-@dataclass(slots=True)
+@_record
 class UavRegRequest:
-    id_j: BitString
+    id_j: int
 
     WIDTHS = (ID_BITS,)
     KIND = "UAV_REG_REQUEST"
 
 
-@dataclass(slots=True)
+@_record
 class UavRegResponse:
-    tc_id_j: BitString
-    c_j: BitString
+    tc_id_j: int
+    c_j: int
 
     WIDTHS = (F, F)
     KIND = "UAV_REG_RESPONSE"
 
 
-@dataclass(slots=True)
+@_record
 class UavRegSubmit:
-    r_j: BitString
+    r_j: int
 
     WIDTHS = (F,)
     KIND = "UAV_REG_SUBMIT"
@@ -110,24 +150,49 @@ MESSAGE_TYPES = (Msg1, Msg2, Msg3, UserRegRequest, UserRegResponse, UavRegReques
                  UavRegResponse, UavRegSubmit)
 
 
-#: Per message class: its (field name, width) pairs in wire order, and
-#: the total width.
-_LAYOUTS = {cls: (tuple((f.name, w) for f, w in zip(dc_fields(cls), cls.WIDTHS)),
-                 sum(cls.WIDTHS))
-           for cls in MESSAGE_TYPES}
+@dataclass(frozen=True, slots=True)
+class _Layout:
+    """How one message class meets the wire, field by field in wire order."""
+
+    fields: tuple[tuple[str, int, int], ...]   # (name, width, 2**width)
+    slices: tuple[tuple[int, int], ...]        # (shift, mask) in the payload
+    stamp: int | None                          # index of the timestamp, if any
+    total: int                                 # payload width
+
+
+def _layout(cls) -> _Layout:
+    names = [f.name for f in dc_fields(cls)]
+    total = sum(cls.WIDTHS)
+    slices, shift = [], total
+    for width in cls.WIDTHS:
+        shift -= width
+        slices.append((shift, (1 << width) - 1))
+    stamp = cls.WIDTHS.index(TS_BITS) if TS_BITS in cls.WIDTHS else None
+    return _Layout(tuple((name, width, 1 << width) for name, width in zip(names, cls.WIDTHS)),
+                   tuple(slices), stamp, total)
+
+
+_LAYOUTS = {cls: _layout(cls) for cls in MESSAGE_TYPES}
 
 
 def encode(msg) -> BitString:
-    """Serialize a message; raises WidthMismatch on any ill-sized field."""
-    layout, total = _LAYOUTS[type(msg)]
+    """Serialize a message; raises WidthMismatch on any ill-sized field: an
+    ``int`` outside 0 <= v < 2**width, or a BitString of another width."""
+    layout = _LAYOUTS[type(msg)]
     value = 0
-    for name, width in layout:
-        part: BitString = getattr(msg, name)
-        if part.width != width:
+    for name, width, limit in layout.fields:
+        part = getattr(msg, name)
+        if type(part) is int:
+            if not 0 <= part < limit:
+                raise WidthMismatch(f"{type(msg).__name__}.{name} does not fit "
+                                    f"in {width} bits")
+        elif part.width != width:
             raise WidthMismatch(f"{type(msg).__name__}.{name} must be {width} bits, "
                                 f"got {part.width}")
-        value = (value << width) | part.value
-    return _unchecked(total, value)
+        else:
+            part = part.value
+        value = (value << width) | part
+    return _unchecked(layout.total, value)
 
 
 def decode(cls, raw: BitString):
@@ -136,14 +201,13 @@ def decode(cls, raw: BitString):
     Total on any input of the right width: field slicing cannot fail, so
     fuzzed payloads decode into (garbage) field values rather than faults.
     """
-    layout, total = _LAYOUTS[cls]
-    if raw.width != total:
-        raise WidthMismatch(f"{cls.__name__} is {total} bits, got {raw.width}")
+    layout = _LAYOUTS[cls]
+    if raw.width != layout.total:
+        raise WidthMismatch(f"{cls.__name__} is {layout.total} bits, got {raw.width}")
     value = raw.value
-    values = []
-    for _, width in layout:
-        total -= width
-        values.append(_unchecked(width, (value >> total) & ((1 << width) - 1)))
+    values = [(value >> shift) & mask for shift, mask in layout.slices]
+    if layout.stamp is not None:
+        values[layout.stamp] = _unchecked(TS_BITS, values[layout.stamp])
     return cls(*values)
 
 
@@ -183,28 +247,34 @@ class FreshnessGuard:
     """Replay cache of one receiving party, checked against the clock's window.
 
     ``check`` runs before any hashing: the window, then the purge of
-    expired MACs, then the replay lookup. ``accept`` caches the MAC of a
-    message that has fully verified, until its timestamp leaves the window;
-    a message that fails verification never enters the cache.
+    expired MACs, then the replay lookup. ``accept`` caches the ``int`` MAC
+    of a message that has fully verified, until its timestamp leaves the
+    window; a message that fails verification never enters the cache. A
+    heap orders the cached MACs by expiry, so the purge touches only the
+    MACs that expired.
     """
 
     def __init__(self, kind: str):
         self.kind = kind
-        self._cache: dict[BitString, int] = {}
+        self._cache: dict[int, int] = {}
+        self._expiries: list[tuple[int, int]] = []
 
-    def check(self, mac: BitString, ts: BitString, clock) -> int:
+    def check(self, mac: int, ts: BitString, clock) -> int:
         """Reject a stale or replayed message; return its cache expiry tick."""
         now, delta_t = clock.now, clock.delta_t
         offset = check_fresh(self.kind, ts, now, delta_t)
-        expired = [m for m, expiry in self._cache.items() if expiry <= now]
-        for m in expired:
-            del self._cache[m]
-        if mac in self._cache:
+        cache, expiries = self._cache, self._expiries
+        while expiries and expiries[0][0] <= now:
+            expiry, old = heappop(expiries)
+            if cache.get(old) == expiry:  # not re-accepted with a later expiry
+                del cache[old]
+        if mac in cache:
             raise ReplayDetected(f"{self.kind} MAC already accepted in this window")
         return now + offset + delta_t
 
-    def accept(self, mac: BitString, expiry: int) -> None:
+    def accept(self, mac: int, expiry: int) -> None:
         self._cache[mac] = expiry
+        heappush(self._expiries, (expiry, mac))
 
 
 def protocol_bits(transcript) -> dict:

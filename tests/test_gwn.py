@@ -24,7 +24,7 @@ def test_register_user_cancellation_identity():
     response = gwn.register_user(request)
     recovered = response.tc_id_i ^ request.tid_i ^ request.tpw_i
     assert recovered == sha1_digest(gwn.id_g,
-                                   BitString.from_hex(gwn.export_secret()))
+                                   BitString.from_hex(gwn.export_secret())).value
 
 
 def test_register_user_golden_seed_zero():
@@ -33,7 +33,7 @@ def test_register_user_golden_seed_zero():
     request = User("alice").register_begin("correct-horse", rng)
     gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, random.Random(0)))
     response = gwn.register_user(request)
-    assert response.tc_id_i.hex() == "8ecf89a82baf010167098e07ae54eb16f6794148"
+    assert BitString(160, response.tc_id_i).hex() == "8ecf89a82baf010167098e07ae54eb16f6794148"
 
 
 def test_duplicate_user_registration_rejected():
@@ -60,7 +60,7 @@ def test_uav_registration_flow():
 def test_distinct_uavs_get_distinct_challenges():
     rng = random.Random(4)
     gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, rng))
-    challenges = {gwn.register_uav_begin(f"uav-{i}", rng).c_j.value
+    challenges = {gwn.register_uav_begin(f"uav-{i}", rng).c_j
                   for i in range(20)}
     assert len(challenges) == 20
 
@@ -175,9 +175,9 @@ def test_relay_requires_registration_argument_order():
     secrets = world.user_secrets["alice"]
     ctx = user.login(secrets["password"], secrets["bio"])
     s = BitString.from_hex(world.gateway.export_secret())
-    assert ctx.c_i == sha1_digest(world.gateway.id_g, s)
+    assert ctx.c_i == sha1_digest(world.gateway.id_g, s).value
 
-    ctx.c_i = sha1_digest(s, world.gateway.id_g)  # reversed order
+    ctx.c_i = sha1_digest(s, world.gateway.id_g).value  # reversed order
     msg1 = user.aka_initiate(ctx, "uav-1", world.clock)
     with pytest.raises((MacMismatch, UnknownUav)):
         world.gateway.relay_auth(msg1, world.clock, world.rng)

@@ -110,7 +110,7 @@ def test_session_key_recorded_inputs_rehash_to_the_key():
     tid_i = parts[1]
     request = world.channel.log[0]
     assert request.kind == UserRegRequest.KIND
-    assert tid_i == decode(UserRegRequest, request.payload).tid_i
+    assert tid_i.value == decode(UserRegRequest, request.payload).tid_i
     id_i, n_i = hashes[tid_i]
     assert id_i == world.users["alice"].id_i
     assert n_i == lift(BitString(128, n_i.value))
@@ -127,10 +127,12 @@ def test_count_session_matches_reference_tallies():
     assert counts["uav"]["hash"] == 8
 
 
-def test_honest_session_builds_at_most_42_bit_strings(monkeypatch):
+def test_honest_session_builds_at_most_17_bit_strings(monkeypatch):
     # every BitString is built by bits._new (unchecked) or by __init__; the
-    # role steps compute on ints and build one only for a message field, the
-    # session key, a LoginContext field or a timestamp (73 before that, 104
+    # role steps and the message records carry ints, so a session builds one
+    # only for a payload, a timestamp, a session key, a nonce, a password or
+    # UAV name, a PUF response or a fuzzy-extractor value (42 while message
+    # fields were BitStrings, 73 before the role steps computed on ints, 104
     # before the hash, XOR and message layers were flattened)
     world = build_world(SimConfig(seed=0))
     enroll_user(world, "alice", "pw-alice")
@@ -153,7 +155,7 @@ def test_honest_session_builds_at_most_42_bit_strings(monkeypatch):
     result = run_aka(world, "alice", "uav-1")
     monkeypatch.undo()
     assert result.ok and result.keys_agree
-    assert built <= 42
+    assert built <= 17
     assert result.op_counts == {"user": {"hash": 11, "puf": 0, "fe": 1, "xor": 7},
                                 "gwn": {"hash": 6, "puf": 0, "fe": 0, "xor": 6},
                                 "uav": {"hash": 8, "puf": 1, "fe": 0, "xor": 7}}

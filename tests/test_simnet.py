@@ -8,7 +8,8 @@ from fanet_aka.errors import (DisallowedAction, DuplicateRegistration, MacMismat
                               ReplayDetected)
 from fanet_aka.simnet import (SimClock, SimConfig, build_world, enroll_user,
                               enroll_uav, run_aka)
-from fanet_aka.wire import decode, decode_msg1, encode, protocol_bits, ts_bits
+from fanet_aka.wire import (FreshnessGuard, decode, decode_msg1, encode, protocol_bits,
+                            ts_bits)
 
 
 def _ready(seed=0, **kwargs):
@@ -140,6 +141,28 @@ def test_guard_caches_only_verified_macs_and_only_inside_the_window(party):
     with pytest.raises(MacMismatch):
         receive(cls(*kept, ts_bits(world.clock.now)), world.clock, world.rng)
     assert len(guard._cache) == 0
+
+
+def test_guard_holding_many_live_macs_refuses_a_replay_and_admits_an_expired_mac():
+    guard, clock = FreshnessGuard("MSG1"), SimClock(3)
+    expiries = {}
+    for tick in range(10):
+        clock.now = tick
+        for k in range(200):
+            mac = 1000 * tick + k
+            expiries[mac] = guard.check(mac, ts_bits(tick), clock)
+            guard.accept(mac, expiries[mac])
+    # at tick 9 the MACs accepted at ticks 7 to 9 are live, the rest expired
+    live = {mac for mac, expiry in expiries.items() if expiry > clock.now}
+    assert set(guard._cache) == live and len(live) == 600
+    assert len(guard._expiries) == len(live)
+    for mac in (9005, 7000, 7199):
+        with pytest.raises(ReplayDetected):
+            guard.check(mac, ts_bits(clock.now), clock)
+    assert guard.check(6005, ts_bits(clock.now), clock) == clock.now + 3
+    clock.now += 1
+    assert guard.check(7199, ts_bits(clock.now), clock) == clock.now + 3
+    assert len(guard._cache) == 400
 
 
 def test_honest_run_produces_expected_accounting():

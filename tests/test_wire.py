@@ -1,14 +1,19 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fanet_aka.bits import BitString
+from fanet_aka.bits import BitString, concat
 from fanet_aka.errors import IncompleteTranscript, StaleTimestamp, WidthMismatch
 from fanet_aka import wire
 from fanet_aka.wire import (Msg1, Msg2, Msg3, UserRegRequest, UavRegResponse,
                             check_fresh, decode, decode_msg1, decode_msg2,
                             decode_msg3, encode, protocol_bits, ts_bits)
+
+
+def _names(cls):
+    return [f.name for f in fields(cls)]
 
 
 def field(width=160):
@@ -47,11 +52,40 @@ def test_msg3_timestamp_sits_third():
 
 
 def test_encode_rejects_bad_field_width():
-    msg = Msg1(mac1=BitString(128, 1), rid_j=BitString(160, 2),
+    msg = Msg1(mac1=BitString(160, 1), rid_j=BitString(160, 2),
                g_i=BitString(160, 3), f_i_prime=BitString(160, 4),
-               ts1=ts_bits(5))
+               ts1=BitString(16, 5))
     with pytest.raises(WidthMismatch):
         encode(msg)
+
+
+@pytest.mark.parametrize("cls", wire.MESSAGE_TYPES)
+def test_wrong_width_bit_string_is_refused_at_construction(cls):
+    for i, width in enumerate(cls.WIDTHS):
+        if width == 32:
+            continue
+        for bad in (BitString(width - 32, 1), BitString(width + 1, 1)):
+            values = [BitString(w, 0) for w in cls.WIDTHS]
+            values[i] = bad
+            with pytest.raises(WidthMismatch, match=f"{cls.__name__}.{_names(cls)[i]}"):
+                cls(*values)
+        values = [0] * len(cls.WIDTHS)
+        values[i] = "not a field"
+        with pytest.raises(TypeError):
+            cls(*values)
+
+
+@pytest.mark.parametrize("cls", wire.MESSAGE_TYPES)
+def test_out_of_range_int_is_refused_at_encode(cls):
+    for i, width in enumerate(cls.WIDTHS):
+        if width == 32:
+            continue
+        for bad in (-1, 1 << width):
+            values = [BitString(w, 0) if w == 32 else 0 for w in cls.WIDTHS]
+            values[i] = bad
+            msg = cls(*values)
+            with pytest.raises(WidthMismatch, match=f"{cls.__name__}.{_names(cls)[i]}"):
+                encode(msg)
 
 
 def test_decode_rejects_wrong_total_width():
@@ -81,11 +115,28 @@ def test_msg3_round_trip(a, b, ts, c):
 
 @pytest.mark.parametrize("cls", wire.MESSAGE_TYPES)
 def test_every_type_round_trips(cls):
+    # a record built from BitString fields holds their ints, equals the
+    # decoded record and encodes to the same payload
     rng = random.Random(17)
     values = [BitString.random(w, rng) for w in cls.WIDTHS]
     msg = cls(*values)
-    assert decode(cls, encode(msg)) == msg
-    assert encode(decode(cls, encode(msg))) == encode(msg)
+    payload = concat(values)
+    assert encode(msg) == payload
+    assert decode(cls, payload) == msg
+    for name, width, value in zip(_names(cls), cls.WIDTHS, values):
+        assert getattr(msg, name) == (value if width == 32 else value.value)
+
+
+@given(st.data())
+def test_every_type_round_trips_its_ints(data):
+    cls = data.draw(st.sampled_from(wire.MESSAGE_TYPES))
+    values = [data.draw(field(32) if w == 32 else st.integers(0, (1 << w) - 1))
+              for w in cls.WIDTHS]
+    msg = cls(*values)
+    raw = encode(msg)
+    assert raw.width == sum(cls.WIDTHS)
+    assert decode(cls, raw) == msg
+    assert encode(decode(cls, raw)) == raw
 
 
 def test_fuzzed_decode_is_total():
@@ -94,7 +145,7 @@ def test_fuzzed_decode_is_total():
         msg = decode_msg1(BitString.random(672, rng))
         assert msg.ts1.width == 32
         msg = decode_msg3(BitString.random(512, rng))
-        assert msg.v2.width == 160
+        assert 0 <= msg.v2 < 1 << 160
 
 
 def test_ts_bits_wraps_to_32_bits():
