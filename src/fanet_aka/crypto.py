@@ -29,15 +29,16 @@ _sha1 = hashlib.sha1
 _from_bytes = int.from_bytes
 
 
-def sha1_value(parts) -> int:
+def sha1_value(parts, width: int = 0, value: int = 0) -> int:
     """160-bit digest, as an int, of the concatenation of ``parts``.
 
     A part is a :class:`BitString` or an ``int`` holding one 160-bit field.
-    The concatenation is right-padded with zero bits to a byte boundary
-    before hashing (see :meth:`BitString.to_bytes`); all parties share this
-    rule, so digests computed from algebraically equal inputs match.
+    The concatenation starts from ``value``, ``width`` bits wide (none by
+    default), so a caller holding a bare ``int`` of another width need not
+    wrap it. It is right-padded with zero bits to a byte boundary before
+    hashing (see :meth:`BitString.to_bytes`); all parties share this rule,
+    so digests computed from algebraically equal inputs match.
     """
-    width = value = 0
     for part in parts:
         if type(part) is int:
             width += DIGEST_BITS
@@ -95,9 +96,13 @@ class PufDevice:
 
     def eval(self, challenge: BitString) -> BitString:
         """Deterministic response to a 160-bit challenge."""
+        return _unchecked(DIGEST_BITS, self.eval_value(challenge))
+
+    def eval_value(self, challenge: BitString) -> int:
+        """The response of :meth:`eval` as the ``int`` of its 160-bit field."""
         if challenge.width != CHALLENGE_BITS:
             raise WidthMismatch(f"challenge must be {CHALLENGE_BITS} bits")
-        return sha1_digest(self.seed, challenge)
+        return sha1_value((self.seed, challenge))
 
 
 #: The code-offset fuzzy extractor (Dodis, Reyzin & Smith) over one
@@ -149,10 +154,15 @@ def fe_rep(bio: BitString, tau: BitString) -> BitString:
     at most ``FE_TOLERANCE`` set bits; beyond that it silently yields a
     different digest, which downstream credential checks reject.
     """
+    return _unchecked(DIGEST_BITS, fe_rep_value(bio, tau))
+
+
+def fe_rep_value(bio: BitString, tau: BitString) -> int:
+    """The digest of :func:`fe_rep` as the ``int`` of its 160-bit field."""
     if bio.width != BIO_BITS or tau.width != BIO_BITS:
         raise WidthMismatch(f"biometric and helper must be {BIO_BITS} bits")
     noisy = tau.value ^ bio.value
     word = 0
     for shift in range(BIO_BITS - _PAIR_BITS, -1, -_PAIR_BITS):
         word = (word << 2) | _PAIR_MAJORITY[(noisy >> shift) & _PAIR_MASK]
-    return sha1_digest(_unchecked(FE_KEY_BITS, word))
+    return sha1_value((), FE_KEY_BITS, word)

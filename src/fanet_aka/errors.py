@@ -42,7 +42,8 @@ class UnknownUav(ProtocolError):
 
 
 class IncompleteTranscript(ProtocolError):
-    """Bit accounting requested on a transcript missing protocol messages."""
+    """A transcript or log lacks messages: bit accounting on an incomplete
+    run, or a report of a channel log that evicted its oldest entries."""
 
 
 class UnknownScenario(ProtocolError):

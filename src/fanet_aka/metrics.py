@@ -81,6 +81,9 @@ BASELINES = [
 ]
 
 
+#: The primitives an :class:`OpCounter` tallies, in the order of its counts.
+OPS = ("hash", "puf", "fe", "xor")
+
 #: The table of the innermost open :func:`recording` scope, None outside one.
 _recorded: dict | None = None
 
@@ -103,9 +106,10 @@ class OpCounter:
 
     The role steps compute on plain ``int``s: :meth:`h` takes 160-bit
     ``int`` fields and :class:`BitString` parts (timestamps, card records)
-    alike and returns the digest as an ``int``, and :meth:`xor` combines
-    two ints. Inside a :func:`recording` scope each digest is still keyed
-    and its parts kept as BitStrings, the ints as 160-bit fields.
+    alike and returns the digest as an ``int``, :meth:`xor` combines two
+    ints, and :meth:`puf` and :meth:`fe_rep` return the ``int`` of their
+    160-bit result. Inside a :func:`recording` scope each digest is still
+    keyed and its parts kept as BitStrings, the ints as 160-bit fields.
 
     XOR is tallied for information only; it never enters time estimates.
     """
@@ -118,13 +122,12 @@ class OpCounter:
     def reset(self) -> None:
         self.hash_count = self.puf_count = self.fe_count = self.xor_count = 0
 
+    def counts(self) -> tuple[int, int, int, int]:
+        """The tallies in the order of :data:`OPS`."""
+        return self.hash_count, self.puf_count, self.fe_count, self.xor_count
+
     def snapshot(self) -> dict:
-        return {
-            "hash": self.hash_count,
-            "puf": self.puf_count,
-            "fe": self.fe_count,
-            "xor": self.xor_count,
-        }
+        return dict(zip(OPS, self.counts()))
 
     # counted primitive calls -------------------------------------------
 
@@ -140,21 +143,26 @@ class OpCounter:
         self.xor_count += 1
         return a ^ b
 
-    def puf(self, device: PufDevice, challenge: BitString) -> BitString:
+    def puf(self, device: PufDevice, challenge: BitString) -> int:
         self.puf_count += 1
-        return device.eval(challenge)
+        return device.eval_value(challenge)
 
     def fe_gen(self, bio: BitString, rng: random.Random) -> tuple[BitString, BitString]:
         self.fe_count += 1
         return crypto.fe_gen(bio, rng)
 
-    def fe_rep(self, bio: BitString, tau: BitString) -> BitString:
+    def fe_rep(self, bio: BitString, tau: BitString) -> int:
         self.fe_count += 1
-        return crypto.fe_rep(bio, tau)
+        return crypto.fe_rep_value(bio, tau)
 
 
-def diff_counts(before: dict, after: dict) -> dict:
-    return {k: after[k] - before[k] for k in after}
+def diff_counts(before: tuple, after: tuple) -> dict:
+    """The tallies made between two :meth:`OpCounter.counts` readings,
+    keyed as :data:`OPS`; spelled out, because a run builds six of these."""
+    hash0, puf0, fe0, xor0 = before
+    hash1, puf1, fe1, xor1 = after
+    return {"hash": hash1 - hash0, "puf": puf1 - puf0, "fe": fe1 - fe0,
+            "xor": xor1 - xor0}
 
 
 def count_session(result) -> dict:

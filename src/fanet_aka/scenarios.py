@@ -17,8 +17,8 @@ from typing import Callable
 from .bits import BitString
 from .closure import compute_closure
 from .crypto import BIO_BITS, NONCE_BITS, lift, sha1_digest
-from .errors import (DuplicateRegistration, ProtocolError, ReplayDetected,
-                     StaleTimestamp, UnknownScenario)
+from .errors import (DuplicateRegistration, IncompleteTranscript, ProtocolError,
+                     ReplayDetected, StaleTimestamp, UnknownScenario)
 from .metrics import recording
 from .simnet import SimConfig, World, build_world, enroll_user, enroll_uav, run_aka
 from .wire import (Msg1, Msg2, Msg3, UserRegRequest, decode, encode, protocol_bits,
@@ -68,7 +68,8 @@ def _scenario(users=("alice",), uavs=("uav-1",)):
 
     The attack's function name is its catalog key, its report's name and
     its world's rng label. It returns the run whose counts the report
-    carries, or None; the report's transcript is the channel log.
+    carries, or None; the report's transcript is the channel log, whole:
+    a world whose log evicted anything raises IncompleteTranscript.
     """
     def register(attack):
         name = attack.__name__
@@ -81,6 +82,10 @@ def _scenario(users=("alice",), uavs=("uav-1",)):
             if result is not None and result.ok:
                 report.op_counts = result.op_counts
                 report.bit_counts = protocol_bits(result.transcript)
+            if world.channel.evicted:
+                raise IncompleteTranscript(
+                    f"{name}: the channel log evicted {world.channel.evicted} "
+                    f"transmissions, so a report cannot show it whole")
             report.transcript = [tr.to_json() for tr in world.channel.log]
             return report
 

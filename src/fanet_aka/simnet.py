@@ -7,11 +7,17 @@ byte. The channel is the Dolev-Yao adversary: it observes its log,
 ``Channel.replay`` re-sends a logged public message, and ``run_aka``'s
 ``intercept`` hook tampers with, delays or drops messages in flight.
 Secure-channel messages are out of its reach; an insider scenario reads them.
+
+The log is bounded: it keeps the latest ``LOG_CAPACITY`` transmissions and
+counts the ones it evicts, so a long run's memory stays flat. A run owns
+its transcript: ``run_aka`` returns the transmissions it sent itself, not
+a slice of the log.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,17 +73,33 @@ class Transmission:
                 "events": ["replayed"] if self.replayed else []}
 
 
+#: Most transmissions a channel log holds; beyond it the oldest are evicted.
+#: Above the longest log a scenario report shows and the tamper world of the
+#: acceptance suite, so only long runs evict.
+LOG_CAPACITY = 4096
+
+
 class Channel:
-    """Record of every transmission, in order."""
+    """Record of the latest ``LOG_CAPACITY`` transmissions, in order.
+
+    ``logged`` counts every transmission ever logged, so ``evicted`` is the
+    number of the oldest that the bound pushed out.
+    """
 
     def __init__(self, clock: SimClock):
         self.clock = clock
-        self.log: list[Transmission] = []
+        self.log: deque[Transmission] = deque(maxlen=LOG_CAPACITY)
+        self.logged = 0
+
+    @property
+    def evicted(self) -> int:
+        return self.logged - len(self.log)
 
     def send(self, origin: str, dest: str, msg, secure: bool = False) -> Transmission:
         """Encode ``msg`` and log it under its own kind."""
         tr = Transmission(tick=self.clock.now, origin=origin, dest=dest,
                           kind=msg.KIND, payload=encode(msg), secure=secure)
+        self.logged += 1
         self.log.append(tr)
         return tr
 
@@ -90,6 +112,7 @@ class Channel:
             raise DisallowedAction("secure-channel message is out of reach")
         copy = Transmission(tick=self.clock.now, origin=tr.origin, dest=tr.dest,
                             kind=tr.kind, payload=tr.payload, replayed=True)
+        self.logged += 1
         self.log.append(copy)
         return copy
 
@@ -167,6 +190,8 @@ Intercept = Callable[[str, BitString], BitString | None]
 #: at a stage passed exactly the checks of the stages before it.
 STAGES = ("login", "MSG1", "MSG2", "MSG3", "complete")
 CHECKS = ("credential", "mac1", "mac2", "confirmation")
+#: The user's phases of a run, each counted apart in ``phase_counts``.
+PHASES = ("login", "initiate", "finalize")
 
 
 @dataclass(slots=True)
@@ -199,23 +224,27 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
     """Drive one full key agreement, optionally through an interceptor.
 
     The interceptor sees the serialized public payloads exactly as the
-    receiving party will, so tampering operates on wire bits. Counters are
-    reset at the start and the user's is read after each of its phases;
+    receiving party will, so tampering operates on wire bits. The run's
+    transcript is the transmissions it sent itself, as delivered, whatever
+    else the channel logs meanwhile. Each party's counters are read at the
+    start, the user's again after each of its phases, and all at the end;
     the differences feed the operation accounting.
     """
     user = world.users[user_identity]
     uav = world.uavs[uav_identity]
     gwn = world.gateway
+    clock, channel = world.clock, world.channel
     secrets = world.user_secrets[user_identity]
     password = secrets["password"] if password is None else password
-    start = len(world.channel.log)
-    for ops in (user.ops, gwn.ops, uav.ops):
-        ops.reset()
-    phases: dict[str, dict] = {}
+    user_ops, gwn_ops, uav_ops = user.ops, gwn.ops, uav.ops
+    gwn_start, uav_start = gwn_ops.counts(), uav_ops.counts()
+    marks = [user_ops.counts()]  # the user's counters at each phase boundary
+    transcript: list[Transmission] = []
     user_sk = uav_sk = error = None
 
     def send(origin: str, dest: str, msg) -> BitString:
-        tr = world.channel.send(origin, dest, msg)
+        tr = channel.send(origin, dest, msg)
+        transcript.append(tr)
         if intercept is not None:
             payload = intercept(tr.kind, tr.payload)
             if payload is None:
@@ -226,33 +255,33 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
     stage = "login"
     try:
         ctx = user.login(password, secrets["bio"])
-        phases["login"] = logged_in = user.ops.snapshot()  # counters start at zero
+        marks.append(user_ops.counts())
         stage = "MSG1"
 
-        msg1 = user.aka_initiate(ctx, uav_identity, world.clock)
-        initiated = user.ops.snapshot()
-        phases["initiate"] = diff_counts(logged_in, initiated)
+        msg1 = user.aka_initiate(ctx, uav_identity, clock)
+        marks.append(user_ops.counts())
         payload = send(user_identity, gwn.identity, msg1)
-        world.clock.advance(1)
+        clock.advance(1)
 
-        msg2 = gwn.relay_auth(wire.decode_msg1(payload), world.clock, world.rng)
+        msg2 = gwn.relay_auth(wire.decode_msg1(payload), clock, world.rng)
         stage = "MSG2"
         payload = send(gwn.identity, uav_identity, msg2)
-        world.clock.advance(1)
+        clock.advance(1)
 
-        msg3, uav_sk = uav.aka_respond(wire.decode_msg2(payload), world.clock,
-                                       world.rng)
+        msg3, uav_sk = uav.aka_respond(wire.decode_msg2(payload), clock, world.rng)
         stage = "MSG3"
         payload = send(uav_identity, user_identity, msg3)
 
-        user_sk = user.aka_finalize(wire.decode_msg3(payload), world.clock)
-        phases["finalize"] = diff_counts(initiated, user.ops.snapshot())
+        user_sk = user.aka_finalize(wire.decode_msg3(payload), clock)
+        marks.append(user_ops.counts())
         stage = "complete"
     except ProtocolError as exc:
         error = type(exc).__name__
     return AkaResult(
         ok=error is None, stage=stage, error=error, user_sk=user_sk,
-        uav_sk=uav_sk, transcript=world.channel.log[start:],
-        op_counts={"user": user.ops.snapshot(), "gwn": gwn.ops.snapshot(),
-                   "uav": uav.ops.snapshot()},
-        phase_counts=phases)
+        uav_sk=uav_sk, transcript=transcript,
+        op_counts={"user": diff_counts(marks[0], user_ops.counts()),
+                   "gwn": diff_counts(gwn_start, gwn_ops.counts()),
+                   "uav": diff_counts(uav_start, uav_ops.counts())},
+        phase_counts={phase: diff_counts(before, after) for phase, before, after
+                      in zip(PHASES, marks, marks[1:])})

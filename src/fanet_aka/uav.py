@@ -11,7 +11,7 @@ import random
 
 from .bits import BitString
 from .crypto import (CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS, PUF_SEED_BITS, PufDevice,
-                     field, random_nonce)
+                     field)
 from .errors import MacMismatch
 from .metrics import OpCounter
 from .wire import FreshnessGuard, Msg2, Msg3, UavRegSubmit, ts_bits
@@ -35,7 +35,7 @@ class Uav:
 
     def register(self) -> UavRegSubmit:
         """Answer the enrollment challenge with its PUF response."""
-        return UavRegSubmit(r_j=self.ops.puf(self._puf, self.c_j).value)
+        return UavRegSubmit(r_j=self.ops.puf(self._puf, self.c_j))
 
     # -- key agreement ---------------------------------------------------------
 
@@ -49,7 +49,7 @@ class Uav:
 
         ops, id_j, tc_id_j = self.ops, self.id_j.value, self.tc_id_j.value
         v1 = msg2.v1
-        r_j = ops.puf(self._puf, self.c_j).value
+        r_j = ops.puf(self._puf, self.c_j)
         n_j = ops.xor(v1, ops.h(id_j, tc_id_j, r_j))
         # recovered nonce must carry the 32-bit zero prefix of a lifted
         # 128-bit nonce; anything else is a tampered or misdirected message
@@ -60,7 +60,7 @@ class Uav:
             raise MacMismatch("MSG2 authentication code mismatch")
         self.guard.accept(msg2.mac2, expiry)
 
-        n_k = random_nonce(rng).value  # lifted: the int is unchanged
+        n_k = rng.getrandbits(NONCE_BITS)  # lifted: the int is unchanged
         ts3 = ts_bits(clock.now)
         tid_i = ops.xor(msg2.h_i, n_j)
         v2 = ops.xor(ops.h(id_j, tid_i, ts3), n_k)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .bits import BitString
-from .crypto import BIO_BITS, DIGEST_BITS, field, random_nonce
+from .crypto import BIO_BITS, DIGEST_BITS, NONCE_BITS, field
 from .errors import AuthFailed, LoginFailed, ProtocolError
 from .metrics import OpCounter
 from .wire import Msg1, Msg3, UserRegRequest, UserRegResponse, check_fresh, ts_bits
@@ -98,7 +98,7 @@ class User:
     def register_begin(self, password: str, rng: random.Random) -> UserRegRequest:
         if not password:
             raise ValueError("password must be non-empty")
-        n_i = random_nonce(rng).value  # lifted: the int is unchanged
+        n_i = rng.getrandbits(NONCE_BITS)  # lifted: the int is unchanged
         pw = BitString.from_text(password)
         tid_i = self.ops.h(self.id_i, n_i)
         tpw_i = self.ops.h(pw, n_i)
@@ -135,7 +135,7 @@ class User:
         if self.card is None:
             raise ProtocolError("no card issued")
         card, ops, id_i = self.card, self.ops, self.id_i.value
-        sigma_star = ops.fe_rep(bio, card.tau_i).value
+        sigma_star = ops.fe_rep(bio, card.tau_i)
         n_i_star = ops.xor(card.a_i.value, ops.h(id_i, sigma_star))
         tid_star = ops.h(id_i, n_i_star)
         tpw_star = ops.h(BitString.from_text(password).value, n_i_star)

@@ -7,13 +7,17 @@ bit counts. Identities and digests are 160 bits, timestamps 32 bits, so
 the three key-agreement messages measure 672, 672 and 512 bits. The
 freshness decision on the 32-bit timestamp field lives here too.
 
-Message objects are mutable slotted records. Each 160-bit field holds the
-plain ``int`` the role steps compute on; a timestamp stays a
+Message objects are immutable slotted records. Each 160-bit field holds
+the plain ``int`` the role steps compute on; a timestamp stays a
 :class:`~fanet_aka.bits.BitString`, because hashes take it at its own
 width. The record constructor is the boundary, as ``BitString.__init__``
-is: it also takes a BitString of a field's width and keeps its ``int``.
-The encoded payload is the immutable wire value: it is what the channel
-logs and what an intercept sees and may replace.
+is: it also takes a BitString of a field's width and keeps its ``int``,
+and since no field can be assigned afterwards, ``dataclasses.replace``
+goes through it too. Each record carries a codec generated from its
+``WIDTHS``: packing range-checks every field and shifts them into one
+payload, unpacking slices the payload by constant shifts and masks. The
+encoded payload is the immutable wire value: it is what the channel logs
+and what an intercept sees and may replace.
 """
 
 from __future__ import annotations
@@ -38,28 +42,66 @@ def _field_int(value, width: int, where: str) -> int:
     return value.value
 
 
-def _record(cls):
-    """Make ``cls`` a slotted dataclass message record with a boundary
-    constructor.
+def _immutable(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
 
-    The constructor keeps an ``int`` as it is (``encode`` range-checks it),
+
+def _record(cls):
+    """Make ``cls`` an immutable slotted dataclass message record with a
+    boundary constructor and its own codec.
+
+    The constructor keeps an ``int`` as it is (packing range-checks it),
     turns a BitString of the field's width into its ``int``, and raises
-    WidthMismatch on any other width. A timestamp is kept as given. The
-    source is generated per class, as ``dataclasses`` does, so the ints
-    a role step or ``decode`` passes cost one type test per field.
+    WidthMismatch on any other width. A timestamp is kept as given.
+    Packing range-checks each ``int`` field, width-checks the timestamp and
+    shifts every field into one expression; unpacking slices the payload by
+    constant (shift, mask) pairs. The source of all three is generated per
+    class from ``WIDTHS``, as ``dataclasses`` does, and they set the fields
+    through the slot descriptors, so the record is immutable to everyone
+    else: assigning a field raises AttributeError.
     """
     cls = dataclass(slots=True, init=False)(cls)
+    name = cls.__name__
     names = [f.name for f in dc_fields(cls)]
-    lines = [f"def __init__(self, {', '.join(names)}):"]
-    for name, width in zip(names, cls.WIDTHS):
+    total = sum(cls.WIDTHS)
+    init = [f"def __init__(self, {', '.join(names)}):"]
+    pack = ["def _pack(self):"]
+    unpack = ["def _unpack(raw):",
+              f"    if raw.width != {total}:",
+              f"        raise WidthMismatch(f'{name} is {total} bits, got {{raw.width}}')",
+              "    value = raw.value",
+              "    msg = _new(cls)"]
+    terms, shift = [], total
+    for field_name, width in zip(names, cls.WIDTHS):
+        shift -= width
+        where, mask = f"{name}.{field_name}", (1 << width) - 1
+        pack.append(f"    {field_name} = self.{field_name}")
         if width == TS_BITS:
-            lines.append(f"    self.{name} = {name}")
+            init.append(f"    _set_{field_name}(self, {field_name})")
+            pack += [f"    if {field_name}.width != {width}:",
+                     f"        raise WidthMismatch(f'{where} must be {width} bits, "
+                     f"got {{{field_name}.width}}')"]
+            terms.append(f"{field_name}.value << {shift}")
+            unpack.append(f"    _set_{field_name}(msg, _unchecked({width}, "
+                          f"value >> {shift} & {mask}))")
         else:
-            lines.append(f"    self.{name} = {name} if type({name}) is int else "
-                         f"_field_int({name}, {width}, '{cls.__name__}.{name}')")
-    namespace = {"_field_int": _field_int}
-    exec("\n".join(lines), namespace)
+            init.append(f"    _set_{field_name}(self, {field_name} if type({field_name}) "
+                        f"is int else _field_int({field_name}, {width}, '{where}'))")
+            pack += [f"    if not 0 <= {field_name} <= {mask}:",
+                     f"        raise WidthMismatch('{where} does not fit in {width} bits')"]
+            terms.append(f"{field_name} << {shift}")
+            unpack.append(f"    _set_{field_name}(msg, value >> {shift} & {mask})")
+    pack.append(f"    return _unchecked({total}, {' | '.join(terms)})")
+    unpack.append("    return msg")
+    namespace = {"cls": cls, "_field_int": _field_int, "_new": object.__new__,
+                 "_unchecked": _unchecked, "WidthMismatch": WidthMismatch}
+    namespace.update({f"_set_{field_name}": cls.__dict__[field_name].__set__
+                      for field_name in names})
+    exec("\n".join(init + [""] + pack + [""] + unpack), namespace)
     cls.__init__ = namespace["__init__"]
+    cls.__setattr__ = cls.__delattr__ = _immutable
+    cls._pack = namespace["_pack"]
+    cls._unpack = staticmethod(namespace["_unpack"])
     return cls
 
 
@@ -150,49 +192,10 @@ MESSAGE_TYPES = (Msg1, Msg2, Msg3, UserRegRequest, UserRegResponse, UavRegReques
                  UavRegResponse, UavRegSubmit)
 
 
-@dataclass(frozen=True, slots=True)
-class _Layout:
-    """How one message class meets the wire, field by field in wire order."""
-
-    fields: tuple[tuple[str, int, int], ...]   # (name, width, 2**width)
-    slices: tuple[tuple[int, int], ...]        # (shift, mask) in the payload
-    stamp: int | None                          # index of the timestamp, if any
-    total: int                                 # payload width
-
-
-def _layout(cls) -> _Layout:
-    names = [f.name for f in dc_fields(cls)]
-    total = sum(cls.WIDTHS)
-    slices, shift = [], total
-    for width in cls.WIDTHS:
-        shift -= width
-        slices.append((shift, (1 << width) - 1))
-    stamp = cls.WIDTHS.index(TS_BITS) if TS_BITS in cls.WIDTHS else None
-    return _Layout(tuple((name, width, 1 << width) for name, width in zip(names, cls.WIDTHS)),
-                   tuple(slices), stamp, total)
-
-
-_LAYOUTS = {cls: _layout(cls) for cls in MESSAGE_TYPES}
-
-
 def encode(msg) -> BitString:
     """Serialize a message; raises WidthMismatch on any ill-sized field: an
-    ``int`` outside 0 <= v < 2**width, or a BitString of another width."""
-    layout = _LAYOUTS[type(msg)]
-    value = 0
-    for name, width, limit in layout.fields:
-        part = getattr(msg, name)
-        if type(part) is int:
-            if not 0 <= part < limit:
-                raise WidthMismatch(f"{type(msg).__name__}.{name} does not fit "
-                                    f"in {width} bits")
-        elif part.width != width:
-            raise WidthMismatch(f"{type(msg).__name__}.{name} must be {width} bits, "
-                                f"got {part.width}")
-        else:
-            part = part.value
-        value = (value << width) | part
-    return _unchecked(layout.total, value)
+    ``int`` outside 0 <= v < 2**width, or a timestamp of another width."""
+    return msg._pack()
 
 
 def decode(cls, raw: BitString):
@@ -201,27 +204,13 @@ def decode(cls, raw: BitString):
     Total on any input of the right width: field slicing cannot fail, so
     fuzzed payloads decode into (garbage) field values rather than faults.
     """
-    layout = _LAYOUTS[cls]
-    if raw.width != layout.total:
-        raise WidthMismatch(f"{cls.__name__} is {layout.total} bits, got {raw.width}")
-    value = raw.value
-    values = [(value >> shift) & mask for shift, mask in layout.slices]
-    if layout.stamp is not None:
-        values[layout.stamp] = _unchecked(TS_BITS, values[layout.stamp])
-    return cls(*values)
+    return cls._unpack(raw)
 
 
-# The decode_msg* wrappers stay: the benchmark's traced run wraps them by name.
-def decode_msg1(raw: BitString) -> Msg1:
-    return decode(Msg1, raw)
-
-
-def decode_msg2(raw: BitString) -> Msg2:
-    return decode(Msg2, raw)
-
-
-def decode_msg3(raw: BitString) -> Msg3:
-    return decode(Msg3, raw)
+# The decode_msg* names stay: the benchmark's traced run wraps them by name.
+decode_msg1 = Msg1._unpack
+decode_msg2 = Msg2._unpack
+decode_msg3 = Msg3._unpack
 
 
 def ts_bits(tick: int) -> BitString:

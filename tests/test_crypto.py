@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from fanet_aka.bits import BitString, concat
 from fanet_aka.crypto import (BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE,
-                              PufDevice, fe_gen, fe_rep, lift, random_nonce, sha1_digest)
+                              PufDevice, fe_gen, fe_rep, fe_rep_value, lift, random_nonce,
+                              sha1_digest, sha1_value)
 from fanet_aka.errors import WidthMismatch
 
 
@@ -46,6 +47,13 @@ def test_sha1_digest_matches_hashlib_on_the_padded_bytes(parts):
     # the parts are hashed as their concatenation, padded once at the end
     expected = hashlib.sha1(concat(parts).to_bytes()).digest()
     assert sha1_digest(*parts) == BitString.from_bytes(expected)
+
+
+@given(_part, st.lists(_part, max_size=3))
+def test_sha1_value_from_a_leading_int_hashes_as_that_part(first, rest):
+    # a caller holding a bare int of any width passes it as the start of
+    # the concatenation; the digest is that of the part it stands for
+    assert sha1_value(rest, first.width, first.value) == sha1_digest(first, *rest).value
 
 
 def test_hash_parts_matches_manual_concatenation():
@@ -103,6 +111,24 @@ def test_puf_rejects_bad_challenge_width():
     dev = PufDevice.generate(random.Random(1))
     with pytest.raises(WidthMismatch):
         dev.eval(BitString(128, 0))
+    with pytest.raises(WidthMismatch):
+        dev.eval_value(BitString(128, 0))
+
+
+def test_int_cores_match_their_bit_string_wrappers():
+    # the role steps take the PUF response and the extractor digest as ints
+    rng = random.Random(4)
+    for _ in range(50):
+        dev, challenge = PufDevice.generate(rng), BitString.random(160, rng)
+        assert dev.eval_value(challenge) == dev.eval(challenge).value
+        bio = BitString.random(BIO_BITS, rng)
+        sigma, tau = fe_gen(bio, rng)
+        noisy = bio.flip(rng.randrange(BIO_BITS))
+        for reading in (bio, noisy, BitString.random(BIO_BITS, rng)):
+            assert fe_rep_value(reading, tau) == fe_rep(reading, tau).value
+        assert fe_rep_value(noisy, tau) == sigma.value
+    with pytest.raises(WidthMismatch):
+        fe_rep_value(BitString.zeros(8), BitString.zeros(160))
 
 
 def test_puf_inter_device_uniqueness():

@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from fanet_aka.bits import BitString
 from fanet_aka.crypto import sha1_digest
-from fanet_aka.errors import (DuplicateRegistration, MacMismatch,
+from fanet_aka.errors import (DuplicateRegistration, MacMismatch, ProtocolError,
                               ReplayDetected, StaleTimestamp, UnknownUav)
 from fanet_aka.gwn import SECRET_BITS, Gateway
 from fanet_aka.simnet import SimConfig, SimClock, build_world, enroll_user, enroll_uav, run_aka
@@ -237,3 +238,22 @@ def test_restored_gateway_relays_to_every_registered_uav():
     for name in world.uavs:
         result = run_aka(world, "alice", name)
         assert result.ok and result.keys_agree, name
+
+
+def test_a_msg1_field_cannot_be_assigned_and_a_replaced_one_is_refused():
+    # an assigned field would skip the record's boundary; replace goes
+    # through it, so the gateway sees an int and refuses the MAC
+    world = build_world(SimConfig(seed=0))
+    enroll_user(world, "alice", "pw-alice")
+    enroll_uav(world, "uav-1")
+    user, gwn = world.users["alice"], world.gateway
+    secrets = world.user_secrets["alice"]
+    msg1 = user.aka_initiate(user.login(secrets["password"], secrets["bio"]),
+                             "uav-1", world.clock)
+    with pytest.raises(AttributeError):
+        msg1.g_i = BitString(160, 1)
+    forged = replace(msg1, g_i=BitString(160, 1))
+    assert forged.g_i == 1
+    with pytest.raises(ProtocolError):
+        gwn.relay_auth(forged, world.clock, world.rng)
+    gwn.relay_auth(msg1, world.clock, world.rng)  # the original still verifies

@@ -127,13 +127,15 @@ def test_count_session_matches_reference_tallies():
     assert counts["uav"]["hash"] == 8
 
 
-def test_honest_session_builds_at_most_17_bit_strings(monkeypatch):
+def test_honest_session_builds_at_most_13_bit_strings(monkeypatch):
     # every BitString is built by bits._new (unchecked) or by __init__; the
-    # role steps and the message records carry ints, so a session builds one
-    # only for a payload, a timestamp, a session key, a nonce, a password or
-    # UAV name, a PUF response or a fuzzy-extractor value (42 while message
-    # fields were BitStrings, 73 before the role steps computed on ints, 104
-    # before the hash, XOR and message layers were flattened)
+    # role steps and the message records carry ints, and the UAV's nonce,
+    # the PUF response and the fuzzy extractor's digest reach them as ints,
+    # so a session builds one only for a payload, a timestamp, a session
+    # key or a password or UAV name (17 while those three were wrapped, 42
+    # while message fields were BitStrings, 73 before the role steps
+    # computed on ints, 104 before the hash, XOR and message layers were
+    # flattened)
     world = build_world(SimConfig(seed=0))
     enroll_user(world, "alice", "pw-alice")
     enroll_uav(world, "uav-1")
@@ -155,7 +157,7 @@ def test_honest_session_builds_at_most_17_bit_strings(monkeypatch):
     result = run_aka(world, "alice", "uav-1")
     monkeypatch.undo()
     assert result.ok and result.keys_agree
-    assert built <= 17
+    assert built <= 13
     assert result.op_counts == {"user": {"hash": 11, "puf": 0, "fe": 1, "xor": 7},
                                 "gwn": {"hash": 6, "puf": 0, "fe": 0, "xor": 6},
                                 "uav": {"hash": 8, "puf": 1, "fe": 0, "xor": 7}}

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from fanet_aka.errors import UnknownScenario
+from fanet_aka import simnet
+from fanet_aka.errors import IncompleteTranscript, UnknownScenario
 from fanet_aka.scenarios import (FEATURES, SCENARIOS, feature_matrix,
                                  run_dynamic_addition, run_lifecycle_replacement,
                                  run_lifecycle_update, run_scenario)
@@ -103,3 +104,15 @@ def test_feature_matrix_covers_all_rows():
     assert len(matrix) == 14
     failing = [k for k, v in matrix.items() if not v["passed"]]
     assert not failing, failing
+
+
+def test_a_report_never_shows_a_cut_log(monkeypatch):
+    # every report serializes its world's whole channel log; a log that
+    # evicted entries is refused rather than shown cut
+    longest = max(len(run_scenario(name, SimConfig(seed=0)).transcript)
+                  for name in ("mutual_auth", "replay"))
+    assert longest < simnet.LOG_CAPACITY
+    monkeypatch.setattr(simnet, "LOG_CAPACITY", 4)
+    for name in ("mutual_auth", "replay"):
+        with pytest.raises(IncompleteTranscript, match="evicted"):
+            run_scenario(name, SimConfig(seed=0))

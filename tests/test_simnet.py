@@ -6,8 +6,8 @@ import pytest
 from fanet_aka.bits import BitString
 from fanet_aka.errors import (DisallowedAction, DuplicateRegistration, MacMismatch,
                               ReplayDetected)
-from fanet_aka.simnet import (SimClock, SimConfig, build_world, enroll_user,
-                              enroll_uav, run_aka)
+from fanet_aka.simnet import (LOG_CAPACITY, SimClock, SimConfig, build_world,
+                              enroll_user, enroll_uav, run_aka)
 from fanet_aka.wire import (FreshnessGuard, decode, decode_msg1, encode, protocol_bits,
                             ts_bits)
 
@@ -222,3 +222,79 @@ def test_refused_uav_enrollment_draws_and_sends_nothing():
         assert len(world.channel.log) == log_len
         assert world.rng.getstate() == rng_state
     assert list(world.uavs) == ["uav-1"]
+
+
+def test_log_is_bounded_and_counts_each_eviction():
+    world = _ready(seed=12)
+    channel = world.channel
+    while channel.logged + 3 <= LOG_CAPACITY:
+        world.clock.advance(world.config.delta_t + 1)
+        assert run_aka(world, "alice", "uav-1").ok
+    assert channel.evicted == 0
+    for _ in range(3):
+        world.clock.advance(world.config.delta_t + 1)
+        before = channel.logged
+        result = run_aka(world, "alice", "uav-1")
+        assert result.ok and result.keys_agree
+        assert channel.logged == before + 3
+        assert len(channel.log) == LOG_CAPACITY
+        assert channel.evicted == channel.logged - LOG_CAPACITY > 0
+        # the run's transcript is exactly its own messages, the log's newest
+        assert result.transcript == list(channel.log)[-3:]
+        assert protocol_bits(result.transcript) == {
+            "MSG1": 672, "MSG2": 672, "MSG3": 512, "total": 1856, "message_count": 3}
+    assert not any(tr.secure for tr in channel.log)  # the oldest went first
+
+
+def test_transcript_holds_only_the_runs_own_messages():
+    # an adversary's copy logged during the run is in the log, not the transcript
+    world = _ready(seed=13)
+    first = run_aka(world, "alice", "uav-1")
+    world.clock.advance(world.config.delta_t + 1)
+    replayed = []
+
+    def replay_old_msg1(kind, payload):
+        if kind == "MSG2":
+            replayed.append(world.channel.replay(first.transcript[0]))
+        return payload
+
+    result = run_aka(world, "alice", "uav-1", intercept=replay_old_msg1)
+    assert result.ok and result.keys_agree
+    assert [tr.kind for tr in result.transcript] == ["MSG1", "MSG2", "MSG3"]
+    assert replayed[0] in world.channel.log and replayed[0] not in result.transcript
+    assert list(world.channel.log)[-4:] == [*result.transcript[:2], replayed[0],
+                                            result.transcript[2]]
+
+
+def _counts(hash_, puf, fe, xor):
+    return {"hash": hash_, "puf": puf, "fe": fe, "xor": xor}
+
+
+NONE = _counts(0, 0, 0, 0)
+LOGIN, INITIATE = _counts(4, 0, 1, 1), _counts(3, 0, 0, 3)
+
+
+@pytest.mark.parametrize("case, stage, error, counts", [
+    (dict(password="not-the-password"), "login", "LoginFailed",
+     {"user": LOGIN, "gwn": NONE, "uav": NONE}),
+    (dict(intercept=lambda kind, p: None if kind == "MSG1" else p), "MSG1",
+     "ProtocolError", {"user": _counts(7, 0, 1, 4), "gwn": NONE, "uav": NONE}),
+    (dict(intercept=lambda kind, p: p.flip(200) if kind == "MSG2" else p), "MSG2",
+     "MacMismatch", {"user": _counts(7, 0, 1, 4), "gwn": _counts(6, 0, 0, 6),
+                     "uav": _counts(3, 1, 0, 1)}),
+    (dict(intercept=lambda kind, p: p.flip(400) if kind == "MSG3" else p), "MSG3",
+     "AuthFailed", {"user": _counts(9, 0, 1, 6), "gwn": _counts(6, 0, 0, 6),
+                    "uav": _counts(8, 1, 0, 7)}),
+], ids=["wrong_password", "msg1_dropped", "msg2_tampered", "msg3_tampered"])
+def test_counts_of_a_run_stopped_at_each_stage_are_pinned(case, stage, error, counts):
+    # a phase is counted once it completes; the run's counts hold what was
+    # spent before it stopped, the failed check included
+    world = _ready()
+    run_aka(world, "alice", "uav-1")  # counters are read, never reset
+    world.clock.advance(world.config.delta_t + 1)
+    result = run_aka(world, "alice", "uav-1", **case)
+    assert (result.stage, result.error) == (stage, error)
+    assert result.op_counts == counts
+    phases = {"login": LOGIN, "initiate": INITIATE}
+    assert result.phase_counts == ({} if stage == "login" else phases)
+    assert len(result.transcript) == ("login", "MSG1", "MSG2", "MSG3").index(stage)

@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,6 +86,30 @@ def test_out_of_range_int_is_refused_at_encode(cls):
             msg = cls(*values)
             with pytest.raises(WidthMismatch, match=f"{cls.__name__}.{_names(cls)[i]}"):
                 encode(msg)
+
+
+@pytest.mark.parametrize("cls", wire.MESSAGE_TYPES)
+def test_records_are_immutable(cls):
+    # as on BitString, a field cannot be assigned or deleted after
+    # construction, so every value a record holds passed its constructor
+    msg = cls(*(BitString(w, 1) for w in cls.WIDTHS))
+    for name in _names(cls):
+        with pytest.raises(AttributeError):
+            setattr(msg, name, BitString(160, 1))
+        with pytest.raises(AttributeError):
+            delattr(msg, name)
+    with pytest.raises(AttributeError):
+        msg.extra = 1
+    assert msg == cls(*(BitString(w, 1) for w in cls.WIDTHS))
+
+
+def test_replace_goes_through_the_boundary_constructor():
+    msg = Msg1(1, 2, 3, 4, ts_bits(5))
+    assert replace(msg, g_i=BitString(160, 7)).g_i == 7
+    with pytest.raises(WidthMismatch, match="Msg1.g_i"):
+        replace(msg, g_i=BitString(128, 7))
+    with pytest.raises(TypeError):
+        replace(msg, rid_j="not a field")
 
 
 def test_decode_rejects_wrong_total_width():
