@@ -8,7 +8,7 @@ knowledge-closure engine, operation/bit accounting, and a CLI driver.
 
 from .bits import BitString, concat
 from .closure import Closure, compute_closure
-from .crypto import PufDevice, fe_gen, fe_rep, random_nonce, sha1_digest
+from .crypto import PufDevice, fe_gen, fe_rep, sha1_digest
 from .errors import ProtocolError
 from .gwn import Gateway
 from .metrics import OpCounter, count_session, overhead_report
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitString", "concat", "Closure", "compute_closure", "PufDevice",
-    "fe_gen", "fe_rep", "random_nonce", "sha1_digest",
+    "fe_gen", "fe_rep", "sha1_digest",
     "ProtocolError", "Gateway", "OpCounter", "count_session",
     "overhead_report", "SCENARIOS", "feature_matrix", "run_scenario",
     "SimClock", "SimConfig", "build_world", "enroll_uav", "enroll_user",

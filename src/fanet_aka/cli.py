@@ -179,7 +179,7 @@ def load_world(state: StateDir, cfg: SimConfig,
         return Uav.from_json(doc, seed)
 
     if new_gateway is not None:
-        gateway, now = Gateway(new_gateway, BitString.random(SECRET_BITS, rng)), 0
+        gateway, now = Gateway(new_gateway, rng.getrandbits(SECRET_BITS)), 0
     else:
         gateway, now = state.read("gwn.json", parse_gateway)
     clock = SimClock(cfg.delta_t, now)
@@ -211,7 +211,7 @@ def save_world(state: StateDir, world: World) -> None:
                                   "bio": secret["bio"].hex()}
     for name, uav in world.uavs.items():
         state.save(f"uav_{name}.json", uav.to_json())
-        secrets["puf_seeds"][name] = uav._puf.seed.hex()
+        secrets["puf_seeds"][name] = BitString(PUF_SEED_BITS, uav._puf.seed).hex()
     state.save("secrets.json", secrets)
 
 

@@ -60,11 +60,6 @@ def sha1_digest(*parts: BitString) -> BitString:
 field = partial(_unchecked, DIGEST_BITS)
 
 
-def random_nonce(rng: random.Random) -> BitString:
-    """Fresh 128-bit nonce from the injected generator."""
-    return BitString.random(NONCE_BITS, rng)
-
-
 def lift(value: BitString) -> BitString:
     """Zero-extend a value (typically a nonce) to the 160-bit field width.
 
@@ -75,7 +70,7 @@ def lift(value: BitString) -> BitString:
     return value.zext(DIGEST_BITS)
 
 
-@dataclass
+@dataclass(slots=True)
 class PufDevice:
     """Simulated physical unclonable function.
 
@@ -84,25 +79,22 @@ class PufDevice:
     correction for the response, so a noisy PUF fails nearly every session.
     """
 
-    seed: BitString
+    seed: int
 
     def __post_init__(self):
-        if self.seed.width != PUF_SEED_BITS:
+        if self.seed < 0 or self.seed >> PUF_SEED_BITS:
             raise WidthMismatch(f"device seed must be {PUF_SEED_BITS} bits")
 
     @classmethod
     def generate(cls, rng: random.Random) -> "PufDevice":
-        return cls(BitString.random(PUF_SEED_BITS, rng))
+        return cls(rng.getrandbits(PUF_SEED_BITS))
 
-    def eval(self, challenge: BitString) -> BitString:
-        """Deterministic response to a 160-bit challenge."""
-        return _unchecked(DIGEST_BITS, self.eval_value(challenge))
-
-    def eval_value(self, challenge: BitString) -> int:
-        """The response of :meth:`eval` as the ``int`` of its 160-bit field."""
-        if challenge.width != CHALLENGE_BITS:
+    def eval_value(self, challenge: int) -> int:
+        """Deterministic response to a 160-bit challenge, as the ``int`` of
+        its 160-bit field: h(seed || challenge)."""
+        if challenge < 0 or challenge >> CHALLENGE_BITS:
             raise WidthMismatch(f"challenge must be {CHALLENGE_BITS} bits")
-        return sha1_value((self.seed, challenge))
+        return sha1_value((challenge,), PUF_SEED_BITS, self.seed)
 
 
 #: The code-offset fuzzy extractor (Dodis, Reyzin & Smith) over one
@@ -154,14 +146,16 @@ def fe_rep(bio: BitString, tau: BitString) -> BitString:
     at most ``FE_TOLERANCE`` set bits; beyond that it silently yields a
     different digest, which downstream credential checks reject.
     """
-    return _unchecked(DIGEST_BITS, fe_rep_value(bio, tau))
-
-
-def fe_rep_value(bio: BitString, tau: BitString) -> int:
-    """The digest of :func:`fe_rep` as the ``int`` of its 160-bit field."""
-    if bio.width != BIO_BITS or tau.width != BIO_BITS:
+    if tau.width != BIO_BITS:
         raise WidthMismatch(f"biometric and helper must be {BIO_BITS} bits")
-    noisy = tau.value ^ bio.value
+    return _unchecked(DIGEST_BITS, fe_rep_value(bio, tau.value))
+
+
+def fe_rep_value(bio: BitString, tau: int) -> int:
+    """The digest of :func:`fe_rep` as an ``int``, from the ``int`` helper a card stores."""
+    if bio.width != BIO_BITS or tau < 0 or tau >> BIO_BITS:
+        raise WidthMismatch(f"biometric and helper must be {BIO_BITS} bits")
+    noisy = tau ^ bio.value
     word = 0
     for shift in range(BIO_BITS - _PAIR_BITS, -1, -_PAIR_BITS):
         word = (word << 2) | _PAIR_MAJORITY[(noisy >> shift) & _PAIR_MASK]

@@ -105,11 +105,12 @@ class OpCounter:
     """Counted facade over the primitives, one per protocol role.
 
     The role steps compute on plain ``int``s: :meth:`h` takes 160-bit
-    ``int`` fields and :class:`BitString` parts (timestamps, card records)
-    alike and returns the digest as an ``int``, :meth:`xor` combines two
-    ints, and :meth:`puf` and :meth:`fe_rep` return the ``int`` of their
-    160-bit result. Inside a :func:`recording` scope each digest is still
-    keyed and its parts kept as BitStrings, the ints as 160-bit fields.
+    ``int`` fields and :class:`BitString` parts (timestamps, the biometric
+    key) alike and returns the digest as an ``int``, :meth:`xor` combines two
+    ints, and :meth:`puf` and :meth:`fe_rep` take the ``int`` a party stores
+    and return the ``int`` of their 160-bit result. Inside a :func:`recording`
+    scope each digest is still keyed and its parts kept as BitStrings, the
+    ints as 160-bit fields.
 
     XOR is tallied for information only; it never enters time estimates.
     """
@@ -143,7 +144,7 @@ class OpCounter:
         self.xor_count += 1
         return a ^ b
 
-    def puf(self, device: PufDevice, challenge: BitString) -> int:
+    def puf(self, device: PufDevice, challenge: int) -> int:
         self.puf_count += 1
         return device.eval_value(challenge)
 
@@ -151,7 +152,7 @@ class OpCounter:
         self.fe_count += 1
         return crypto.fe_gen(bio, rng)
 
-    def fe_rep(self, bio: BitString, tau: BitString) -> int:
+    def fe_rep(self, bio: BitString, tau: int) -> int:
         self.fe_count += 1
         return crypto.fe_rep_value(bio, tau)
 

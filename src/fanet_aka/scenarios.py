@@ -16,7 +16,7 @@ from typing import Callable
 
 from .bits import BitString
 from .closure import compute_closure
-from .crypto import BIO_BITS, NONCE_BITS, lift, sha1_digest
+from .crypto import BIO_BITS, DIGEST_BITS, ID_BITS, NONCE_BITS, lift, sha1_digest
 from .errors import (DuplicateRegistration, IncompleteTranscript, ProtocolError,
                      ReplayDetected, StaleTimestamp, UnknownScenario)
 from .metrics import recording
@@ -134,10 +134,12 @@ def stolen_card(report: ScenarioReport, world: World, cfg: SimConfig):
     # the key hashes (v3, TID_i, RID_j, N_k, ts3); TID_i hashes (ID_i, lift(N_i))
     tid_i = hashes[result.user_sk][1]
     n_i = BitString(NONCE_BITS, hashes[tid_i][1].value)
-    card_terms = [card.a_i, card.b_i, card.c_i, card.tau_i]
+    card_terms = [BitString(DIGEST_BITS, card.a_i), BitString(DIGEST_BITS, card.b_i),
+                  BitString(DIGEST_BITS, card.c_i), BitString(BIO_BITS, card.tau_i)]
+    id_i = BitString(ID_BITS, user.id_i)
     _not_derivable(report, card_terms + [tr.payload for tr in result.transcript], {
         "identity, password, nonce stay hidden": {
-            "id_i": user.id_i,
+            "id_i": id_i,
             "pw_i": BitString.from_text(secrets["password"]),
             "n_i": n_i,
         },
@@ -147,8 +149,8 @@ def stolen_card(report: ScenarioReport, world: World, cfg: SimConfig):
     # offline guessing: even the right password plus the card yields no
     # verifiable check value without the biometric key; login's check
     # digest b_i hashes (ID_i, TPW_i, sigma_i)
-    _, tpw_i, sigma_i = hashes[card.b_i]
-    guess = card_terms + [BitString.from_text(secrets["password"]), user.id_i]
+    _, tpw_i, sigma_i = hashes[card_terms[1]]
+    guess = card_terms + [BitString.from_text(secrets["password"]), id_i]
     _not_derivable(report, guess, {
         "offline password guess yields no check value": {
             "tpw_i": tpw_i,
@@ -168,7 +170,7 @@ def privileged_insider(report: ScenarioReport, world: World, cfg: SimConfig):
     _not_derivable(report, [tr.payload for tr in world.channel.log], {
         "password stays hidden from insider": {
             "pw_i": BitString.from_text(secrets["password"]),
-            "id_i": world.users["alice"].id_i,
+            "id_i": BitString(ID_BITS, world.users["alice"].id_i),
         },
         "session key stays hidden from insider": {"sk": result.user_sk},
     })
@@ -259,7 +261,7 @@ def anonymity_untraceability(report: ScenarioReport, world: World, cfg: SimConfi
 
     public = [tr.payload for tr in first.transcript + second.transcript]
     _not_derivable(report, public, {
-        "identity stays hidden": {"id_i": world.users["alice"].id_i},
+        "identity stays hidden": {"id_i": BitString(ID_BITS, world.users["alice"].id_i)},
         "session keys stay hidden": {
             "sk_first": first.user_sk, "sk_second": second.user_sk,
         },
@@ -409,7 +411,7 @@ def esl(report: ScenarioReport, world: World, cfg: SimConfig):
     # each key hashes (v3, TID_i, RID_j, N_k, ts3), N_k lifted
     v3, tid_i, rid_j, n_k_a, _ = hashes[session_a.user_sk]
     n_k_b = hashes[session_b.user_sk][3]
-    n_j = lift(world.gateway.registry["uav-1"].n_j)
+    n_j = BitString(DIGEST_BITS, world.gateway.registry["uav-1"].n_j)  # lifted
 
     _not_derivable(report, pub_a + [n_k_a], {
         "key safe despite responder nonce leak": {"sk": session_a.user_sk},
@@ -471,7 +473,7 @@ def side_channel(report: ScenarioReport, world: World, cfg: SimConfig):
     rec = world.gateway.registry["uav-1"]
     readout = list(memory.values())
     _not_derivable(report, readout, {
-        "response not derivable from readout": {"r_j": rec.r_j},
+        "response not derivable from readout": {"r_j": BitString(DIGEST_BITS, rec.r_j)},
     })
     _not_derivable(report, readout + [tr.payload for tr in result.transcript], {
         "session key stays hidden": {"sk": result.user_sk},
@@ -491,7 +493,7 @@ def crp_leakage(report: ScenarioReport, world: World, cfg: SimConfig):
     public = world.channel.public_payloads()
     leaks = []
     for uav_id in ("uav-1", "uav-2"):
-        r_j = world.gateway.registry[uav_id].r_j
+        r_j = BitString(DIGEST_BITS, world.gateway.registry[uav_id].r_j)
         if any(payload.contains(r_j) for payload in public):
             leaks.append(uav_id)
     report.check("response appears in no public payload", not leaks,

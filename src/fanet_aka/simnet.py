@@ -29,7 +29,7 @@ from .metrics import diff_counts
 from .uav import Uav
 from .user import User
 from .wire import decode, encode  # decode: the benchmark's traced run wraps it here
-from . import crypto, wire
+from . import wire
 
 
 @dataclass
@@ -137,7 +137,7 @@ def build_world(config: SimConfig | None = None,
     rng = rng or random.Random(config.seed)
     clock = SimClock(config.delta_t)
     channel = Channel(clock)
-    gateway = Gateway("gateway-0", BitString.random(SECRET_BITS, rng))
+    gateway = Gateway("gateway-0", rng.getrandbits(SECRET_BITS))
     return World(config=config, rng=rng, clock=clock, channel=channel,
                  gateway=gateway)
 
@@ -162,18 +162,18 @@ def enroll_user(world: World, identity: str, password: str) -> User:
 
 def enroll_uav(world: World, identity: str, announce: bool = False) -> Uav:
     """Run the full UAV registration phase; ``announce`` tells every user.
-    A name the gateway refuses draws and sends nothing."""
+    The gateway checks the name once and encodes it once; a name it refuses
+    draws and sends nothing."""
     gwn = world.gateway
     id_j = gwn.check_uav_name(identity)
     puf = PufDevice.generate(world.rng)
-    world.channel.send(identity, gwn.identity, wire.UavRegRequest(id_j=id_j.value),
-                       secure=True)
-    response = gwn.register_uav_begin(identity, world.rng)
+    world.channel.send(identity, gwn.identity, wire.UavRegRequest(id_j=id_j), secure=True)
+    response = gwn.register_uav_begin(identity, id_j, world.rng)
     world.channel.send(gwn.identity, identity, response, secure=True)
-    uav = Uav(identity, puf, crypto.field(response.c_j), crypto.field(response.tc_id_j))
+    uav = Uav(identity, id_j, puf, response.c_j, response.tc_id_j)
     submit = uav.register()
     world.channel.send(identity, gwn.identity, submit, secure=True)
-    gwn.register_uav_complete(identity, crypto.field(submit.r_j))
+    gwn.register_uav_complete(identity, submit.r_j)
     world.uavs[identity] = uav
     if announce:
         for user in world.users.values():

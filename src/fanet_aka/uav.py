@@ -10,21 +10,22 @@ from __future__ import annotations
 import random
 
 from .bits import BitString
-from .crypto import (CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS, PUF_SEED_BITS, PufDevice,
-                     field)
+from .crypto import (CHALLENGE_BITS, DIGEST_BITS, ID_BITS, NONCE_BITS, PUF_SEED_BITS,
+                     PufDevice, field)
 from .errors import MacMismatch
 from .metrics import OpCounter
 from .wire import FreshnessGuard, Msg2, Msg3, UavRegSubmit, ts_bits
 
 
 class Uav:
-    """Protocol state machine for one UAV, built from its enrollment response:
-    the gateway's challenge ``c_j`` and certificate ``tc_id_j``."""
+    """Protocol state machine for one UAV, built from its wire identity and its
+    enrollment response: the gateway's challenge ``c_j`` and certificate ``tc_id_j``."""
 
-    def __init__(self, identity: str, puf: PufDevice, c_j: BitString,
-                 tc_id_j: BitString):
+    __slots__ = ("identity", "id_j", "_puf", "c_j", "tc_id_j", "ops", "guard")
+
+    def __init__(self, identity: str, id_j: int, puf: PufDevice, c_j: int, tc_id_j: int):
         self.identity = identity
-        self.id_j = BitString.from_text(identity)
+        self.id_j = id_j
         self._puf = puf
         self.c_j = c_j
         self.tc_id_j = tc_id_j
@@ -47,7 +48,7 @@ class Uav:
         ts2 = msg2.ts2
         expiry = self.guard.check(msg2.mac2, ts2, clock)
 
-        ops, id_j, tc_id_j = self.ops, self.id_j.value, self.tc_id_j.value
+        ops, id_j, tc_id_j = self.ops, self.id_j, self.tc_id_j
         v1 = msg2.v1
         r_j = ops.puf(self._puf, self.c_j)
         n_j = ops.xor(v1, ops.h(id_j, tc_id_j, r_j))
@@ -80,17 +81,20 @@ class Uav:
         The PUF seed is a hardware property, not memory contents, so it is
         deliberately absent.
         """
-        return {"c_j": self.c_j, "id_j": self.id_j, "tc_id_j": self.tc_id_j}
+        return {"c_j": BitString(CHALLENGE_BITS, self.c_j),
+                "id_j": BitString(ID_BITS, self.id_j),
+                "tc_id_j": BitString(DIGEST_BITS, self.tc_id_j)}
 
     # -- persistence ----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"identity": self.identity, "c_j": self.c_j.hex(),
-                "tc_id_j": self.tc_id_j.hex()}
+        return {"identity": self.identity, "c_j": BitString(CHALLENGE_BITS, self.c_j).hex(),
+                "tc_id_j": BitString(DIGEST_BITS, self.tc_id_j).hex()}
 
     @classmethod
     def from_json(cls, doc: dict, puf_seed_hex: str) -> "Uav":
-        return cls(doc["identity"],
-                   PufDevice(BitString.from_hex(puf_seed_hex, width=PUF_SEED_BITS)),
-                   BitString.from_hex(doc["c_j"], width=CHALLENGE_BITS),
-                   BitString.from_hex(doc["tc_id_j"], width=DIGEST_BITS))
+        identity = doc["identity"]
+        return cls(identity, BitString.from_text(identity).value,
+                   PufDevice(BitString.from_hex(puf_seed_hex, width=PUF_SEED_BITS).value),
+                   BitString.from_hex(doc["c_j"], width=CHALLENGE_BITS).value,
+                   BitString.from_hex(doc["tc_id_j"], width=DIGEST_BITS).value)

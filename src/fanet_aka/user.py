@@ -19,35 +19,31 @@ from .metrics import OpCounter
 from .wire import Msg1, Msg3, UserRegRequest, UserRegResponse, check_fresh, ts_bits
 
 
-@dataclass
+#: Each card field's width, which its hex in a state file keeps.
+_CARD_WIDTHS = {"a_i": DIGEST_BITS, "b_i": DIGEST_BITS, "c_i": DIGEST_BITS, "tau_i": BIO_BITS}
+
+
+@dataclass(slots=True)
 class SmartCard:
-    """The user-held credential record.
+    """The user-held credential record, each field the ``int`` of its value.
 
     Holds only masked or hashed material: neither the identity, password,
     nonce nor biometric key appears as a field.
     """
 
-    a_i: BitString          # nonce masked by h(ID || sigma)
-    b_i: BitString          # credential check digest
-    c_i: BitString          # gateway digest recovered by XOR cancellation
-    tau_i: BitString        # fuzzy-extractor helper data, public
+    a_i: int      # nonce masked by h(ID || sigma)
+    b_i: int      # credential check digest
+    c_i: int      # gateway digest recovered by XOR cancellation
+    tau_i: int    # fuzzy-extractor helper data, public
 
     def to_json(self) -> dict:
-        return {
-            "a_i": self.a_i.hex(),
-            "b_i": self.b_i.hex(),
-            "c_i": self.c_i.hex(),
-            "tau_i": self.tau_i.hex(),
-        }
+        return {name: BitString(width, getattr(self, name)).hex()
+                for name, width in _CARD_WIDTHS.items()}
 
     @classmethod
     def from_json(cls, doc: dict) -> "SmartCard":
-        return cls(
-            a_i=BitString.from_hex(doc["a_i"], width=DIGEST_BITS),
-            b_i=BitString.from_hex(doc["b_i"], width=DIGEST_BITS),
-            c_i=BitString.from_hex(doc["c_i"], width=DIGEST_BITS),
-            tau_i=BitString.from_hex(doc["tau_i"], width=BIO_BITS),
-        )
+        return cls(**{name: BitString.from_hex(doc[name], width=width).value
+                      for name, width in _CARD_WIDTHS.items()})
 
 
 @dataclass(slots=True)
@@ -84,7 +80,7 @@ class User:
         if not identity:
             raise ValueError("identity must be non-empty")
         self.identity = identity
-        self.id_i = BitString.from_text(identity)
+        self.id_i = BitString.from_text(identity).value
         self.ops = OpCounter()
         self.card: SmartCard | None = None
         self.known_uavs: set[str] = set()
@@ -112,15 +108,15 @@ class User:
         n_i, tid_i, tpw_i = self._reg
         c_i = self.ops.xor(self.ops.xor(response.tc_id_i, tid_i), tpw_i)
         self._reg = None
-        return self._mint_card(n_i, tpw_i, field(c_i), bio, rng)
+        return self._mint_card(n_i, tpw_i, c_i, bio, rng)
 
-    def _mint_card(self, n_i: int, tpw_i: int, c_i: BitString, bio: BitString,
+    def _mint_card(self, n_i: int, tpw_i: int, c_i: int, bio: BitString,
                    rng: random.Random) -> SmartCard:
         """The card for lifted nonce ``n_i`` and ``tpw_i`` under a fresh biometric key."""
         sigma, tau = self.ops.fe_gen(bio, rng)
         a_i = self.ops.xor(n_i, self.ops.h(self.id_i, sigma))
         b_i = self.ops.h(self.id_i, tpw_i, sigma)
-        self.card = SmartCard(a_i=field(a_i), b_i=field(b_i), c_i=c_i, tau_i=tau)
+        self.card = SmartCard(a_i=a_i, b_i=b_i, c_i=c_i, tau_i=tau.value)
         return self.card
 
     # -- login and key agreement ------------------------------------------
@@ -134,15 +130,14 @@ class User:
         """
         if self.card is None:
             raise ProtocolError("no card issued")
-        card, ops, id_i = self.card, self.ops, self.id_i.value
+        card, ops, id_i = self.card, self.ops, self.id_i
         sigma_star = ops.fe_rep(bio, card.tau_i)
-        n_i_star = ops.xor(card.a_i.value, ops.h(id_i, sigma_star))
+        n_i_star = ops.xor(card.a_i, ops.h(id_i, sigma_star))
         tid_star = ops.h(id_i, n_i_star)
         tpw_star = ops.h(BitString.from_text(password).value, n_i_star)
-        if ops.h(id_i, tpw_star, sigma_star) != card.b_i.value:
+        if ops.h(id_i, tpw_star, sigma_star) != card.b_i:
             raise LoginFailed("login failed")
-        return LoginContext(tid_i=tid_star, tpw_i=tpw_star, n_i=n_i_star,
-                            c_i=card.c_i.value)
+        return LoginContext(tid_i=tid_star, tpw_i=tpw_star, n_i=n_i_star, c_i=card.c_i)
 
     def aka_initiate(self, ctx: LoginContext, uav_identity: str, clock) -> Msg1:
         """Build MSG1 toward the chosen UAV and retain the pending session."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fanet_aka.cli import build_parser
+from fanet_aka.cli import build_parser, main
 from fanet_aka.simnet import SimConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,6 +45,31 @@ def test_full_session_flow(tmp_path):
     assert report["proposed"]["bits"] == 1856
     table = run_cli(["--format", "table", "report"], tmp_path).stdout
     assert "baseline-fe-hash" in table
+
+
+#: A registration, maintenance and key-agreement flow; every command runs at --seed 5.
+STATE_FLOW = [
+    ["init-gwn"],
+    ["register-user", "--user", "alice", "--password", "pw-alice"],
+    ["register-user", "--user", "bob", "--password", "pw-bob"],
+    ["register-uav", "--uav", "uav-1"],
+    ["add-uav", "--uav", "uav-2"],
+    ["run-aka", "--user", "alice", "--uav", "uav-1"],
+    ["update-credentials", "--user", "alice", "--new-password", "pw-alice-2"],
+    ["replace-card", "--user", "bob", "--new-password", "pw-bob-2"],
+    ["run-aka", "--user", "bob", "--uav", "uav-2"],
+]
+STATE_DIGESTS = Path(__file__).parent / "fixtures" / "cli_state_seed5.json"
+
+
+def test_state_files_match_their_pinned_bytes(tmp_path, capsys):
+    # every field is written at its width: a 128-bit nonce as 32 hex digits,
+    # a 256-bit PUF seed as 64, each 160-bit field as 40
+    for args in STATE_FLOW:
+        assert main(["--seed", "5", "--state-dir", str(tmp_path), *args]) == 0, args
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.iterdir())}
+    assert digests == json.loads(STATE_DIGESTS.read_text())
 
 
 def test_state_files_hold_no_cleartext_key(tmp_path):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fanet_aka.bits import BitString, concat
-from fanet_aka.crypto import (BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE,
-                              PufDevice, fe_gen, fe_rep, fe_rep_value, lift, random_nonce,
-                              sha1_digest, sha1_value)
+from fanet_aka.crypto import (BIO_BITS, CHALLENGE_BITS, FE_KEY_BITS, FE_REPETITION,
+                              FE_TOLERANCE, NONCE_BITS, PUF_SEED_BITS, PufDevice, fe_gen,
+                              fe_rep, fe_rep_value, lift, sha1_digest, sha1_value)
 from fanet_aka.errors import WidthMismatch
 
 
@@ -71,16 +71,18 @@ def test_short_corpus_has_no_collisions():
 # -- nonces ------------------------------------------------------------------
 
 def test_nonce_width_and_determinism():
-    a = random_nonce(random.Random(3))
-    b = random_nonce(random.Random(3))
-    assert a.width == 128
+    a = random.Random(3).getrandbits(NONCE_BITS)
+    b = random.Random(3).getrandbits(NONCE_BITS)
+    assert 0 <= a < 1 << 128
     assert a == b
 
 
 def test_nonce_known_seed_values():
     rng = random.Random(0)
-    assert random_nonce(rng).hex() == "e3e70682c2094cac629f6fbed82c07cd"
-    assert random_nonce(rng).hex() == "f728b4fa42485e3a0a5d2f346baa9455"
+    assert BitString(NONCE_BITS, rng.getrandbits(NONCE_BITS)).hex() == \
+        "e3e70682c2094cac629f6fbed82c07cd"
+    assert BitString(NONCE_BITS, rng.getrandbits(NONCE_BITS)).hex() == \
+        "f728b4fa42485e3a0a5d2f346baa9455"
 
 
 def test_nonce_stream_has_no_collisions():
@@ -88,7 +90,7 @@ def test_nonce_stream_has_no_collisions():
     for seed in range(10):
         rng = random.Random(seed)
         for _ in range(1000):
-            seen.add(random_nonce(rng).value)
+            seen.add(rng.getrandbits(NONCE_BITS))
     assert len(seen) == 10_000
 
 
@@ -101,45 +103,54 @@ def test_lift_zero_extends_nonce():
 
 def test_puf_deterministic_without_noise():
     dev = PufDevice.generate(random.Random(1))
-    challenge = BitString.random(160, random.Random(2))
-    assert dev.eval(challenge) == dev.eval(challenge)
-    assert dev.eval(challenge).width == 160
-    assert dev.eval(challenge).hex() == "1373e3816748765e24b52ee89e70c45dc106ed3a"
+    challenge = random.Random(2).getrandbits(CHALLENGE_BITS)
+    assert dev.eval_value(challenge) == dev.eval_value(challenge)
+    assert dev.eval_value(challenge) >> 160 == 0
+    assert BitString(160, dev.eval_value(challenge)).hex() == \
+        "1373e3816748765e24b52ee89e70c45dc106ed3a"
 
 
 def test_puf_rejects_bad_challenge_width():
     dev = PufDevice.generate(random.Random(1))
-    with pytest.raises(WidthMismatch):
-        dev.eval(BitString(128, 0))
-    with pytest.raises(WidthMismatch):
-        dev.eval_value(BitString(128, 0))
+    for challenge in (1 << CHALLENGE_BITS, -1):
+        with pytest.raises(WidthMismatch):
+            dev.eval_value(challenge)
+
+
+def test_puf_rejects_bad_seed_width():
+    for seed in (1 << PUF_SEED_BITS, -1):
+        with pytest.raises(WidthMismatch):
+            PufDevice(seed)
 
 
 def test_int_cores_match_their_bit_string_wrappers():
     # the role steps take the PUF response and the extractor digest as ints
     rng = random.Random(4)
     for _ in range(50):
-        dev, challenge = PufDevice.generate(rng), BitString.random(160, rng)
-        assert dev.eval_value(challenge) == dev.eval(challenge).value
+        dev, challenge = PufDevice.generate(rng), rng.getrandbits(CHALLENGE_BITS)
+        assert dev.eval_value(challenge) == sha1_digest(
+            BitString(PUF_SEED_BITS, dev.seed), BitString(CHALLENGE_BITS, challenge)).value
         bio = BitString.random(BIO_BITS, rng)
         sigma, tau = fe_gen(bio, rng)
         noisy = bio.flip(rng.randrange(BIO_BITS))
         for reading in (bio, noisy, BitString.random(BIO_BITS, rng)):
-            assert fe_rep_value(reading, tau) == fe_rep(reading, tau).value
-        assert fe_rep_value(noisy, tau) == sigma.value
+            assert fe_rep_value(reading, tau.value) == fe_rep(reading, tau).value
+        assert fe_rep_value(noisy, tau.value) == sigma.value
     with pytest.raises(WidthMismatch):
-        fe_rep_value(BitString.zeros(8), BitString.zeros(160))
+        fe_rep_value(BitString.zeros(8), 0)
+    with pytest.raises(WidthMismatch):
+        fe_rep_value(BitString.zeros(BIO_BITS), 1 << BIO_BITS)
 
 
 def test_puf_inter_device_uniqueness():
     # same challenge, distinct devices: distance stays in the healthy
     # binomial(160, 1/2) band over 100 pairs
     rng = random.Random(42)
-    challenge = BitString.random(160, rng)
+    challenge = rng.getrandbits(CHALLENGE_BITS)
     for _ in range(100):
-        a = PufDevice.generate(rng).eval(challenge)
-        b = PufDevice.generate(rng).eval(challenge)
-        assert 48 <= a.hamming(b) <= 112
+        a = PufDevice.generate(rng).eval_value(challenge)
+        b = PufDevice.generate(rng).eval_value(challenge)
+        assert 48 <= (a ^ b).bit_count() <= 112
 
 
 # -- fuzzy extractor ----------------------------------------------------------

@@ -20,11 +20,11 @@ def test_gateway_secret_is_seed_deterministic():
 
 
 def test_register_user_cancellation_identity():
-    gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, random.Random(2)))
+    gwn = Gateway("gateway-0", random.Random(2).getrandbits(SECRET_BITS))
     request = UserRegRequest(tid_i=BitString(160, 111), tpw_i=BitString(160, 222))
     response = gwn.register_user(request)
     recovered = response.tc_id_i ^ request.tid_i ^ request.tpw_i
-    assert recovered == sha1_digest(gwn.id_g,
+    assert recovered == sha1_digest(BitString.from_text("gateway-0"),
                                    BitString.from_hex(gwn.export_secret())).value
 
 
@@ -32,13 +32,13 @@ def test_register_user_golden_seed_zero():
     rng = random.Random(0)
     from fanet_aka.user import User
     request = User("alice").register_begin("correct-horse", rng)
-    gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, random.Random(0)))
+    gwn = Gateway("gateway-0", random.Random(0).getrandbits(SECRET_BITS))
     response = gwn.register_user(request)
     assert BitString(160, response.tc_id_i).hex() == "8ecf89a82baf010167098e07ae54eb16f6794148"
 
 
 def test_duplicate_user_registration_rejected():
-    gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, random.Random(2)))
+    gwn = Gateway("gateway-0", random.Random(2).getrandbits(SECRET_BITS))
     request = UserRegRequest(tid_i=BitString(160, 1), tpw_i=BitString(160, 2))
     gwn.register_user(request)
     with pytest.raises(DuplicateRegistration):
@@ -47,21 +47,23 @@ def test_duplicate_user_registration_rejected():
 
 def test_uav_registration_flow():
     rng = random.Random(3)
-    gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, rng))
-    response = gwn.register_uav_begin("uav-1", rng)
+    gwn = Gateway("gateway-0", rng.getrandbits(SECRET_BITS))
+    id_j = gwn.check_uav_name("uav-1")
+    assert id_j == BitString.from_text("uav-1").value
+    response = gwn.register_uav_begin("uav-1", id_j, rng)
     assert encode(response).width == 320
     with pytest.raises(DuplicateRegistration):
-        gwn.register_uav_begin("uav-1", rng)
+        gwn.check_uav_name("uav-1")
     with pytest.raises(UnknownUav):
-        gwn.register_uav_complete("uav-9", BitString.zeros(160))
-    gwn.register_uav_complete("uav-1", BitString(160, 77))
-    assert gwn.registry["uav-1"].r_j == BitString(160, 77)
+        gwn.register_uav_complete("uav-9", 0)
+    gwn.register_uav_complete("uav-1", 77)
+    assert gwn.registry["uav-1"].r_j == 77
 
 
 def test_distinct_uavs_get_distinct_challenges():
     rng = random.Random(4)
-    gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, rng))
-    challenges = {gwn.register_uav_begin(f"uav-{i}", rng).c_j
+    gwn = Gateway("gateway-0", rng.getrandbits(SECRET_BITS))
+    challenges = {gwn.register_uav_begin(f"uav-{i}", gwn.check_uav_name(f"uav-{i}"), rng).c_j
                   for i in range(20)}
     assert len(challenges) == 20
 
@@ -158,7 +160,8 @@ def test_secret_confinement_in_public_payloads():
     assert result.ok
     s = BitString.from_hex(world.gateway.export_secret())
     record = world.gateway.registry["uav-1"]
-    needles = [s, record.n_j, record.n_j.zext(160), record.r_j]
+    needles = [s, BitString(128, record.n_j), BitString(160, record.n_j),
+               BitString(160, record.r_j)]
     for transmission in world.channel.log:
         if transmission.secure:
             continue
@@ -176,9 +179,10 @@ def test_relay_requires_registration_argument_order():
     secrets = world.user_secrets["alice"]
     ctx = user.login(secrets["password"], secrets["bio"])
     s = BitString.from_hex(world.gateway.export_secret())
-    assert ctx.c_i == sha1_digest(world.gateway.id_g, s).value
+    id_g = BitString.from_text(world.gateway.identity)
+    assert ctx.c_i == sha1_digest(id_g, s).value
 
-    ctx.c_i = sha1_digest(s, world.gateway.id_g).value  # reversed order
+    ctx.c_i = sha1_digest(s, id_g).value  # reversed order
     msg1 = user.aka_initiate(ctx, "uav-1", world.clock)
     with pytest.raises((MacMismatch, UnknownUav)):
         world.gateway.relay_auth(msg1, world.clock, world.rng)

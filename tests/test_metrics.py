@@ -112,7 +112,7 @@ def test_session_key_recorded_inputs_rehash_to_the_key():
     assert request.kind == UserRegRequest.KIND
     assert tid_i.value == decode(UserRegRequest, request.payload).tid_i
     id_i, n_i = hashes[tid_i]
-    assert id_i == world.users["alice"].id_i
+    assert id_i == BitString(160, world.users["alice"].id_i)
     assert n_i == lift(BitString(128, n_i.value))
     assert sha1_digest(id_i, n_i) == tid_i
 

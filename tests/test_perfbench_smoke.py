@@ -38,3 +38,12 @@ def test_traced_aka_hot_runs_correct():
     metrics = result["metrics"]
     assert metrics["metrics.hash_per_session"]["value"] == 25
     assert metrics["bits.constructions_per_session"]["value"] > 0
+
+
+def test_traced_fleet_mixed_runs_correct():
+    # the traced run wraps enroll_uav under two names; world builds reach both
+    result = _run("fleet_mixed", "--trace", "1")
+    assert result["correct"] is True
+    metrics = result["metrics"]
+    assert metrics["metrics.hash_per_session"]["value"] == 25
+    assert metrics["simnet.enroll_uav.us"]["value"] > 0

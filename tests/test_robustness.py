@@ -11,7 +11,7 @@ a replay. ``test_same_tick_retry_after_a_late_delivery`` pins that case."""
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from fanet_aka import wire
 from fanet_aka.errors import ProtocolError
@@ -40,6 +40,33 @@ class Sessions(RuleBasedStateMachine):
         super().__init__()
         self.world = _world()
         self.started: dict[str, int] = {}
+        # mac -> cache expiry of every MAC each receiving party's guard accepted
+        self.accepted = {}
+        for guard in [self.world.gateway.guard] + [u.guard for u in self.world.uavs.values()]:
+            self._watch(guard)
+
+    def _watch(self, guard):
+        """Check the guard's replay cache each time it accepts a MAC.
+
+        A party accepts in the tick of the check that purged the cache, so
+        at that moment the cache holds exactly the MACs accepted within the
+        last ΔT ticks: those whose timestamp plus ΔT, their expiry, is still
+        ahead of the clock.
+        """
+        accepted = self.accepted[guard] = {}
+        accept = guard.accept
+
+        def watched(mac, expiry):
+            now = self.world.clock.now
+            assert guard._cache == {m: e for m, e in accepted.items() if e > now}
+            accept(mac, expiry)
+            accepted[mac] = expiry
+        guard.accept = watched
+
+    @invariant()
+    def replay_caches_hold_only_accepted_macs(self):
+        for guard, accepted in self.accepted.items():
+            assert all(accepted.get(mac) == e for mac, e in guard._cache.items())
 
     def run(self, user, uav, intercept=None):
         clock = self.world.clock

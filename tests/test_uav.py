@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fanet_aka.bits import BitString
-from fanet_aka.crypto import PufDevice
+from fanet_aka.crypto import CHALLENGE_BITS, PUF_SEED_BITS, PufDevice
 from fanet_aka.errors import MacMismatch, ReplayDetected, StaleTimestamp
 from fanet_aka.simnet import SimConfig, build_world, enroll_user, enroll_uav, run_aka
 from fanet_aka.uav import Uav
@@ -27,33 +27,34 @@ def _world_with_msg2(seed=20):
 def test_register_stores_triple_and_returns_response():
     rng = random.Random(1)
     puf = PufDevice.generate(rng)
-    c_j, tc_id_j = BitString.random(160, rng), BitString(160, 9)
-    uav = Uav("uav-1", puf, c_j, tc_id_j)
+    c_j, tc_id_j = rng.getrandbits(CHALLENGE_BITS), 9
+    uav = Uav("uav-1", BitString.from_text("uav-1").value, puf, c_j, tc_id_j)
     submit = uav.register()
-    assert submit.r_j == puf.eval(c_j).value
+    assert submit.r_j == puf.eval_value(c_j)
     assert uav.c_j == c_j
     assert uav.tc_id_j == tc_id_j
 
 
 def test_same_challenge_different_devices_differ():
     rng = random.Random(2)
-    challenge = BitString.random(160, rng)
-    responses = {PufDevice.generate(rng).eval(challenge).value
-                 for _ in range(10)}
+    challenge = rng.getrandbits(CHALLENGE_BITS)
+    responses = {PufDevice.generate(rng).eval_value(challenge) for _ in range(10)}
     assert len(responses) == 10
 
 
 def test_capture_memory_is_exactly_the_triple():
     rng = random.Random(3)
-    uav = Uav("uav-1", PufDevice.generate(rng), BitString.random(160, rng),
-              BitString(160, 1))
+    uav = Uav("uav-1", BitString.from_text("uav-1").value, PufDevice.generate(rng),
+              rng.getrandbits(CHALLENGE_BITS), 1)
     memory = uav.capture_memory()
     assert sorted(memory) == ["c_j", "id_j", "tc_id_j"]
+    assert [value.width for value in memory.values()] == [160] * 3
+    assert memory["id_j"] == BitString.from_text("uav-1")
     # neither the response nor the device seed is in the image
-    r_j = uav._puf.eval(uav.c_j)
+    r_j = BitString(160, uav._puf.eval_value(uav.c_j))
     assert all(value != r_j for value in memory.values())
-    assert all(not value.contains(uav._puf.seed.slice(0, 160))
-               for value in memory.values())
+    seed = BitString(PUF_SEED_BITS, uav._puf.seed)
+    assert all(not value.contains(seed.slice(0, 160)) for value in memory.values())
 
 
 def test_respond_accepts_honest_relay_and_counts_ops():
@@ -132,6 +133,7 @@ def test_state_json_round_trip():
     world, _ = _world_with_msg2()
     uav = world.uavs["uav-1"]
     doc = uav.to_json()
-    restored = Uav.from_json(doc, uav._puf.seed.hex())
+    restored = Uav.from_json(doc, BitString(PUF_SEED_BITS, uav._puf.seed).hex())
     assert restored.to_json() == doc
-    assert restored._puf.eval(restored.c_j) == uav._puf.eval(uav.c_j)
+    assert restored.id_j == uav.id_j
+    assert restored._puf.eval_value(restored.c_j) == uav._puf.eval_value(uav.c_j)

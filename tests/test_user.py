@@ -16,7 +16,7 @@ def _registered_user(seed=0, password="correct-horse"):
     rng = random.Random(seed)
     user = User("alice")
     request = user.register_begin(password, rng)
-    gwn = Gateway("gateway-0", BitString.random(SECRET_BITS, random.Random(seed + 1000)))
+    gwn = Gateway("gateway-0", random.Random(seed + 1000).getrandbits(SECRET_BITS))
     response = gwn.register_user(request)
     bio = BitString.random(BIO_BITS, rng)
     user.register_complete(response, bio, rng)
@@ -53,19 +53,20 @@ def test_same_password_different_nonce_different_tpw():
 def test_card_carries_gateway_digest():
     # C_i must cancel down to the gateway's own digest of (identity, secret)
     user, gwn, _, _, _ = _registered_user()
-    expected = sha1_digest(gwn.id_g, BitString.from_hex(gwn.export_secret()))
-    assert user.card.c_i == expected
+    expected = sha1_digest(BitString.from_text("gateway-0"),
+                           BitString.from_hex(gwn.export_secret()))
+    assert user.card.c_i == expected.value
 
 
 def test_card_contains_no_plaintext_secret():
     user, _, bio, request, _ = _registered_user()
     card = user.card
     secrets = [
-        user.id_i,
+        BitString(160, user.id_i),
         BitString.from_text("correct-horse"),
-        fe_rep(bio, card.tau_i),  # sigma
+        fe_rep(bio, BitString(BIO_BITS, card.tau_i)),  # sigma
     ]
-    fields = [card.a_i, card.b_i, card.c_i, card.tau_i]
+    fields = [BitString(160, value) for value in (card.a_i, card.b_i, card.c_i, card.tau_i)]
     for secret in secrets:
         assert all(field != secret for field in fields)
         assert all(not field.contains(secret) for field in fields)
@@ -167,7 +168,7 @@ def test_relay_recovers_pseudonym_from_request():
     msg1 = user.aka_initiate(ctx, "uav-1", world.clock)
 
     s = BitString.from_hex(world.gateway.export_secret())
-    m1 = sha1_digest(world.gateway.id_g, s)
+    m1 = sha1_digest(BitString.from_text(world.gateway.identity), s)
     e_i = sha1_digest(m1, msg1.ts1)
     assert msg1.g_i ^ (msg1.f_i_prime ^ e_i.value) == ctx.tid_i
 
