@@ -1,14 +1,14 @@
 """Fixed-width bit strings and the operators the protocol algebra runs on.
 
-Every value that leaves the protocol is a :class:`BitString`: an
-identity, nonce, card or registry record, encoded payload, timestamp or
-session key. Inside a role step the algebra runs on the plain ``int`` of
-each 160-bit field (see :class:`~fanet_aka.metrics.OpCounter`), and the
-message records carry those ints too (see :mod:`~fanet_aka.wire`), so a
-BitString is built only where a value leaves. Widths are explicit and
-equality is bit-exact: ``BitString(32, 5)`` and ``BitString(160, 5)`` are
-different values. Bit 0 is the most significant bit (big-endian), both
-for indexing and for the wire layout.
+A value that leaves the protocol is a :class:`BitString`: a payload,
+timestamp, session key or closure term. A party stores the ``int`` of
+each field, saved and restored by :func:`hex_of` and :func:`int_of_hex`
+(a name's by :func:`text_value`); a role step computes on those ints (see
+:class:`~fanet_aka.metrics.OpCounter`) and message records carry them
+(see :mod:`~fanet_aka.wire`), so a BitString is built only where a value
+leaves. Widths are explicit and equality is bit-exact: ``BitString(32, 5)``
+and ``BitString(160, 5)`` are different values. Bit 0 is the most
+significant bit (big-endian), both for indexing and for the wire layout.
 
 Values are validated where they enter: the public constructor and the
 ``from_*`` constructors check that the value fits its width, and so do a
@@ -183,6 +183,21 @@ class BitString:
             if (self.value >> shift) & mask == needle.value:
                 return True
         return False
+
+
+def hex_of(width: int, value: int) -> str:
+    """:meth:`BitString.hex` of the ``int`` of a ``width``-bit field."""
+    return BitString(width, value).hex()
+
+
+def int_of_hex(text: str, width: int) -> int:
+    """Inverse of :func:`hex_of`, checked as :meth:`BitString.from_hex` is."""
+    return BitString.from_hex(text, width=width).value
+
+
+def text_value(text: str) -> int:
+    """The ``int`` of :meth:`BitString.from_text`."""
+    return BitString.from_text(text).value
 
 
 def concat(parts: Sequence[BitString] | Iterable[BitString]) -> BitString:

@@ -26,7 +26,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .acceptance import run_all
-from .bits import BitString
+from .bits import BitString, hex_of
 from .crypto import BIO_BITS, PUF_SEED_BITS, sha1_digest
 from .errors import ConfigError, ProtocolError, StateError, UnknownScenario, WidthMismatch
 from .gwn import SECRET_BITS, Gateway
@@ -87,8 +87,7 @@ def _sim_config(args) -> SimConfig:
     # below one tick not even the current tick is fresh; check_fresh's serial
     # offset never reaches 2**31 ticks, so a window that wide never expires
     if not 1 <= cfg.delta_t < 2**31:
-        raise ConfigError(f"delta_t must be at least 1 and below 2**31, "
-                          f"got {cfg.delta_t}")
+        raise ConfigError(f"delta_t must be at least 1 and below 2**31, got {cfg.delta_t}")
     return cfg
 
 
@@ -144,8 +143,7 @@ def _parse_secrets(doc: dict) -> dict:
     }
 
 
-def load_world(state: StateDir, cfg: SimConfig,
-               new_gateway: str | None = None) -> World:
+def load_world(state: StateDir, cfg: SimConfig, new_gateway: str | None = None) -> World:
     """Restore the gateway, every user, every UAV and their secrets.
 
     ``new_gateway`` starts a fresh gateway of that name instead of reading
@@ -183,15 +181,13 @@ def load_world(state: StateDir, cfg: SimConfig,
     else:
         gateway, now = state.read("gwn.json", parse_gateway)
     clock = SimClock(cfg.delta_t, now)
-    world = World(config=cfg, rng=rng, clock=clock, channel=Channel(clock),
-                  gateway=gateway)
+    world = World(config=cfg, rng=rng, clock=clock, channel=Channel(clock), gateway=gateway)
     for name, user_secret in secrets["users"].items():
         world.users[name] = user = User(name)
         user.card = state.read(f"user_{name}.json", SmartCard.from_json)
         world.user_secrets[name] = user_secret
     for name, seed in secrets["puf_seeds"].items():
-        world.uavs[name] = state.read(f"uav_{name}.json",
-                                      lambda doc: parse_uav(doc, name, seed))
+        world.uavs[name] = state.read(f"uav_{name}.json", lambda doc: parse_uav(doc, name, seed))
     return world
 
 
@@ -207,11 +203,10 @@ def save_world(state: StateDir, world: World) -> None:
     for name, user in world.users.items():
         state.save(f"user_{name}.json", user.card.to_json())
         secret = world.user_secrets[name]
-        secrets["users"][name] = {"password": secret["password"],
-                                  "bio": secret["bio"].hex()}
+        secrets["users"][name] = {"password": secret["password"], "bio": secret["bio"].hex()}
     for name, uav in world.uavs.items():
         state.save(f"uav_{name}.json", uav.to_json())
-        secrets["puf_seeds"][name] = BitString(PUF_SEED_BITS, uav._puf.seed).hex()
+        secrets["puf_seeds"][name] = hex_of(PUF_SEED_BITS, uav._puf.seed)
     state.save("secrets.json", secrets)
 
 
@@ -278,8 +273,7 @@ def cmd_run_aka(args) -> int:
         print(_dump(session), end="")
     else:
         print(f"session key fingerprint: {session['session_key_fingerprint']}")
-        print(f"total bits: {bits['total']} "
-              f"({bits['MSG1']}/{bits['MSG2']}/{bits['MSG3']})")
+        print(f"total bits: {bits['total']} ({bits['MSG1']}/{bits['MSG2']}/{bits['MSG3']})")
         for role, counts in session["op_counts"].items():
             shown = {k: v for k, v in counts.items() if v}
             print(f"{role} ops: {shown}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bits import BitString
+from .bits import hex_of, int_of_hex, text_value
 from .crypto import CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS
 from .errors import DuplicateRegistration, MacMismatch, UnknownUav
 from .metrics import OpCounter
@@ -21,6 +21,11 @@ from .wire import (FreshnessGuard, Msg1, Msg2, UavRegResponse, UserRegRequest,
                    UserRegResponse, ts_bits)
 
 SECRET_BITS = 160
+
+
+#: Each record field's width, which its hex in a state file keeps.
+_RECORD_WIDTHS = {"n_j": NONCE_BITS, "tc_id_j": DIGEST_BITS, "c_j": CHALLENGE_BITS,
+                  "r_j": DIGEST_BITS}
 
 
 @dataclass(slots=True)
@@ -34,19 +39,14 @@ class UavRecord:
     r_j: int | None = None
 
     def to_json(self) -> dict:
-        return {"n_j": BitString(NONCE_BITS, self.n_j).hex(),
-                "tc_id_j": BitString(DIGEST_BITS, self.tc_id_j).hex(),
-                "c_j": BitString(CHALLENGE_BITS, self.c_j).hex(),
-                "r_j": None if self.r_j is None
-                else BitString(DIGEST_BITS, self.r_j).hex()}
+        return {name: None if (value := getattr(self, name)) is None
+                else hex_of(width, value) for name, width in _RECORD_WIDTHS.items()}
 
     @classmethod
     def from_json(cls, doc: dict) -> "UavRecord":
-        return cls(n_j=BitString.from_hex(doc["n_j"], width=NONCE_BITS).value,
-                   tc_id_j=BitString.from_hex(doc["tc_id_j"], width=DIGEST_BITS).value,
-                   c_j=BitString.from_hex(doc["c_j"], width=CHALLENGE_BITS).value,
-                   r_j=None if doc["r_j"] is None
-                   else BitString.from_hex(doc["r_j"], width=DIGEST_BITS).value)
+        return cls(**{name: int_of_hex(doc[name], width)
+                      for name, width in _RECORD_WIDTHS.items()
+                      if name != "r_j" or doc["r_j"] is not None})
 
 
 class Gateway:
@@ -58,14 +58,13 @@ class Gateway:
                  registry: dict[str, UavRecord] | None = None):
         """A restored gateway also brings the pseudonyms and UAV records on file."""
         self.identity = identity
-        self.id_g = BitString.from_text(identity).value
+        self.id_g = text_value(identity)
         self._s = secret
         self.ops = OpCounter()
         self.guard = FreshnessGuard(Msg1.KIND)
         self.user_tids = set() if user_tids is None else user_tids
         self.registry = {} if registry is None else registry
-        self._uav_index = {BitString.from_text(name).value: rec
-                           for name, rec in self.registry.items()}
+        self._uav_index = {text_value(name): rec for name, rec in self.registry.items()}
         if len(self._uav_index) != len(self.registry):
             raise ValueError("two registered UAVs share a wire identity")
 
@@ -80,25 +79,28 @@ class Gateway:
         tid_i = request.tid_i
         if tid_i in self.user_tids:
             raise DuplicateRegistration("pseudonym already registered")
-        tc = self.ops.xor(self.ops.xor(tid_i, request.tpw_i),
-                          self.ops.h(self.id_g, self._s))
+        tc = self.ops.xor(self.ops.xor(tid_i, request.tpw_i), self.ops.h(self.id_g, self._s))
         self.user_tids.add(tid_i)
         return UserRegResponse(tc_id_i=tc)
 
     def check_uav_name(self, uav_identity: str) -> int:
         """Refuse a taken name or wire identity; return the wire identity."""
+        id_j = text_value(uav_identity)
+        self._refuse_taken(uav_identity, id_j)
+        return id_j
+
+    def _refuse_taken(self, uav_identity: str, id_j: int) -> None:
         if uav_identity in self.registry:
             raise DuplicateRegistration(f"{uav_identity} already registered")
-        id_j = BitString.from_text(uav_identity).value
         if id_j in self._uav_index:
             # from_text zero-pads, so "uav-1" and "uav-1\x00" are one identity
             raise DuplicateRegistration(f"{uav_identity!r} has the wire identity "
                                         f"of a registered UAV")
-        return id_j
 
     def register_uav_begin(self, uav_identity: str, id_j: int,
                            rng: random.Random) -> UavRegResponse:
-        """Enroll a UAV whose name and ``id_j`` :meth:`check_uav_name` accepted."""
+        """Enroll a UAV under the ``id_j`` :meth:`check_uav_name` returns; refuse a taken one."""
+        self._refuse_taken(uav_identity, id_j)
         n_j = rng.getrandbits(NONCE_BITS)  # lifted: the int is unchanged
         tc_id_j = self.ops.h(self.ops.h(id_j, n_j), self._s)
         c_j = rng.getrandbits(CHALLENGE_BITS)
@@ -150,17 +152,17 @@ class Gateway:
     def to_json(self) -> dict:
         return {
             "identity": self.identity,
-            "user_tids": sorted(BitString(DIGEST_BITS, t).hex() for t in self.user_tids),
+            "user_tids": sorted(hex_of(DIGEST_BITS, t) for t in self.user_tids),
             "registry": {name: rec.to_json() for name, rec in sorted(self.registry.items())},
         }
 
     def export_secret(self) -> str:
         """Hex of the long-term secret, for the simulation secrets file only."""
-        return BitString(SECRET_BITS, self._s).hex()
+        return hex_of(SECRET_BITS, self._s)
 
     @classmethod
     def from_json(cls, doc: dict, secret_hex: str) -> "Gateway":
-        return cls(doc["identity"], BitString.from_hex(secret_hex, width=SECRET_BITS).value,
-                   {BitString.from_hex(t, width=DIGEST_BITS).value for t in doc["user_tids"]},
+        return cls(doc["identity"], int_of_hex(secret_hex, SECRET_BITS),
+                   {int_of_hex(t, DIGEST_BITS) for t in doc["user_tids"]},
                    {name: UavRecord.from_json(rec)
                     for name, rec in doc["registry"].items()})

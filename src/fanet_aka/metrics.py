@@ -162,8 +162,7 @@ def diff_counts(before: tuple, after: tuple) -> dict:
     keyed as :data:`OPS`; spelled out, because a run builds six of these."""
     hash0, puf0, fe0, xor0 = before
     hash1, puf1, fe1, xor1 = after
-    return {"hash": hash1 - hash0, "puf": puf1 - puf0, "fe": fe1 - fe0,
-            "xor": xor1 - xor0}
+    return {"hash": hash1 - hash0, "puf": puf1 - puf0, "fe": fe1 - fe0, "xor": xor1 - xor0}
 
 
 def count_session(result) -> dict:

@@ -131,15 +131,12 @@ class World:
     user_secrets: dict[str, dict] = field(default_factory=dict)
 
 
-def build_world(config: SimConfig | None = None,
-                rng: random.Random | None = None) -> World:
+def build_world(config: SimConfig | None = None, rng: random.Random | None = None) -> World:
     config = config or SimConfig()
     rng = rng or random.Random(config.seed)
     clock = SimClock(config.delta_t)
-    channel = Channel(clock)
-    gateway = Gateway("gateway-0", rng.getrandbits(SECRET_BITS))
-    return World(config=config, rng=rng, clock=clock, channel=channel,
-                 gateway=gateway)
+    return World(config=config, rng=rng, clock=clock, channel=Channel(clock),
+                 gateway=Gateway("gateway-0", rng.getrandbits(SECRET_BITS)))
 
 
 def enroll_user(world: World, identity: str, password: str) -> User:
@@ -162,8 +159,7 @@ def enroll_user(world: World, identity: str, password: str) -> User:
 
 def enroll_uav(world: World, identity: str, announce: bool = False) -> Uav:
     """Run the full UAV registration phase; ``announce`` tells every user.
-    The gateway checks the name once and encodes it once; a name it refuses
-    draws and sends nothing."""
+    The name is encoded once; a name the gateway refuses draws and sends nothing."""
     gwn = world.gateway
     id_j = gwn.check_uav_name(identity)
     puf = PufDevice.generate(world.rng)

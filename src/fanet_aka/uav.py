@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .bits import BitString
+from .bits import BitString, hex_of, int_of_hex, text_value
 from .crypto import (CHALLENGE_BITS, DIGEST_BITS, ID_BITS, NONCE_BITS, PUF_SEED_BITS,
                      PufDevice, field)
 from .errors import MacMismatch
@@ -88,13 +88,12 @@ class Uav:
     # -- persistence ----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"identity": self.identity, "c_j": BitString(CHALLENGE_BITS, self.c_j).hex(),
-                "tc_id_j": BitString(DIGEST_BITS, self.tc_id_j).hex()}
+        return {"identity": self.identity, "c_j": hex_of(CHALLENGE_BITS, self.c_j),
+                "tc_id_j": hex_of(DIGEST_BITS, self.tc_id_j)}
 
     @classmethod
     def from_json(cls, doc: dict, puf_seed_hex: str) -> "Uav":
-        identity = doc["identity"]
-        return cls(identity, BitString.from_text(identity).value,
-                   PufDevice(BitString.from_hex(puf_seed_hex, width=PUF_SEED_BITS).value),
-                   BitString.from_hex(doc["c_j"], width=CHALLENGE_BITS).value,
-                   BitString.from_hex(doc["tc_id_j"], width=DIGEST_BITS).value)
+        return cls(doc["identity"], text_value(doc["identity"]),
+                   PufDevice(int_of_hex(puf_seed_hex, PUF_SEED_BITS)),
+                   int_of_hex(doc["c_j"], CHALLENGE_BITS),
+                   int_of_hex(doc["tc_id_j"], DIGEST_BITS))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bits import BitString
+from .bits import BitString, hex_of, int_of_hex, text_value
 from .crypto import BIO_BITS, DIGEST_BITS, NONCE_BITS, field
 from .errors import AuthFailed, LoginFailed, ProtocolError
 from .metrics import OpCounter
@@ -37,13 +37,11 @@ class SmartCard:
     tau_i: int    # fuzzy-extractor helper data, public
 
     def to_json(self) -> dict:
-        return {name: BitString(width, getattr(self, name)).hex()
-                for name, width in _CARD_WIDTHS.items()}
+        return {name: hex_of(width, getattr(self, name)) for name, width in _CARD_WIDTHS.items()}
 
     @classmethod
     def from_json(cls, doc: dict) -> "SmartCard":
-        return cls(**{name: BitString.from_hex(doc[name], width=width).value
-                      for name, width in _CARD_WIDTHS.items()})
+        return cls(**{name: int_of_hex(doc[name], width) for name, width in _CARD_WIDTHS.items()})
 
 
 @dataclass(slots=True)
@@ -80,7 +78,7 @@ class User:
         if not identity:
             raise ValueError("identity must be non-empty")
         self.identity = identity
-        self.id_i = BitString.from_text(identity).value
+        self.id_i = text_value(identity)
         self.ops = OpCounter()
         self.card: SmartCard | None = None
         self.known_uavs: set[str] = set()
@@ -95,9 +93,8 @@ class User:
         if not password:
             raise ValueError("password must be non-empty")
         n_i = rng.getrandbits(NONCE_BITS)  # lifted: the int is unchanged
-        pw = BitString.from_text(password)
         tid_i = self.ops.h(self.id_i, n_i)
-        tpw_i = self.ops.h(pw, n_i)
+        tpw_i = self.ops.h(text_value(password), n_i)
         self._reg = (n_i, tid_i, tpw_i)
         return UserRegRequest(tid_i=tid_i, tpw_i=tpw_i)
 
@@ -134,7 +131,7 @@ class User:
         sigma_star = ops.fe_rep(bio, card.tau_i)
         n_i_star = ops.xor(card.a_i, ops.h(id_i, sigma_star))
         tid_star = ops.h(id_i, n_i_star)
-        tpw_star = ops.h(BitString.from_text(password).value, n_i_star)
+        tpw_star = ops.h(text_value(password), n_i_star)
         if ops.h(id_i, tpw_star, sigma_star) != card.b_i:
             raise LoginFailed("login failed")
         return LoginContext(tid_i=tid_star, tpw_i=tpw_star, n_i=n_i_star, c_i=card.c_i)
@@ -142,7 +139,7 @@ class User:
     def aka_initiate(self, ctx: LoginContext, uav_identity: str, clock) -> Msg1:
         """Build MSG1 toward the chosen UAV and retain the pending session."""
         ops = self.ops
-        id_j = BitString.from_text(uav_identity).value
+        id_j = text_value(uav_identity)
         tid_i = ctx.tid_i
         ts1 = ts_bits(clock.now)
         e_i = ops.h(ctx.c_i, ts1)
@@ -180,7 +177,7 @@ class User:
         card carries is the same before and after the update.
         """
         ctx = self.login(old_password, old_bio)
-        tpw_new = self.ops.h(BitString.from_text(new_password), ctx.n_i)
+        tpw_new = self.ops.h(text_value(new_password), ctx.n_i)
         return self._mint_card(ctx.n_i, tpw_new, self.card.c_i, new_bio, rng)
 
     # -- bookkeeping --------------------------------------------------------

@@ -53,6 +53,8 @@ def test_uav_registration_flow():
     response = gwn.register_uav_begin("uav-1", id_j, rng)
     assert encode(response).width == 320
     with pytest.raises(DuplicateRegistration):
+        gwn.register_uav_begin("uav-1", id_j, rng)
+    with pytest.raises(DuplicateRegistration):
         gwn.check_uav_name("uav-1")
     with pytest.raises(UnknownUav):
         gwn.register_uav_complete("uav-9", 0)
@@ -224,6 +226,8 @@ def test_uav_sharing_a_wire_identity_is_refused():
     enroll_uav(world, "uav-1")
     with pytest.raises(DuplicateRegistration):
         enroll_uav(world, "uav-1\x00")
+    with pytest.raises(DuplicateRegistration):
+        world.gateway.register_uav_begin("uav-3", world.uavs["uav-1"].id_j, world.rng)
     assert list(world.gateway.registry) == ["uav-1"]
 
     doc = world.gateway.to_json()

@@ -225,7 +225,7 @@ def test_refused_uav_enrollment_draws_and_sends_nothing():
     assert list(world.uavs) == ["uav-1"]
 
 
-def test_enrolled_uavs_add_at_most_12_gc_tracked_objects_each():
+def test_enrolled_uavs_add_at_most_15_gc_tracked_objects_each():
     # each UAV keeps its party, PUF, counter, replay guard and heap, its
     # registry record, and its three logged registration messages with their
     # payloads; its stored values are ints, which the collector never tracks
@@ -235,9 +235,10 @@ def test_enrolled_uavs_add_at_most_12_gc_tracked_objects_each():
     for i in range(1000):
         enroll_uav(world, f"uav-{i}")
     gc.collect()
-    # 11,962 to 12,003 measured, as the process has built other things once;
-    # with BitString-valued records and parties it was 20,003
-    assert len(gc.get_objects()) - before <= 12 * 1000 + 100
+    # 11,962 to 12,003 measured, as the process has built other things once,
+    # so the bound leaves room for test order; BitString-valued records and
+    # parties added 20,003
+    assert len(gc.get_objects()) - before <= 15 * 1000
 
 
 def test_log_is_bounded_and_counts_each_eviction():
