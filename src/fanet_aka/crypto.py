@@ -106,22 +106,21 @@ FE_REPETITION = 5
 BIO_BITS = FE_KEY_BITS * FE_REPETITION
 FE_TOLERANCE = FE_REPETITION // 2
 
-#: fe_rep decodes two repetition blocks per step: this table maps their
-#: ``2 * FE_REPETITION`` noisy bits to the two majority bits, first block high.
-_PAIR_BITS = 2 * FE_REPETITION
-_PAIR_MASK = (1 << _PAIR_BITS) - 1
-_PAIR_MAJORITY = tuple(((pair >> FE_REPETITION).bit_count() > FE_TOLERANCE) << 1
-                       | ((pair & ((1 << FE_REPETITION) - 1)).bit_count() > FE_TOLERANCE)
-                       for pair in range(1 << _PAIR_BITS))
+#: The repetition code runs on whole ints: key bit k owns the block at bits
+#: 5k..5k+4 of a codeword. ``_LANES[s]`` masks groups of 2**s bits, 5 * 2**s
+#: bits apart; each of the five ``_STEPS`` (shift, lanes before, lanes after)
+#: doubles the groups, moving key bit k from bit 5k to bit k, or back.
+_LANES = tuple(sum(((1 << (1 << s)) - 1) << i for i in range(0, BIO_BITS, FE_REPETITION << s))
+               for s in range(FE_KEY_BITS.bit_length()))
+_STEPS = tuple(zip([(FE_REPETITION - 1) << s for s in range(len(_LANES))], _LANES, _LANES[1:]))
 
 
 def _expand(word: BitString) -> BitString:
     """Repetition-code codeword: every bit of ``word`` repeated."""
-    block = (1 << FE_REPETITION) - 1
-    value = 0
-    for i in range(word.width):
-        value = (value << FE_REPETITION) | (block if word.bit(i) else 0)
-    return BitString(BIO_BITS, value)
+    value = word.value
+    for shift, lanes, _ in reversed(_STEPS):
+        value = (value | value << shift) & lanes
+    return _unchecked(BIO_BITS, value * ((1 << FE_REPETITION) - 1))
 
 
 def fe_gen(bio: BitString, rng: random.Random) -> tuple[BitString, BitString]:
@@ -155,8 +154,10 @@ def fe_rep_value(bio: BitString, tau: int) -> int:
     """The digest of :func:`fe_rep` as an ``int``, from the ``int`` helper a card stores."""
     if bio.width != BIO_BITS or tau < 0 or tau >> BIO_BITS:
         raise WidthMismatch(f"biometric and helper must be {BIO_BITS} bits")
-    noisy = tau ^ bio.value
-    word = 0
-    for shift in range(BIO_BITS - _PAIR_BITS, -1, -_PAIR_BITS):
-        word = (word << 2) | _PAIR_MAJORITY[(noisy >> shift) & _PAIR_MASK]
+    noisy, low = tau ^ bio.value, _LANES[0]
+    votes = ((noisy & low) + (noisy >> 1 & low) + (noisy >> 2 & low)
+             + (noisy >> 3 & low) + (noisy >> 4 & low))
+    word = (votes + 5 * low) >> 3 & low  # a block's votes + 5 reach 8 iff 3 or more
+    for shift, _, lanes in _STEPS:
+        word = (word | word >> shift) & lanes
     return sha1_value((), FE_KEY_BITS, word)

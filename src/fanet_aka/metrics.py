@@ -127,9 +127,6 @@ class OpCounter:
         """The tallies in the order of :data:`OPS`."""
         return self.hash_count, self.puf_count, self.fe_count, self.xor_count
 
-    def snapshot(self) -> dict:
-        return dict(zip(OPS, self.counts()))
-
     # counted primitive calls -------------------------------------------
 
     def h(self, *parts: int | BitString) -> int:

@@ -5,7 +5,9 @@ Everything is single threaded and driven explicitly by scenario code, so
 a (seed, script) pair always reproduces the same transcript byte for
 byte. The channel is the Dolev-Yao adversary: it observes its log,
 ``Channel.replay`` re-sends a logged public message, and ``run_aka``'s
-``intercept`` hook tampers with, delays or drops messages in flight.
+``intercept`` hook tampers with, delays or drops messages in flight. A
+receiver gets the sender's record unless the delivered bits differ; only
+those are parsed, and logged beside the sent bits, marked ``tampered``.
 Secure-channel messages are out of its reach; an insider scenario reads them.
 
 The log is bounded: it keeps the latest ``LOG_CAPACITY`` transmissions and
@@ -57,7 +59,8 @@ class SimClock:
 
 @dataclass(slots=True)
 class Transmission:
-    """One logged channel event; ``replayed`` marks an adversary's copy."""
+    """One logged channel event; ``replayed`` marks an adversary's copy, and
+    ``sent`` holds the sender's bits when an intercept delivered others."""
 
     tick: int
     origin: str
@@ -66,11 +69,16 @@ class Transmission:
     payload: BitString
     secure: bool = False
     replayed: bool = False
+    sent: BitString | None = None
 
     def to_json(self) -> dict:
-        return {"tick": self.tick, "origin": self.origin, "dest": self.dest,
-                "kind": self.kind, "secure": self.secure, "hex": self.payload.hex(),
-                "events": ["replayed"] if self.replayed else []}
+        doc = {"tick": self.tick, "origin": self.origin, "dest": self.dest,
+               "kind": self.kind, "secure": self.secure, "hex": self.payload.hex(),
+               "events": ["replayed"] if self.replayed else []}
+        if self.sent is not None:
+            doc["events"].append("tampered")
+            doc["sent_hex"] = self.sent.hex()
+        return doc
 
 
 #: Most transmissions a channel log holds; beyond it the oldest are evicted.
@@ -201,7 +209,12 @@ class AkaResult:
     uav_sk: BitString | None
     transcript: list[Transmission]
     op_counts: dict
-    phase_counts: dict
+    marks: list  # the user's counter readings: at the start, after each phase
+
+    @property
+    def phase_counts(self) -> dict:
+        return {phase: diff_counts(before, after) for phase, before, after
+                in zip(PHASES, self.marks, self.marks[1:])}
 
     @property
     def checks(self) -> dict:
@@ -219,8 +232,9 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
             password: str | None = None) -> AkaResult:
     """Drive one full key agreement, optionally through an interceptor.
 
-    The interceptor sees the serialized public payloads exactly as the
-    receiving party will, so tampering operates on wire bits. The run's
+    The interceptor sees the serialized public payloads, so tampering
+    operates on wire bits; a receiver gets the sender's record unless the
+    bits delivered differ, and then the record decoded from them. The run's
     transcript is the transmissions it sent itself, as delivered, whatever
     else the channel logs meanwhile. Each party's counters are read at the
     start, the user's again after each of its phases, and all at the end;
@@ -238,15 +252,18 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
     transcript: list[Transmission] = []
     user_sk = uav_sk = error = None
 
-    def send(origin: str, dest: str, msg) -> BitString:
+    def send(origin: str, dest: str, msg, decode_msg):
         tr = channel.send(origin, dest, msg)
         transcript.append(tr)
-        if intercept is not None:
-            payload = intercept(tr.kind, tr.payload)
-            if payload is None:
-                raise ProtocolError("dropped")
-            tr.payload = payload
-        return tr.payload
+        if intercept is None:
+            return msg
+        payload = intercept(tr.kind, tr.payload)
+        if payload is None:
+            raise ProtocolError("dropped")
+        if payload == tr.payload:
+            return msg
+        tr.sent, tr.payload = tr.payload, payload
+        return decode_msg(payload)
 
     stage = "login"
     try:
@@ -256,19 +273,19 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
 
         msg1 = user.aka_initiate(ctx, uav_identity, clock)
         marks.append(user_ops.counts())
-        payload = send(user_identity, gwn.identity, msg1)
+        msg1 = send(user_identity, gwn.identity, msg1, wire.decode_msg1)
         clock.advance(1)
 
-        msg2 = gwn.relay_auth(wire.decode_msg1(payload), clock, world.rng)
+        msg2 = gwn.relay_auth(msg1, clock, world.rng)
         stage = "MSG2"
-        payload = send(gwn.identity, uav_identity, msg2)
+        msg2 = send(gwn.identity, uav_identity, msg2, wire.decode_msg2)
         clock.advance(1)
 
-        msg3, uav_sk = uav.aka_respond(wire.decode_msg2(payload), clock, world.rng)
+        msg3, uav_sk = uav.aka_respond(msg2, clock, world.rng)
         stage = "MSG3"
-        payload = send(uav_identity, user_identity, msg3)
+        msg3 = send(uav_identity, user_identity, msg3, wire.decode_msg3)
 
-        user_sk = user.aka_finalize(wire.decode_msg3(payload), clock)
+        user_sk = user.aka_finalize(msg3, clock)
         marks.append(user_ops.counts())
         stage = "complete"
     except ProtocolError as exc:
@@ -279,5 +296,4 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
         op_counts={"user": diff_counts(marks[0], user_ops.counts()),
                    "gwn": diff_counts(gwn_start, gwn_ops.counts()),
                    "uav": diff_counts(uav_start, uav_ops.counts())},
-        phase_counts={phase: diff_counts(before, after) for phase, before, after
-                      in zip(PHASES, marks, marks[1:])})
+        marks=marks)

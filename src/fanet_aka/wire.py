@@ -16,8 +16,9 @@ and since no field can be assigned afterwards, ``dataclasses.replace``
 goes through it too. Each record carries a codec generated from its
 ``WIDTHS``: packing range-checks every field and shifts them into one
 payload, unpacking slices the payload by constant shifts and masks. The
-encoded payload is the immutable wire value: it is what the channel logs
-and what an intercept sees and may replace.
+encoded payload is the immutable wire value the channel logs and an
+intercept may replace; the receiver gets the sender's record unless the
+delivered bits differ, and only those are unpacked.
 """
 
 from __future__ import annotations

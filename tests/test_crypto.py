@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from fanet_aka.bits import BitString, concat
 from fanet_aka.crypto import (BIO_BITS, CHALLENGE_BITS, FE_KEY_BITS, FE_REPETITION,
                               FE_TOLERANCE, NONCE_BITS, PUF_SEED_BITS, PufDevice, fe_gen,
-                              fe_rep, fe_rep_value, lift, sha1_digest, sha1_value)
+                              _expand, fe_rep, fe_rep_value, lift, sha1_digest, sha1_value)
 from fanet_aka.errors import WidthMismatch
 
 
@@ -252,6 +252,35 @@ def _slice_reference_rep(bio, tau):
     return sha1_digest(concat(word))
 
 
+def _block_loop_rep(bio, tau):
+    """The key word majority-decoded from ``tau XOR bio`` one block per step,
+    as ints: the loop the whole-int decode replaced."""
+    noisy, block = tau ^ bio.value, (1 << FE_REPETITION) - 1
+    word = 0
+    for shift in range(BIO_BITS - FE_REPETITION, -1, -FE_REPETITION):
+        word = (word << 1) | ((noisy >> shift & block).bit_count() > FE_TOLERANCE)
+    return word
+
+
+def _block_loop_expand(word):
+    """The codeword of ``word`` built one block per step: the loop the
+    whole-int expansion replaced."""
+    block = (1 << FE_REPETITION) - 1
+    value = 0
+    for i in range(word.width):
+        value = (value << FE_REPETITION) | (block if word.bit(i) else 0)
+    return BitString(BIO_BITS, value)
+
+
+@given(st.integers(min_value=0, max_value=2 ** FE_KEY_BITS - 1))
+@example(0)
+@example(2 ** FE_KEY_BITS - 1)
+@example(0x80000001)
+def test_expand_matches_the_block_loop(value):
+    word = BitString(FE_KEY_BITS, value)
+    assert _expand(word) == _block_loop_expand(word)
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.lists(st.integers(min_value=0, max_value=FE_REPETITION),
                 min_size=FE_KEY_BITS, max_size=FE_KEY_BITS))
@@ -260,8 +289,9 @@ def _slice_reference_rep(bio, tau):
 @example(2, [FE_REPETITION] * FE_KEY_BITS)
 @example(3, [FE_TOLERANCE, FE_TOLERANCE + 1] * (FE_KEY_BITS // 2))
 def test_fe_rep_integer_decode_matches_slice_reference(seed, flips):
-    # fe_rep decodes two blocks per step from a table; the reference, one
-    # block at a time, must agree at, and beyond, the tolerance of each block
+    # fe_rep majority-decodes every block at once on whole ints; the
+    # references, one block at a time, must agree at, and beyond, the
+    # tolerance of each block
     rng = random.Random(seed)
     bio = BitString.random(BIO_BITS, rng)
     sigma, tau = fe_gen(bio, rng)
@@ -272,4 +302,6 @@ def test_fe_rep_integer_decode_matches_slice_reference(seed, flips):
     noisy = BitString(BIO_BITS, bio.value ^ error)
     got = fe_rep(noisy, tau)
     assert got == _slice_reference_rep(noisy, tau)
+    assert got.value == fe_rep_value(noisy, tau.value) == sha1_value(
+        (), FE_KEY_BITS, _block_loop_rep(noisy, tau.value))
     assert (got == sigma) == (max(flips) <= FE_TOLERANCE)

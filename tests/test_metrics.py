@@ -23,9 +23,9 @@ def test_counter_facade_counts_real_calls():
     ops = OpCounter()
     digest = ops.h(BitString.from_text("x"))
     ops.xor(digest, digest)
-    assert ops.snapshot() == {"hash": 1, "puf": 0, "fe": 0, "xor": 1}
+    assert ops.counts() == (1, 0, 0, 1)  # hash, puf, fe, xor
     ops.reset()
-    assert ops.snapshot() == {"hash": 0, "puf": 0, "fe": 0, "xor": 0}
+    assert ops.counts() == (0, 0, 0, 0)
 
 
 X, Y = BitString.from_text("x"), BitString.from_text("y")

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+from fanet_aka import wire
 from fanet_aka.bits import BitString
 from fanet_aka.errors import (DisallowedAction, DuplicateRegistration, MacMismatch,
                               ReplayDetected)
@@ -211,6 +212,63 @@ def test_transmission_json_shape():
                         "events"}
     assert doc["kind"] == "MSG1"
     assert decode_msg1(BitString.from_hex(doc["hex"])).ts1.value == doc["tick"]
+
+
+def test_tampered_delivery_is_marked_with_the_sent_bits():
+    world = _ready()
+    sent = {}
+
+    def flip(kind, payload):
+        sent[kind] = payload
+        return payload.flip(400) if kind == "MSG3" else payload
+
+    result = run_aka(world, "alice", "uav-1", intercept=flip)
+    assert (result.stage, result.error) == ("MSG3", "AuthFailed")
+    msg1, msg2, msg3 = (tr.to_json() for tr in result.transcript)
+    assert msg1["events"] == msg2["events"] == [] and "sent_hex" not in msg1
+    assert msg3["events"] == ["tampered"]
+    assert msg3["sent_hex"] == sent["MSG3"].hex() != msg3["hex"]
+    assert msg3["hex"] == sent["MSG3"].flip(400).hex()
+    assert world.channel.log[-1] is result.transcript[2]
+
+
+def test_an_equal_but_distinct_delivery_is_not_tampering():
+    def run(intercept):
+        world = _ready()
+        return world, run_aka(world, "alice", "uav-1", intercept=intercept)
+
+    _, honest = run(None)
+    world, copied = run(lambda kind, p: BitString(p.width, p.value))
+    assert copied.ok and copied.user_sk == copied.uav_sk == honest.user_sk
+    assert [tr.to_json() for tr in copied.transcript] == [
+        tr.to_json() for tr in honest.transcript]
+    assert not any(tr.sent for tr in world.channel.log)
+
+
+def _decode_calls(monkeypatch):
+    calls = []
+    for name in ("decode_msg1", "decode_msg2", "decode_msg3"):
+        def counted(raw, _name=name, _decode=getattr(wire, name)):
+            calls.append(_name)
+            return _decode(raw)
+        monkeypatch.setattr(wire, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("intercept", [None, lambda kind, p: p], ids=["honest", "passed_on"])
+def test_an_untouched_message_reaches_its_receiver_without_a_parse(monkeypatch, intercept):
+    calls = _decode_calls(monkeypatch)
+    result = run_aka(_ready(), "alice", "uav-1", intercept=intercept)
+    assert result.ok and result.keys_agree
+    assert calls == []
+
+
+def test_only_a_changed_message_is_parsed_again(monkeypatch):
+    calls = _decode_calls(monkeypatch)
+    result = run_aka(_ready(), "alice", "uav-1",
+                     intercept=lambda kind, p: p.flip(200) if kind == "MSG2" else p)
+    assert (result.stage, result.error) == ("MSG2", "MacMismatch")
+    assert calls == ["decode_msg2"]
 
 
 def test_refused_uav_enrollment_draws_and_sends_nothing():
