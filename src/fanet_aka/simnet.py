@@ -6,8 +6,8 @@ a (seed, script) pair always reproduces the same transcript byte for
 byte. The channel is the Dolev-Yao adversary: it observes its log,
 ``Channel.replay`` re-sends a logged public message, and ``run_aka``'s
 ``intercept`` hook tampers with, delays or drops messages in flight. A
-receiver gets the sender's record unless the delivered bits differ; only
-those are parsed, and logged beside the sent bits, marked ``tampered``.
+receiver gets the sender's record unless the delivered bits differ; bits
+that differ are parsed, and logged beside the sent ones as ``tampered``.
 Secure-channel messages are out of its reach; an insider scenario reads them.
 
 The log is bounded: it keeps the latest ``LOG_CAPACITY`` transmissions and
