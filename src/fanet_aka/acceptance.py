@@ -12,7 +12,6 @@ import random
 import time
 from dataclasses import dataclass, replace
 
-from .bits import BitString
 from .crypto import BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE, fe_gen, fe_rep
 from .metrics import count_session, overhead_report
 from .scenarios import (POSITIVE_CONTROL, _world, run_dynamic_addition,
@@ -143,22 +142,20 @@ def fuzzy_tolerance(cfg: SimConfig) -> CriterionResult:
     rng = random.Random(f"{cfg.seed}:fe-tolerance")
     failures = 0
     for _ in range(500):
-        bio = BitString.random(BIO_BITS, rng)
+        bio = rng.getrandbits(BIO_BITS)
         sigma, tau = fe_gen(bio, rng)
         error = 0
         for block in range(FE_KEY_BITS):
             flips = rng.sample(range(FE_REPETITION), rng.randint(0, FE_TOLERANCE))
             for f in flips:
                 error |= 1 << (BIO_BITS - 1 - (block * FE_REPETITION + f))
-        noisy = BitString(BIO_BITS, bio.value ^ error)
-        if fe_rep(noisy, tau) != sigma:
+        if fe_rep(bio ^ error, tau) != sigma:
             failures += 1
 
-    bio = BitString.random(BIO_BITS, rng)
+    bio = rng.getrandbits(BIO_BITS)
     sigma, tau = fe_gen(bio, rng)
-    concentrated = bio
-    for f in range(FE_TOLERANCE + 1):
-        concentrated = concentrated.flip(f)  # t+1 flips inside block 0
+    flips = FE_TOLERANCE + 1  # inside the first block
+    concentrated = bio ^ ((1 << flips) - 1) << (BIO_BITS - flips)
     beyond_differs = fe_rep(concentrated, tau) != sigma
     return CriterionResult(8, "fuzzy extractor tolerance over 500 cases",
                            failures == 0 and beyond_differs,

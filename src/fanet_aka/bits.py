@@ -1,14 +1,17 @@
 """Fixed-width bit strings and the operators the protocol algebra runs on.
 
-A value that leaves the protocol is a :class:`BitString`: a payload,
-timestamp, session key or closure term. A party stores the ``int`` of
+A value that leaves the protocol as bits is a :class:`BitString`: a
+payload, a timestamp or a closure term. A party stores the ``int`` of
 each field, saved and restored by :func:`hex_of` and :func:`int_of_hex`
 (a name's by :func:`text_value`); a role step computes on those ints (see
-:class:`~fanet_aka.metrics.OpCounter`) and message records carry them
-(see :mod:`~fanet_aka.wire`), so a BitString is built only where a value
-leaves. Widths are explicit and equality is bit-exact: ``BitString(32, 5)``
-and ``BitString(160, 5)`` are different values. Bit 0 is the most
-significant bit (big-endian), both for indexing and for the wire layout.
+:class:`~fanet_aka.metrics.OpCounter`), and so do the session key, the
+biometric and the fuzzy extractor; message records carry them (see
+:mod:`~fanet_aka.wire`), so a BitString is built only where a value
+leaves. A timestamp stays a BitString, because every hash takes it at its
+own 32-bit width. Widths are explicit and equality is bit-exact:
+``BitString(32, 5)`` and ``BitString(160, 5)`` are different values. Bit 0
+is the most significant bit (big-endian), both for indexing and for the
+wire layout.
 
 Values are validated where they enter: the public constructor and the
 ``from_*`` constructors check that the value fits its width, and so do a

@@ -26,8 +26,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .acceptance import run_all
-from .bits import BitString, hex_of
-from .crypto import BIO_BITS, PUF_SEED_BITS, sha1_digest
+from .bits import BitString, hex_of, int_of_hex
+from .crypto import BIO_BITS, DIGEST_BITS, PUF_SEED_BITS, sha1_value
 from .errors import ConfigError, ProtocolError, StateError, UnknownScenario, WidthMismatch
 from .gwn import SECRET_BITS, Gateway
 from .metrics import count_session, overhead_report, render_table
@@ -133,7 +133,7 @@ def _parse_secrets(doc: dict) -> dict:
     for name, entry in doc.get("users", {}).items():
         BitString.from_text(entry["password"])  # a string that fits its field
         users[name] = {"password": entry["password"],
-                       "bio": BitString.from_hex(entry["bio"], width=BIO_BITS)}
+                       "bio": int_of_hex(entry["bio"], BIO_BITS)}
     return {
         "gwn_secret": None if secret is None
         else BitString.from_hex(secret, width=SECRET_BITS).hex(),
@@ -203,7 +203,8 @@ def save_world(state: StateDir, world: World) -> None:
     for name, user in world.users.items():
         state.save(f"user_{name}.json", user.card.to_json())
         secret = world.user_secrets[name]
-        secrets["users"][name] = {"password": secret["password"], "bio": secret["bio"].hex()}
+        secrets["users"][name] = {"password": secret["password"],
+                                  "bio": hex_of(BIO_BITS, secret["bio"])}
     for name, uav in world.uavs.items():
         state.save(f"uav_{name}.json", uav.to_json())
         secrets["puf_seeds"][name] = hex_of(PUF_SEED_BITS, uav._puf.seed)
@@ -263,7 +264,7 @@ def cmd_run_aka(args) -> int:
         "user": args.user,
         "uav": args.uav,
         "keys_agree": result.keys_agree,
-        "session_key_fingerprint": sha1_digest(result.user_sk).hex(),
+        "session_key_fingerprint": hex_of(DIGEST_BITS, sha1_value((result.user_sk,))),
         "bit_counts": bits,
         "op_counts": count_session(result),
     }
@@ -285,7 +286,7 @@ def cmd_update_credentials(args) -> int:
     world = load_world(state, _sim_config(args))
     _registered(world, args.user)
     user, secret = world.users[args.user], world.user_secrets[args.user]
-    new_bio = BitString.random(BIO_BITS, world.rng)
+    new_bio = world.rng.getrandbits(BIO_BITS)
     user.update_credentials(secret["password"], secret["bio"],
                             args.new_password, new_bio, world.rng)
     secret.update(password=args.new_password, bio=new_bio)

@@ -18,6 +18,9 @@ from .bits import BitString, _unchecked
 from .errors import WidthMismatch
 
 DIGEST_BITS = 160
+#: A nonce is drawn at 128 bits but is a 160-bit field whose top 32 bits are
+#: zero: it enters hashes and XOR masks at field width, so both sides of the
+#: protocol hash the same bytes.
 NONCE_BITS = 128
 ID_BITS = 160
 TS_BITS = 32
@@ -56,18 +59,9 @@ def sha1_digest(*parts: BitString) -> BitString:
     return _unchecked(DIGEST_BITS, sha1_value(parts))
 
 
-#: A 160-bit field BitString from the int a role step computed.
+#: A 160-bit field BitString from the int a role step computed, built
+#: where a value leaves as a closure term.
 field = partial(_unchecked, DIGEST_BITS)
-
-
-def lift(value: BitString) -> BitString:
-    """Zero-extend a value (typically a nonce) to the 160-bit field width.
-
-    Nonces are 128 bits on the wire accounting but always enter hashes and
-    XOR masks zero-extended to 160 bits, so both sides of the protocol
-    concatenate identical byte sequences.
-    """
-    return value.zext(DIGEST_BITS)
 
 
 @dataclass(slots=True)
@@ -101,6 +95,7 @@ class PufDevice:
 #: repetition code: each of the ``FE_KEY_BITS`` random key bits is repeated
 #: ``FE_REPETITION`` times, so the biometric is ``BIO_BITS`` wide and up to
 #: ``FE_TOLERANCE`` flipped bits per block are corrected by majority vote.
+#: The reading, the key word and the helper are plain ``int``s of those widths.
 FE_KEY_BITS = 32
 FE_REPETITION = 5
 BIO_BITS = FE_KEY_BITS * FE_REPETITION
@@ -115,29 +110,27 @@ _LANES = tuple(sum(((1 << (1 << s)) - 1) << i for i in range(0, BIO_BITS, FE_REP
 _STEPS = tuple(zip([(FE_REPETITION - 1) << s for s in range(len(_LANES))], _LANES, _LANES[1:]))
 
 
-def _expand(word: BitString) -> BitString:
-    """Repetition-code codeword: every bit of ``word`` repeated."""
-    value = word.value
+def _expand(word: int) -> int:
+    """Repetition-code codeword: every bit of the ``FE_KEY_BITS``-bit ``word`` repeated."""
     for shift, lanes, _ in reversed(_STEPS):
-        value = (value | value << shift) & lanes
-    return _unchecked(BIO_BITS, value * ((1 << FE_REPETITION) - 1))
+        word = (word | word << shift) & lanes
+    return word * ((1 << FE_REPETITION) - 1)
 
 
-def fe_gen(bio: BitString, rng: random.Random) -> tuple[BitString, BitString]:
-    """Enroll a biometric: returns (key digest sigma, public helper tau).
+def fe_gen(bio: int, rng: random.Random) -> tuple[int, int]:
+    """Enroll a ``BIO_BITS``-bit biometric: returns (key digest sigma, public helper tau).
 
-    tau = codeword(w) XOR bio for a fresh random word w; sigma = h(w).
-    tau is safe to publish: without a close biometric it reveals nothing
-    usable about sigma.
+    tau = codeword(w) XOR bio for a fresh random ``FE_KEY_BITS``-bit word w;
+    sigma = h(w), the ``int`` of its 160-bit digest. tau is safe to publish:
+    without a close biometric it reveals nothing usable about sigma.
     """
-    if bio.width != BIO_BITS:
+    if bio < 0 or bio >> BIO_BITS:
         raise WidthMismatch(f"biometric must be {BIO_BITS} bits")
-    word = BitString.random(FE_KEY_BITS, rng)
-    tau = _expand(word) ^ bio
-    return sha1_digest(word), tau
+    word = rng.getrandbits(FE_KEY_BITS)
+    return sha1_value((), FE_KEY_BITS, word), _expand(word) ^ bio
 
 
-def fe_rep(bio: BitString, tau: BitString) -> BitString:
+def fe_rep(bio: int, tau: int) -> int:
     """Reproduce the enrolled key digest from a noisy biometric reading.
 
     Majority-decodes each repetition block of tau XOR bio. Guaranteed to
@@ -145,16 +138,9 @@ def fe_rep(bio: BitString, tau: BitString) -> BitString:
     at most ``FE_TOLERANCE`` set bits; beyond that it silently yields a
     different digest, which downstream credential checks reject.
     """
-    if tau.width != BIO_BITS:
+    if bio < 0 or bio >> BIO_BITS or tau < 0 or tau >> BIO_BITS:
         raise WidthMismatch(f"biometric and helper must be {BIO_BITS} bits")
-    return _unchecked(DIGEST_BITS, fe_rep_value(bio, tau.value))
-
-
-def fe_rep_value(bio: BitString, tau: int) -> int:
-    """The digest of :func:`fe_rep` as an ``int``, from the ``int`` helper a card stores."""
-    if bio.width != BIO_BITS or tau < 0 or tau >> BIO_BITS:
-        raise WidthMismatch(f"biometric and helper must be {BIO_BITS} bits")
-    noisy, low = tau ^ bio.value, _LANES[0]
+    noisy, low = tau ^ bio, _LANES[0]
     votes = ((noisy & low) + (noisy >> 1 & low) + (noisy >> 2 & low)
              + (noisy >> 3 & low) + (noisy >> 4 & low))
     word = (votes + 5 * low) >> 3 & low  # a block's votes + 5 reach 8 iff 3 or more

@@ -101,7 +101,7 @@ class Gateway:
                            rng: random.Random) -> UavRegResponse:
         """Enroll a UAV under the ``id_j`` :meth:`check_uav_name` returns; refuse a taken one."""
         self._refuse_taken(uav_identity, id_j)
-        n_j = rng.getrandbits(NONCE_BITS)  # lifted: the int is unchanged
+        n_j = rng.getrandbits(NONCE_BITS)
         tc_id_j = self.ops.h(self.ops.h(id_j, n_j), self._s)
         c_j = rng.getrandbits(CHALLENGE_BITS)
         self.registry[uav_identity] = self._uav_index[id_j] = UavRecord(n_j, tc_id_j, c_j)
@@ -140,7 +140,7 @@ class Gateway:
         self.guard.accept(msg1.mac1, expiry)
 
         ts2 = ts_bits(clock.now)
-        n_j, r_j = record.n_j, record.r_j  # n_j lifted: the int is unchanged
+        n_j, r_j = record.n_j, record.r_j
         tid_j = ops.h(id_j, n_j)
         v1 = ops.xor(ops.h(id_j, record.tc_id_j, r_j), n_j)
         mac2 = ops.h(v1, tid_j, r_j, ts2)

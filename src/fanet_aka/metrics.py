@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .bits import BitString
-from .crypto import PufDevice, field, sha1_value
+from .crypto import PufDevice, sha1_value
 from .errors import IncompleteTranscript
 
 #: Per-operation timing constants (milliseconds) used for *estimates* only.
@@ -91,7 +91,9 @@ _recorded: dict | None = None
 @contextmanager
 def recording():
     """Yield a table of digest -> parts for every counted hash made inside
-    the scope. Leaving an inner scope, also by an exception, restores the outer."""
+    the scope, each part as :meth:`OpCounter.h` was given it, so
+    ``sha1_value(parts)`` replays the digest. Leaving an inner scope, also
+    by an exception, restores the outer."""
     global _recorded
     outer, _recorded = _recorded, {}
     try:
@@ -105,12 +107,11 @@ class OpCounter:
     """Counted facade over the primitives, one per protocol role.
 
     The role steps compute on plain ``int``s: :meth:`h` takes 160-bit
-    ``int`` fields and :class:`BitString` parts (timestamps, the biometric
-    key) alike and returns the digest as an ``int``, :meth:`xor` combines two
-    ints, and :meth:`puf` and :meth:`fe_rep` take the ``int`` a party stores
-    and return the ``int`` of their 160-bit result. Inside a :func:`recording`
-    scope each digest is still keyed and its parts kept as BitStrings, the
-    ints as 160-bit fields.
+    ``int`` fields and 32-bit :class:`BitString` timestamps and returns the
+    digest as an ``int``, :meth:`xor` combines two ints, and :meth:`puf`,
+    :meth:`fe_gen` and :meth:`fe_rep` take and return the ``int``s a party
+    stores. Inside a :func:`recording` scope each digest keys the parts it
+    was given.
 
     XOR is tallied for information only; it never enters time estimates.
     """
@@ -133,8 +134,7 @@ class OpCounter:
         self.hash_count += 1
         digest = sha1_value(parts)
         if _recorded is not None:
-            _recorded[field(digest)] = tuple(
-                field(part) if type(part) is int else part for part in parts)
+            _recorded[digest] = parts
         return digest
 
     def xor(self, a: int, b: int) -> int:
@@ -145,13 +145,13 @@ class OpCounter:
         self.puf_count += 1
         return device.eval_value(challenge)
 
-    def fe_gen(self, bio: BitString, rng: random.Random) -> tuple[BitString, BitString]:
+    def fe_gen(self, bio: int, rng: random.Random) -> tuple[int, int]:
         self.fe_count += 1
         return crypto.fe_gen(bio, rng)
 
-    def fe_rep(self, bio: BitString, tau: int) -> int:
+    def fe_rep(self, bio: int, tau: int) -> int:
         self.fe_count += 1
-        return crypto.fe_rep_value(bio, tau)
+        return crypto.fe_rep(bio, tau)
 
 
 def diff_counts(before: tuple, after: tuple) -> dict:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 from typing import Callable
 
-from .bits import BitString
+from .bits import BitString, hex_of, text_value
 from .closure import compute_closure
-from .crypto import BIO_BITS, DIGEST_BITS, ID_BITS, NONCE_BITS, lift, sha1_digest
+from .crypto import BIO_BITS, DIGEST_BITS, field, sha1_value
 from .errors import (DuplicateRegistration, IncompleteTranscript, ProtocolError,
                      ReplayDetected, StaleTimestamp, UnknownScenario)
 from .metrics import recording
@@ -29,10 +29,10 @@ from .wire import (Msg1, Msg2, Msg3, UserRegRequest, decode, encode, protocol_bi
 class ScenarioReport:
     scenario: str
     seed: int
-    verdicts: list = field(default_factory=list)
-    op_counts: dict = field(default_factory=dict)
-    bit_counts: dict = field(default_factory=dict)
-    transcript: list = field(default_factory=list)
+    verdicts: list = dc_field(default_factory=list)
+    op_counts: dict = dc_field(default_factory=dict)
+    bit_counts: dict = dc_field(default_factory=dict)
+    transcript: list = dc_field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -94,24 +94,20 @@ def _scenario(users=("alice",), uavs=("uav-1",)):
     return register
 
 
-def _variants(term: BitString) -> list[BitString]:
-    """A secret and, below field width, its lift: a zero-padded derivation leaks too."""
-    return [term] if term.width >= 160 else [term, lift(term)]
-
-
 def _not_derivable(report, knowledge: list[BitString], claims: dict) -> None:
     """Check each claim's named secrets against one closure of ``knowledge``.
 
-    ``claims`` maps a claim to its {label: secret} dict; every claim's
-    secrets' variants are declared in a single closure computation. Each
-    verdict's ``leaked`` detail marks it as a secrecy claim.
+    ``claims`` maps a claim to its {label: secret} dict, each secret the
+    ``int`` of its 160-bit field; every claim's secrets are declared in a
+    single closure computation. A nonce needs no second, 128-bit target:
+    the engine extends a narrower term it holds to the field (its lift
+    rule and its XOR span both do). Each verdict's ``leaked`` detail marks
+    it as a secrecy claim.
     """
-    clo = compute_closure(knowledge, [v for secrets in claims.values()
-                                      for term in secrets.values()
-                                      for v in _variants(term)])
+    clo = compute_closure(knowledge, [field(value) for secrets in claims.values()
+                                      for value in secrets.values()])
     for claim, secrets in claims.items():
-        leaked = [label for label, term in secrets.items()
-                  if any(v in clo for v in _variants(term))]
+        leaked = [label for label, value in secrets.items() if field(value) in clo]
         report.check(claim, not leaked, leaked=leaked,
                      closure_terms=len(clo.terms), closure_bulk=clo.bulk_count,
                      closure_skipped=clo.skipped_shapes)
@@ -131,16 +127,16 @@ def stolen_card(report: ScenarioReport, world: World, cfg: SimConfig):
     user = world.users["alice"]
     card = user.card
     secrets = world.user_secrets["alice"]
-    # the key hashes (v3, TID_i, RID_j, N_k, ts3); TID_i hashes (ID_i, lift(N_i))
+    # the key hashes (v3, TID_i, RID_j, N_k, ts3); TID_i hashes (ID_i, N_i)
     tid_i = hashes[result.user_sk][1]
-    n_i = BitString(NONCE_BITS, hashes[tid_i][1].value)
-    card_terms = [BitString(DIGEST_BITS, card.a_i), BitString(DIGEST_BITS, card.b_i),
-                  BitString(DIGEST_BITS, card.c_i), BitString(BIO_BITS, card.tau_i)]
-    id_i = BitString(ID_BITS, user.id_i)
+    n_i = hashes[tid_i][1]
+    card_terms = [field(card.a_i), field(card.b_i), field(card.c_i),
+                  BitString(BIO_BITS, card.tau_i)]
+    pw_i = text_value(secrets["password"])
     _not_derivable(report, card_terms + [tr.payload for tr in result.transcript], {
         "identity, password, nonce stay hidden": {
-            "id_i": id_i,
-            "pw_i": BitString.from_text(secrets["password"]),
+            "id_i": user.id_i,
+            "pw_i": pw_i,
             "n_i": n_i,
         },
         "session key stays hidden": {"sk": result.user_sk},
@@ -149,8 +145,8 @@ def stolen_card(report: ScenarioReport, world: World, cfg: SimConfig):
     # offline guessing: even the right password plus the card yields no
     # verifiable check value without the biometric key; login's check
     # digest b_i hashes (ID_i, TPW_i, sigma_i)
-    _, tpw_i, sigma_i = hashes[card_terms[1]]
-    guess = card_terms + [BitString.from_text(secrets["password"]), id_i]
+    _, tpw_i, sigma_i = hashes[card.b_i]
+    guess = card_terms + [field(pw_i), field(user.id_i)]
     _not_derivable(report, guess, {
         "offline password guess yields no check value": {
             "tpw_i": tpw_i,
@@ -169,8 +165,8 @@ def privileged_insider(report: ScenarioReport, world: World, cfg: SimConfig):
     secrets = world.user_secrets["alice"]
     _not_derivable(report, [tr.payload for tr in world.channel.log], {
         "password stays hidden from insider": {
-            "pw_i": BitString.from_text(secrets["password"]),
-            "id_i": BitString(ID_BITS, world.users["alice"].id_i),
+            "pw_i": text_value(secrets["password"]),
+            "id_i": world.users["alice"].id_i,
         },
         "session key stays hidden from insider": {"sk": result.user_sk},
     })
@@ -261,7 +257,7 @@ def anonymity_untraceability(report: ScenarioReport, world: World, cfg: SimConfi
 
     public = [tr.payload for tr in first.transcript + second.transcript]
     _not_derivable(report, public, {
-        "identity stays hidden": {"id_i": BitString(ID_BITS, world.users["alice"].id_i)},
+        "identity stays hidden": {"id_i": world.users["alice"].id_i},
         "session keys stay hidden": {
             "sk_first": first.user_sk, "sk_second": second.user_sk,
         },
@@ -311,7 +307,7 @@ def mutual_auth(report: ScenarioReport, world: World, cfg: SimConfig):
                  all(result.checks.values()), checks=result.checks)
     report.check("session keys agree", result.ok and result.keys_agree,
                  fingerprint=None if result.user_sk is None
-                 else sha1_digest(result.user_sk).hex())
+                 else hex_of(DIGEST_BITS, sha1_value((result.user_sk,))))
     bits = protocol_bits(result.transcript)
     report.check("measured message bits", bits == {
         "MSG1": 672, "MSG2": 672, "MSG3": 512, "total": 1856, "message_count": 3,
@@ -408,18 +404,18 @@ def esl(report: ScenarioReport, world: World, cfg: SimConfig):
 
     pub_a = [tr.payload for tr in session_a.transcript]
     pub_b = [tr.payload for tr in session_b.transcript]
-    # each key hashes (v3, TID_i, RID_j, N_k, ts3), N_k lifted
+    # each key hashes (v3, TID_i, RID_j, N_k, ts3)
     v3, tid_i, rid_j, n_k_a, _ = hashes[session_a.user_sk]
     n_k_b = hashes[session_b.user_sk][3]
-    n_j = BitString(DIGEST_BITS, world.gateway.registry["uav-1"].n_j)  # lifted
+    n_j = world.gateway.registry["uav-1"].n_j
 
-    _not_derivable(report, pub_a + [n_k_a], {
+    _not_derivable(report, pub_a + [field(n_k_a)], {
         "key safe despite responder nonce leak": {"sk": session_a.user_sk},
     })
-    _not_derivable(report, pub_a + [n_j], {
+    _not_derivable(report, pub_a + [field(n_j)], {
         "key safe despite registry nonce leak": {"sk": session_a.user_sk},
     })
-    opened = pub_a + pub_b + [n_j, n_k_b, session_b.user_sk]
+    opened = pub_a + pub_b + [field(v) for v in (n_j, n_k_b, session_b.user_sk)]
     _not_derivable(report, opened, {
         "one session fully opened, other keys stay safe": {
             "sk_other": session_a.user_sk,
@@ -428,9 +424,9 @@ def esl(report: ScenarioReport, world: World, cfg: SimConfig):
 
     # positive control: with the key-derivation inputs the engine does
     # reconstruct the key, so the negative verdicts are not vacuous
-    control = compute_closure(pub_a + [n_k_a, tid_i, rid_j, v3], [session_a.user_sk])
-    report.check(POSITIVE_CONTROL, session_a.user_sk in control,
-                 derivation=control.derivation(session_a.user_sk))
+    sk = field(session_a.user_sk)
+    control = compute_closure(pub_a + [field(v) for v in (n_k_a, tid_i, rid_j, v3)], [sk])
+    report.check(POSITIVE_CONTROL, sk in control, derivation=control.derivation(sk))
     return session_a
 
 
@@ -473,7 +469,7 @@ def side_channel(report: ScenarioReport, world: World, cfg: SimConfig):
     rec = world.gateway.registry["uav-1"]
     readout = list(memory.values())
     _not_derivable(report, readout, {
-        "response not derivable from readout": {"r_j": BitString(DIGEST_BITS, rec.r_j)},
+        "response not derivable from readout": {"r_j": rec.r_j},
     })
     _not_derivable(report, readout + [tr.payload for tr in result.transcript], {
         "session key stays hidden": {"sk": result.user_sk},
@@ -493,7 +489,7 @@ def crp_leakage(report: ScenarioReport, world: World, cfg: SimConfig):
     public = world.channel.public_payloads()
     leaks = []
     for uav_id in ("uav-1", "uav-2"):
-        r_j = BitString(DIGEST_BITS, world.gateway.registry[uav_id].r_j)
+        r_j = field(world.gateway.registry[uav_id].r_j)
         if any(payload.contains(r_j) for payload in public):
             leaks.append(uav_id)
     report.check("response appears in no public payload", not leaks,
@@ -528,7 +524,7 @@ def run_lifecycle_update(cfg: SimConfig) -> dict:
     world = _world(cfg, "lifecycle_update")
     user = world.users["alice"]
     secrets = world.user_secrets["alice"]
-    new_bio = BitString.random(BIO_BITS, world.rng)
+    new_bio = world.rng.getrandbits(BIO_BITS)
     user.update_credentials(secrets["password"], secrets["bio"],
                             "updated-passphrase", new_bio, world.rng)
     old_rejected = False

@@ -154,7 +154,7 @@ def enroll_user(world: World, identity: str, password: str) -> User:
     ``User`` with a fresh pseudonym, password and biometric.
     """
     user = User(identity)
-    bio = BitString.random(BIO_BITS, world.rng)
+    bio = world.rng.getrandbits(BIO_BITS)
     request = user.register_begin(password, world.rng)
     world.channel.send(identity, world.gateway.identity, request, secure=True)
     response = world.gateway.register_user(request)
@@ -205,8 +205,8 @@ class AkaResult:
     ok: bool
     stage: str
     error: str | None
-    user_sk: BitString | None
-    uav_sk: BitString | None
+    user_sk: int | None   # the ints of the session keys' digests
+    uav_sk: int | None
     transcript: list[Transmission]
     op_counts: dict
     marks: list  # the user's counter readings: at the start, after each phase

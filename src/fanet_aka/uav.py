@@ -10,8 +10,7 @@ from __future__ import annotations
 import random
 
 from .bits import BitString, hex_of, int_of_hex, text_value
-from .crypto import (CHALLENGE_BITS, DIGEST_BITS, ID_BITS, NONCE_BITS, PUF_SEED_BITS,
-                     PufDevice, field)
+from .crypto import CHALLENGE_BITS, DIGEST_BITS, ID_BITS, NONCE_BITS, PUF_SEED_BITS, PufDevice
 from .errors import MacMismatch
 from .metrics import OpCounter
 from .wire import FreshnessGuard, Msg2, Msg3, UavRegSubmit, ts_bits
@@ -40,8 +39,8 @@ class Uav:
 
     # -- key agreement ---------------------------------------------------------
 
-    def aka_respond(self, msg2: Msg2, clock, rng: random.Random) -> tuple[Msg3, BitString]:
-        """Verify MSG2, derive the session key, emit MSG3.
+    def aka_respond(self, msg2: Msg2, clock, rng: random.Random) -> tuple[Msg3, int]:
+        """Verify MSG2, derive the session key, emit MSG3 with the ``int`` of the key.
 
         No key material leaves this method on any error path.
         """
@@ -52,8 +51,8 @@ class Uav:
         v1 = msg2.v1
         r_j = ops.puf(self._puf, self.c_j)
         n_j = ops.xor(v1, ops.h(id_j, tc_id_j, r_j))
-        # recovered nonce must carry the 32-bit zero prefix of a lifted
-        # 128-bit nonce; anything else is a tampered or misdirected message
+        # a nonce's 32-bit prefix is zero; anything else is a tampered or
+        # misdirected message
         if n_j >> NONCE_BITS:
             raise MacMismatch("recovered nonce prefix violates width rule")
         tid_j = ops.h(id_j, n_j)
@@ -61,7 +60,7 @@ class Uav:
             raise MacMismatch("MSG2 authentication code mismatch")
         self.guard.accept(msg2.mac2, expiry)
 
-        n_k = rng.getrandbits(NONCE_BITS)  # lifted: the int is unchanged
+        n_k = rng.getrandbits(NONCE_BITS)
         ts3 = ts_bits(clock.now)
         tid_i = ops.xor(msg2.h_i, n_j)
         v2 = ops.xor(ops.h(id_j, tid_i, ts3), n_k)
@@ -71,7 +70,7 @@ class Uav:
         session_key = ops.h(v3, tid_i, rid_j, n_k, ts3)
         v4 = ops.xor(v3, ops.h(tid_i, rid_j, n_k))
         v5 = ops.xor(ops.h(tid_i, rid_j, ts3), n_k)
-        return Msg3(v5=v5, v4=v4, ts3=ts3, v2=v2), field(session_key)
+        return Msg3(v5=v5, v4=v4, ts3=ts3, v2=v2), session_key
 
     # -- adversary capability ----------------------------------------------------
 

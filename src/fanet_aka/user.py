@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bits import BitString, hex_of, int_of_hex, text_value
-from .crypto import BIO_BITS, DIGEST_BITS, NONCE_BITS, field
+from .bits import hex_of, int_of_hex, text_value
+from .crypto import BIO_BITS, DIGEST_BITS, NONCE_BITS
 from .errors import AuthFailed, LoginFailed, ProtocolError
 from .metrics import OpCounter
 from .wire import Msg1, Msg3, UserRegRequest, UserRegResponse, check_fresh, ts_bits
@@ -82,7 +82,7 @@ class User:
         self.ops = OpCounter()
         self.card: SmartCard | None = None
         self.known_uavs: set[str] = set()
-        # the ints of (lifted N_i, TID_i, TPW_i) of a registration awaiting
+        # the ints of (N_i, TID_i, TPW_i) of a registration awaiting
         # the gateway's reply
         self._reg: tuple[int, int, int] | None = None
         self._pending: PendingSession | None = None
@@ -92,13 +92,13 @@ class User:
     def register_begin(self, password: str, rng: random.Random) -> UserRegRequest:
         if not password:
             raise ValueError("password must be non-empty")
-        n_i = rng.getrandbits(NONCE_BITS)  # lifted: the int is unchanged
+        n_i = rng.getrandbits(NONCE_BITS)
         tid_i = self.ops.h(self.id_i, n_i)
         tpw_i = self.ops.h(text_value(password), n_i)
         self._reg = (n_i, tid_i, tpw_i)
         return UserRegRequest(tid_i=tid_i, tpw_i=tpw_i)
 
-    def register_complete(self, response: UserRegResponse, bio: BitString,
+    def register_complete(self, response: UserRegResponse, bio: int,
                           rng: random.Random) -> SmartCard:
         if self._reg is None:
             raise ProtocolError("no registration in progress")
@@ -107,18 +107,18 @@ class User:
         self._reg = None
         return self._mint_card(n_i, tpw_i, c_i, bio, rng)
 
-    def _mint_card(self, n_i: int, tpw_i: int, c_i: int, bio: BitString,
+    def _mint_card(self, n_i: int, tpw_i: int, c_i: int, bio: int,
                    rng: random.Random) -> SmartCard:
-        """The card for lifted nonce ``n_i`` and ``tpw_i`` under a fresh biometric key."""
+        """The card for nonce ``n_i`` and ``tpw_i`` under a fresh biometric key."""
         sigma, tau = self.ops.fe_gen(bio, rng)
         a_i = self.ops.xor(n_i, self.ops.h(self.id_i, sigma))
         b_i = self.ops.h(self.id_i, tpw_i, sigma)
-        self.card = SmartCard(a_i=a_i, b_i=b_i, c_i=c_i, tau_i=tau.value)
+        self.card = SmartCard(a_i=a_i, b_i=b_i, c_i=c_i, tau_i=tau)
         return self.card
 
     # -- login and key agreement ------------------------------------------
 
-    def login(self, password: str, bio: BitString) -> LoginContext:
+    def login(self, password: str, bio: int) -> LoginContext:
         """Recover the login secrets from card, password and biometric.
 
         Total: always returns a context or raises LoginFailed, which is
@@ -151,8 +151,9 @@ class User:
         self._pending = PendingSession(tid_i=tid_i, rid_j=rid_j, id_j=id_j)
         return Msg1(mac1=mac1, rid_j=rid_j, g_i=g_i, f_i_prime=f_i_prime, ts1=ts1)
 
-    def aka_finalize(self, msg3: Msg3, clock) -> BitString:
-        """Verify MSG3 and derive the session key. Consumes the pending state."""
+    def aka_finalize(self, msg3: Msg3, clock) -> int:
+        """Verify MSG3 and derive the session key, the ``int`` of its digest.
+        Consumes the pending state."""
         if self._pending is None:
             raise ProtocolError("no session pending")
         pend, self._pending = self._pending, None
@@ -163,12 +164,12 @@ class User:
         if ops.xor(ops.h(pend.id_j, tid_i, ts3), n_k) != msg3.v2:
             raise AuthFailed("MSG3 confirmation check failed")
         v3_star = ops.xor(msg3.v4, ops.h(tid_i, rid_j, n_k))
-        return field(ops.h(v3_star, tid_i, rid_j, n_k, ts3))
+        return ops.h(v3_star, tid_i, rid_j, n_k, ts3)
 
     # -- credential maintenance -------------------------------------------
 
-    def update_credentials(self, old_password: str, old_bio: BitString,
-                           new_password: str, new_bio: BitString,
+    def update_credentials(self, old_password: str, old_bio: int,
+                           new_password: str, new_bio: int,
                            rng: random.Random) -> SmartCard:
         """Local password and biometric change; no gateway involved.
 

@@ -143,10 +143,11 @@ def test_helper_data_reveals_nothing_about_the_key():
     # fuzzy-extractor helper alone never yields the extracted digest
     from fanet_aka.crypto import BIO_BITS, fe_gen
     rng = random.Random(77)
-    bio = BitString.random(BIO_BITS, rng)
+    bio = rng.getrandbits(BIO_BITS)
     sigma, tau = fe_gen(bio, rng)
-    clo = compute_closure([tau], [sigma])
-    assert sigma not in clo
+    key = BitString(160, sigma)
+    clo = compute_closure([BitString(BIO_BITS, tau)], [key])
+    assert key not in clo
 
 
 def test_closure_is_deterministic():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from fanet_aka.bits import BitString, concat
 from fanet_aka.crypto import (BIO_BITS, CHALLENGE_BITS, FE_KEY_BITS, FE_REPETITION,
                               FE_TOLERANCE, NONCE_BITS, PUF_SEED_BITS, PufDevice, fe_gen,
-                              _expand, fe_rep, fe_rep_value, lift, sha1_digest, sha1_value)
+                              _expand, fe_rep, sha1_digest, sha1_value)
 from fanet_aka.errors import WidthMismatch
 
 
@@ -94,11 +94,6 @@ def test_nonce_stream_has_no_collisions():
     assert len(seen) == 10_000
 
 
-def test_lift_zero_extends_nonce():
-    n = BitString(128, 12345)
-    assert lift(n) == BitString(160, 12345)
-
-
 # -- PUF -------------------------------------------------------------------
 
 def test_puf_deterministic_without_noise():
@@ -130,16 +125,17 @@ def test_int_cores_match_their_bit_string_wrappers():
         dev, challenge = PufDevice.generate(rng), rng.getrandbits(CHALLENGE_BITS)
         assert dev.eval_value(challenge) == sha1_digest(
             BitString(PUF_SEED_BITS, dev.seed), BitString(CHALLENGE_BITS, challenge)).value
-        bio = BitString.random(BIO_BITS, rng)
+        bio = rng.getrandbits(BIO_BITS)
         sigma, tau = fe_gen(bio, rng)
-        noisy = bio.flip(rng.randrange(BIO_BITS))
-        for reading in (bio, noisy, BitString.random(BIO_BITS, rng)):
-            assert fe_rep_value(reading, tau.value) == fe_rep(reading, tau).value
-        assert fe_rep_value(noisy, tau.value) == sigma.value
+        noisy = bio ^ 1 << (BIO_BITS - 1 - rng.randrange(BIO_BITS))
+        for reading in (bio, noisy, rng.getrandbits(BIO_BITS)):
+            assert fe_rep(reading, tau) == _slice_reference_rep(
+                BitString(BIO_BITS, reading), BitString(BIO_BITS, tau)).value
+        assert fe_rep(noisy, tau) == sigma
     with pytest.raises(WidthMismatch):
-        fe_rep_value(BitString.zeros(8), 0)
+        fe_rep(1 << BIO_BITS, 0)
     with pytest.raises(WidthMismatch):
-        fe_rep_value(BitString.zeros(BIO_BITS), 1 << BIO_BITS)
+        fe_rep(0, 1 << BIO_BITS)
 
 
 def test_puf_inter_device_uniqueness():
@@ -157,27 +153,29 @@ def test_puf_inter_device_uniqueness():
 
 def test_fe_round_trip_without_noise():
     rng = random.Random(5)
-    bio = BitString.random(BIO_BITS, rng)
+    bio = rng.getrandbits(BIO_BITS)
     sigma, tau = fe_gen(bio, rng)
-    assert sigma.width == 160
-    assert tau.width == BIO_BITS == 160
+    assert 0 <= sigma < 1 << 160
+    assert 0 <= tau < 1 << BIO_BITS and BIO_BITS == 160
     assert fe_rep(bio, tau) == sigma
 
 
 def test_fe_all_zero_bio_exposes_codeword():
     # with a zero biometric the helper is exactly the repetition codeword
     rng = random.Random(6)
-    sigma, tau = fe_gen(BitString.zeros(BIO_BITS), rng)
-    blocks = [tau.slice(i * FE_REPETITION, (i + 1) * FE_REPETITION).value
+    sigma, tau = fe_gen(0, rng)
+    blocks = [tau >> (i * FE_REPETITION) & (1 << FE_REPETITION) - 1
               for i in range(FE_KEY_BITS)]
     assert all(b in (0b00000, 0b11111) for b in blocks)
 
 
 def test_fe_rejects_width_mismatch():
-    with pytest.raises(WidthMismatch):
-        fe_gen(BitString.zeros(8), random.Random(0))
-    with pytest.raises(WidthMismatch):
-        fe_rep(BitString.zeros(8), BitString.zeros(160))
+    for bio in (1 << BIO_BITS, -1):
+        with pytest.raises(WidthMismatch):
+            fe_gen(bio, random.Random(0))
+    for bio, tau in ((1 << BIO_BITS, 0), (-1, 0), (0, 1 << BIO_BITS), (0, -1)):
+        with pytest.raises(WidthMismatch):
+            fe_rep(bio, tau)
 
 
 def _per_block_error(rng, max_flips):
@@ -192,54 +190,53 @@ def _per_block_error(rng, max_flips):
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_fe_corrects_any_within_tolerance_pattern(seed):
     rng = random.Random(seed)
-    bio = BitString.random(BIO_BITS, rng)
+    bio = rng.getrandbits(BIO_BITS)
     sigma, tau = fe_gen(bio, rng)
     error = _per_block_error(rng, FE_TOLERANCE)
-    noisy = BitString(BIO_BITS, bio.value ^ error)
-    assert fe_rep(noisy, tau) == sigma
+    assert fe_rep(bio ^ error, tau) == sigma
 
 
 def test_fe_exhaustive_over_each_block():
     # every error pattern of every block, alone: it decodes iff it has at
     # most FE_TOLERANCE set bits
     rng = random.Random(11)
-    bio = BitString.random(BIO_BITS, rng)
+    bio = rng.getrandbits(BIO_BITS)
     sigma, tau = fe_gen(bio, rng)
     for block in range(FE_KEY_BITS):
         shift = BIO_BITS - (block + 1) * FE_REPETITION
         for pattern in range(1 << FE_REPETITION):
-            noisy = BitString(BIO_BITS, bio.value ^ (pattern << shift))
+            noisy = bio ^ (pattern << shift)
             assert (fe_rep(noisy, tau) == sigma) == (pattern.bit_count() <= FE_TOLERANCE)
 
 
 def test_fe_fails_beyond_tolerance_in_one_block():
     # t+1 flips inside one block flip that key bit: sigma must differ
     rng = random.Random(12)
-    bio = BitString.random(BIO_BITS, rng)
+    bio = rng.getrandbits(BIO_BITS)
     sigma, tau = fe_gen(bio, rng)
-    noisy = bio
+    noisy = BitString(BIO_BITS, bio)
     for i in range(FE_TOLERANCE + 1):
         noisy = noisy.flip(i)
-    assert fe_rep(noisy, tau) != sigma
+    assert fe_rep(noisy.value, tau) != sigma
 
 
 def test_fe_beyond_tolerance_matches_bit_flip_oracle():
     # majority decode with t+1 errors in block 0 recovers w with bit 0
     # inverted; the oracle reads w off the noise-free codeword instead
     rng = random.Random(13)
-    bio = BitString.random(BIO_BITS, rng)
+    bio = rng.getrandbits(BIO_BITS)
     sigma, tau = fe_gen(bio, rng)
 
-    noisy = bio
+    noisy = BitString(BIO_BITS, bio)
     for i in range(3):  # t + 1 = 3 flips, all inside block 0
         noisy = noisy.flip(i)
-    got = fe_rep(noisy, tau)
+    got = fe_rep(noisy.value, tau)
 
-    codeword = tau ^ bio
+    codeword = BitString(BIO_BITS, tau ^ bio)
     word = BitString(FE_KEY_BITS, int("".join(str(codeword.bit(i * FE_REPETITION))
                                               for i in range(FE_KEY_BITS)), 2))
-    assert sha1_digest(word) == sigma
-    expected = sha1_digest(word.flip(0))
+    assert sha1_digest(word).value == sigma
+    expected = sha1_digest(word.flip(0)).value
     assert got == expected
 
 
@@ -255,7 +252,7 @@ def _slice_reference_rep(bio, tau):
 def _block_loop_rep(bio, tau):
     """The key word majority-decoded from ``tau XOR bio`` one block per step,
     as ints: the loop the whole-int decode replaced."""
-    noisy, block = tau ^ bio.value, (1 << FE_REPETITION) - 1
+    noisy, block = tau ^ bio, (1 << FE_REPETITION) - 1
     word = 0
     for shift in range(BIO_BITS - FE_REPETITION, -1, -FE_REPETITION):
         word = (word << 1) | ((noisy >> shift & block).bit_count() > FE_TOLERANCE)
@@ -277,8 +274,7 @@ def _block_loop_expand(word):
 @example(2 ** FE_KEY_BITS - 1)
 @example(0x80000001)
 def test_expand_matches_the_block_loop(value):
-    word = BitString(FE_KEY_BITS, value)
-    assert _expand(word) == _block_loop_expand(word)
+    assert _expand(value) == _block_loop_expand(BitString(FE_KEY_BITS, value)).value
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -293,15 +289,14 @@ def test_fe_rep_integer_decode_matches_slice_reference(seed, flips):
     # references, one block at a time, must agree at, and beyond, the
     # tolerance of each block
     rng = random.Random(seed)
-    bio = BitString.random(BIO_BITS, rng)
+    bio = rng.getrandbits(BIO_BITS)
     sigma, tau = fe_gen(bio, rng)
     r = FE_REPETITION
     error = 0
     for count in flips:
         error = (error << r) | sum(1 << i for i in rng.sample(range(r), count))
-    noisy = BitString(BIO_BITS, bio.value ^ error)
+    noisy = bio ^ error
     got = fe_rep(noisy, tau)
-    assert got == _slice_reference_rep(noisy, tau)
-    assert got.value == fe_rep_value(noisy, tau.value) == sha1_value(
-        (), FE_KEY_BITS, _block_loop_rep(noisy, tau.value))
+    assert got == _slice_reference_rep(BitString(BIO_BITS, noisy), BitString(BIO_BITS, tau)).value
+    assert got == sha1_value((), FE_KEY_BITS, _block_loop_rep(noisy, tau))
     assert (got == sigma) == (max(flips) <= FE_TOLERANCE)

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from fanet_aka import bits, metrics
 from fanet_aka.bits import BitString
-from fanet_aka.crypto import lift, sha1_digest
+from fanet_aka.crypto import sha1_digest, sha1_value
 from fanet_aka.errors import IncompleteTranscript
 from fanet_aka.metrics import (BASELINES, OpCounter, TIMING_PRESET_MS,
                                count_session, estimate_ms, overhead_report,
@@ -47,9 +47,9 @@ def test_nested_recording_scope_restores_the_outer_table():
         with recording() as inner:
             dy = ops.h(Y)
         dxy = ops.h(X, Y)
-    # h returns the digest's int; the tables key the digest as a BitString
-    assert inner == {BitString(160, dy): (Y,)}
-    assert outer == {BitString(160, dx): (X,), BitString(160, dxy): (X, Y)}
+    # h returns the digest's int, which keys the parts it was given
+    assert inner == {dy: (Y,)}
+    assert outer == {dx: (X,), dxy: (X, Y)}
 
 
 def test_exception_inside_a_recording_scope_restores_the_outer_table():
@@ -60,7 +60,7 @@ def test_exception_inside_a_recording_scope_restores_the_outer_table():
                 ops.h(Y)
                 raise RuntimeError("inside the inner scope")
         dx = ops.h(X)
-    assert outer == {BitString(160, dx): (X,)}
+    assert outer == {dx: (X,)}
     assert metrics._recorded is None
 
 
@@ -74,15 +74,16 @@ _parts = st.lists(st.one_of(
 
 @given(_parts, st.data())
 def test_int_parts_hash_and_record_like_bit_strings(parts, data):
-    # any 160-bit part may reach h as its int; the digest, the key and the
-    # recorded parts are those of the all-BitString call
+    # any 160-bit part may reach h as its int; the digest is that of the
+    # all-BitString call, and the table keeps the parts exactly as passed
     mixed = [p.value if p.width == 160 and data.draw(st.booleans()) else p
              for p in parts]
     ops = OpCounter()
     with recording() as table:
         digest = ops.h(*mixed)
     assert BitString(160, digest) == sha1_digest(*parts)
-    assert table == {sha1_digest(*parts): tuple(parts)}
+    assert table == {digest: tuple(mixed)}
+    assert sha1_value(table[digest]) == digest
 
 
 def test_every_recorded_session_hash_rehashes_to_its_key():
@@ -93,8 +94,9 @@ def test_every_recorded_session_hash_rehashes_to_its_key():
         result = run_aka(world, "alice", "uav-1")
     assert result.ok and result.user_sk in hashes
     for digest, parts in hashes.items():
-        assert all(isinstance(p, BitString) for p in parts)
-        assert sha1_digest(*parts) == digest
+        # ints of 160-bit fields, and timestamps at their own width
+        assert all(0 <= p < 1 << 160 if type(p) is int else p.width == 32 for p in parts)
+        assert sha1_value(parts) == digest
 
 
 def test_session_key_recorded_inputs_rehash_to_the_key():
@@ -104,17 +106,17 @@ def test_session_key_recorded_inputs_rehash_to_the_key():
     with recording() as hashes:
         result = run_aka(world, "alice", "uav-1")
     parts = hashes[result.user_sk]
-    assert [p.width for p in parts] == [160] * 4 + [32]
-    assert sha1_digest(*parts) == result.user_sk == result.uav_sk
-    # (v3, TID_i, RID_j, N_k, ts3); TID_i hashes (ID_i, lift(N_i))
+    assert [type(p) for p in parts[:4]] == [int] * 4 and parts[4].width == 32
+    assert sha1_value(parts) == result.user_sk == result.uav_sk
+    # (v3, TID_i, RID_j, N_k, ts3); TID_i hashes (ID_i, N_i)
     tid_i = parts[1]
     request = world.channel.log[0]
     assert request.kind == UserRegRequest.KIND
-    assert tid_i.value == decode(UserRegRequest, request.payload).tid_i
+    assert tid_i == decode(UserRegRequest, request.payload).tid_i
     id_i, n_i = hashes[tid_i]
-    assert id_i == BitString(160, world.users["alice"].id_i)
-    assert n_i == lift(BitString(128, n_i.value))
-    assert sha1_digest(id_i, n_i) == tid_i
+    assert id_i == world.users["alice"].id_i
+    assert n_i >> 128 == 0  # a nonce: a 160-bit field with a zero 32-bit prefix
+    assert sha1_value((id_i, n_i)) == tid_i
 
 
 def test_count_session_matches_reference_tallies():
@@ -127,15 +129,16 @@ def test_count_session_matches_reference_tallies():
     assert counts["uav"]["hash"] == 8
 
 
-def test_honest_session_builds_at_most_13_bit_strings(monkeypatch):
+def test_honest_session_builds_at_most_8_bit_strings(monkeypatch):
     # every BitString is built by bits._new (unchecked) or by __init__; the
-    # role steps and the message records carry ints, and the UAV's nonce,
-    # the PUF response and the fuzzy extractor's digest reach them as ints,
-    # so a session builds one only for a payload, a timestamp, a session
-    # key or a password or UAV name (17 while those three were wrapped, 42
-    # while message fields were BitStrings, 73 before the role steps
-    # computed on ints, 104 before the hash, XOR and message layers were
-    # flattened)
+    # role steps and the message records carry ints, and so do the session
+    # keys, the biometric and the fuzzy extractor's key, so a session builds
+    # one only for its 3 payloads, its 3 timestamps and the encodings of the
+    # password and the UAV name (10 while the session keys were wrapped, 17
+    # while the UAV's nonce, the PUF response and the extractor's digest
+    # were, 42 while message fields were BitStrings, 73 before the role
+    # steps computed on ints, 104 before the hash, XOR and message layers
+    # were flattened)
     world = build_world(SimConfig(seed=0))
     enroll_user(world, "alice", "pw-alice")
     enroll_uav(world, "uav-1")
@@ -157,7 +160,7 @@ def test_honest_session_builds_at_most_13_bit_strings(monkeypatch):
     result = run_aka(world, "alice", "uav-1")
     monkeypatch.undo()
     assert result.ok and result.keys_agree
-    assert built <= 13
+    assert built <= 8
     assert result.op_counts == {"user": {"hash": 11, "puf": 0, "fe": 1, "xor": 7},
                                 "gwn": {"hash": 6, "puf": 0, "fe": 0, "xor": 6},
                                 "uav": {"hash": 8, "puf": 1, "fe": 0, "xor": 7}}

@@ -5,17 +5,25 @@ from pathlib import Path
 import pytest
 
 from fanet_aka import simnet
+from fanet_aka.bits import BitString
+from fanet_aka.crypto import NONCE_BITS
 from fanet_aka.errors import IncompleteTranscript, UnknownScenario
-from fanet_aka.scenarios import (FEATURES, SCENARIOS, feature_matrix,
-                                 run_dynamic_addition, run_lifecycle_replacement,
-                                 run_lifecycle_update, run_scenario)
-from fanet_aka.simnet import SimConfig
+from fanet_aka.metrics import recording
+from fanet_aka.scenarios import (FEATURES, SCENARIOS, ScenarioReport, _not_derivable,
+                                 feature_matrix, run_dynamic_addition,
+                                 run_lifecycle_replacement, run_lifecycle_update,
+                                 run_scenario)
+from fanet_aka.simnet import SimConfig, build_world, enroll_uav, enroll_user, run_aka
 
 FIXTURES = Path(__file__).parent / "fixtures"
-#: SHA-1 of each seed-0 scenario report and lifecycle result, as
-#: ``json.dumps(..., sort_keys=True)``; a change that moves a report on
-#: purpose re-records this file and says so.
+#: SHA-1 of each scenario report and lifecycle result at seeds 0 and 1000,
+#: as ``json.dumps(..., sort_keys=True)``; a change that moves a report on
+#: purpose re-records these files and says so.
 DIGESTS = json.loads((FIXTURES / "report_digests_seed0.json").read_text())
+DIGESTS_SEED1000 = json.loads((FIXTURES / "report_digests_seed1000.json").read_text())
+LIFECYCLE = {"lifecycle_update": run_lifecycle_update,
+             "lifecycle_replacement": run_lifecycle_replacement,
+             "dynamic_addition": run_dynamic_addition}
 
 
 def _digest(doc: dict) -> str:
@@ -29,6 +37,14 @@ def test_scenario_passes_at_seed_zero(name):
     failed = [v["claim"] for v in report.verdicts if not v["passed"]]
     assert report.passed, f"{name} failed: {failed}"
     assert _digest(report.to_json()) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + list(LIFECYCLE))
+def test_report_matches_its_pinned_digest_at_seed_1000(name):
+    cfg = SimConfig(seed=1000)
+    doc = run_scenario(name, cfg).to_json() if name in SCENARIOS else LIFECYCLE[name](cfg)
+    assert doc["passed"], doc
+    assert _digest(doc) == DIGESTS_SEED1000[name]
 
 
 def test_catalog_order_is_the_feature_order():
@@ -116,3 +132,25 @@ def test_a_report_never_shows_a_cut_log(monkeypatch):
     for name in ("mutual_auth", "replay"):
         with pytest.raises(IncompleteTranscript, match="evicted"):
             run_scenario(name, SimConfig(seed=0))
+
+
+@pytest.mark.parametrize("width", [160, NONCE_BITS, None])
+def test_a_planted_nonce_is_found_as_a_field_or_raw(width):
+    # a secrecy claim declares the nonce once, as its 160-bit field; the
+    # closure extends a raw 128-bit copy to that field (its lift rule, and
+    # its XOR span, which takes narrower terms zero-extended), so a leak at
+    # either width is still found, and without one the claim holds
+    world = build_world(SimConfig(seed=0))
+    enroll_user(world, "alice", "alice-passphrase")
+    enroll_uav(world, "uav-1")
+    with recording() as hashes:
+        result = run_aka(world, "alice", "uav-1")
+    n_i = hashes[hashes[result.user_sk][1]][1]  # TID_i hashes (ID_i, N_i)
+    knowledge = [tr.payload for tr in result.transcript]
+    if width is not None:
+        knowledge.append(BitString(width, n_i))
+    report = ScenarioReport("planted_leak", 0)
+    _not_derivable(report, knowledge, {"nonce stays hidden": {"n_i": n_i}})
+    [verdict] = report.verdicts
+    assert verdict["details"]["leaked"] == ([] if width is None else ["n_i"])
+    assert verdict["passed"] == (width is None)

@@ -182,7 +182,7 @@ def test_session_keys_never_equal_any_payload_fragment():
     world = _ready(seed=5)
     result = run_aka(world, "alice", "uav-1")
     for tr in result.transcript:
-        assert not tr.payload.contains(result.user_sk)
+        assert not tr.payload.contains(BitString(160, result.user_sk))
 
 
 def test_same_seed_same_transcript_bytes():
