@@ -22,14 +22,15 @@ import json
 import operator
 import random
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .acceptance import run_all
-from .bits import BitString, hex_of, int_of_hex
-from .crypto import BIO_BITS, DIGEST_BITS, PUF_SEED_BITS, sha1_value
+from .bits import hex_of, int_of_hex, text_value
+from .crypto import (BIO_BITS, CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS, PUF_SEED_BITS,
+                     PufDevice, sha1_value)
 from .errors import ConfigError, ProtocolError, StateError, UnknownScenario, WidthMismatch
-from .gwn import SECRET_BITS, Gateway
+from .gwn import SECRET_BITS, Gateway, UavRecord
 from .metrics import count_session, overhead_report, render_table
 from .scenarios import SCENARIOS, feature_matrix, run_scenario
 from .simnet import Channel, SimClock, SimConfig, World, enroll_uav, enroll_user, run_aka
@@ -40,6 +41,22 @@ from .wire import protocol_bits
 EXIT_FAIL = 1
 EXIT_MISSING_STATE = 3
 EXIT_BAD_CONFIG = 4
+
+#: Each stored field's width, which its hex in a state file keeps.
+_WIDTHS = {"a_i": DIGEST_BITS, "b_i": DIGEST_BITS, "c_i": DIGEST_BITS, "tau_i": BIO_BITS,
+           "tid_i": DIGEST_BITS, "n_j": NONCE_BITS, "tc_id_j": DIGEST_BITS, "r_j": DIGEST_BITS,
+           "c_j": CHALLENGE_BITS, "gwn_secret": SECRET_BITS, "bio": BIO_BITS,
+           "puf_seed": PUF_SEED_BITS}
+
+
+def _hex(name: str, value: int) -> str:
+    """The stored field ``name``'s ``int`` as hex at its width."""
+    return hex_of(_WIDTHS[name], value)
+
+
+def _int(name: str, text: str) -> int:
+    """Inverse of :func:`_hex`; raises on text that is not hex of the field's width."""
+    return int_of_hex(text, _WIDTHS[name])
 
 
 def _dump(doc: dict) -> str:
@@ -84,10 +101,11 @@ def _sim_config(args) -> SimConfig:
     flags = {f.name: getattr(args, f.name) for f in fields(SimConfig)
              if getattr(args, f.name) is not None}
     cfg = replace(cfg, **flags)
-    # below one tick not even the current tick is fresh; check_fresh's serial
-    # offset never reaches 2**31 ticks, so a window that wide never expires
-    if not 1 <= cfg.delta_t < 2**31:
-        raise ConfigError(f"delta_t must be at least 1 and below 2**31, got {cfg.delta_t}")
+    # run_aka spends a tick per hop, so under a one-tick window MSG1 is stale
+    # when the gateway reads it; check_fresh's serial offset never reaches
+    # 2**31 ticks, so a window that wide never expires
+    if not 2 <= cfg.delta_t < 2**31:
+        raise ConfigError(f"delta_t must be at least 2 and below 2**31, got {cfg.delta_t}")
     return cfg
 
 
@@ -127,18 +145,16 @@ def _load_config_file(path: Path) -> SimConfig:
 
 def _parse_secrets(doc: dict) -> dict:
     """``secrets.json``: the gateway secret, each user's password and
-    biometric, and each UAV's PUF seed."""
+    biometric, and each UAV's PUF seed, each value but a password an ``int``."""
     secret = doc.get("gwn_secret")
     users = {}
     for name, entry in doc.get("users", {}).items():
-        BitString.from_text(entry["password"])  # a string that fits its field
-        users[name] = {"password": entry["password"],
-                       "bio": int_of_hex(entry["bio"], BIO_BITS)}
+        text_value(entry["password"])  # a string that fits its field
+        users[name] = {"password": entry["password"], "bio": _int("bio", entry["bio"])}
     return {
-        "gwn_secret": None if secret is None
-        else BitString.from_hex(secret, width=SECRET_BITS).hex(),
+        "gwn_secret": None if secret is None else _int("gwn_secret", secret),
         "users": users,
-        "puf_seeds": {name: BitString.from_hex(seed, width=PUF_SEED_BITS).hex()
+        "puf_seeds": {name: _int("puf_seed", seed)
                       for name, seed in doc.get("puf_seeds", {}).items()},
     }
 
@@ -163,18 +179,27 @@ def load_world(state: StateDir, cfg: SimConfig, new_gateway: str | None = None) 
     def parse_gateway(doc: dict) -> tuple[Gateway, int]:
         if secret is None:
             raise ConfigError("secrets.json lacks the gateway secret")
-        gateway = Gateway.from_json(doc, secret)
+        # every record on file is complete: register-uav enrolls in one step
+        registry = {name: UavRecord(**{k: _int(k, rec[k])
+                                       for k in ("n_j", "tc_id_j", "c_j", "r_j")})
+                    for name, rec in doc["registry"].items()}
+        gateway = Gateway(doc["identity"], secret,
+                          {_int("tid_i", tid) for tid in doc["user_tids"]}, registry)
         # a UAV the gateway forgot would fail every session and could be
         # registered anew over its memory image
-        lost = set(secrets["puf_seeds"]) - set(gateway.registry)
+        lost = set(secrets["puf_seeds"]) - set(registry)
         if lost:
             raise ValueError(f"registry lacks {sorted(lost)}")
         return gateway, operator.index(doc.get("clock", 0))
 
-    def parse_uav(doc: dict, name: str, seed: str) -> Uav:
+    def parse_card(doc: dict) -> SmartCard:
+        return SmartCard(**{k: _int(k, doc[k]) for k in ("a_i", "b_i", "c_i", "tau_i")})
+
+    def parse_uav(doc: dict, name: str, seed: int) -> Uav:
         if doc["identity"] != name:  # a session would run under the wrong id_j
             raise ValueError(f"memory image of {doc['identity']!r}, not {name!r}")
-        return Uav.from_json(doc, seed)
+        return Uav(name, text_value(name), PufDevice(seed),
+                   _int("c_j", doc["c_j"]), _int("tc_id_j", doc["tc_id_j"]))
 
     if new_gateway is not None:
         gateway, now = Gateway(new_gateway, rng.getrandbits(SECRET_BITS)), 0
@@ -184,7 +209,7 @@ def load_world(state: StateDir, cfg: SimConfig, new_gateway: str | None = None) 
     world = World(config=cfg, rng=rng, clock=clock, channel=Channel(clock), gateway=gateway)
     for name, user_secret in secrets["users"].items():
         world.users[name] = user = User(name)
-        user.card = state.read(f"user_{name}.json", SmartCard.from_json)
+        user.card = state.read(f"user_{name}.json", parse_card)
         world.user_secrets[name] = user_secret
     for name, seed in secrets["puf_seeds"].items():
         world.uavs[name] = state.read(f"uav_{name}.json", lambda doc: parse_uav(doc, name, seed))
@@ -193,21 +218,23 @@ def load_world(state: StateDir, cfg: SimConfig, new_gateway: str | None = None) 
 
 def save_world(state: StateDir, world: World) -> None:
     """Write back what :func:`load_world` reads."""
-    doc = world.gateway.to_json()
-    doc["clock"] = world.clock.now
-    state.save("gwn.json", doc)
-    secrets = {"_comment": "simulation-only secrets; a real deployment never "
-                           "stores these",
-               "gwn_secret": world.gateway.export_secret(), "users": {},
+    gateway = world.gateway
+    state.save("gwn.json", {"identity": gateway.identity, "clock": world.clock.now,
+                            "user_tids": sorted(_hex("tid_i", t) for t in gateway.user_tids),
+                            "registry": {name: {k: _hex(k, v) for k, v in asdict(rec).items()}
+                                         for name, rec in gateway.registry.items()}})
+    secrets = {"_comment": "simulation-only secrets; a real deployment never stores these",
+               "gwn_secret": _hex("gwn_secret", gateway.export_secret()), "users": {},
                "puf_seeds": {}}
     for name, user in world.users.items():
-        state.save(f"user_{name}.json", user.card.to_json())
+        state.save(f"user_{name}.json", {k: _hex(k, v) for k, v in asdict(user.card).items()})
         secret = world.user_secrets[name]
         secrets["users"][name] = {"password": secret["password"],
-                                  "bio": hex_of(BIO_BITS, secret["bio"])}
+                                  "bio": _hex("bio", secret["bio"])}
     for name, uav in world.uavs.items():
-        state.save(f"uav_{name}.json", uav.to_json())
-        secrets["puf_seeds"][name] = hex_of(PUF_SEED_BITS, uav._puf.seed)
+        state.save(f"uav_{name}.json", {"identity": uav.identity, "c_j": _hex("c_j", uav.c_j),
+                                        "tc_id_j": _hex("tc_id_j", uav.tc_id_j)})
+        secrets["puf_seeds"][name] = _hex("puf_seed", uav._puf.seed)
     state.save("secrets.json", secrets)
 
 
@@ -223,7 +250,7 @@ def _registered(world: World, user: str, uav: str | None = None) -> None:
 
 def cmd_init_gwn(args) -> int:
     state = StateDir(Path(args.state_dir))
-    if state.path("gwn.json").exists():
+    if state.path("gwn.json").exists() or state.path("secrets.json").exists():
         # a new gateway secret would orphan every card and UAV image on file
         print(f"error: gateway already initialized in {state.root}", file=sys.stderr)
         return EXIT_FAIL

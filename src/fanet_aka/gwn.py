@@ -13,19 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bits import hex_of, int_of_hex, text_value
-from .crypto import CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS
+from .bits import text_value
+from .crypto import CHALLENGE_BITS, NONCE_BITS
 from .errors import DuplicateRegistration, MacMismatch, UnknownUav
 from .metrics import OpCounter
 from .wire import (FreshnessGuard, Msg1, Msg2, UavRegResponse, UserRegRequest,
                    UserRegResponse, ts_bits)
 
 SECRET_BITS = 160
-
-
-#: Each record field's width, which its hex in a state file keeps.
-_RECORD_WIDTHS = {"n_j": NONCE_BITS, "tc_id_j": DIGEST_BITS, "c_j": CHALLENGE_BITS,
-                  "r_j": DIGEST_BITS}
 
 
 @dataclass(slots=True)
@@ -37,16 +32,6 @@ class UavRecord:
     tc_id_j: int
     c_j: int
     r_j: int | None = None
-
-    def to_json(self) -> dict:
-        return {name: None if (value := getattr(self, name)) is None
-                else hex_of(width, value) for name, width in _RECORD_WIDTHS.items()}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "UavRecord":
-        return cls(**{name: int_of_hex(doc[name], width)
-                      for name, width in _RECORD_WIDTHS.items()
-                      if name != "r_j" or doc["r_j"] is not None})
 
 
 class Gateway:
@@ -147,22 +132,6 @@ class Gateway:
         return Msg2(mac2=mac2, v1=v1, h_i=ops.xor(tid_i, n_j),
                     f_i_dprime=ops.xor(f_i, r_j), ts2=ts2)
 
-    # -- persistence ---------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "identity": self.identity,
-            "user_tids": sorted(hex_of(DIGEST_BITS, t) for t in self.user_tids),
-            "registry": {name: rec.to_json() for name, rec in sorted(self.registry.items())},
-        }
-
-    def export_secret(self) -> str:
-        """Hex of the long-term secret, for the simulation secrets file only."""
-        return hex_of(SECRET_BITS, self._s)
-
-    @classmethod
-    def from_json(cls, doc: dict, secret_hex: str) -> "Gateway":
-        return cls(doc["identity"], int_of_hex(secret_hex, SECRET_BITS),
-                   {int_of_hex(t, DIGEST_BITS) for t in doc["user_tids"]},
-                   {name: UavRecord.from_json(rec)
-                    for name, rec in doc["registry"].items()})
+    def export_secret(self) -> int:
+        """The long-term secret's ``int``, for the simulation secrets file only."""
+        return self._s

@@ -284,7 +284,7 @@ def uav_capture(report: ScenarioReport, world: World, cfg: SimConfig):
     # note: the capture does reveal this session's challenge response
     # (r_j = f_i'' xor rid_j xor id_j once id_j is known); the protocol's
     # claim is only that the session key and other pairs stay safe
-    knowledge = list(memory.values()) + [tr.payload for tr in result.transcript]
+    knowledge = [field(v) for v in memory.values()] + [tr.payload for tr in result.transcript]
     _not_derivable(report, knowledge, {
         "session key stays hidden after capture": {"sk": result.user_sk},
     })
@@ -467,7 +467,7 @@ def side_channel(report: ScenarioReport, world: World, cfg: SimConfig):
     report.check("readout holds no device seed and no response",
                  sorted(memory) == ["c_j", "id_j", "tc_id_j"])
     rec = world.gateway.registry["uav-1"]
-    readout = list(memory.values())
+    readout = [field(v) for v in memory.values()]
     _not_derivable(report, readout, {
         "response not derivable from readout": {"r_j": rec.r_j},
     })

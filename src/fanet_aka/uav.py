@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .bits import BitString, hex_of, int_of_hex, text_value
-from .crypto import CHALLENGE_BITS, DIGEST_BITS, ID_BITS, NONCE_BITS, PUF_SEED_BITS, PufDevice
+from .crypto import NONCE_BITS, PufDevice
 from .errors import MacMismatch
 from .metrics import OpCounter
 from .wire import FreshnessGuard, Msg2, Msg3, UavRegSubmit, ts_bits
@@ -74,25 +73,11 @@ class Uav:
 
     # -- adversary capability ----------------------------------------------------
 
-    def capture_memory(self) -> dict[str, BitString]:
-        """Exactly what a physical capture exposes: the stored triple.
+    def capture_memory(self) -> dict[str, int]:
+        """Exactly what a physical capture exposes: the stored triple, the
+        ``int``s of three 160-bit fields.
 
         The PUF seed is a hardware property, not memory contents, so it is
         deliberately absent.
         """
-        return {"c_j": BitString(CHALLENGE_BITS, self.c_j),
-                "id_j": BitString(ID_BITS, self.id_j),
-                "tc_id_j": BitString(DIGEST_BITS, self.tc_id_j)}
-
-    # -- persistence ----------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"identity": self.identity, "c_j": hex_of(CHALLENGE_BITS, self.c_j),
-                "tc_id_j": hex_of(DIGEST_BITS, self.tc_id_j)}
-
-    @classmethod
-    def from_json(cls, doc: dict, puf_seed_hex: str) -> "Uav":
-        return cls(doc["identity"], text_value(doc["identity"]),
-                   PufDevice(int_of_hex(puf_seed_hex, PUF_SEED_BITS)),
-                   int_of_hex(doc["c_j"], CHALLENGE_BITS),
-                   int_of_hex(doc["tc_id_j"], DIGEST_BITS))
+        return {"c_j": self.c_j, "id_j": self.id_j, "tc_id_j": self.tc_id_j}

@@ -12,15 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bits import hex_of, int_of_hex, text_value
-from .crypto import BIO_BITS, DIGEST_BITS, NONCE_BITS
+from .bits import text_value
+from .crypto import NONCE_BITS
 from .errors import AuthFailed, LoginFailed, ProtocolError
 from .metrics import OpCounter
 from .wire import Msg1, Msg3, UserRegRequest, UserRegResponse, check_fresh, ts_bits
-
-
-#: Each card field's width, which its hex in a state file keeps.
-_CARD_WIDTHS = {"a_i": DIGEST_BITS, "b_i": DIGEST_BITS, "c_i": DIGEST_BITS, "tau_i": BIO_BITS}
 
 
 @dataclass(slots=True)
@@ -35,13 +31,6 @@ class SmartCard:
     b_i: int      # credential check digest
     c_i: int      # gateway digest recovered by XOR cancellation
     tau_i: int    # fuzzy-extractor helper data, public
-
-    def to_json(self) -> dict:
-        return {name: hex_of(width, getattr(self, name)) for name, width in _CARD_WIDTHS.items()}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SmartCard":
-        return cls(**{name: int_of_hex(doc[name], width) for name, width in _CARD_WIDTHS.items()})
 
 
 @dataclass(slots=True)

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from fanet_aka.cli import build_parser, main
-from fanet_aka.simnet import SimConfig
+from fanet_aka.cli import StateDir, _sim_config, build_parser, load_world, main, save_world
+from fanet_aka.simnet import SimConfig, build_world, enroll_uav, enroll_user, run_aka
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -121,24 +121,42 @@ def test_malformed_config_exit_code(tmp_path):
         assert proc.stderr.startswith("error: bad value for "), name
 
 
+def _late_session(state_dir, cfg):
+    """A session restored from ``state_dir`` under ``cfg``, in which every
+    message arrives two ticks after the driver would deliver it."""
+    world = load_world(StateDir(state_dir), cfg)
+
+    def late(kind, payload):
+        world.clock.advance(2)
+        return payload
+    return run_aka(world, "alice", "uav-1", intercept=late)
+
+
 def test_config_file_keys_are_applied(tmp_path):
     bootstrap(tmp_path)
-    (tmp_path / "sim.cfg").write_text("seed = 7\ndelta_t = 1\n")
-    proc = run_cli(["--config", "sim.cfg", "run-aka", "--user", "alice",
-                    "--uav", "uav-1"], tmp_path, check=False)
-    assert proc.returncode == 1
-    assert "failed at MSG1: StaleTimestamp" in proc.stdout
+    (tmp_path / "sim.cfg").write_text("seed = 7\ndelta_t = 5\n")
+    cfg = _sim_config(build_parser().parse_args(["--config", str(tmp_path / "sim.cfg"),
+                                                 "run-aka", "--user", "alice",
+                                                 "--uav", "uav-1"]))
+    assert cfg.seed == 7
+    assert _late_session(tmp_path / "state", cfg).keys_agree
+    refused = _late_session(tmp_path / "state", SimConfig())
+    assert (refused.stage, refused.error) == ("MSG1", "StaleTimestamp")
 
 
 def test_window_flag_reaches_every_party(tmp_path):
+    # each message arrives past the default window (MSG3 two ticks late), so
+    # a party left on the default refuses its message
     bootstrap(tmp_path)
-    proc = run_cli(["--delta-t", "1", "run-aka", "--user", "alice",
-                    "--uav", "uav-1"], tmp_path, check=False)
-    assert proc.returncode == 1
-    assert "failed at MSG1: StaleTimestamp" in proc.stdout
+    cfg = _sim_config(build_parser().parse_args(["--delta-t", "5", "run-aka", "--user",
+                                                 "alice", "--uav", "uav-1"]))
+    result = _late_session(tmp_path / "state", cfg)
+    assert result.ok and result.keys_agree
+    refused = _late_session(tmp_path / "state", SimConfig())
+    assert (refused.stage, refused.error) == ("MSG1", "StaleTimestamp")
 
 
-@pytest.mark.parametrize("window", ["0", "-1", str(2**31)])
+@pytest.mark.parametrize("window", ["0", "-1", "1", str(2**31)])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_window_outside_its_range_is_refused(tmp_path, window, source):
     if source == "flag":
@@ -154,9 +172,11 @@ def test_window_outside_its_range_is_refused(tmp_path, window, source):
 
 
 def test_window_is_not_stored_in_state(tmp_path):
-    run_cli(["--delta-t", "1", "init-gwn"], tmp_path)
-    run_cli(["register-user", "--user", "alice", "--password", "pw-alice"], tmp_path)
-    run_cli(["register-uav", "--uav", "uav-1"], tmp_path)
+    for args in (["init-gwn"], ["register-user", "--user", "alice", "--password", "pw-alice"],
+                 ["register-uav", "--uav", "uav-1"]):
+        run_cli(["--delta-t", "5", *args], tmp_path)
+    refused = _late_session(tmp_path / "state", SimConfig())
+    assert (refused.stage, refused.error) == ("MSG1", "StaleTimestamp")
     run_cli(["run-aka", "--user", "alice", "--uav", "uav-1"], tmp_path)
 
 
@@ -170,6 +190,18 @@ def test_init_gwn_refuses_a_populated_deployment(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert {p.name: p.read_bytes() for p in state.iterdir()} == before
     run_cli(["run-aka", "--user", "alice", "--uav", "uav-1"], tmp_path)
+
+
+def test_init_gwn_refuses_a_deployment_that_lost_its_gateway_file(tmp_path):
+    # the secrets file still holds the gateway secret every card was minted under
+    bootstrap(tmp_path)
+    state = tmp_path / "state"
+    (state / "gwn.json").unlink()
+    before = {p.name: p.read_bytes() for p in state.iterdir()}
+    proc = run_cli(["init-gwn"], tmp_path, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert {p.name: p.read_bytes() for p in state.iterdir()} == before
 
 
 @pytest.mark.parametrize("name,edit", [
@@ -196,6 +228,14 @@ def test_init_gwn_refuses_a_populated_deployment(tmp_path):
     # secrets.json and uav_uav-1.json still hold the UAV the registry lost
     pytest.param("gwn.json", lambda doc: {**doc, "registry": {}},
                  id="gwn.json-registry-lacks-uav"),
+    # no command writes an unfinished enrollment; a session to it would fail
+    pytest.param("gwn.json", lambda doc: {**doc, "registry": {
+        "uav-1": {**doc["registry"]["uav-1"], "r_j": None}}}, id="gwn.json-null-r_j"),
+    # from_text zero-pads, so both names are one wire identity, and a
+    # session could reach only one of the two records
+    pytest.param("gwn.json", lambda doc: {**doc, "registry": {
+        **doc["registry"], "uav-1\x00": doc["registry"]["uav-1"]}},
+        id="gwn.json-shared-wire-identity"),
 ])
 def test_malformed_state_file_exit_code(tmp_path, name, edit):
     bootstrap(tmp_path)
@@ -304,3 +344,58 @@ def test_unregistered_party_exit_code(tmp_path, user, uav):
     bootstrap(tmp_path)
     proc = run_cli(["run-aka", "--user", user, "--uav", uav], tmp_path, check=False)
     assert proc.returncode == 3
+
+
+def _restored(world, root: Path):
+    """``world`` written to ``root`` by save_world and read back by load_world."""
+    save_world(StateDir(root), world)
+    return load_world(StateDir(root), world.config)
+
+
+def test_registry_json_round_trip(tmp_path):
+    world = build_world(SimConfig(seed=14))
+    enroll_user(world, "alice", "pw-alice")
+    enroll_uav(world, "uav-1")
+    restored = _restored(world, tmp_path / "a")
+    save_world(StateDir(tmp_path / "b"), restored)
+    written, rewritten = ((tmp_path / d / "gwn.json").read_bytes() for d in "ab")
+    assert rewritten == written
+    assert restored.gateway.registry["uav-1"].r_j == world.gateway.registry["uav-1"].r_j
+    assert restored.gateway.user_tids == world.gateway.user_tids
+
+
+def test_restored_gateway_has_the_attributes_of_a_new_one(tmp_path):
+    world = build_world(SimConfig(seed=14))
+    enroll_uav(world, "uav-1")
+    restored = _restored(world, tmp_path)
+    assert vars(restored.gateway).keys() == vars(build_world().gateway).keys()
+
+
+def test_restored_gateway_relays_to_every_registered_uav(tmp_path):
+    world = build_world(SimConfig(seed=16))
+    enroll_user(world, "alice", "pw-alice")
+    for i in range(6):
+        enroll_uav(world, f"uav-{i}")
+    restored = _restored(world, tmp_path)
+    for name in world.uavs:
+        result = run_aka(restored, "alice", name)
+        assert result.ok and result.keys_agree, name
+
+
+def test_uav_state_json_round_trip(tmp_path):
+    world = build_world(SimConfig(seed=20))
+    enroll_uav(world, "uav-1")
+    uav = world.uavs["uav-1"]
+    restored = _restored(world, tmp_path).uavs["uav-1"]
+    assert (restored.identity, restored.c_j, restored.tc_id_j) == (uav.identity, uav.c_j,
+                                                                    uav.tc_id_j)
+    assert restored.id_j == uav.id_j
+    assert restored._puf.eval_value(restored.c_j) == uav._puf.eval_value(uav.c_j)
+
+
+def test_card_json_round_trip(tmp_path):
+    world = build_world(SimConfig(seed=0))
+    enroll_user(world, "alice", "correct-horse")
+    restored = _restored(world, tmp_path)
+    assert restored.users["alice"].card == world.users["alice"].card
+    assert restored.user_secrets == world.user_secrets

@@ -25,7 +25,7 @@ def test_register_user_cancellation_identity():
     response = gwn.register_user(request)
     recovered = response.tc_id_i ^ request.tid_i ^ request.tpw_i
     assert recovered == sha1_digest(BitString.from_text("gateway-0"),
-                                   BitString.from_hex(gwn.export_secret())).value
+                                   BitString(SECRET_BITS, gwn.export_secret())).value
 
 
 def test_register_user_golden_seed_zero():
@@ -160,7 +160,7 @@ def test_secret_confinement_in_public_payloads():
     enroll_uav(world, "uav-1")
     result = run_aka(world, "alice", "uav-1")
     assert result.ok
-    s = BitString.from_hex(world.gateway.export_secret())
+    s = BitString(SECRET_BITS, world.gateway.export_secret())
     record = world.gateway.registry["uav-1"]
     needles = [s, BitString(128, record.n_j), BitString(160, record.n_j),
                BitString(160, record.r_j)]
@@ -180,7 +180,7 @@ def test_relay_requires_registration_argument_order():
     user = world.users["alice"]
     secrets = world.user_secrets["alice"]
     ctx = user.login(secrets["password"], secrets["bio"])
-    s = BitString.from_hex(world.gateway.export_secret())
+    s = BitString(SECRET_BITS, world.gateway.export_secret())
     id_g = BitString.from_text(world.gateway.identity)
     assert ctx.c_i == sha1_digest(id_g, s).value
 
@@ -202,23 +202,6 @@ def test_add_uav_dynamic_broadcasts_and_grows_registry():
         enroll_uav(world, "uav-2", announce=True)
 
 
-def test_registry_json_round_trip():
-    world = build_world(SimConfig(seed=14))
-    enroll_user(world, "alice", "pw-alice")
-    enroll_uav(world, "uav-1")
-    doc = world.gateway.to_json()
-    restored = Gateway.from_json(doc, world.gateway.export_secret())
-    assert restored.to_json() == doc
-    assert restored.registry["uav-1"].r_j == world.gateway.registry["uav-1"].r_j
-
-
-def test_restored_gateway_has_the_attributes_of_a_new_one():
-    world = build_world(SimConfig(seed=14))
-    enroll_uav(world, "uav-1")
-    restored = Gateway.from_json(world.gateway.to_json(), world.gateway.export_secret())
-    assert vars(restored).keys() == vars(build_world().gateway).keys()
-
-
 def test_uav_sharing_a_wire_identity_is_refused():
     # from_text zero-pads, so both names encode to the same 160-bit id_j;
     # a second record could never be reached by a session
@@ -229,23 +212,6 @@ def test_uav_sharing_a_wire_identity_is_refused():
     with pytest.raises(DuplicateRegistration):
         world.gateway.register_uav_begin("uav-3", world.uavs["uav-1"].id_j, world.rng)
     assert list(world.gateway.registry) == ["uav-1"]
-
-    doc = world.gateway.to_json()
-    doc["registry"]["uav-1\x00"] = doc["registry"]["uav-1"]
-    with pytest.raises(ValueError):
-        Gateway.from_json(doc, world.gateway.export_secret())
-
-
-def test_restored_gateway_relays_to_every_registered_uav():
-    world = build_world(SimConfig(seed=16))
-    enroll_user(world, "alice", "pw-alice")
-    for i in range(6):
-        enroll_uav(world, f"uav-{i}")
-    world.gateway = Gateway.from_json(world.gateway.to_json(),
-                                      world.gateway.export_secret())
-    for name in world.uavs:
-        result = run_aka(world, "alice", name)
-        assert result.ok and result.keys_agree, name
 
 
 def test_a_msg1_field_cannot_be_assigned_and_a_replaced_one_is_refused():

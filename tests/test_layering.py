@@ -1,0 +1,34 @@
+"""The state-file format has one owner: ``cli`` reads and writes every
+stored field, and the role modules hold protocol state as ``int``s."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fanet_aka"
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def _imported_from(tree: ast.Module, module: str) -> set[str]:
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            for alias in node.names}
+
+
+@pytest.mark.parametrize("module", ["user", "gwn", "uav"])
+def test_role_modules_hold_no_state_file_codec(module):
+    tree = _tree(module)
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert not defined & {"to_json", "from_json"}
+    assert _imported_from(tree, "bits") <= {"text_value"}
+
+
+def test_cli_builds_no_bitstring():
+    tree = _tree("cli")
+    assert "BitString" not in _imported_from(tree, "bits")
+    assert "BitString" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
