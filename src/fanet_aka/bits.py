@@ -1,14 +1,13 @@
 """Fixed-width bit strings and the operators the protocol algebra runs on.
 
 A value that leaves the protocol as bits is a :class:`BitString`: a
-payload, a timestamp or a closure term. A party stores the ``int`` of
-each field, saved and restored by :func:`hex_of` and :func:`int_of_hex`
-(a name's by :func:`text_value`); a role step computes on those ints (see
-:class:`~fanet_aka.metrics.OpCounter`), and so do the session key, the
-biometric and the fuzzy extractor; message records carry them (see
-:mod:`~fanet_aka.wire`), so a BitString is built only where a value
-leaves. A timestamp stays a BitString, because every hash takes it at its
-own 32-bit width. Widths are explicit and equality is bit-exact:
+payload or a closure term. A party stores the ``int`` of each field,
+saved and restored by :func:`hex_of` and :func:`int_of_hex` (a name's by
+:func:`text_value`); a role step computes on those ints (see
+:class:`~fanet_aka.metrics.OpCounter`), and so do the timestamps, the
+session key, the biometric and the fuzzy extractor; message records
+carry them (see :mod:`~fanet_aka.wire`), so a BitString is built only
+where a value leaves. Widths are explicit and equality is bit-exact:
 ``BitString(32, 5)`` and ``BitString(160, 5)`` are different values. Bit 0
 is the most significant bit (big-endian), both for indexing and for the
 wire layout.
@@ -17,8 +16,8 @@ Values are validated where they enter: the public constructor and the
 ``from_*`` constructors check that the value fits its width, and so do a
 message record's constructor and ``encode`` for the fields they take.
 Values that fit by construction (XOR, slices, concatenation, digests,
-``random``, timestamps, the wire codec) are built by :func:`_unchecked`,
-which skips that check.
+``random``, the wire codec) are built by :func:`_unchecked`, which skips
+that check.
 """
 
 from __future__ import annotations
@@ -108,15 +107,8 @@ class BitString:
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
-        """Canonical encoding of identities and passwords.
-
-        UTF-8 bytes, zero-padded on the right to the 160-bit identity
-        field. The text must fit.
-        """
-        raw = text.encode("utf-8")
-        if len(raw) > TEXT_BYTES:
-            raise WidthMismatch(f"{text!r} does not fit in {8 * TEXT_BYTES} bits")
-        return cls.from_bytes(raw.ljust(TEXT_BYTES, b"\x00"))
+        """The 160-bit field of an identity or password (see :func:`text_value`)."""
+        return cls(8 * TEXT_BYTES, text_value(text))
 
     # -- views ------------------------------------------------------------
 
@@ -199,8 +191,13 @@ def int_of_hex(text: str, width: int) -> int:
 
 
 def text_value(text: str) -> int:
-    """The ``int`` of :meth:`BitString.from_text`."""
-    return BitString.from_text(text).value
+    """Canonical encoding of identities and passwords, as the ``int`` of
+    the UTF-8 bytes zero-padded on the right to the 160-bit identity field.
+    The text must fit."""
+    raw = text.encode("utf-8")
+    if len(raw) > TEXT_BYTES:
+        raise WidthMismatch(f"{text!r} does not fit in {8 * TEXT_BYTES} bits")
+    return int.from_bytes(raw.ljust(TEXT_BYTES, b"\x00"), "big")
 
 
 def concat(parts: Sequence[BitString] | Iterable[BitString]) -> BitString:

@@ -11,8 +11,9 @@ State layout (one directory, JSON files of hex fields):
   last_session.json measurements of the most recent run-aka
   meta.json         invocation counter feeding per-command rng streams
 
-Exit codes: 0 success / scenario passed; 1 failure or failed verdict;
-2 usage error; 3 missing state; 4 malformed state or config.
+Exit codes: 0 success / scenario passed; 1 failure, failed verdict or a
+closed standard output; 2 usage error; 3 missing state; 4 malformed state
+or config.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import os
 import random
 import sys
 from dataclasses import asdict, fields, replace
@@ -445,7 +447,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # as in the Python docs' note on SIGPIPE: the reader is gone (``| head``),
+        # and devnull takes the rest, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except StateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_STATE

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .bits import BitString, _unchecked
+from .bits import BitString, _unchecked, concat
 from .errors import WidthMismatch
 
 DIGEST_BITS = 160
@@ -32,23 +32,24 @@ _sha1 = hashlib.sha1
 _from_bytes = int.from_bytes
 
 
-def sha1_value(parts, width: int = 0, value: int = 0) -> int:
-    """160-bit digest, as an int, of the concatenation of ``parts``.
+def sha1_value(fields, width: int = 0, value: int = 0, ts: int | None = None) -> int:
+    """160-bit digest, as an int, of the concatenation of ``fields``.
 
-    A part is a :class:`BitString` or an ``int`` holding one 160-bit field.
-    The concatenation starts from ``value``, ``width`` bits wide (none by
+    Each field is the ``int`` of one 160-bit field, and ``ts``, if given,
+    the ``int`` of a 32-bit timestamp after them: a hash takes at most one
+    timestamp, always last, so its position carries its width. The
+    concatenation starts from ``value``, ``width`` bits wide (none by
     default), so a caller holding a bare ``int`` of another width need not
     wrap it. It is right-padded with zero bits to a byte boundary before
     hashing (see :meth:`BitString.to_bytes`); all parties share this rule,
     so digests computed from algebraically equal inputs match.
     """
-    for part in parts:
-        if type(part) is int:
-            width += DIGEST_BITS
-            value = (value << DIGEST_BITS) | part
-        else:
-            width += part.width
-            value = (value << part.width) | part.value
+    for part in fields:
+        width += DIGEST_BITS
+        value = (value << DIGEST_BITS) | part
+    if ts is not None:
+        width += TS_BITS
+        value = (value << TS_BITS) | ts
     pad = -width & 7
     return _from_bytes(_sha1((value << pad).to_bytes((width + pad) >> 3, "big")).digest(),
                        "big")
@@ -56,7 +57,8 @@ def sha1_value(parts, width: int = 0, value: int = 0) -> int:
 
 def sha1_digest(*parts: BitString) -> BitString:
     """The protocol's h(a || b) as a 160-bit BitString (see :func:`sha1_value`)."""
-    return _unchecked(DIGEST_BITS, sha1_value(parts))
+    joined = concat(parts)
+    return _unchecked(DIGEST_BITS, sha1_value((), joined.width, joined.value))
 
 
 #: A 160-bit field BitString from the int a role step computed, built

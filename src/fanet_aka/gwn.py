@@ -112,10 +112,10 @@ class Gateway:
 
         ops = self.ops
         m1 = ops.h(self.id_g, self._s)
-        e_i = ops.h(m1, ts1)
+        e_i = ops.h(m1, ts=ts1)
         f_i = ops.xor(e_i, msg1.f_i_prime)
         tid_i = ops.xor(msg1.g_i, f_i)
-        if ops.h(tid_i, e_i, ts1) != msg1.mac1:
+        if ops.h(tid_i, e_i, ts=ts1) != msg1.mac1:
             raise MacMismatch("MSG1 authentication code mismatch")
 
         id_j = ops.xor(msg1.rid_j, f_i)
@@ -128,7 +128,7 @@ class Gateway:
         n_j, r_j = record.n_j, record.r_j
         tid_j = ops.h(id_j, n_j)
         v1 = ops.xor(ops.h(id_j, record.tc_id_j, r_j), n_j)
-        mac2 = ops.h(v1, tid_j, r_j, ts2)
+        mac2 = ops.h(v1, tid_j, r_j, ts=ts2)
         return Msg2(mac2=mac2, v1=v1, h_i=ops.xor(tid_i, n_j),
                     f_i_dprime=ops.xor(f_i, r_j), ts2=ts2)
 

@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import crypto
-from .bits import BitString
 from .crypto import PufDevice, sha1_value
 from .errors import IncompleteTranscript
 
@@ -90,10 +89,11 @@ _recorded: dict | None = None
 
 @contextmanager
 def recording():
-    """Yield a table of digest -> parts for every counted hash made inside
-    the scope, each part as :meth:`OpCounter.h` was given it, so
-    ``sha1_value(parts)`` replays the digest. Leaving an inner scope, also
-    by an exception, restores the outer."""
+    """Yield a table of digest -> ``(fields, ts)`` for every counted hash
+    made inside the scope, as :meth:`OpCounter.h` was given them: a tuple
+    of 160-bit field ``int``s and a timestamp ``int`` or None, so
+    ``sha1_value(fields, ts=ts)`` replays the digest. Leaving an inner
+    scope, also by an exception, restores the outer."""
     global _recorded
     outer, _recorded = _recorded, {}
     try:
@@ -106,12 +106,12 @@ def recording():
 class OpCounter:
     """Counted facade over the primitives, one per protocol role.
 
-    The role steps compute on plain ``int``s: :meth:`h` takes 160-bit
-    ``int`` fields and 32-bit :class:`BitString` timestamps and returns the
-    digest as an ``int``, :meth:`xor` combines two ints, and :meth:`puf`,
-    :meth:`fe_gen` and :meth:`fe_rep` take and return the ``int``s a party
-    stores. Inside a :func:`recording` scope each digest keys the parts it
-    was given.
+    The role steps compute on plain ``int``s: :meth:`h` takes the ``int``s
+    of 160-bit fields and, as ``ts``, of at most one 32-bit timestamp,
+    hashed last, and returns the digest as an ``int``; :meth:`xor` combines
+    two ints, and :meth:`puf`, :meth:`fe_gen` and :meth:`fe_rep` take and
+    return the ``int``s a party stores. Inside a :func:`recording` scope
+    each digest keys the ``(fields, ts)`` it was given.
 
     XOR is tallied for information only; it never enters time estimates.
     """
@@ -130,11 +130,11 @@ class OpCounter:
 
     # counted primitive calls -------------------------------------------
 
-    def h(self, *parts: int | BitString) -> int:
+    def h(self, *fields: int, ts: int | None = None) -> int:
         self.hash_count += 1
-        digest = sha1_value(parts)
+        digest = sha1_value(fields, ts=ts)
         if _recorded is not None:
-            _recorded[digest] = parts
+            _recorded[digest] = (fields, ts)
         return digest
 
     def xor(self, a: int, b: int) -> int:

@@ -127,9 +127,9 @@ def stolen_card(report: ScenarioReport, world: World, cfg: SimConfig):
     user = world.users["alice"]
     card = user.card
     secrets = world.user_secrets["alice"]
-    # the key hashes (v3, TID_i, RID_j, N_k, ts3); TID_i hashes (ID_i, N_i)
-    tid_i = hashes[result.user_sk][1]
-    n_i = hashes[tid_i][1]
+    # the key hashes (v3, TID_i, RID_j, N_k) and ts3; TID_i hashes (ID_i, N_i)
+    tid_i = hashes[result.user_sk][0][1]
+    n_i = hashes[tid_i][0][1]
     card_terms = [field(card.a_i), field(card.b_i), field(card.c_i),
                   BitString(BIO_BITS, card.tau_i)]
     pw_i = text_value(secrets["password"])
@@ -145,7 +145,7 @@ def stolen_card(report: ScenarioReport, world: World, cfg: SimConfig):
     # offline guessing: even the right password plus the card yields no
     # verifiable check value without the biometric key; login's check
     # digest b_i hashes (ID_i, TPW_i, sigma_i)
-    _, tpw_i, sigma_i = hashes[card.b_i]
+    (_, tpw_i, sigma_i), _ = hashes[card.b_i]
     guess = card_terms + [field(pw_i), field(user.id_i)]
     _not_derivable(report, guess, {
         "offline password guess yields no check value": {
@@ -404,9 +404,9 @@ def esl(report: ScenarioReport, world: World, cfg: SimConfig):
 
     pub_a = [tr.payload for tr in session_a.transcript]
     pub_b = [tr.payload for tr in session_b.transcript]
-    # each key hashes (v3, TID_i, RID_j, N_k, ts3)
-    v3, tid_i, rid_j, n_k_a, _ = hashes[session_a.user_sk]
-    n_k_b = hashes[session_b.user_sk][3]
+    # each key hashes (v3, TID_i, RID_j, N_k) and ts3
+    (v3, tid_i, rid_j, n_k_a), _ = hashes[session_a.user_sk]
+    n_k_b = hashes[session_b.user_sk][0][3]
     n_j = world.gateway.registry["uav-1"].n_j
 
     _not_derivable(report, pub_a + [field(n_k_a)], {

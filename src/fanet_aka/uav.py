@@ -55,20 +55,20 @@ class Uav:
         if n_j >> NONCE_BITS:
             raise MacMismatch("recovered nonce prefix violates width rule")
         tid_j = ops.h(id_j, n_j)
-        if ops.h(v1, tid_j, r_j, ts2) != msg2.mac2:
+        if ops.h(v1, tid_j, r_j, ts=ts2) != msg2.mac2:
             raise MacMismatch("MSG2 authentication code mismatch")
         self.guard.accept(msg2.mac2, expiry)
 
         n_k = rng.getrandbits(NONCE_BITS)
         ts3 = ts_bits(clock.now)
         tid_i = ops.xor(msg2.h_i, n_j)
-        v2 = ops.xor(ops.h(id_j, tid_i, ts3), n_k)
+        v2 = ops.xor(ops.h(id_j, tid_i, ts=ts3), n_k)
         f_i = ops.xor(msg2.f_i_dprime, r_j)
         rid_j = ops.xor(id_j, f_i)
         v3 = ops.h(tid_j, tc_id_j)
-        session_key = ops.h(v3, tid_i, rid_j, n_k, ts3)
+        session_key = ops.h(v3, tid_i, rid_j, n_k, ts=ts3)
         v4 = ops.xor(v3, ops.h(tid_i, rid_j, n_k))
-        v5 = ops.xor(ops.h(tid_i, rid_j, ts3), n_k)
+        v5 = ops.xor(ops.h(tid_i, rid_j, ts=ts3), n_k)
         return Msg3(v5=v5, v4=v4, ts3=ts3, v2=v2), session_key
 
     # -- adversary capability ----------------------------------------------------

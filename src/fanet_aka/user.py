@@ -131,9 +131,9 @@ class User:
         id_j = text_value(uav_identity)
         tid_i = ctx.tid_i
         ts1 = ts_bits(clock.now)
-        e_i = ops.h(ctx.c_i, ts1)
-        f_i = ops.h(tid_i, ctx.tpw_i, ts1)
-        mac1 = ops.h(tid_i, e_i, ts1)
+        e_i = ops.h(ctx.c_i, ts=ts1)
+        f_i = ops.h(tid_i, ctx.tpw_i, ts=ts1)
+        mac1 = ops.h(tid_i, e_i, ts=ts1)
         rid_j = ops.xor(id_j, f_i)
         f_i_prime = ops.xor(e_i, f_i)
         g_i = ops.xor(tid_i, f_i)
@@ -149,11 +149,11 @@ class User:
         ts3 = msg3.ts3
         check_fresh(Msg3.KIND, ts3, clock.now, clock.delta_t)
         ops, tid_i, rid_j = self.ops, pend.tid_i, pend.rid_j
-        n_k = ops.xor(msg3.v5, ops.h(tid_i, rid_j, ts3))
-        if ops.xor(ops.h(pend.id_j, tid_i, ts3), n_k) != msg3.v2:
+        n_k = ops.xor(msg3.v5, ops.h(tid_i, rid_j, ts=ts3))
+        if ops.xor(ops.h(pend.id_j, tid_i, ts=ts3), n_k) != msg3.v2:
             raise AuthFailed("MSG3 confirmation check failed")
         v3_star = ops.xor(msg3.v4, ops.h(tid_i, rid_j, n_k))
-        return ops.h(v3_star, tid_i, rid_j, n_k, ts3)
+        return ops.h(v3_star, tid_i, rid_j, n_k, ts=ts3)
 
     # -- credential maintenance -------------------------------------------
 

@@ -7,18 +7,17 @@ bit counts. Identities and digests are 160 bits, timestamps 32 bits, so
 the three key-agreement messages measure 672, 672 and 512 bits. The
 freshness decision on the 32-bit timestamp field lives here too.
 
-Message objects are immutable slotted records. Each 160-bit field holds
-the plain ``int`` the role steps compute on; a timestamp stays a
-:class:`~fanet_aka.bits.BitString`, because hashes take it at its own
-width. The record constructor is the boundary, as ``BitString.__init__``
-is: it also takes a BitString of a field's width and keeps its ``int``,
-and since no field can be assigned afterwards, ``dataclasses.replace``
-goes through it too. Each record carries a codec generated from its
-``WIDTHS``: packing range-checks every field and shifts them into one
-payload, unpacking slices the payload by constant shifts and masks. The
-encoded payload is the immutable wire value the channel logs and an
-intercept may replace; the receiver gets the sender's record unless the
-delivered bits differ, and only those are unpacked.
+Message objects are immutable slotted records. Each field holds the plain
+``int`` the role steps compute on, its width given by the record's
+``WIDTHS``. The record constructor is the boundary, as
+``BitString.__init__`` is: it also takes a BitString of a field's width
+and keeps its ``int``, and since no field can be assigned afterwards,
+``dataclasses.replace`` goes through it too. Each record carries a codec
+generated from its ``WIDTHS``: packing range-checks every field and
+shifts them into one payload, unpacking slices the payload by constant
+shifts and masks. The encoded payload is the immutable wire value the
+channel logs and an intercept may replace; the receiver gets the sender's
+record unless the delivered bits differ, and only those are unpacked.
 """
 
 from __future__ import annotations
@@ -53,13 +52,12 @@ def _record(cls):
 
     The constructor keeps an ``int`` as it is (packing range-checks it),
     turns a BitString of the field's width into its ``int``, and raises
-    WidthMismatch on any other width. A timestamp is kept as given.
-    Packing range-checks each ``int`` field, width-checks the timestamp and
-    shifts every field into one expression; unpacking slices the payload by
-    constant (shift, mask) pairs. The source of all three is generated per
-    class from ``WIDTHS``, as ``dataclasses`` does, and they set the fields
-    through the slot descriptors, so the record is immutable to everyone
-    else: assigning a field raises AttributeError.
+    WidthMismatch on any other width. Packing range-checks each field and
+    shifts every field into one expression; unpacking slices the payload
+    by constant (shift, mask) pairs. The source of all three is generated
+    per class from ``WIDTHS``, as ``dataclasses`` does, and they set the
+    fields through the slot descriptors, so the record is immutable to
+    everyone else: assigning a field raises AttributeError.
     """
     cls = dataclass(slots=True, init=False)(cls)
     name = cls.__name__
@@ -76,22 +74,13 @@ def _record(cls):
     for field_name, width in zip(names, cls.WIDTHS):
         shift -= width
         where, mask = f"{name}.{field_name}", (1 << width) - 1
-        pack.append(f"    {field_name} = self.{field_name}")
-        if width == TS_BITS:
-            init.append(f"    _set_{field_name}(self, {field_name})")
-            pack += [f"    if {field_name}.width != {width}:",
-                     f"        raise WidthMismatch(f'{where} must be {width} bits, "
-                     f"got {{{field_name}.width}}')"]
-            terms.append(f"{field_name}.value << {shift}")
-            unpack.append(f"    _set_{field_name}(msg, _unchecked({width}, "
-                          f"value >> {shift} & {mask}))")
-        else:
-            init.append(f"    _set_{field_name}(self, {field_name} if type({field_name}) "
-                        f"is int else _field_int({field_name}, {width}, '{where}'))")
-            pack += [f"    if not 0 <= {field_name} <= {mask}:",
-                     f"        raise WidthMismatch('{where} does not fit in {width} bits')"]
-            terms.append(f"{field_name} << {shift}")
-            unpack.append(f"    _set_{field_name}(msg, value >> {shift} & {mask})")
+        init.append(f"    _set_{field_name}(self, {field_name} if type({field_name}) "
+                    f"is int else _field_int({field_name}, {width}, '{where}'))")
+        pack += [f"    {field_name} = self.{field_name}",
+                 f"    if not 0 <= {field_name} <= {mask}:",
+                 f"        raise WidthMismatch('{where} does not fit in {width} bits')"]
+        terms.append(f"{field_name} << {shift}")
+        unpack.append(f"    _set_{field_name}(msg, value >> {shift} & {mask})")
     pack.append(f"    return _unchecked({total}, {' | '.join(terms)})")
     unpack.append("    return msg")
     namespace = {"cls": cls, "_field_int": _field_int, "_new": object.__new__,
@@ -114,7 +103,7 @@ class Msg1:
     rid_j: int
     g_i: int
     f_i_prime: int
-    ts1: BitString
+    ts1: int
 
     WIDTHS = (F, F, F, F, TS_BITS)
     KIND = "MSG1"
@@ -128,7 +117,7 @@ class Msg2:
     v1: int
     h_i: int
     f_i_dprime: int
-    ts2: BitString
+    ts2: int
 
     WIDTHS = (F, F, F, F, TS_BITS)
     KIND = "MSG2"
@@ -140,7 +129,7 @@ class Msg3:
 
     v5: int
     v4: int
-    ts3: BitString
+    ts3: int
     v2: int
 
     WIDTHS = (F, F, TS_BITS, F)
@@ -195,7 +184,7 @@ MESSAGE_TYPES = (Msg1, Msg2, Msg3, UserRegRequest, UserRegResponse, UavRegReques
 
 def encode(msg) -> BitString:
     """Serialize a message; raises WidthMismatch on any ill-sized field: an
-    ``int`` outside 0 <= v < 2**width, or a timestamp of another width."""
+    ``int`` outside 0 <= v < 2**width."""
     return msg._pack()
 
 
@@ -214,12 +203,12 @@ decode_msg2 = Msg2._unpack
 decode_msg3 = Msg3._unpack
 
 
-def ts_bits(tick: int) -> BitString:
+def ts_bits(tick: int) -> int:
     """Timestamp field: unsigned 32-bit simulated-clock ticks."""
-    return _unchecked(TS_BITS, tick & 0xFFFFFFFF)
+    return tick & 0xFFFFFFFF
 
 
-def check_fresh(kind: str, ts: BitString, now: int, delta_t: int) -> int:
+def check_fresh(kind: str, ts: int, now: int, delta_t: int) -> int:
     """Signed offset of the 32-bit timestamp ``ts`` from the clock ``now``.
 
     The clock is unbounded but the field wraps, so the two are compared
@@ -227,7 +216,7 @@ def check_fresh(kind: str, ts: BitString, now: int, delta_t: int) -> int:
     below the wrap is one tick old, not four billion. Raises
     StaleTimestamp when the offset is ``delta_t`` ticks or more either way.
     """
-    offset = ((ts.value - now + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    offset = ((ts - now + 0x80000000) & 0xFFFFFFFF) - 0x80000000
     if abs(offset) >= delta_t:
         raise StaleTimestamp(f"{kind} outside freshness window")
     return offset
@@ -249,7 +238,7 @@ class FreshnessGuard:
         self._cache: dict[int, int] = {}
         self._expiries: list[tuple[int, int]] = []
 
-    def check(self, mac: int, ts: BitString, clock) -> int:
+    def check(self, mac: int, ts: int, clock) -> int:
         """Reject a stale or replayed message; return its cache expiry tick."""
         now, delta_t = clock.now, clock.delta_t
         offset = check_fresh(self.kind, ts, now, delta_t)

@@ -47,6 +47,25 @@ def test_full_session_flow(tmp_path):
     assert "baseline-fe-hash" in table
 
 
+
+def test_closed_standard_output_exits_1_without_a_traceback(tmp_path):
+    # ``report | head`` closes the pipe early; here the read end is closed
+    # before the CLI starts, so its first write or the flush meets EPIPE
+    bootstrap(tmp_path)
+    run_cli(["run-aka", "--user", "alice", "--uav", "uav-1"], tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fanet_aka.cli", "--format", "table",
+                               "report"], cwd=tmp_path, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 #: A registration, maintenance and key-agreement flow; every command runs at --seed 5.
 STATE_FLOW = [
     ["init-gwn"],

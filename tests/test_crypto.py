@@ -49,11 +49,13 @@ def test_sha1_digest_matches_hashlib_on_the_padded_bytes(parts):
     assert sha1_digest(*parts) == BitString.from_bytes(expected)
 
 
-@given(_part, st.lists(_part, max_size=3))
+@given(_part, st.lists(st.integers(0, (1 << 160) - 1), max_size=3))
 def test_sha1_value_from_a_leading_int_hashes_as_that_part(first, rest):
     # a caller holding a bare int of any width passes it as the start of
-    # the concatenation; the digest is that of the part it stands for
-    assert sha1_value(rest, first.width, first.value) == sha1_digest(first, *rest).value
+    # the concatenation, ahead of the 160-bit field ints; the digest is that
+    # of the part it stands for
+    fields = [BitString(160, v) for v in rest]
+    assert sha1_value(rest, first.width, first.value) == sha1_digest(first, *fields).value
 
 
 def test_hash_parts_matches_manual_concatenation():

@@ -32,3 +32,23 @@ def test_cli_builds_no_bitstring():
     tree = _tree("cli")
     assert "BitString" not in _imported_from(tree, "bits")
     assert "BitString" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("module", ["user", "gwn", "uav", "metrics"])
+def test_protocol_core_names_no_bitstring(module):
+    # role steps and the counted primitives compute on ints, timestamps too
+    tree = _tree(module)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "BitString" not in names
+
+
+def test_key_agreement_messages_hold_int_fields():
+    classes = {node.name: node for node in ast.walk(_tree("wire"))
+               if isinstance(node, ast.ClassDef)}
+    for name in ("Msg1", "Msg2", "Msg3"):
+        annotations = [ast.unparse(node.annotation) for node in classes[name].body
+                       if isinstance(node, ast.AnnAssign)]
+        assert annotations and set(annotations) == {"int"}, name

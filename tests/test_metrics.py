@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fanet_aka import bits, metrics
-from fanet_aka.bits import BitString
+from fanet_aka.bits import BitString, text_value
 from fanet_aka.crypto import sha1_digest, sha1_value
 from fanet_aka.errors import IncompleteTranscript
 from fanet_aka.metrics import (BASELINES, OpCounter, TIMING_PRESET_MS,
@@ -21,14 +21,14 @@ def _session(seed=0):
 
 def test_counter_facade_counts_real_calls():
     ops = OpCounter()
-    digest = ops.h(BitString.from_text("x"))
+    digest = ops.h(text_value("x"))
     ops.xor(digest, digest)
     assert ops.counts() == (1, 0, 0, 1)  # hash, puf, fe, xor
     ops.reset()
     assert ops.counts() == (0, 0, 0, 0)
 
 
-X, Y = BitString.from_text("x"), BitString.from_text("y")
+X, Y = text_value("x"), text_value("y")
 
 
 def test_hash_outside_a_recording_scope_records_nothing():
@@ -47,9 +47,9 @@ def test_nested_recording_scope_restores_the_outer_table():
         with recording() as inner:
             dy = ops.h(Y)
         dxy = ops.h(X, Y)
-    # h returns the digest's int, which keys the parts it was given
-    assert inner == {dy: (Y,)}
-    assert outer == {dx: (X,), dxy: (X, Y)}
+    # h returns the digest's int, which keys the (fields, ts) it was given
+    assert inner == {dy: ((Y,), None)}
+    assert outer == {dx: ((X,), None), dxy: ((X, Y), None)}
 
 
 def test_exception_inside_a_recording_scope_restores_the_outer_table():
@@ -60,30 +60,27 @@ def test_exception_inside_a_recording_scope_restores_the_outer_table():
                 ops.h(Y)
                 raise RuntimeError("inside the inner scope")
         dx = ops.h(X)
-    assert outer == {dx: (X,)}
+    assert outer == {dx: ((X,), None)}
     assert metrics._recorded is None
 
 
-#: A hash part: a 160-bit field or a bit string of any width, byte-aligned or not.
-_parts = st.lists(st.one_of(
-    st.integers(0, (1 << 160) - 1).map(lambda v: BitString(160, v)),
-    st.integers(0, 300).flatmap(
-        lambda w: st.integers(0, (1 << w) - 1).map(lambda v: BitString(w, v)))),
-    max_size=6)
-
-
-@given(_parts, st.data())
-def test_int_parts_hash_and_record_like_bit_strings(parts, data):
-    # any 160-bit part may reach h as its int; the digest is that of the
-    # all-BitString call, and the table keeps the parts exactly as passed
-    mixed = [p.value if p.width == 160 and data.draw(st.booleans()) else p
-             for p in parts]
+@given(st.lists(st.integers(0, (1 << 160) - 1), max_size=6),
+       st.none() | st.integers(0, (1 << 32) - 1))
+@example([], 0)
+@example([(1 << 160) - 1], (1 << 32) - 1)
+def test_int_parts_hash_and_record_like_bit_strings(fields, ts):
+    # h takes the ints of 160-bit fields and then, if given, a timestamp at
+    # its own 32 bits (a timestamp of 0 is hashed too); the digest is that of
+    # the all-BitString call, and the table keeps (fields, ts) as passed
     ops = OpCounter()
     with recording() as table:
-        digest = ops.h(*mixed)
+        digest = ops.h(*fields, ts=ts)
+    parts = [BitString(160, v) for v in fields]
+    if ts is not None:
+        parts.append(BitString(32, ts))
     assert BitString(160, digest) == sha1_digest(*parts)
-    assert table == {digest: tuple(mixed)}
-    assert sha1_value(table[digest]) == digest
+    assert table == {digest: (tuple(fields), ts)}
+    assert sha1_value(fields, ts=ts) == digest
 
 
 def test_every_recorded_session_hash_rehashes_to_its_key():
@@ -93,10 +90,11 @@ def test_every_recorded_session_hash_rehashes_to_its_key():
         enroll_uav(world, "uav-1")
         result = run_aka(world, "alice", "uav-1")
     assert result.ok and result.user_sk in hashes
-    for digest, parts in hashes.items():
-        # ints of 160-bit fields, and timestamps at their own width
-        assert all(0 <= p < 1 << 160 if type(p) is int else p.width == 32 for p in parts)
-        assert sha1_value(parts) == digest
+    for digest, (fields, ts) in hashes.items():
+        # ints of 160-bit fields, and at most one timestamp, the int of 32 bits
+        assert all(type(f) is int and 0 <= f < 1 << 160 for f in fields)
+        assert ts is None or type(ts) is int and 0 <= ts < 1 << 32
+        assert sha1_value(fields, ts=ts) == digest
 
 
 def test_session_key_recorded_inputs_rehash_to_the_key():
@@ -105,15 +103,17 @@ def test_session_key_recorded_inputs_rehash_to_the_key():
     enroll_uav(world, "uav-1")
     with recording() as hashes:
         result = run_aka(world, "alice", "uav-1")
-    parts = hashes[result.user_sk]
-    assert [type(p) for p in parts[:4]] == [int] * 4 and parts[4].width == 32
-    assert sha1_value(parts) == result.user_sk == result.uav_sk
-    # (v3, TID_i, RID_j, N_k, ts3); TID_i hashes (ID_i, N_i)
-    tid_i = parts[1]
+    fields, ts = hashes[result.user_sk]
+    assert [type(p) for p in fields] == [int] * 4
+    assert type(ts) is int and 0 <= ts < 1 << 32
+    assert sha1_value(fields, ts=ts) == result.user_sk == result.uav_sk
+    # (v3, TID_i, RID_j, N_k) and ts3; TID_i hashes (ID_i, N_i)
+    tid_i = fields[1]
     request = world.channel.log[0]
     assert request.kind == UserRegRequest.KIND
     assert tid_i == decode(UserRegRequest, request.payload).tid_i
-    id_i, n_i = hashes[tid_i]
+    (id_i, n_i), no_ts = hashes[tid_i]
+    assert no_ts is None
     assert id_i == world.users["alice"].id_i
     assert n_i >> 128 == 0  # a nonce: a 160-bit field with a zero 32-bit prefix
     assert sha1_value((id_i, n_i)) == tid_i
@@ -129,12 +129,13 @@ def test_count_session_matches_reference_tallies():
     assert counts["uav"]["hash"] == 8
 
 
-def test_honest_session_builds_at_most_8_bit_strings(monkeypatch):
+def test_honest_session_builds_at_most_3_bit_strings(monkeypatch):
     # every BitString is built by bits._new (unchecked) or by __init__; the
-    # role steps and the message records carry ints, and so do the session
-    # keys, the biometric and the fuzzy extractor's key, so a session builds
-    # one only for its 3 payloads, its 3 timestamps and the encodings of the
-    # password and the UAV name (10 while the session keys were wrapped, 17
+    # role steps and the message records carry ints, and so do the
+    # timestamps, the name encodings, the session keys, the biometric and
+    # the fuzzy extractor's key, so a session builds one only for its 3
+    # payloads (8 while the timestamps were wrapped and the password and the
+    # UAV name were encoded through one, 10 while the session keys were, 17
     # while the UAV's nonce, the PUF response and the extractor's digest
     # were, 42 while message fields were BitStrings, 73 before the role
     # steps computed on ints, 104 before the hash, XOR and message layers
@@ -160,7 +161,7 @@ def test_honest_session_builds_at_most_8_bit_strings(monkeypatch):
     result = run_aka(world, "alice", "uav-1")
     monkeypatch.undo()
     assert result.ok and result.keys_agree
-    assert built <= 8
+    assert built <= 3
     assert result.op_counts == {"user": {"hash": 11, "puf": 0, "fe": 1, "xor": 7},
                                 "gwn": {"hash": 6, "puf": 0, "fe": 0, "xor": 6},
                                 "uav": {"hash": 8, "puf": 1, "fe": 0, "xor": 7}}

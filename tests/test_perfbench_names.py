@@ -5,14 +5,39 @@ fail with KeyError, so every name it patches must still exist."""
 import importlib.util
 from pathlib import Path
 
-RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+from fanet_aka.bits import BitString
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_run():
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
 
 
 def test_every_traced_span_resolves_in_its_owner():
-    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    run = _load_run()
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _ in run._span_table()
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_traced_run_counts_bit_string_constructions(monkeypatch):
+    # an honest session builds no BitString through __init__, so the traced
+    # run's per-session count reads 0; this keeps its counter wired
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = _load_run()
+    from tracer import Tracer
+
+    tracer = Tracer()
+    run.instrument(tracer)
+    try:
+        BitString(8, 1)
+    finally:
+        tracer.restore()
+    assert tracer.op["bits.construct"] == 1
+    BitString(8, 1)
+    assert tracer.op["bits.construct"] == 1

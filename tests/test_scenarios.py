@@ -145,7 +145,7 @@ def test_a_planted_nonce_is_found_as_a_field_or_raw(width):
     enroll_uav(world, "uav-1")
     with recording() as hashes:
         result = run_aka(world, "alice", "uav-1")
-    n_i = hashes[hashes[result.user_sk][1]][1]  # TID_i hashes (ID_i, N_i)
+    n_i = hashes[hashes[result.user_sk][0][1]][0][1]  # TID_i hashes (ID_i, N_i)
     knowledge = [tr.payload for tr in result.transcript]
     if width is not None:
         knowledge.append(BitString(width, n_i))

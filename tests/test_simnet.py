@@ -211,7 +211,7 @@ def test_transmission_json_shape():
     assert set(doc) == {"tick", "origin", "dest", "kind", "secure", "hex",
                         "events"}
     assert doc["kind"] == "MSG1"
-    assert decode_msg1(BitString.from_hex(doc["hex"])).ts1.value == doc["tick"]
+    assert decode_msg1(BitString.from_hex(doc["hex"])).ts1 == doc["tick"]
 
 
 def test_tampered_delivery_is_marked_with_the_sent_bits():

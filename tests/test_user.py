@@ -164,7 +164,7 @@ def test_relay_recovers_pseudonym_from_request():
 
     s = BitString(SECRET_BITS, world.gateway.export_secret())
     m1 = sha1_digest(BitString.from_text(world.gateway.identity), s)
-    e_i = sha1_digest(m1, msg1.ts1)
+    e_i = sha1_digest(m1, BitString(32, msg1.ts1))
     assert msg1.g_i ^ (msg1.f_i_prime ^ e_i.value) == ctx.tid_i
 
 
