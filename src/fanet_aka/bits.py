@@ -1,7 +1,7 @@
 """Fixed-width bit strings and the operators the protocol algebra runs on.
 
 A value that leaves the protocol as bits is a :class:`BitString`: a
-payload or a closure term. A party stores the ``int`` of each field,
+message payload. A party stores the ``int`` of each field,
 saved and restored by :func:`hex_of` and :func:`int_of_hex` (a name's by
 :func:`text_value`); a role step computes on those ints (see
 :class:`~fanet_aka.metrics.OpCounter`), and so do the timestamps, the
@@ -139,12 +139,6 @@ class BitString:
         return _unchecked(width if width >= other_width else other_width,
                           self.value ^ other.value)
 
-    def zext(self, width: int) -> "BitString":
-        """Zero-extend on the left to ``width`` bits."""
-        if width < self.width:
-            raise WidthMismatch(f"cannot zero-extend {self.width} down to {width}")
-        return _unchecked(width, self.value)
-
     def bit(self, index: int) -> int:
         """Bit at ``index`` counting from the most significant bit."""
         if not 0 <= index < self.width:
@@ -163,11 +157,6 @@ class BitString:
             raise IndexError((start, stop))
         w = stop - start
         return _unchecked(w, (self.value >> (self.width - stop)) & ((1 << w) - 1))
-
-    def hamming(self, other: "BitString") -> int:
-        if self.width != other.width:
-            raise WidthMismatch("hamming distance needs equal widths")
-        return (self.value ^ other.value).bit_count()
 
     def contains(self, needle: "BitString") -> bool:
         """True if ``needle`` appears as a contiguous bit pattern."""

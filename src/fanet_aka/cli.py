@@ -61,6 +61,13 @@ def _int(name: str, text: str) -> int:
     return int_of_hex(text, _WIDTHS[name])
 
 
+def _party_name(text: str) -> str:
+    """A user or UAV name its ``user_<id>.json`` or ``uav_<id>.json`` can hold."""
+    if not text or {"/", os.altsep, "\0"} & set(text):
+        raise argparse.ArgumentTypeError(f"{text!r} cannot name a state file")
+    return text
+
+
 def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -400,16 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_init_gwn)
 
     p = sub.add_parser("register-user", help="run the user registration phase")
-    p.add_argument("--user", required=True)
+    p.add_argument("--user", required=True, type=_party_name)
     p.add_argument("--password", required=True)
     p.set_defaults(fn=cmd_register_user)
 
     p = sub.add_parser("register-uav", help="run the UAV registration phase")
-    p.add_argument("--uav", required=True)
+    p.add_argument("--uav", required=True, type=_party_name)
     p.set_defaults(fn=cmd_register_uav)
 
     p = sub.add_parser("add-uav", help="dynamic UAV addition with broadcast")
-    p.add_argument("--uav", required=True)
+    p.add_argument("--uav", required=True, type=_party_name)
     p.set_defaults(fn=lambda a: cmd_register_uav(a, announce=True))
 
     p = sub.add_parser("run-aka", help="full authenticated key agreement")

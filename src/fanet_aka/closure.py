@@ -2,18 +2,20 @@
 
 Mechanizes "computationally infeasible to derive" as non-membership in
 the set of terms an adversary can build from its observations with the
-protocol's own algebra: hashing, XOR, concatenation, and slicing at
-protocol field boundaries. The caller declares up front the target terms
-it will ask about, and only those may be queried. The engine is *sound*
-(every member is genuinely derivable and can be justified by an explicit
-trace) but deliberately incomplete beyond its bounds:
+protocol's own algebra: hashing, XOR and concatenation. A term is the
+``int`` of a 160-bit field or of a 32-bit timestamp. The engine never
+slices: the caller hands it what the adversary saw as fields, split as
+:func:`~fanet_aka.wire.decode` splits a payload, and declares up front the
+target fields it will ask about; only those may be queried. The engine is
+*sound* (every member is genuinely derivable and can be justified by an
+explicit trace) but deliberately incomplete beyond its bounds:
 
 * XOR derivability is decided exactly by linear algebra over GF(2)
   instead of materializing the exponential combination set. Only
-  observation-derived terms (givens, slices, lifts, zero constants)
-  generate the span; digests minted by the engine's own hash rules do
-  not, because enough unrelated one-way digests span the whole field
-  and would make every value a vacuous "XOR combination".
+  observation-derived terms (givens and zero constants) generate the
+  span; digests minted by the engine's own hash rules do not, because
+  enough unrelated one-way digests span the whole field and would make
+  every value a vacuous "XOR combination".
 * Hash-of-concatenation is explored over field-shaped tuples (sequences
   of 160-bit terms, optionally suffixed by one 32-bit timestamp), the
   shapes the protocol itself uses, under a fixed tuple budget
@@ -32,15 +34,8 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import product
 
-from .bits import BitString
+from .bits import hex_of
 from .crypto import DIGEST_BITS as FIELD_BITS, TS_BITS as TS_FIELD_BITS
-from .wire import MESSAGE_TYPES
-
-#: Field boundaries used by the slicing rule, keyed by total width: the
-#: layout of every multi-field message. Messages of one width share one
-#: layout (MSG1 and MSG2 at 672 bits, the 320-bit registration payloads).
-SLICE_LAYOUTS = {sum(cls.WIDTHS): cls.WIDTHS for cls in MESSAGE_TYPES
-                 if len(cls.WIDTHS) > 1}
 
 #: Rounds of the single-term hash-chain rule; 0 stops at the givens.
 DEPTH = 4
@@ -48,7 +43,7 @@ DEPTH = 4
 BUDGET = 2_000_000
 
 #: Widths whose all-zero constants the adversary is assumed to know.
-ZERO_WIDTHS = (32, 128, 160)
+ZERO_WIDTHS = (TS_FIELD_BITS, FIELD_BITS)
 
 #: Tuple shapes explored by the hash-of-concatenation rule: ("pure", m)
 #: is m field elements, ("ts", m) is m field elements followed by one
@@ -58,66 +53,57 @@ ZERO_WIDTHS = (32, 128, 160)
 _PLANS = (("pure", 2), ("ts", 1), ("pure", 3), ("ts", 2), ("ts", 3), ("ts", 4))
 
 
-def _key(term: BitString) -> tuple[int, int]:
-    return (term.width, term.value)
-
-
 @dataclass
 class Closure:
     """Result of a closure computation; decides membership of its targets."""
 
-    targets: set = field(default_factory=set)     # queryable (width, value) keys
-    terms: dict = field(default_factory=dict)     # (width, value) -> trace
-    hits: dict = field(default_factory=dict)      # target key -> hash-concat preimage
+    targets: set = field(default_factory=set)     # queryable field ints
+    terms: dict = field(default_factory=dict)     # (width, value) -> (rule, parent keys)
+    hits: dict = field(default_factory=dict)      # target -> hash-concat preimage bytes
     bulk_count: int = 0                           # hash-concat tuples streamed
     enumerated_shapes: list = field(default_factory=list)
     skipped_shapes: list = field(default_factory=list)  # over the budget
 
-    def __contains__(self, term: BitString) -> bool:
-        key = self._declared(term)
-        return (key in self.terms or key in self.hits
-                or self._xor_subset(term) is not None)
+    def __contains__(self, target: int) -> bool:
+        self._declared(target)
+        return ((FIELD_BITS, target) in self.terms or target in self.hits
+                or self._xor_subset(target) is not None)
 
-    def derivation(self, term: BitString) -> list[str] | None:
+    def derivation(self, target: int) -> list[str] | None:
         """Human-readable trace for a member, None for non-members."""
-        key = self._declared(term)
+        self._declared(target)
+        key = (FIELD_BITS, target)
         if key in self.terms:
             return self._trace_lines(key)
-        if key in self.hits:
-            return [f"hash-concat({', '.join(p.hex() for p in self.hits[key])}) "
-                    f"= {term.hex()}"]
-        subset = self._xor_subset(term)
+        if target in self.hits:
+            return [f"hash-concat({', '.join(p.hex() for p in self.hits[target])}) "
+                    f"= {hex_of(*key)}"]
+        subset = self._xor_subset(target)
         if subset is not None:
-            return [f"xor({', '.join(t.hex() for t in subset)}) = {term.hex()}"]
+            return [f"xor({', '.join(hex_of(*k) for k in subset)}) = {hex_of(*key)}"]
         return None
 
     # -- internals ---------------------------------------------------------
 
-    def _declared(self, term: BitString) -> tuple[int, int]:
-        """Key of a declared target; a miss on any other term was never searched."""
-        key = _key(term)
-        if key not in self.targets:
-            raise ValueError(f"{term!r} was not declared as a closure target")
-        return key
+    def _declared(self, target: int) -> None:
+        """Refuse a query for an undeclared target: a miss on it was never searched."""
+        if target not in self.targets:
+            raise ValueError(f"{target:#x} was not declared as a closure target")
 
-    def _materialized(self) -> list[BitString]:
-        return [BitString(w, v) for (w, v) in self.terms]
-
-    def _xor_subset(self, target: BitString) -> list[BitString] | None:
+    def _xor_subset(self, target: int) -> list[tuple[int, int]] | None:
         """GF(2) span query over the observation-derived terms.
 
-        Narrower terms join lifted, which is legitimate because the
-        adversary holds the zero constants; wider terms are excluded
-        because no rule truncates. Digest outputs produced by the hash
-        rules are deliberately not span generators: enough unrelated
+        Timestamps join zero-extended, which is legitimate because the
+        adversary holds the zero constants. Digest outputs produced by the
+        hash rules are deliberately not span generators: enough unrelated
         one-way digests span the whole field, which would make every
         value an "XOR combination" without corresponding to any attack
         knowledge. They still answer exact membership queries.
-        Returns the contributing subset or None.
+        Returns the contributing term keys or None.
         """
         pivots: dict[int, tuple[int, set]] = {}  # msb position -> (vector, keys)
         for key, (rule, _) in self.terms.items():
-            if key[0] > target.width or rule == "hash":
+            if rule == "hash":
                 continue
             v, contributors = key[1], {key}
             while v:
@@ -129,7 +115,7 @@ class Closure:
                 else:
                     pivots[msb] = (v, contributors)
                     break
-        vec, mask = target.value, set()
+        vec, mask = target, set()
         while vec:
             msb = vec.bit_length()
             if msb not in pivots:
@@ -138,79 +124,51 @@ class Closure:
             vec ^= pv
             mask ^= pm
         if not mask:
-            return None  # the zero string answers via the zero constants
-        return [BitString(w, v) for (w, v) in sorted(mask)]
+            return None  # the zero field answers via the zero constants
+        return sorted(mask)
 
     def _trace_lines(self, key, depth: int = 0) -> list[str]:
         rule, parents = self.terms[key]
-        term_hex = BitString(*key).hex()
         if rule == "given":
-            return [f"given {term_hex}"]
+            return [f"given {hex_of(*key)}"]
         if depth > 6:
-            return [f"{rule}(...) = {term_hex}"]
+            return [f"{rule}(...) = {hex_of(*key)}"]
         lines = []
         for p in parents:
-            lines.extend(self._trace_lines(_key(p), depth + 1))
-        args = ", ".join(p.hex() for p in parents)
-        lines.append(f"{rule}({args}) = {term_hex}")
+            lines.extend(self._trace_lines(p, depth + 1))
+        args = ", ".join(hex_of(*p) for p in parents)
+        lines.append(f"{rule}({args}) = {hex_of(*key)}")
         return lines
 
 
-def _atoms(terms: list[BitString]) -> tuple[list[BitString], list[BitString]]:
-    seen160, seen32 = [], []
-    for t in terms:
-        if t.width == FIELD_BITS:
-            seen160.append(t)
-        elif t.width == TS_FIELD_BITS:
-            seen32.append(t)
-    return seen160, seen32
-
-
-def compute_closure(knowledge: list[BitString], targets: list[BitString]) -> Closure:
+def compute_closure(fields: list[int], stamps: list[int], targets: list[int]) -> Closure:
     """Least fixed point of the derivation rules, truncated at :data:`DEPTH`.
 
-    Only the ``targets`` may be queried afterwards: the hash-of-concatenation
-    search records a preimage for them alone. :data:`BUDGET` caps how many
-    tuples are tried; shape exploration skips any shape that would exceed
-    it, so runs are deterministic for a fixed knowledge.
+    ``fields`` and ``targets`` are the ``int``s of 160-bit fields and
+    ``stamps`` those of 32-bit timestamps. Only the ``targets`` may be
+    queried afterwards: the hash-of-concatenation search records a
+    preimage for them alone. :data:`BUDGET` caps how many tuples are
+    tried; shape exploration skips any shape that would exceed it, so
+    runs are deterministic for a fixed knowledge.
     """
-    clo = Closure(targets={_key(t) for t in targets})
-
-    def add(term: BitString, rule: str, parents: tuple = ()) -> bool:
-        key = _key(term)
-        if key in clo.terms:
-            return False
-        clo.terms[key] = (rule, parents)
-        return True
-
-    for term in knowledge:
-        add(term, "given")
-    if knowledge:
-        for w in ZERO_WIDTHS:
-            add(BitString.zeros(w), "zero-constant")
+    clo = Closure(targets=set(targets))
+    terms = clo.terms
+    for width, values in ((FIELD_BITS, fields), (TS_FIELD_BITS, stamps)):
+        for value in values:
+            terms.setdefault((width, value), ("given", ()))
+    if terms:
+        for width in ZERO_WIDTHS:
+            terms.setdefault((width, 0), ("zero-constant", ()))
 
     if DEPTH <= 0:
         return clo
 
-    # saturate the cheap structural rules: field slicing and lifting
-    changed = True
-    while changed:
-        changed = False
-        for term in clo._materialized():
-            layout = SLICE_LAYOUTS.get(term.width)
-            if layout:
-                offset = 0
-                for width in layout:
-                    piece = term.slice(offset, offset + width)
-                    changed |= add(piece, "slice", (term,))
-                    offset += width
-            if term.width < FIELD_BITS and term.width != TS_FIELD_BITS:
-                changed |= add(term.zext(FIELD_BITS), "lift", (term,))
-
     # hash-of-concatenation over protocol-shaped tuples, budget capped,
-    # streamed against the declared field-width targets
-    atoms160, atoms32 = _atoms(clo._materialized())
-    wanted = {t.to_bytes(): _key(t) for t in targets if t.width == FIELD_BITS}
+    # streamed against the declared targets
+    atoms160 = [v.to_bytes(w // 8, "big") for w, v in terms if w == FIELD_BITS]
+    atoms32 = [v.to_bytes(w // 8, "big") for w, v in terms if w == TS_FIELD_BITS]
+    wanted = {t.to_bytes(FIELD_BITS // 8, "big"): t for t in targets}
+    sha = hashlib.sha1
     for shape, m in _PLANS:
         cost = len(atoms160) ** m * (len(atoms32) if shape == "ts" else 1)
         if cost == 0:
@@ -221,20 +179,19 @@ def compute_closure(knowledge: list[BitString], targets: list[BitString]) -> Clo
         clo.bulk_count += cost
         clo.enumerated_shapes.append((shape, m))
         pools = [atoms160] * m + ([atoms32] if shape == "ts" else [])
-        byte_pools = [[t.to_bytes() for t in pool] for pool in pools]
-        sha = hashlib.sha1
-        for combo in product(*byte_pools):
+        for combo in product(*pools):
             if (digest := sha(b"".join(combo)).digest()) in wanted:
-                clo.hits.setdefault(wanted[digest],
-                                    [BitString.from_bytes(b) for b in combo])
+                clo.hits.setdefault(wanted[digest], combo)
 
     # single-term hash chains iterate to DEPTH
-    frontier = clo._materialized()
+    frontier = list(terms)
     for _ in range(DEPTH):
         new = []
-        for term in frontier:
-            digest = BitString.from_bytes(hashlib.sha1(term.to_bytes()).digest())
-            if add(digest, "hash", (term,)):
+        for width, value in frontier:
+            data = sha(value.to_bytes(width // 8, "big")).digest()
+            digest = (FIELD_BITS, int.from_bytes(data, "big"))
+            if digest not in terms:
+                terms[digest] = ("hash", ((width, value),))
                 new.append(digest)
         if not new:
             break

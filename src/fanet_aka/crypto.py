@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import partial
 
 from .bits import BitString, _unchecked, concat
 from .errors import WidthMismatch
@@ -59,11 +58,6 @@ def sha1_digest(*parts: BitString) -> BitString:
     """The protocol's h(a || b) as a 160-bit BitString (see :func:`sha1_value`)."""
     joined = concat(parts)
     return _unchecked(DIGEST_BITS, sha1_value((), joined.width, joined.value))
-
-
-#: A 160-bit field BitString from the int a role step computed, built
-#: where a value leaves as a closure term.
-field = partial(_unchecked, DIGEST_BITS)
 
 
 @dataclass(slots=True)

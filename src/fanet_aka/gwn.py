@@ -69,7 +69,9 @@ class Gateway:
         return UserRegResponse(tc_id_i=tc)
 
     def check_uav_name(self, uav_identity: str) -> int:
-        """Refuse a taken name or wire identity; return the wire identity."""
+        """Refuse an empty or taken name or wire identity; return the wire identity."""
+        if not uav_identity:
+            raise ValueError("identity must be non-empty")
         id_j = text_value(uav_identity)
         self._refuse_taken(uav_identity, id_j)
         return id_j

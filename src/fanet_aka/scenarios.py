@@ -16,13 +16,13 @@ from typing import Callable
 
 from .bits import BitString, hex_of, text_value
 from .closure import compute_closure
-from .crypto import BIO_BITS, DIGEST_BITS, field, sha1_value
+from .crypto import BIO_BITS, DIGEST_BITS, TS_BITS, sha1_value
 from .errors import (DuplicateRegistration, IncompleteTranscript, ProtocolError,
                      ReplayDetected, StaleTimestamp, UnknownScenario)
 from .metrics import recording
 from .simnet import SimConfig, World, build_world, enroll_user, enroll_uav, run_aka
-from .wire import (Msg1, Msg2, Msg3, UserRegRequest, decode, encode, protocol_bits,
-                   ts_bits)
+from .wire import (MESSAGE_TYPES, Msg1, Msg2, Msg3, UserRegRequest, decode, encode,
+                   protocol_bits, ts_bits)
 
 
 @dataclass
@@ -94,20 +94,38 @@ def _scenario(users=("alice",), uavs=("uav-1",)):
     return register
 
 
-def _not_derivable(report, knowledge: list[BitString], claims: dict) -> None:
-    """Check each claim's named secrets against one closure of ``knowledge``.
+#: Each message kind's record, to decode what the adversary saw.
+_RECORDS = {cls.KIND: cls for cls in MESSAGE_TYPES}
+
+
+def _observed(transmissions) -> tuple[list[int], list[int]]:
+    """The 160-bit fields and the 32-bit timestamps of ``transmissions``.
+
+    Each payload is decoded with its kind's record: the adversary projects
+    a message into its parts (Dolev & Yao), and the closure takes the parts.
+    """
+    parts = {DIGEST_BITS: [], TS_BITS: []}
+    for tr in transmissions:
+        msg = decode(_RECORDS[tr.kind], tr.payload)
+        for f, width in zip(fields(msg), msg.WIDTHS):
+            parts[width].append(getattr(msg, f.name))
+    return parts[DIGEST_BITS], parts[TS_BITS]
+
+
+def _not_derivable(report, seen, held: list[int], claims: dict) -> None:
+    """Check each claim's named secrets against one closure of the fields
+    of the transmissions ``seen`` and the 160-bit field ``int``s ``held``.
 
     ``claims`` maps a claim to its {label: secret} dict, each secret the
     ``int`` of its 160-bit field; every claim's secrets are declared in a
-    single closure computation. A nonce needs no second, 128-bit target:
-    the engine extends a narrower term it holds to the field (its lift
-    rule and its XOR span both do). Each verdict's ``leaked`` detail marks
-    it as a secrecy claim.
+    single closure computation. Each verdict's ``leaked`` detail marks it
+    as a secrecy claim.
     """
-    clo = compute_closure(knowledge, [field(value) for secrets in claims.values()
-                                      for value in secrets.values()])
+    observed, stamps = _observed(seen)
+    clo = compute_closure(observed + held, stamps,
+                          [value for secrets in claims.values() for value in secrets.values()])
     for claim, secrets in claims.items():
-        leaked = [label for label, value in secrets.items() if field(value) in clo]
+        leaked = [label for label, value in secrets.items() if value in clo]
         report.check(claim, not leaked, leaked=leaked,
                      closure_terms=len(clo.terms), closure_bulk=clo.bulk_count,
                      closure_skipped=clo.skipped_shapes)
@@ -130,10 +148,9 @@ def stolen_card(report: ScenarioReport, world: World, cfg: SimConfig):
     # the key hashes (v3, TID_i, RID_j, N_k) and ts3; TID_i hashes (ID_i, N_i)
     tid_i = hashes[result.user_sk][0][1]
     n_i = hashes[tid_i][0][1]
-    card_terms = [field(card.a_i), field(card.b_i), field(card.c_i),
-                  BitString(BIO_BITS, card.tau_i)]
+    card_terms = [card.a_i, card.b_i, card.c_i, card.tau_i]
     pw_i = text_value(secrets["password"])
-    _not_derivable(report, card_terms + [tr.payload for tr in result.transcript], {
+    _not_derivable(report, result.transcript, card_terms, {
         "identity, password, nonce stay hidden": {
             "id_i": user.id_i,
             "pw_i": pw_i,
@@ -146,8 +163,7 @@ def stolen_card(report: ScenarioReport, world: World, cfg: SimConfig):
     # verifiable check value without the biometric key; login's check
     # digest b_i hashes (ID_i, TPW_i, sigma_i)
     (_, tpw_i, sigma_i), _ = hashes[card.b_i]
-    guess = card_terms + [field(pw_i), field(user.id_i)]
-    _not_derivable(report, guess, {
+    _not_derivable(report, [], card_terms + [pw_i, user.id_i], {
         "offline password guess yields no check value": {
             "tpw_i": tpw_i,
             "sigma_i": sigma_i,
@@ -163,7 +179,7 @@ def privileged_insider(report: ScenarioReport, world: World, cfg: SimConfig):
     report.check("honest session completes", result.ok and result.keys_agree)
 
     secrets = world.user_secrets["alice"]
-    _not_derivable(report, [tr.payload for tr in world.channel.log], {
+    _not_derivable(report, world.channel.log, [], {
         "password stays hidden from insider": {
             "pw_i": text_value(secrets["password"]),
             "id_i": world.users["alice"].id_i,
@@ -255,8 +271,7 @@ def anonymity_untraceability(report: ScenarioReport, world: World, cfg: SimConfi
     report.check("both sessions complete",
                  first.ok and second.ok and first.keys_agree and second.keys_agree)
 
-    public = [tr.payload for tr in first.transcript + second.transcript]
-    _not_derivable(report, public, {
+    _not_derivable(report, first.transcript + second.transcript, [], {
         "identity stays hidden": {"id_i": world.users["alice"].id_i},
         "session keys stay hidden": {
             "sk_first": first.user_sk, "sk_second": second.user_sk,
@@ -284,8 +299,7 @@ def uav_capture(report: ScenarioReport, world: World, cfg: SimConfig):
     # note: the capture does reveal this session's challenge response
     # (r_j = f_i'' xor rid_j xor id_j once id_j is known); the protocol's
     # claim is only that the session key and other pairs stay safe
-    knowledge = [field(v) for v in memory.values()] + [tr.payload for tr in result.transcript]
-    _not_derivable(report, knowledge, {
+    _not_derivable(report, result.transcript, list(memory.values()), {
         "session key stays hidden after capture": {"sk": result.user_sk},
     })
 
@@ -402,21 +416,20 @@ def esl(report: ScenarioReport, world: World, cfg: SimConfig):
         session_b = run_aka(world, "alice", "uav-1")
     report.check("both sessions complete", session_a.ok and session_b.ok)
 
-    pub_a = [tr.payload for tr in session_a.transcript]
-    pub_b = [tr.payload for tr in session_b.transcript]
+    pub_a = session_a.transcript
     # each key hashes (v3, TID_i, RID_j, N_k) and ts3
     (v3, tid_i, rid_j, n_k_a), _ = hashes[session_a.user_sk]
     n_k_b = hashes[session_b.user_sk][0][3]
     n_j = world.gateway.registry["uav-1"].n_j
 
-    _not_derivable(report, pub_a + [field(n_k_a)], {
+    _not_derivable(report, pub_a, [n_k_a], {
         "key safe despite responder nonce leak": {"sk": session_a.user_sk},
     })
-    _not_derivable(report, pub_a + [field(n_j)], {
+    _not_derivable(report, pub_a, [n_j], {
         "key safe despite registry nonce leak": {"sk": session_a.user_sk},
     })
-    opened = pub_a + pub_b + [field(v) for v in (n_j, n_k_b, session_b.user_sk)]
-    _not_derivable(report, opened, {
+    opened = [n_j, n_k_b, session_b.user_sk]
+    _not_derivable(report, pub_a + session_b.transcript, opened, {
         "one session fully opened, other keys stay safe": {
             "sk_other": session_a.user_sk,
         },
@@ -424,8 +437,9 @@ def esl(report: ScenarioReport, world: World, cfg: SimConfig):
 
     # positive control: with the key-derivation inputs the engine does
     # reconstruct the key, so the negative verdicts are not vacuous
-    sk = field(session_a.user_sk)
-    control = compute_closure(pub_a + [field(v) for v in (n_k_a, tid_i, rid_j, v3)], [sk])
+    sk = session_a.user_sk
+    observed, stamps = _observed(pub_a)
+    control = compute_closure(observed + [n_k_a, tid_i, rid_j, v3], stamps, [sk])
     report.check(POSITIVE_CONTROL, sk in control, derivation=control.derivation(sk))
     return session_a
 
@@ -467,11 +481,11 @@ def side_channel(report: ScenarioReport, world: World, cfg: SimConfig):
     report.check("readout holds no device seed and no response",
                  sorted(memory) == ["c_j", "id_j", "tc_id_j"])
     rec = world.gateway.registry["uav-1"]
-    readout = [field(v) for v in memory.values()]
-    _not_derivable(report, readout, {
+    readout = list(memory.values())
+    _not_derivable(report, [], readout, {
         "response not derivable from readout": {"r_j": rec.r_j},
     })
-    _not_derivable(report, readout + [tr.payload for tr in result.transcript], {
+    _not_derivable(report, result.transcript, readout, {
         "session key stays hidden": {"sk": result.user_sk},
     })
     return result
@@ -486,16 +500,16 @@ def crp_leakage(report: ScenarioReport, world: World, cfg: SimConfig):
         world.clock.advance(cfg.delta_t + 1)
     report.check("honest sessions complete", all(r.ok for r in results))
 
-    public = world.channel.public_payloads()
+    public = [tr for tr in world.channel.log if not tr.secure]
     leaks = []
     for uav_id in ("uav-1", "uav-2"):
-        r_j = field(world.gateway.registry[uav_id].r_j)
-        if any(payload.contains(r_j) for payload in public):
+        r_j = BitString(DIGEST_BITS, world.gateway.registry[uav_id].r_j)
+        if any(tr.payload.contains(r_j) for tr in public):
             leaks.append(uav_id)
     report.check("response appears in no public payload", not leaks,
                  leaking_uavs=leaks, payloads_scanned=len(public))
 
-    _not_derivable(report, public, {
+    _not_derivable(report, public, [], {
         "session key stays hidden": {"sk": results[0].user_sk},
     })
     return results[0]

@@ -104,7 +104,7 @@ def test_bit_indexing_and_flip():
 @given(bitstrings(), st.data())
 def test_flip_changes_exactly_one_bit(x, data):
     i = data.draw(st.integers(min_value=0, max_value=x.width - 1))
-    assert x.flip(i).hamming(x) == 1
+    assert (x.flip(i).value ^ x.value).bit_count() == 1
     assert x.flip(i).flip(i) == x
 
 
@@ -134,13 +134,6 @@ def test_contains_finds_contiguous_patterns():
     assert hay.contains(hay)
     assert not hay.contains(BitString(8, 0x12))
     assert not BitString(8, 0xAB).contains(hay)
-
-
-def test_zext():
-    x = BitString(128, 7)
-    assert x.zext(160) == BitString(160, 7)
-    with pytest.raises(WidthMismatch):
-        x.zext(64)
 
 
 def test_random_reproducible():

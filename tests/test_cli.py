@@ -339,6 +339,44 @@ def test_empty_password_is_a_one_line_error(tmp_path, command):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["register-uav", "--uav", "a/b"],
+    ["add-uav", "--uav", "a/b"],
+    ["register-user", "--user", "x/y", "--password", "pw-x"],
+    ["register-uav", "--uav", ""],
+    ["add-uav", "--uav", ""],
+    ["register-user", "--user", "", "--password", "pw-x"],
+    ["register-uav", "--uav", "uav\0"],
+    ["register-user", "--user", "x\0", "--password", "pw-x"],
+], ids=["uav-slash", "add-uav-slash", "user-slash", "uav-empty", "add-uav-empty",
+        "user-empty", "uav-nul", "user-nul"])
+def test_a_name_no_state_file_can_hold_is_a_usage_error(tmp_path, capsys, command):
+    # uav_a/b.json cannot be written: the refusal must come before the
+    # gateway records the name, or every retry is refused as a duplicate
+    state = tmp_path / "state"
+    for setup in (["init-gwn"], ["register-user", "--user", "alice", "--password", "pw"]):
+        assert main(["--state-dir", str(state), *setup]) == 0
+    before = {p.name: p.read_bytes() for p in state.iterdir()}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as refused:
+        main(["--state-dir", str(state), *command])
+    assert refused.value.code == 2
+    assert "cannot name a state file" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in state.iterdir()} == before
+
+
+def test_a_refused_name_exits_2_without_a_traceback(tmp_path):
+    bootstrap(tmp_path)
+    state = tmp_path / "state"
+    before = {p.name: p.read_bytes() for p in state.iterdir()}
+    proc = run_cli(["register-uav", "--uav", "a/b"], tmp_path, check=False)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert {p.name: p.read_bytes() for p in state.iterdir()} == before
+    run_cli(["register-uav", "--uav", "a-b"], tmp_path)
+    assert (state / "uav_a-b.json").is_file()
+
+
 def test_run_aka_rewrites_only_gateway_meta_and_session(tmp_path):
     bootstrap(tmp_path)
     run_cli(["register-user", "--user", "bob", "--password", "pw-bob"], tmp_path)

@@ -62,6 +62,14 @@ def test_uav_registration_flow():
     assert gwn.registry["uav-1"].r_j == 77
 
 
+def test_an_empty_uav_name_is_refused():
+    # as User("") is: the name would leave the UAV no state file of its own
+    gwn = Gateway("gateway-0", random.Random(3).getrandbits(SECRET_BITS))
+    with pytest.raises(ValueError):
+        gwn.check_uav_name("")
+    assert gwn.registry == {}
+
+
 def test_distinct_uavs_get_distinct_challenges():
     rng = random.Random(4)
     gwn = Gateway("gateway-0", rng.getrandbits(SECRET_BITS))

@@ -34,15 +34,37 @@ def test_cli_builds_no_bitstring():
     assert "BitString" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def _names(tree: ast.Module) -> set[str]:
+    """Every name and attribute ``tree`` reads or binds, without imports."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 @pytest.mark.parametrize("module", ["user", "gwn", "uav", "metrics"])
 def test_protocol_core_names_no_bitstring(module):
     # role steps and the counted primitives compute on ints, timestamps too
     tree = _tree(module)
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    names |= {alias.name for node in ast.walk(tree)
-              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names = _names(tree) | {alias.name for node in ast.walk(tree)
+                            if isinstance(node, (ast.Import, ast.ImportFrom))
+                            for alias in node.names}
     assert "BitString" not in names
+
+
+def test_closure_reasons_over_ints_and_splits_nothing():
+    # what the adversary saw reaches the engine as field and timestamp
+    # ints, already split by wire.decode; the engine formats traces only
+    tree = _tree("closure")
+    assert not _imported_from(tree, "wire")
+    assert _imported_from(tree, "bits") == {"hex_of"}
+    assert "BitString" not in _names(tree)
+
+
+@pytest.mark.parametrize("module", ["scenarios", "crypto"])
+def test_no_field_wrapper_builds_closure_terms(module):
+    # the closure takes field ints, so nothing wraps one as a BitString for it
+    tree = _tree(module)
+    assert "field" not in _names(tree)
+    assert "field" not in _imported_from(tree, "crypto")
 
 
 def test_key_agreement_messages_hold_int_fields():

@@ -5,7 +5,9 @@ fail with KeyError, so every name it patches must still exist."""
 import importlib.util
 from pathlib import Path
 
+from fanet_aka import closure
 from fanet_aka.bits import BitString
+from fanet_aka.crypto import sha1_value
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,3 +43,23 @@ def test_traced_run_counts_bit_string_constructions(monkeypatch):
     assert tracer.op["bits.construct"] == 1
     BitString(8, 1)
     assert tracer.op["bits.construct"] == 1
+
+
+def test_traced_run_counts_every_engine_hash(monkeypatch):
+    # the engine looks up hashlib.sha1 on its own module when it runs, so
+    # the traced run's counter sees each streamed tuple and chain hash
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = _load_run()
+    from tracer import Tracer
+
+    tracer = Tracer()
+    run.instrument(tracer)
+    try:
+        clo = closure.compute_closure([1, 2], [3], [sha1_value((1, 2))])
+    finally:
+        tracer.restore()
+    chain = sum(rule == "hash" for rule, _ in clo.terms.values())
+    assert clo.bulk_count > 0 and chain > 0
+    assert tracer.op["closure.sha1"] == clo.bulk_count + chain
+    closure.compute_closure([1, 2], [3], [])
+    assert tracer.op["closure.sha1"] == clo.bulk_count + chain
