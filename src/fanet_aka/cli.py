@@ -68,6 +68,13 @@ def _party_name(text: str) -> str:
     return text
 
 
+def _identity(text: str) -> str:
+    """A gateway identity: any text but the empty one, whose ``id_g`` is 0."""
+    if not text:
+        raise argparse.ArgumentTypeError("the gateway identity must be non-empty")
+    return text
+
+
 def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -403,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init-gwn", help="initialize the gateway")
-    p.add_argument("--identity", default="gateway-0")
+    p.add_argument("--identity", default="gateway-0", type=_identity)
     p.set_defaults(fn=cmd_init_gwn)
 
     p = sub.add_parser("register-user", help="run the user registration phase")

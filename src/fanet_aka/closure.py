@@ -19,9 +19,14 @@ explicit trace) but deliberately incomplete beyond its bounds:
 * Hash-of-concatenation is explored over field-shaped tuples (sequences
   of 160-bit terms, optionally suffixed by one 32-bit timestamp), the
   shapes the protocol itself uses, under a fixed tuple budget
-  (:data:`BUDGET`) and one composition level deep. Digests are streamed
-  and compared with the declared targets, never stored; shapes that do
-  not fit the budget are recorded as skipped.
+  (:data:`BUDGET`) and one composition level deep. Each shape is walked
+  in ``itertools.product`` order over its pools, so a target's recorded
+  preimage is its first hit in that order, and each tuple is hashed
+  exactly once: ``bulk_count`` (a report's ``closure_bulk``) is the
+  number of SHA-1 calls the rule makes. Digests are compared with the
+  declared targets and dropped: memory holds one shape's joined last two
+  terms and one run of digests, never the whole enumeration. Shapes that
+  do not fit the budget are recorded as skipped.
 * Single-term hash chains iterate to a fixed depth (:data:`DEPTH`).
 
 This is an engineering proxy for the informal infeasibility arguments,
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .bits import hex_of
@@ -90,8 +96,11 @@ class Closure:
         if target not in self.targets:
             raise ValueError(f"{target:#x} was not declared as a closure target")
 
-    def _xor_subset(self, target: int) -> list[tuple[int, int]] | None:
-        """GF(2) span query over the observation-derived terms.
+    @cached_property
+    def _span(self) -> tuple[list[tuple[int, int]], dict[int, tuple[int, int]]]:
+        """GF(2) basis of the observation-derived terms, built on the first
+        span query: the generator keys, and msb position -> (vector, mask),
+        where bit i of the mask marks generator i as a contributor.
 
         Timestamps join zero-extended, which is legitimate because the
         adversary holds the zero constants. Digest outputs produced by the
@@ -99,23 +108,25 @@ class Closure:
         one-way digests span the whole field, which would make every
         value an "XOR combination" without corresponding to any attack
         knowledge. They still answer exact membership queries.
-        Returns the contributing term keys or None.
         """
-        pivots: dict[int, tuple[int, set]] = {}  # msb position -> (vector, keys)
-        for key, (rule, _) in self.terms.items():
-            if rule == "hash":
-                continue
-            v, contributors = key[1], {key}
+        keys = [key for key, (rule, _) in self.terms.items() if rule != "hash"]
+        pivots: dict[int, tuple[int, int]] = {}
+        for i, (_, v) in enumerate(keys):
+            mask = 1 << i
             while v:
                 msb = v.bit_length()
-                if msb in pivots:
-                    pv, pm = pivots[msb]
-                    v ^= pv
-                    contributors ^= pm
-                else:
-                    pivots[msb] = (v, contributors)
+                if msb not in pivots:
+                    pivots[msb] = (v, mask)
                     break
-        vec, mask = target, set()
+                pv, pm = pivots[msb]
+                v ^= pv
+                mask ^= pm
+        return keys, pivots
+
+    def _xor_subset(self, target: int) -> list[tuple[int, int]] | None:
+        """GF(2) span query; returns the contributing term keys or None."""
+        keys, pivots = self._span
+        vec, mask = target, 0
         while vec:
             msb = vec.bit_length()
             if msb not in pivots:
@@ -125,7 +136,7 @@ class Closure:
             mask ^= pm
         if not mask:
             return None  # the zero field answers via the zero constants
-        return sorted(mask)
+        return sorted(key for i, key in enumerate(keys) if mask >> i & 1)
 
     def _trace_lines(self, key, depth: int = 0) -> list[str]:
         rule, parents = self.terms[key]
@@ -179,9 +190,17 @@ def compute_closure(fields: list[int], stamps: list[int], targets: list[int]) ->
         clo.bulk_count += cost
         clo.enumerated_shapes.append((shape, m))
         pools = [atoms160] * m + ([atoms32] if shape == "ts" else [])
-        for combo in product(*pools):
-            if (digest := sha(b"".join(combo)).digest()) in wanted:
-                clo.hits.setdefault(wanted[digest], combo)
+        # heads, then two-pool tails, is product(*pools) order; each head
+        # and each tail is joined once per shape
+        tails = list(product(*pools[-2:]))
+        datas = [b"".join(tail) for tail in tails]
+        for head in product(*pools[:-2]):
+            prefix = b"".join(head)
+            digests = [sha(prefix + data).digest() for data in datas]
+            if not wanted.keys().isdisjoint(digests):
+                for tail, digest in zip(tails, digests):
+                    if digest in wanted:
+                        clo.hits.setdefault(wanted[digest], head + tail)
 
     # single-term hash chains iterate to DEPTH
     frontier = list(terms)

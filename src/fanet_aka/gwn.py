@@ -42,6 +42,8 @@ class Gateway:
                  user_tids: set[int] | None = None,
                  registry: dict[str, UavRecord] | None = None):
         """A restored gateway also brings the pseudonyms and UAV records on file."""
+        if not identity:
+            raise ValueError("identity must be non-empty")
         self.identity = identity
         self.id_g = text_value(identity)
         self._s = secret

@@ -111,9 +111,6 @@ class Channel:
         self.log.append(tr)
         return tr
 
-    def public_payloads(self) -> list[BitString]:
-        return [tr.payload for tr in self.log if not tr.secure]
-
     def replay(self, tr: Transmission) -> Transmission:
         """Re-send the logged public ``tr`` now; the copy is logged as replayed."""
         if tr.secure:

@@ -255,6 +255,8 @@ def test_init_gwn_refuses_a_deployment_that_lost_its_gateway_file(tmp_path):
     pytest.param("gwn.json", lambda doc: {**doc, "registry": {
         **doc["registry"], "uav-1\x00": doc["registry"]["uav-1"]}},
         id="gwn.json-shared-wire-identity"),
+    # an empty identity would make id_g 0
+    pytest.param("gwn.json", lambda doc: {**doc, "identity": ""}, id="gwn.json-empty-identity"),
 ])
 def test_malformed_state_file_exit_code(tmp_path, name, edit):
     bootstrap(tmp_path)
@@ -363,6 +365,18 @@ def test_a_name_no_state_file_can_hold_is_a_usage_error(tmp_path, capsys, comman
     assert refused.value.code == 2
     assert "cannot name a state file" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in state.iterdir()} == before
+
+
+def test_an_empty_gateway_identity_is_a_usage_error(tmp_path, capsys):
+    # its id_g would be 0; the refusal comes before any state file is written
+    state = tmp_path / "state"
+    with pytest.raises(SystemExit) as refused:
+        main(["--state-dir", str(state), "init-gwn", "--identity", ""])
+    assert refused.value.code == 2
+    assert "gateway identity must be non-empty" in capsys.readouterr().err
+    assert not state.exists()
+    assert main(["--state-dir", str(state), "init-gwn", "--identity", "g"]) == 0
+    assert json.loads((state / "gwn.json").read_text())["identity"] == "g"
 
 
 def test_a_refused_name_exits_2_without_a_traceback(tmp_path):

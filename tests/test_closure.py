@@ -1,10 +1,15 @@
+import hashlib
+import math
 import random
+from itertools import product
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanet_aka import closure
 from fanet_aka.bits import hex_of
-from fanet_aka.closure import compute_closure
+from fanet_aka.closure import Closure, compute_closure
 from fanet_aka.crypto import sha1_value
 from fanet_aka.scenarios import _observed
 from fanet_aka.simnet import SimConfig, build_world, enroll_uav, enroll_user, run_aka
@@ -204,3 +209,89 @@ def test_budget_starved_shape_is_listed_as_skipped(monkeypatch):
     assert clo.skipped_shapes == [("ts", 4)]
     assert ("ts", 4) not in clo.enumerated_shapes
     assert clo.bulk_count == 11**2 + 11 * 3 + 11**3 + 11**2 * 3 + 11**3 * 3
+
+
+def _reference_search(fields, stamps, targets, budget):
+    """The hash-of-concatenation rule as a plain ``product(*pools)`` loop:
+    one join and one hash per tuple. Returns the hits, the tuple count and
+    the enumerated and skipped shapes."""
+    atoms160 = [v.to_bytes(20, "big") for v in dict.fromkeys([*fields, 0])]
+    atoms32 = [v.to_bytes(4, "big") for v in dict.fromkeys([*stamps, 0])]
+    wanted = {t.to_bytes(20, "big"): t for t in targets}
+    hits, bulk, enumerated, skipped = {}, 0, [], []
+    for shape, m in closure._PLANS:
+        pools = [atoms160] * m + ([atoms32] if shape == "ts" else [])
+        cost = math.prod(map(len, pools))
+        if bulk + cost > budget:
+            skipped.append((shape, m))
+            continue
+        bulk += cost
+        enumerated.append((shape, m))
+        for combo in product(*pools):
+            digest = hashlib.sha1(b"".join(combo)).digest()
+            if digest in wanted:
+                hits.setdefault(wanted[digest], combo)
+    return hits, bulk, enumerated, skipped
+
+
+def _reference_xor_subset(terms, target):
+    """The GF(2) span query with contributor sets, basis rebuilt per call."""
+    pivots = {}
+    for key, (rule, _) in terms.items():
+        if rule == "hash":
+            continue
+        v, contributors = key[1], {key}
+        while v:
+            msb = v.bit_length()
+            if msb not in pivots:
+                pivots[msb] = (v, contributors)
+                break
+            pv, pm = pivots[msb]
+            v ^= pv
+            contributors ^= pm
+    vec, mask = target, set()
+    while vec:
+        msb = vec.bit_length()
+        if msb not in pivots:
+            return None
+        pv, pm = pivots[msb]
+        vec ^= pv
+        mask ^= pm
+    return sorted(mask) if mask else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, (1 << 160) - 1), min_size=1, max_size=4),
+       st.lists(st.integers(0, (1 << 32) - 1), max_size=2),
+       st.sampled_from([0, 40, 400, closure.BUDGET]),
+       st.data())
+def test_search_matches_a_plain_product_loop(fields, stamps, budget, data):
+    # one target planted in each of the six shapes, plus an XOR member and
+    # a value that is almost surely no member
+    atoms = [*dict.fromkeys([*fields, 0])]
+    stamp_atoms = [*dict.fromkeys([*stamps, 0])]
+    targets = [data.draw(st.integers(0, (1 << 160) - 1)),
+               fields[0] ^ data.draw(st.sampled_from(atoms))]
+    for shape, m in closure._PLANS:
+        parts = [data.draw(st.sampled_from(atoms)) for _ in range(m)]
+        stamp = data.draw(st.sampled_from(stamp_atoms)) if shape == "ts" else None
+        targets.append(_h(*parts, ts=stamp))
+    with patch.object(closure, "BUDGET", budget):
+        clo = compute_closure(fields, stamps, targets)
+    hits, bulk, enumerated, skipped = _reference_search(fields, stamps, targets, budget)
+    assert clo.hits == hits
+    assert (clo.bulk_count, clo.enumerated_shapes, clo.skipped_shapes) == (
+        bulk, enumerated, skipped)
+    plain = Closure(targets=clo.targets, terms=clo.terms, hits=hits)
+    for target in targets:
+        assert clo._xor_subset(target) == _reference_xor_subset(clo.terms, target)
+        assert clo.derivation(target) == plain.derivation(target)
+        assert (target in clo) == (target in plain)
+
+
+def test_span_basis_is_built_once_per_closure():
+    x, y = _rand(seed=80), _rand(seed=81)
+    clo = compute_closure([x, x ^ y], [], [y, x])
+    span = clo._span
+    assert y in clo and clo.derivation(y) and x in clo
+    assert clo._span is span

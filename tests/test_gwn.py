@@ -70,6 +70,12 @@ def test_an_empty_uav_name_is_refused():
     assert gwn.registry == {}
 
 
+def test_an_empty_gateway_identity_is_refused():
+    # as User("") is: its id_g would be 0
+    with pytest.raises(ValueError):
+        Gateway("", random.Random(3).getrandbits(SECRET_BITS))
+
+
 def test_distinct_uavs_get_distinct_challenges():
     rng = random.Random(4)
     gwn = Gateway("gateway-0", rng.getrandbits(SECRET_BITS))

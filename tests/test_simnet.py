@@ -33,9 +33,9 @@ def test_channel_records_secure_and_public_separately():
     world = _ready()
     assert world.channel.log, "registration traffic should be recorded"
     assert all(tr.secure for tr in world.channel.log)
-    assert world.channel.public_payloads() == []
+    assert [tr.payload for tr in world.channel.log if not tr.secure] == []
     run_aka(world, "alice", "uav-1")
-    assert len(world.channel.public_payloads()) == 3
+    assert len([tr.payload for tr in world.channel.log if not tr.secure]) == 3
 
 
 def test_adversary_cannot_touch_secure_channel():
@@ -45,7 +45,7 @@ def test_adversary_cannot_touch_secure_channel():
     with pytest.raises(DisallowedAction):
         world.channel.replay(secure_tr)
     assert len(world.channel.log) == logged
-    assert world.channel.public_payloads() == []
+    assert [tr.payload for tr in world.channel.log if not tr.secure] == []
 
 
 def test_adversary_actions_are_logged():
@@ -200,7 +200,7 @@ def test_worlds_are_isolated():
     first = _ready(seed=6)
     second = _ready(seed=6)
     run_aka(first, "alice", "uav-1")
-    assert second.channel.public_payloads() == []
+    assert [tr.payload for tr in second.channel.log if not tr.secure] == []
     assert second.clock.now != first.clock.now
 
 
