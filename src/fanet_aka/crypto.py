@@ -1,5 +1,10 @@
 """Cryptographic substrate: hash, nonces, simulated PUF, fuzzy extractor.
 
+:func:`sha1_value` is the general hash: parts of any width, padded to a
+byte boundary, each range-checked. The protocol's own hashes (160-bit
+fields, then at most one 32-bit timestamp, always whole bytes) run through
+:meth:`metrics.OpCounter.h` instead, which owns that layout.
+
 Everything here is deterministic given an injected ``random.Random``
 handle, which is what makes scenario runs and golden transcripts
 reproducible. The hash is SHA-1 because the whole bit-accounting contract
@@ -34,19 +39,32 @@ _from_bytes = int.from_bytes
 def sha1_value(fields, width: int = 0, value: int = 0, ts: int | None = None) -> int:
     """160-bit digest, as an int, of the concatenation of ``fields``.
 
-    Each field is the ``int`` of one 160-bit field, and ``ts``, if given,
-    the ``int`` of a 32-bit timestamp after them: a hash takes at most one
+    The general hash, for inputs outside the protocol's own layout (which
+    :meth:`metrics.OpCounter.h` owns): the PUF's 256-bit seed prefix, the
+    fuzzy extractor's 32-bit word, and replays of recorded inputs. Each
+    field is the ``int`` of one 160-bit field, and ``ts``, if given, the
+    ``int`` of a 32-bit timestamp after them: a hash takes at most one
     timestamp, always last, so its position carries its width. The
     concatenation starts from ``value``, ``width`` bits wide (none by
     default), so a caller holding a bare ``int`` of another width need not
     wrap it. It is right-padded with zero bits to a byte boundary before
     hashing (see :meth:`BitString.to_bytes`); all parties share this rule,
-    so digests computed from algebraically equal inputs match.
+    so digests computed from algebraically equal inputs match. A part
+    outside its width (negative, or a field ``>= 2**160``, a ``ts >=
+    2**32``, a ``value >= 2**width``) raises :class:`WidthMismatch`: its
+    extra bits would land in the part before it, and the digest would be
+    that of a different in-range input.
     """
+    if value >> width:
+        raise WidthMismatch(f"prefix must be {width} bits")
     for part in fields:
+        if part >> DIGEST_BITS:
+            raise WidthMismatch(f"field must be {DIGEST_BITS} bits")
         width += DIGEST_BITS
         value = (value << DIGEST_BITS) | part
     if ts is not None:
+        if ts >> TS_BITS:
+            raise WidthMismatch(f"timestamp must be {TS_BITS} bits")
         width += TS_BITS
         value = (value << TS_BITS) | ts
     pad = -width & 7

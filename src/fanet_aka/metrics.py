@@ -4,17 +4,26 @@ Roles never call the hash / PUF / fuzzy-extractor primitives directly:
 they go through an :class:`OpCounter`, so tallies are a side effect of the
 real calls and can never drift from the code. Deleting a primitive call in
 a role changes the tally and fails the pinned-count tests.
+
+:meth:`OpCounter.h` is also the protocol's hash kernel: it owns the
+protocol's byte layout (160-bit fields, then at most one 32-bit
+timestamp) and hashes it directly; :func:`crypto.sha1_value` owns the
+general layout and replays any digest ``h`` recorded.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import crypto
-from .crypto import PufDevice, sha1_value
+from .crypto import PufDevice
 from .errors import IncompleteTranscript
+
+_sha1 = hashlib.sha1
+_from_bytes = int.from_bytes
 
 #: Per-operation timing constants (milliseconds) used for *estimates* only.
 #: These are conventional reference figures for commodity hardware; this
@@ -131,8 +140,31 @@ class OpCounter:
     # counted primitive calls -------------------------------------------
 
     def h(self, *fields: int, ts: int | None = None) -> int:
+        """The protocol's hash kernel: SHA-1 over ``fields`` as 20 bytes
+        each, then ``ts``, if given, as 4 bytes; the digest as an ``int``.
+
+        This is the protocol's byte layout, always whole bytes, so it is
+        one integer, one ``to_bytes`` and one ``hashlib.sha1`` call;
+        ``sha1_value(fields, ts=ts)`` returns the same digest. Precondition:
+        every field is in ``[0, 2**160)`` and ``ts`` in ``[0, 2**32)``; a
+        wider part would alias a different input (``h(6, ts=2**32 + 1)``
+        is ``h(7, ts=1)``). It is not checked here, since the check costs
+        about 4% of a session and protocol values are always in range: a
+        role hashes digests, nonces, encoded names, XORs of those, and
+        values that crossed a checked boundary. ``Channel.send`` packs
+        every record before delivery, and packing range-checks every
+        field; the codecs mask on decode; and ``cli`` width-checks the
+        state files.
+        """
         self.hash_count += 1
-        digest = sha1_value(fields, ts=ts)
+        value = 0
+        for part in fields:
+            value = value << 160 | part
+        if ts is None:
+            data = value.to_bytes(20 * len(fields), "big")
+        else:
+            data = (value << 32 | ts).to_bytes(20 * len(fields) + 4, "big")
+        digest = _from_bytes(_sha1(data).digest(), "big")
         if _recorded is not None:
             _recorded[digest] = (fields, ts)
         return digest

@@ -195,9 +195,17 @@ CHECKS = ("credential", "mac1", "mac2", "confirmation")
 PHASES = ("login", "initiate", "finalize")
 
 
+#: The parties of a run, in the order of ``AkaResult.readings``.
+ROLES = ("user", "gwn", "uav")
+
+
 @dataclass(slots=True)
 class AkaResult:
-    """Outcome of one driven key-agreement run."""
+    """Outcome of one driven key-agreement run.
+
+    The tallies are derived from counter readings when read, so a run
+    whose counts nobody reads does not pay for them.
+    """
 
     ok: bool
     stage: str
@@ -205,8 +213,12 @@ class AkaResult:
     user_sk: int | None   # the ints of the session keys' digests
     uav_sk: int | None
     transcript: list[Transmission]
-    op_counts: dict
     marks: list  # the user's counter readings: at the start, after each phase
+    readings: tuple  # each role's (start, end) counter readings, in ROLES order
+
+    @property
+    def op_counts(self) -> dict:
+        return {role: diff_counts(*pair) for role, pair in zip(ROLES, self.readings)}
 
     @property
     def phase_counts(self) -> dict:
@@ -224,6 +236,18 @@ class AkaResult:
                 and self.user_sk == self.uav_sk)
 
 
+def _deliver(tr: Transmission, msg, intercept: Intercept, decode_msg):
+    """What the receiver of the sent ``tr`` gets through ``intercept``: the
+    sender's ``msg`` unless the bits delivered differ, then their record."""
+    payload = intercept(tr.kind, tr.payload)
+    if payload is None:
+        raise ProtocolError("dropped")
+    if payload == tr.payload:
+        return msg
+    tr.sent, tr.payload = tr.payload, payload
+    return decode_msg(payload)
+
+
 def run_aka(world: World, user_identity: str, uav_identity: str,
             intercept: Intercept | None = None,
             password: str | None = None) -> AkaResult:
@@ -235,11 +259,13 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
     transcript is the transmissions it sent itself, as delivered, whatever
     else the channel logs meanwhile. Each party's counters are read at the
     start, the user's again after each of its phases, and all at the end;
-    the differences feed the operation accounting.
+    the differences feed the operation accounting. The clock moves one
+    tick after MSG1 and one after MSG2.
     """
     user = world.users[user_identity]
     uav = world.uavs[uav_identity]
     gwn = world.gateway
+    gwn_identity = gwn.identity
     clock, channel = world.clock, world.channel
     secrets = world.user_secrets[user_identity]
     password = secrets["password"] if password is None else password
@@ -249,19 +275,6 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
     transcript: list[Transmission] = []
     user_sk = uav_sk = error = None
 
-    def send(origin: str, dest: str, msg, decode_msg):
-        tr = channel.send(origin, dest, msg)
-        transcript.append(tr)
-        if intercept is None:
-            return msg
-        payload = intercept(tr.kind, tr.payload)
-        if payload is None:
-            raise ProtocolError("dropped")
-        if payload == tr.payload:
-            return msg
-        tr.sent, tr.payload = tr.payload, payload
-        return decode_msg(payload)
-
     stage = "login"
     try:
         ctx = user.login(password, secrets["bio"])
@@ -270,27 +283,33 @@ def run_aka(world: World, user_identity: str, uav_identity: str,
 
         msg1 = user.aka_initiate(ctx, uav_identity, clock)
         marks.append(user_ops.counts())
-        msg1 = send(user_identity, gwn.identity, msg1, wire.decode_msg1)
-        clock.advance(1)
+        tr = channel.send(user_identity, gwn_identity, msg1)
+        transcript.append(tr)
+        if intercept is not None:
+            msg1 = _deliver(tr, msg1, intercept, wire.decode_msg1)
+        clock.now += 1
 
         msg2 = gwn.relay_auth(msg1, clock, world.rng)
         stage = "MSG2"
-        msg2 = send(gwn.identity, uav_identity, msg2, wire.decode_msg2)
-        clock.advance(1)
+        tr = channel.send(gwn_identity, uav_identity, msg2)
+        transcript.append(tr)
+        if intercept is not None:
+            msg2 = _deliver(tr, msg2, intercept, wire.decode_msg2)
+        clock.now += 1
 
         msg3, uav_sk = uav.aka_respond(msg2, clock, world.rng)
         stage = "MSG3"
-        msg3 = send(uav_identity, user_identity, msg3, wire.decode_msg3)
+        tr = channel.send(uav_identity, user_identity, msg3)
+        transcript.append(tr)
+        if intercept is not None:
+            msg3 = _deliver(tr, msg3, intercept, wire.decode_msg3)
 
         user_sk = user.aka_finalize(msg3, clock)
         marks.append(user_ops.counts())
         stage = "complete"
     except ProtocolError as exc:
         error = type(exc).__name__
-    return AkaResult(
-        ok=error is None, stage=stage, error=error, user_sk=user_sk,
-        uav_sk=uav_sk, transcript=transcript,
-        op_counts={"user": diff_counts(marks[0], user_ops.counts()),
-                   "gwn": diff_counts(gwn_start, gwn_ops.counts()),
-                   "uav": diff_counts(uav_start, uav_ops.counts())},
-        marks=marks)
+    user_end = marks[-1] if error is None else user_ops.counts()
+    return AkaResult(error is None, stage, error, user_sk, uav_sk, transcript, marks,
+                     ((marks[0], user_end), (gwn_start, gwn_ops.counts()),
+                      (uav_start, uav_ops.counts())))

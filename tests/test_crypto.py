@@ -50,12 +50,30 @@ def test_sha1_digest_matches_hashlib_on_the_padded_bytes(parts):
 
 
 @given(_part, st.lists(st.integers(0, (1 << 160) - 1), max_size=3))
+@example(BitString(33, (1 << 33) - 1), [(1 << 160) - 1])  # each part at its width limit
 def test_sha1_value_from_a_leading_int_hashes_as_that_part(first, rest):
     # a caller holding a bare int of any width passes it as the start of
     # the concatenation, ahead of the 160-bit field ints; the digest is that
     # of the part it stands for
     fields = [BitString(160, v) for v in rest]
     assert sha1_value(rest, first.width, first.value) == sha1_digest(first, *fields).value
+
+
+@pytest.mark.parametrize("fields, width, value, ts", [
+    ((4, 1 << 160), 0, 0, None),   # would alias (5, 0)
+    ((-1,), 0, 0, None),
+    ((6,), 0, 0, (1 << 32) + 1),   # would alias (7,) at ts 1
+    ((6,), 0, 0, -1),
+    ((), 32, 1 << 32, None),       # a prefix wider than its width
+    ((1,), 3, 0b1000, None),
+    ((), 0, -1, None),
+], ids=["field", "negative-field", "ts", "negative-ts", "prefix", "prefix-before-field",
+        "negative-prefix"])
+def test_sha1_value_refuses_a_part_wider_than_its_width(fields, width, value, ts):
+    # a part's extra bits would land in the part before it and hash as a
+    # different in-range input
+    with pytest.raises(WidthMismatch):
+        sha1_value(fields, width, value, ts)
 
 
 def test_hash_parts_matches_manual_concatenation():

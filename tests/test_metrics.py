@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -81,6 +83,11 @@ def test_int_parts_hash_and_record_like_bit_strings(fields, ts):
     assert BitString(160, digest) == sha1_digest(*parts)
     assert table == {digest: (tuple(fields), ts)}
     assert sha1_value(fields, ts=ts) == digest
+    # and the protocol's byte layout itself: 20 bytes a field, 4 for ts
+    data = b"".join(f.to_bytes(20, "big") for f in fields)
+    if ts is not None:
+        data += ts.to_bytes(4, "big")
+    assert digest == int.from_bytes(hashlib.sha1(data).digest(), "big")
 
 
 def test_every_recorded_session_hash_rehashes_to_its_key():
