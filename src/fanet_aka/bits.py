@@ -16,8 +16,9 @@ Values are validated where they enter: the public constructor and the
 ``from_*`` constructors check that the value fits its width, and so do a
 message record's constructor and ``encode`` for the fields they take.
 Values that fit by construction (XOR, slices, concatenation, digests,
-``random``, the wire codec) are built by :func:`_unchecked`, which skips
-that check.
+``random``) are built by :func:`_unchecked`, which skips that check; the
+wire codec's generated packers build their payloads the same way, through
+the same slot setters, inline.
 """
 
 from __future__ import annotations

@@ -1,9 +1,15 @@
 """Cryptographic substrate: hash, nonces, simulated PUF, fuzzy extractor.
 
+Each hash owns its byte layout. The protocol's own hashes (160-bit
+fields, then at most one 32-bit timestamp) run through
+:meth:`metrics.OpCounter.h`; the PUF hashes its 256-bit seed and 160-bit
+challenge as 52 bytes (:meth:`PufDevice.eval_value`), and the fuzzy
+extractor its 32-bit key word as 4 bytes (:func:`fe_gen`, :func:`fe_rep`).
+Each is whole bytes, so each is one ``to_bytes`` and one SHA-1 call.
 :func:`sha1_value` is the general hash: parts of any width, padded to a
-byte boundary, each range-checked. The protocol's own hashes (160-bit
-fields, then at most one 32-bit timestamp, always whole bytes) run through
-:meth:`metrics.OpCounter.h` instead, which owns that layout.
+byte boundary, each range-checked; it serves :func:`sha1_digest`, the
+session-key fingerprints and the replays of recorded inputs, and returns
+the same digest as each of the layouts above on the same parts.
 
 Everything here is deterministic given an injected ``random.Random``
 handle, which is what makes scenario runs and golden transcripts
@@ -39,9 +45,11 @@ _from_bytes = int.from_bytes
 def sha1_value(fields, width: int = 0, value: int = 0, ts: int | None = None) -> int:
     """160-bit digest, as an int, of the concatenation of ``fields``.
 
-    The general hash, for inputs outside the protocol's own layout (which
-    :meth:`metrics.OpCounter.h` owns): the PUF's 256-bit seed prefix, the
-    fuzzy extractor's 32-bit word, and replays of recorded inputs. Each
+    The general hash, for inputs of any layout: :func:`sha1_digest`'s bit
+    strings, the session-key fingerprints of ``cli`` and ``scenarios``, and
+    replays of recorded inputs. The protocol, the PUF and the fuzzy
+    extractor hash their own whole-byte layouts directly, with the digest
+    this returns for the same parts. Each
     field is the ``int`` of one 160-bit field, and ``ts``, if given, the
     ``int`` of a 32-bit timestamp after them: a hash takes at most one
     timestamp, always last, so its position carries its width. The
@@ -99,10 +107,18 @@ class PufDevice:
 
     def eval_value(self, challenge: int) -> int:
         """Deterministic response to a 160-bit challenge, as the ``int`` of
-        its 160-bit field: h(seed || challenge)."""
+        its 160-bit field: h(seed || challenge).
+
+        The layout is the 32-byte seed, then the 20-byte challenge: 52
+        bytes, hashed as one ``int`` shifted together. It cannot alias
+        another (seed, challenge) pair because both are in range: the seed
+        is checked at construction and the challenge here, on every call.
+        ``sha1_value((challenge,), PUF_SEED_BITS, seed)`` is the same digest.
+        """
         if challenge < 0 or challenge >> CHALLENGE_BITS:
             raise WidthMismatch(f"challenge must be {CHALLENGE_BITS} bits")
-        return sha1_value((challenge,), PUF_SEED_BITS, self.seed)
+        return _from_bytes(_sha1((self.seed << 160 | challenge).to_bytes(52, "big")).digest(),
+                           "big")
 
 
 #: The code-offset fuzzy extractor (Dodis, Reyzin & Smith) over one
@@ -137,11 +153,15 @@ def fe_gen(bio: int, rng: random.Random) -> tuple[int, int]:
     tau = codeword(w) XOR bio for a fresh random ``FE_KEY_BITS``-bit word w;
     sigma = h(w), the ``int`` of its 160-bit digest. tau is safe to publish:
     without a close biometric it reveals nothing usable about sigma.
+
+    w is hashed as its 4 big-endian bytes, ``sha1_value((), FE_KEY_BITS,
+    w)``'s digest. Distinct words cannot alias: w fits in 32 bits by
+    construction, and ``to_bytes`` would raise if it did not.
     """
     if bio < 0 or bio >> BIO_BITS:
         raise WidthMismatch(f"biometric must be {BIO_BITS} bits")
     word = rng.getrandbits(FE_KEY_BITS)
-    return sha1_value((), FE_KEY_BITS, word), _expand(word) ^ bio
+    return _from_bytes(_sha1(word.to_bytes(4, "big")).digest(), "big"), _expand(word) ^ bio
 
 
 def fe_rep(bio: int, tau: int) -> int:
@@ -150,7 +170,9 @@ def fe_rep(bio: int, tau: int) -> int:
     Majority-decodes each repetition block of tau XOR bio. Guaranteed to
     return enrollment's sigma whenever every block of the error pattern has
     at most ``FE_TOLERANCE`` set bits; beyond that it silently yields a
-    different digest, which downstream credential checks reject.
+    different digest, which downstream credential checks reject. The
+    decoded word is hashed as :func:`fe_gen` hashes it: 4 bytes, 32 bits
+    by construction (each of the 32 key bits is one majority vote).
     """
     if bio < 0 or bio >> BIO_BITS or tau < 0 or tau >> BIO_BITS:
         raise WidthMismatch(f"biometric and helper must be {BIO_BITS} bits")
@@ -160,4 +182,4 @@ def fe_rep(bio: int, tau: int) -> int:
     word = (votes + 5 * low) >> 3 & low  # a block's votes + 5 reach 8 iff 3 or more
     for shift, _, lanes in _STEPS:
         word = (word | word >> shift) & lanes
-    return sha1_value((), FE_KEY_BITS, word)
+    return _from_bytes(_sha1(word.to_bytes(4, "big")).digest(), "big")

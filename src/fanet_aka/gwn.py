@@ -66,9 +66,9 @@ class Gateway:
         tid_i = request.tid_i
         if tid_i in self.user_tids:
             raise DuplicateRegistration("pseudonym already registered")
-        tc = self.ops.xor(self.ops.xor(tid_i, request.tpw_i), self.ops.h(self.id_g, self._s))
+        tc_id_i = self.ops.xor(self.ops.xor(tid_i, request.tpw_i), self.ops.h(self.id_g, self._s))
         self.user_tids.add(tid_i)
-        return UserRegResponse(tc_id_i=tc)
+        return UserRegResponse(tc_id_i)
 
     def check_uav_name(self, uav_identity: str) -> int:
         """Refuse an empty or taken name or wire identity; return the wire identity."""
@@ -94,7 +94,7 @@ class Gateway:
         tc_id_j = self.ops.h(self.ops.h(id_j, n_j), self._s)
         c_j = rng.getrandbits(CHALLENGE_BITS)
         self.registry[uav_identity] = self._uav_index[id_j] = UavRecord(n_j, tc_id_j, c_j)
-        return UavRegResponse(tc_id_j=tc_id_j, c_j=c_j)
+        return UavRegResponse(tc_id_j, c_j)
 
     def register_uav_complete(self, uav_identity: str, r_j: int) -> None:
         record = self.registry.get(uav_identity)
@@ -133,8 +133,9 @@ class Gateway:
         tid_j = ops.h(id_j, n_j)
         v1 = ops.xor(ops.h(id_j, record.tc_id_j, r_j), n_j)
         mac2 = ops.h(v1, tid_j, r_j, ts=ts2)
-        return Msg2(mac2=mac2, v1=v1, h_i=ops.xor(tid_i, n_j),
-                    f_i_dprime=ops.xor(f_i, r_j), ts2=ts2)
+        h_i = ops.xor(tid_i, n_j)
+        f_i_dprime = ops.xor(f_i, r_j)
+        return Msg2(mac2, v1, h_i, f_i_dprime, ts2)
 
     def export_secret(self) -> int:
         """The long-term secret's ``int``, for the simulation secrets file only."""

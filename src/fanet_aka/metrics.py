@@ -7,8 +7,11 @@ a role changes the tally and fails the pinned-count tests.
 
 :meth:`OpCounter.h` is also the protocol's hash kernel: it owns the
 protocol's byte layout (160-bit fields, then at most one 32-bit
-timestamp) and hashes it directly; :func:`crypto.sha1_value` owns the
-general layout and replays any digest ``h`` recorded.
+timestamp) and hashes it directly. :meth:`OpCounter.puf`,
+:meth:`OpCounter.fe_gen` and :meth:`OpCounter.fe_rep` count and then call
+the PUF and the fuzzy extractor, which hash their own whole-byte layouts
+in :mod:`crypto`. None of the four calls :func:`crypto.sha1_value`, the
+general layout, which replays any digest ``h`` recorded.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def recording():
         _recorded = outer
 
 
-@dataclass
+@dataclass(slots=True)
 class OpCounter:
     """Counted facade over the primitives, one per protocol role.
 

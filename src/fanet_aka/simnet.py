@@ -105,8 +105,7 @@ class Channel:
 
     def send(self, origin: str, dest: str, msg, secure: bool = False) -> Transmission:
         """Encode ``msg`` and log it under its own kind."""
-        tr = Transmission(tick=self.clock.now, origin=origin, dest=dest,
-                          kind=msg.KIND, payload=encode(msg), secure=secure)
+        tr = Transmission(self.clock.now, origin, dest, msg.KIND, encode(msg), secure)
         self.logged += 1
         self.log.append(tr)
         return tr
@@ -115,8 +114,8 @@ class Channel:
         """Re-send the logged public ``tr`` now; the copy is logged as replayed."""
         if tr.secure:
             raise DisallowedAction("secure-channel message is out of reach")
-        copy = Transmission(tick=self.clock.now, origin=tr.origin, dest=tr.dest,
-                            kind=tr.kind, payload=tr.payload, replayed=True)
+        copy = Transmission(self.clock.now, tr.origin, tr.dest, tr.kind, tr.payload,
+                            False, True)  # not secure, replayed
         self.logged += 1
         self.log.append(copy)
         return copy
@@ -168,7 +167,7 @@ def enroll_uav(world: World, identity: str, announce: bool = False) -> Uav:
     gwn = world.gateway
     id_j = gwn.check_uav_name(identity)
     puf = PufDevice.generate(world.rng)
-    world.channel.send(identity, gwn.identity, wire.UavRegRequest(id_j=id_j), secure=True)
+    world.channel.send(identity, gwn.identity, wire.UavRegRequest(id_j), secure=True)
     response = gwn.register_uav_begin(identity, id_j, world.rng)
     world.channel.send(gwn.identity, identity, response, secure=True)
     uav = Uav(identity, id_j, puf, response.c_j, response.tc_id_j)

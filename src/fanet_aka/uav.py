@@ -34,7 +34,8 @@ class Uav:
 
     def register(self) -> UavRegSubmit:
         """Answer the enrollment challenge with its PUF response."""
-        return UavRegSubmit(r_j=self.ops.puf(self._puf, self.c_j))
+        r_j = self.ops.puf(self._puf, self.c_j)
+        return UavRegSubmit(r_j)
 
     # -- key agreement ---------------------------------------------------------
 
@@ -69,7 +70,7 @@ class Uav:
         session_key = ops.h(v3, tid_i, rid_j, n_k, ts=ts3)
         v4 = ops.xor(v3, ops.h(tid_i, rid_j, n_k))
         v5 = ops.xor(ops.h(tid_i, rid_j, ts=ts3), n_k)
-        return Msg3(v5=v5, v4=v4, ts3=ts3, v2=v2), session_key
+        return Msg3(v5, v4, ts3, v2), session_key
 
     # -- adversary capability ----------------------------------------------------
 

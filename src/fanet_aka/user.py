@@ -85,7 +85,7 @@ class User:
         tid_i = self.ops.h(self.id_i, n_i)
         tpw_i = self.ops.h(text_value(password), n_i)
         self._reg = (n_i, tid_i, tpw_i)
-        return UserRegRequest(tid_i=tid_i, tpw_i=tpw_i)
+        return UserRegRequest(tid_i, tpw_i)
 
     def register_complete(self, response: UserRegResponse, bio: int,
                           rng: random.Random) -> SmartCard:
@@ -138,7 +138,7 @@ class User:
         f_i_prime = ops.xor(e_i, f_i)
         g_i = ops.xor(tid_i, f_i)
         self._pending = PendingSession(tid_i=tid_i, rid_j=rid_j, id_j=id_j)
-        return Msg1(mac1=mac1, rid_j=rid_j, g_i=g_i, f_i_prime=f_i_prime, ts1=ts1)
+        return Msg1(mac1, rid_j, g_i, f_i_prime, ts1)
 
     def aka_finalize(self, msg3: Msg3, clock) -> int:
         """Verify MSG3 and derive the session key, the ``int`` of its digest.

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields as dc_fields
 from heapq import heappop, heappush
 
-from .bits import BitString, _unchecked
+from .bits import BitString, _set_value, _set_width
 from .crypto import DIGEST_BITS, ID_BITS, TS_BITS
 from .errors import IncompleteTranscript, ReplayDetected, StaleTimestamp, WidthMismatch
 
@@ -52,12 +52,15 @@ def _record(cls):
 
     The constructor keeps an ``int`` as it is (packing range-checks it),
     turns a BitString of the field's width into its ``int``, and raises
-    WidthMismatch on any other width. Packing range-checks each field and
-    shifts every field into one expression; unpacking slices the payload
-    by constant (shift, mask) pairs. The source of all three is generated
-    per class from ``WIDTHS``, as ``dataclasses`` does, and they set the
-    fields through the slot descriptors, so the record is immutable to
-    everyone else: assigning a field raises AttributeError.
+    WidthMismatch on any other width. Packing range-checks the fields with
+    one test per width, ``(a | b | c | d) >> 160 or ts >> 32``; only when
+    that fails does it walk the per-field checks in declaration order, so
+    the error names the first field out of range. It then shifts every
+    field into one expression, the payload's value; unpacking slices the
+    payload by constant (shift, mask) pairs. The source of all three is
+    generated per class from ``WIDTHS``, as ``dataclasses`` does, and they
+    set the fields through the slot descriptors, so the record is immutable
+    to everyone else: assigning a field raises AttributeError.
     """
     cls = dataclass(slots=True, init=False)(cls)
     name = cls.__name__
@@ -70,21 +73,30 @@ def _record(cls):
               f"        raise WidthMismatch(f'{name} is {total} bits, got {{raw.width}}')",
               "    value = raw.value",
               "    msg = _new(cls)"]
-    terms, shift = [], total
+    terms, checks, groups, shift = [], [], {}, total
     for field_name, width in zip(names, cls.WIDTHS):
         shift -= width
         where, mask = f"{name}.{field_name}", (1 << width) - 1
         init.append(f"    _set_{field_name}(self, {field_name} if type({field_name}) "
                     f"is int else _field_int({field_name}, {width}, '{where}'))")
-        pack += [f"    {field_name} = self.{field_name}",
-                 f"    if not 0 <= {field_name} <= {mask}:",
-                 f"        raise WidthMismatch('{where} does not fit in {width} bits')"]
+        pack.append(f"    {field_name} = self.{field_name}")
+        checks += [f"        if not 0 <= {field_name} <= {mask}:",
+                   f"            raise WidthMismatch('{where} does not fit in {width} bits')"]
+        groups.setdefault(width, []).append(field_name)
         terms.append(f"{field_name} << {shift}")
         unpack.append(f"    _set_{field_name}(msg, value >> {shift} & {mask})")
-    pack.append(f"    return _unchecked({total}, {' | '.join(terms)})")
+    # a negative field makes its group's OR negative, so the shift is nonzero too
+    pack.append("    if " + " or ".join(f"({' | '.join(group)}) >> {width}"
+                                        for width, group in groups.items()) + ":")
+    pack += checks
+    pack += ["    payload = _new(BitString)",
+             f"    _set_width(payload, {total})",
+             f"    _set_value(payload, {' | '.join(terms)})",
+             "    return payload"]
     unpack.append("    return msg")
     namespace = {"cls": cls, "_field_int": _field_int, "_new": object.__new__,
-                 "_unchecked": _unchecked, "WidthMismatch": WidthMismatch}
+                 "BitString": BitString, "_set_width": _set_width, "_set_value": _set_value,
+                 "WidthMismatch": WidthMismatch}
     namespace.update({f"_set_{field_name}": cls.__dict__[field_name].__set__
                       for field_name in names})
     exec("\n".join(init + [""] + pack + [""] + unpack), namespace)

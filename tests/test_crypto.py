@@ -138,6 +138,26 @@ def test_puf_rejects_bad_seed_width():
             PufDevice(seed)
 
 
+_SEED_MAX, _CHALLENGE_MAX = (1 << PUF_SEED_BITS) - 1, (1 << CHALLENGE_BITS) - 1
+
+
+@given(st.integers(0, _SEED_MAX), st.integers(0, _CHALLENGE_MAX))
+@example(0, 0)
+@example(_SEED_MAX, 0)
+@example(0, _CHALLENGE_MAX)
+@example(_SEED_MAX, _CHALLENGE_MAX)
+def test_puf_hashes_seed_then_challenge_as_52_bytes(seed, challenge):
+    # the PUF's own layout is the general hash's, and the plain bytes'
+    device = PufDevice(seed)
+    expected = int.from_bytes(hashlib.sha1(seed.to_bytes(32, "big")
+                                           + challenge.to_bytes(20, "big")).digest(), "big")
+    assert device.eval_value(challenge) == sha1_value((challenge,), PUF_SEED_BITS, seed)
+    assert device.eval_value(challenge) == expected
+    for bad in (-1, 1 << CHALLENGE_BITS):
+        with pytest.raises(WidthMismatch):
+            device.eval_value(bad)
+
+
 def test_int_cores_match_their_bit_string_wrappers():
     # the role steps take the PUF response and the extractor digest as ints
     rng = random.Random(4)
@@ -196,6 +216,30 @@ def test_fe_rejects_width_mismatch():
     for bio, tau in ((1 << BIO_BITS, 0), (-1, 0), (0, 1 << BIO_BITS), (0, -1)):
         with pytest.raises(WidthMismatch):
             fe_rep(bio, tau)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, (1 << BIO_BITS) - 1))
+@example(0, 0)
+@example(2 ** 32 - 1, (1 << BIO_BITS) - 1)
+def test_fe_hashes_its_word_as_4_bytes(seed, bio):
+    # a clone of the rng draws the word fe_gen draws; sigma and the
+    # reproduced key are both the general hash of that 32-bit word
+    rng = random.Random(seed)
+    clone = random.Random()
+    clone.setstate(rng.getstate())
+    word = clone.getrandbits(FE_KEY_BITS)
+    sigma, tau = fe_gen(bio, rng)
+    assert sigma == sha1_value((), FE_KEY_BITS, word)
+    assert fe_rep(bio, tau) == sha1_value((), FE_KEY_BITS, word)
+
+
+@given(st.integers(0, (1 << FE_KEY_BITS) - 1), st.integers(0, (1 << BIO_BITS) - 1))
+@example(0, 0)
+@example((1 << FE_KEY_BITS) - 1, 0)
+@example((1 << FE_KEY_BITS) - 1, (1 << BIO_BITS) - 1)
+def test_fe_rep_hashes_the_decoded_word_as_4_bytes(word, bio):
+    expected = int.from_bytes(hashlib.sha1(word.to_bytes(4, "big")).digest(), "big")
+    assert fe_rep(bio, _expand(word) ^ bio) == sha1_value((), FE_KEY_BITS, word) == expected
 
 
 def _per_block_error(rng, max_flips):

@@ -34,11 +34,14 @@ def test_fleet_mixed_runs_correct():
 def test_traced_aka_hot_runs_correct():
     # the span table and the BitString.__init__ counter, end to end: an
     # honest session builds its payloads unchecked and no BitString through
-    # __init__ (test_perfbench_names checks that the counter counts)
+    # __init__ (test_perfbench_names checks that the counter counts); its
+    # PUF and extractor calls still go through the counted OpCounter methods
     result = _run("aka_hot", "--trace", "1")
     assert result["correct"] is True
     metrics = result["metrics"]
     assert metrics["metrics.hash_per_session"]["value"] == 25
+    assert metrics["metrics.puf_per_session"]["value"] == 1
+    assert metrics["metrics.fe_per_session"]["value"] == 1
     assert metrics["bits.constructions_per_session"]["value"] == 0
 
 

@@ -1,5 +1,6 @@
 import random
 from dataclasses import fields, replace
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -83,6 +84,20 @@ def test_out_of_range_int_is_refused_at_encode(cls):
             msg = cls(*values)
             with pytest.raises(WidthMismatch, match=f"{cls.__name__}.{_names(cls)[i]}"):
                 encode(msg)
+
+
+@pytest.mark.parametrize("cls", wire.MESSAGE_TYPES)
+def test_two_out_of_range_ints_name_the_first_declared(cls):
+    # packing tests each width group at once and only then field by field,
+    # in declaration order, so the error names the same field as a walk of
+    # one check per field
+    names = _names(cls)
+    for i, j in combinations(range(len(names)), 2):
+        for bad_i, bad_j in product((-1, 1 << cls.WIDTHS[i]), (-1, 1 << cls.WIDTHS[j])):
+            values = [0] * len(names)
+            values[i], values[j] = bad_i, bad_j
+            with pytest.raises(WidthMismatch, match=f"{cls.__name__}.{names[i]} "):
+                encode(cls(*values))
 
 
 @pytest.mark.parametrize("cls", wire.MESSAGE_TYPES)
