@@ -11,15 +11,20 @@ target fields it will ask about; only those may be queried. The engine is
 explicit trace) but deliberately incomplete beyond its bounds:
 
 * XOR derivability is decided exactly by linear algebra over GF(2)
-  instead of materializing the exponential combination set. Only
-  observation-derived terms (givens and zero constants) generate the
-  span; digests minted by the engine's own hash rules do not, because
-  enough unrelated one-way digests span the whole field and would make
-  every value a vacuous "XOR combination".
-* Hash-of-concatenation is explored over field-shaped tuples (sequences
-  of 160-bit terms, optionally suffixed by one 32-bit timestamp), the
-  shapes the protocol itself uses, under a fixed tuple budget
-  (:data:`BUDGET`) and one composition level deep. Each shape is walked
+  instead of materializing the exponential combination set. The span's
+  generators are the knowledge atoms (givens and zero constants); the
+  digests the hash rule mints are not, because enough unrelated one-way
+  digests span the whole field and would make every value a vacuous
+  "XOR combination".
+* Hashing is one rule: hash-of-concatenation over field-shaped tuples
+  (sequences of 160-bit atoms, optionally suffixed by one 32-bit
+  timestamp), the shapes the protocol itself uses, one-part shapes
+  included, under a fixed tuple budget (:data:`BUDGET`) and one
+  composition level deep. A digest is never hashed again: past one
+  level a hash's input is a lone digest or a tuple of digests, which
+  the protocol never forms, so it can meet a protocol value only through
+  a SHA-1 collision (Comon-Lundh & Shmatikov, LICS 2003; Chevalier,
+  Küsters, Rusinowitch & Turuani, LICS 2003). Each shape is walked
   in ``itertools.product`` order over its pools, so a target's recorded
   preimage is its first hit in that order, and each tuple is hashed
   exactly once: ``bulk_count`` (a report's ``closure_bulk``) is the
@@ -27,7 +32,6 @@ explicit trace) but deliberately incomplete beyond its bounds:
   declared targets and dropped: memory holds one shape's joined last two
   terms and one run of digests, never the whole enumeration. Shapes that
   do not fit the budget are recorded as skipped.
-* Single-term hash chains iterate to a fixed depth (:data:`DEPTH`).
 
 This is an engineering proxy for the informal infeasibility arguments,
 not a cryptographic proof, and is documented as such.
@@ -43,8 +47,6 @@ from itertools import product
 from .bits import hex_of
 from .crypto import DIGEST_BITS as FIELD_BITS, TS_BITS as TS_FIELD_BITS
 
-#: Rounds of the single-term hash-chain rule; 0 stops at the givens.
-DEPTH = 4
 #: Most hash-concatenation tuples one closure streams.
 BUDGET = 2_000_000
 
@@ -56,7 +58,8 @@ ZERO_WIDTHS = (TS_FIELD_BITS, FIELD_BITS)
 #: timestamp. Smallest shapes come first so the budget starves only the
 #: widest enumerations. Together these cover every hash input shape the
 #: protocol uses.
-_PLANS = (("pure", 2), ("ts", 1), ("pure", 3), ("ts", 2), ("ts", 3), ("ts", 4))
+_PLANS = (("ts", 0), ("pure", 1), ("pure", 2), ("ts", 1), ("pure", 3), ("ts", 2),
+          ("ts", 3), ("ts", 4))
 
 
 @dataclass
@@ -64,7 +67,7 @@ class Closure:
     """Result of a closure computation; decides membership of its targets."""
 
     targets: set = field(default_factory=set)     # queryable field ints
-    terms: dict = field(default_factory=dict)     # (width, value) -> (rule, parent keys)
+    terms: dict = field(default_factory=dict)     # knowledge atoms (width, value) -> None
     hits: dict = field(default_factory=dict)      # target -> hash-concat preimage bytes
     bulk_count: int = 0                           # hash-concat tuples streamed
     enumerated_shapes: list = field(default_factory=list)
@@ -80,7 +83,7 @@ class Closure:
         self._declared(target)
         key = (FIELD_BITS, target)
         if key in self.terms:
-            return self._trace_lines(key)
+            return [f"given {hex_of(*key)}"]
         if target in self.hits:
             return [f"hash-concat({', '.join(p.hex() for p in self.hits[target])}) "
                     f"= {hex_of(*key)}"]
@@ -98,18 +101,18 @@ class Closure:
 
     @cached_property
     def _span(self) -> tuple[list[tuple[int, int]], dict[int, tuple[int, int]]]:
-        """GF(2) basis of the observation-derived terms, built on the first
-        span query: the generator keys, and msb position -> (vector, mask),
+        """GF(2) basis of the knowledge atoms, built on the first span
+        query: the generator keys, and msb position -> (vector, mask),
         where bit i of the mask marks generator i as a contributor.
 
         Timestamps join zero-extended, which is legitimate because the
-        adversary holds the zero constants. Digest outputs produced by the
-        hash rules are deliberately not span generators: enough unrelated
-        one-way digests span the whole field, which would make every
-        value an "XOR combination" without corresponding to any attack
-        knowledge. They still answer exact membership queries.
+        adversary holds the zero constants. Digests found by the hash rule
+        are deliberately not span generators: enough unrelated one-way
+        digests span the whole field, which would make every value an
+        "XOR combination" without corresponding to any attack knowledge.
+        They still answer exact membership queries.
         """
-        keys = [key for key, (rule, _) in self.terms.items() if rule != "hash"]
+        keys = list(self.terms)
         pivots: dict[int, tuple[int, int]] = {}
         for i, (_, v) in enumerate(keys):
             mask = 1 << i
@@ -138,22 +141,9 @@ class Closure:
             return None  # the zero field answers via the zero constants
         return sorted(key for i, key in enumerate(keys) if mask >> i & 1)
 
-    def _trace_lines(self, key, depth: int = 0) -> list[str]:
-        rule, parents = self.terms[key]
-        if rule == "given":
-            return [f"given {hex_of(*key)}"]
-        if depth > 6:
-            return [f"{rule}(...) = {hex_of(*key)}"]
-        lines = []
-        for p in parents:
-            lines.extend(self._trace_lines(p, depth + 1))
-        args = ", ".join(hex_of(*p) for p in parents)
-        lines.append(f"{rule}({args}) = {hex_of(*key)}")
-        return lines
-
 
 def compute_closure(fields: list[int], stamps: list[int], targets: list[int]) -> Closure:
-    """Least fixed point of the derivation rules, truncated at :data:`DEPTH`.
+    """Closure of the knowledge atoms under XOR and one level of hashing.
 
     ``fields`` and ``targets`` are the ``int``s of 160-bit fields and
     ``stamps`` those of 32-bit timestamps. Only the ``targets`` may be
@@ -164,15 +154,10 @@ def compute_closure(fields: list[int], stamps: list[int], targets: list[int]) ->
     """
     clo = Closure(targets=set(targets))
     terms = clo.terms
-    for width, values in ((FIELD_BITS, fields), (TS_FIELD_BITS, stamps)):
-        for value in values:
-            terms.setdefault((width, value), ("given", ()))
+    terms.update(dict.fromkeys([(FIELD_BITS, v) for v in fields]
+                               + [(TS_FIELD_BITS, v) for v in stamps]))
     if terms:
-        for width in ZERO_WIDTHS:
-            terms.setdefault((width, 0), ("zero-constant", ()))
-
-    if DEPTH <= 0:
-        return clo
+        terms.update(dict.fromkeys((width, 0) for width in ZERO_WIDTHS))
 
     # hash-of-concatenation over protocol-shaped tuples, budget capped,
     # streamed against the declared targets
@@ -201,19 +186,5 @@ def compute_closure(fields: list[int], stamps: list[int], targets: list[int]) ->
                 for tail, digest in zip(tails, digests):
                     if digest in wanted:
                         clo.hits.setdefault(wanted[digest], head + tail)
-
-    # single-term hash chains iterate to DEPTH
-    frontier = list(terms)
-    for _ in range(DEPTH):
-        new = []
-        for width, value in frontier:
-            data = sha(value.to_bytes(width // 8, "big")).digest()
-            digest = (FIELD_BITS, int.from_bytes(data, "big"))
-            if digest not in terms:
-                terms[digest] = ("hash", ((width, value),))
-                new.append(digest)
-        if not new:
-            break
-        frontier = new
 
     return clo

@@ -43,7 +43,7 @@ def results():
     (4, "protocol correctness over 1000 randomized seeds"),
     (5, "tamper exhaustion over all 1856 message bits"),
     (6, "replay rejected inside and outside the freshness window"),
-    (7, "knowledge-closure suite at depth 4 with positive control"),
+    (7, "knowledge-closure suite, one hash level, positive control"),
     (8, "fuzzy extractor tolerance, 500 cases plus targeted failure"),
     (9, "lifecycle integrations: update, replacement, dynamic addition"),
     (10, "DoS bound: 10000 garbage requests, at most 3 hashes each"),
@@ -57,6 +57,15 @@ def test_criterion(results, number, name):
     if bound is not None:
         assert result.elapsed_s < bound, \
             f"criterion {number} took {result.elapsed_s:.1f}s, bound {bound}s"
+
+
+def test_closure_criterion_lists_claims_searched_short_of_their_shapes(results):
+    """Criterion 7 names each secrecy claim whose closure skipped a shape for budget."""
+    unsearched = {name: detail["unsearched"] for name, detail in results[7].details.items()
+                  if "unsearched" in detail}
+    assert unsearched.pop("esl") == {
+        "one session fully opened, other keys stay safe": [("ts", 4)]}
+    assert len(unsearched) == 6 and not any(unsearched.values())
 
 
 @pytest.fixture(scope="module")

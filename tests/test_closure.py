@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from fanet_aka import closure
 from fanet_aka.bits import hex_of
 from fanet_aka.closure import Closure, compute_closure
-from fanet_aka.crypto import sha1_value
+from fanet_aka.crypto import BIO_BITS, sha1_value
+from fanet_aka.metrics import recording
 from fanet_aka.scenarios import _observed
 from fanet_aka.simnet import SimConfig, build_world, enroll_uav, enroll_user, run_aka
 from fanet_aka.wire import Msg1, Msg2, Msg3, decode
@@ -62,18 +63,21 @@ def test_multi_term_xor_combinations_are_found():
 
 
 def test_hash_rule_and_chaining():
-    x = _rand(seed=10)
-    clo = compute_closure([x], [], [_h(x), _h(_h(x))])
-    assert _h(x) in clo
-    assert _h(_h(x)) in clo
+    # one-part hashes are searched; a digest is never hashed again
+    x, ts = _rand(seed=10), 5
+    clo = compute_closure([x], [ts], [_h(x), _h(ts=ts), _h(_h(x))])
+    assert _h(x) in clo and _h(ts=ts) in clo
+    assert _h(_h(x)) not in clo
 
 
-def test_depth_zero_is_just_the_givens(monkeypatch):
-    monkeypatch.setattr(closure, "DEPTH", 0)
-    x = _rand(seed=11)
-    clo = compute_closure([x], [], [x, _h(x)])
-    assert x in clo
-    assert _h(x) not in clo
+def test_terms_are_the_knowledge_atoms():
+    # the givens, once each, and the two zero constants; no digest the
+    # hash rule finds joins them
+    fields = [_rand(seed=11), _rand(seed=12), _rand(seed=11)]
+    stamps = [4, 4, 6]
+    clo = compute_closure(fields, stamps, [_h(*fields[:2], ts=6)])
+    assert _h(*fields[:2], ts=6) in clo
+    assert len(clo.terms) == len(set(fields)) + len(set(stamps)) + 2
 
 
 def test_hash_of_concatenation_is_explored():
@@ -92,6 +96,27 @@ def test_concat_hash_trace_reconstruction():
     steps = clo.derivation(target)
     assert steps and "hash-concat" in steps[0]
     assert hex_of(160, a) in steps[0] and hex_of(160, b) in steps[0]
+
+
+def test_plans_cover_every_hash_shape_the_protocol_uses():
+    # registration of both parties, login, a full session, a credential
+    # update and a card replacement: every hash input the parties form
+    # has a shape the hash-of-concatenation rule searches
+    with recording() as hashes:
+        world = build_world(SimConfig(seed=0))
+        enroll_user(world, "alice", "alice-passphrase")
+        enroll_uav(world, "uav-1")
+        assert run_aka(world, "alice", "uav-1").ok
+        secrets = world.user_secrets["alice"]
+        new_bio = world.rng.getrandbits(BIO_BITS)
+        world.users["alice"].update_credentials(secrets["password"], secrets["bio"],
+                                                "updated-passphrase", new_bio, world.rng)
+        secrets.update(password="updated-passphrase", bio=new_bio)
+        assert run_aka(world, "alice", "uav-1").ok
+        enroll_user(world, "alice", "replacement-pw")
+        assert run_aka(world, "alice", "uav-1").ok
+    shapes = {("pure" if ts is None else "ts", len(fields)) for fields, ts in hashes.values()}
+    assert shapes <= set(closure._PLANS)
 
 
 def test_observed_splits_a_transcript_into_fields_and_stamps():
@@ -140,8 +165,9 @@ def test_budget_zero_skips_tuple_enumeration(monkeypatch):
     a, b = _rand(seed=41), _rand(seed=42)
     clo = compute_closure([a, b], [], [_h(a, b), _h(a)])
     assert clo.bulk_count == 0
-    assert _h(a, b) not in clo
-    assert _h(a) in clo  # single-term rule is not budgeted
+    assert _h(a, b) not in clo and _h(a) not in clo
+    # the zero constants give every shape a pool, so all eight are skipped
+    assert clo.skipped_shapes == list(closure._PLANS)
 
 
 def test_zero_constants_are_assumed_public():
@@ -208,7 +234,7 @@ def test_budget_starved_shape_is_listed_as_skipped(monkeypatch):
     clo = compute_closure(atoms, [1, 2], [_h(*atoms[:4], ts=2)])
     assert clo.skipped_shapes == [("ts", 4)]
     assert ("ts", 4) not in clo.enumerated_shapes
-    assert clo.bulk_count == 11**2 + 11 * 3 + 11**3 + 11**2 * 3 + 11**3 * 3
+    assert clo.bulk_count == 3 + 11 + 11**2 + 11 * 3 + 11**3 + 11**2 * 3 + 11**3 * 3
 
 
 def _reference_search(fields, stamps, targets, budget):
@@ -237,9 +263,7 @@ def _reference_search(fields, stamps, targets, budget):
 def _reference_xor_subset(terms, target):
     """The GF(2) span query with contributor sets, basis rebuilt per call."""
     pivots = {}
-    for key, (rule, _) in terms.items():
-        if rule == "hash":
-            continue
+    for key in terms:
         v, contributors = key[1], {key}
         while v:
             msb = v.bit_length()
@@ -266,7 +290,7 @@ def _reference_xor_subset(terms, target):
        st.sampled_from([0, 40, 400, closure.BUDGET]),
        st.data())
 def test_search_matches_a_plain_product_loop(fields, stamps, budget, data):
-    # one target planted in each of the six shapes, plus an XOR member and
+    # one target planted in each of the eight shapes, plus an XOR member and
     # a value that is almost surely no member
     atoms = [*dict.fromkeys([*fields, 0])]
     stamp_atoms = [*dict.fromkeys([*stamps, 0])]
