@@ -14,9 +14,7 @@ from dataclasses import dataclass, replace
 
 from .crypto import BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE, fe_gen, fe_rep
 from .metrics import count_session, overhead_report
-from .scenarios import (POSITIVE_CONTROL, _world, run_dynamic_addition,
-                        run_lifecycle_replacement, run_lifecycle_update,
-                        run_scenario)
+from .scenarios import POSITIVE_CONTROL, _world, run_scenario
 from .simnet import SimConfig, run_aka
 from .wire import protocol_bits
 
@@ -167,13 +165,12 @@ def fuzzy_tolerance(cfg: SimConfig) -> CriterionResult:
 
 
 def lifecycle(cfg: SimConfig) -> CriterionResult:
-    update = run_lifecycle_update(cfg)
-    replacement = run_lifecycle_replacement(cfg)
-    addition = run_dynamic_addition(cfg)
-    ok = update["passed"] and replacement["passed"] and addition["passed"]
+    reports = [run_scenario(name, cfg)
+               for name in ("lifecycle_update_replace", "dynamic_addition")]
     return CriterionResult(9, "lifecycle integrations (update, replace, add)",
-                           ok, {"update": update, "replacement": replacement,
-                                "addition": addition})
+                           all(r.passed for r in reports),
+                           {r.scenario: {v["claim"]: v["passed"] for v in r.verdicts}
+                            for r in reports})
 
 
 def dos_bound(cfg: SimConfig) -> CriterionResult:

@@ -12,10 +12,10 @@ where a value leaves. Widths are explicit and equality is bit-exact:
 is the most significant bit (big-endian), both for indexing and for the
 wire layout.
 
-Values are validated where they enter: the public constructor and the
-``from_*`` constructors check that the value fits its width, and so do a
-message record's constructor and ``encode`` for the fields they take.
-Values that fit by construction (XOR, slices, concatenation, digests,
+Values are validated where they enter: the public constructor and
+:meth:`BitString.from_hex` check that the value fits its width, and so do
+a message record's constructor and ``encode`` for the fields they take.
+Values that fit by construction (flips, slices, concatenation, digests,
 ``random``) are built by :func:`_unchecked`, which skips that check; the
 wire codec's generated packers build their payloads the same way, through
 the same slot setters, inline.
@@ -70,18 +70,10 @@ class BitString:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zeros(cls, width: int) -> "BitString":
-        return cls(width, 0)
-
-    @classmethod
     def random(cls, width: int, rng: random.Random) -> "BitString":
         if width < 0:
             raise ValueError(f"negative width {width}")
         return _unchecked(width, rng.getrandbits(width))
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitString":
-        return cls(8 * len(data), int.from_bytes(data, "big"))
 
     @classmethod
     def from_hex(cls, text: str, width: int | None = None) -> "BitString":
@@ -106,11 +98,6 @@ class BitString:
                                 f"got {text!r}")
         return cls(width, value >> pad)
 
-    @classmethod
-    def from_text(cls, text: str) -> "BitString":
-        """The 160-bit field of an identity or password (see :func:`text_value`)."""
-        return cls(8 * TEXT_BYTES, text_value(text))
-
     # -- views ------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
@@ -126,25 +113,10 @@ class BitString:
         """Lowercase hex of :meth:`to_bytes`, no separators."""
         return self.to_bytes().hex()
 
-    def __len__(self) -> int:
-        return self.width
-
     def __repr__(self) -> str:
         return f"BitString({self.width}, 0x{self.value:x})"
 
-    # -- algebra ----------------------------------------------------------
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        """Bitwise XOR; the shorter operand is zero-extended on the left."""
-        width, other_width = self.width, other.width
-        return _unchecked(width if width >= other_width else other_width,
-                          self.value ^ other.value)
-
-    def bit(self, index: int) -> int:
-        """Bit at ``index`` counting from the most significant bit."""
-        if not 0 <= index < self.width:
-            raise IndexError(index)
-        return (self.value >> (self.width - 1 - index)) & 1
+    # -- tamper and search ------------------------------------------------
 
     def flip(self, index: int) -> "BitString":
         """Copy with the bit at ``index`` inverted (tamper primitive)."""

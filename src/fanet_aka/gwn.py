@@ -82,7 +82,7 @@ class Gateway:
         if uav_identity in self.registry:
             raise DuplicateRegistration(f"{uav_identity} already registered")
         if id_j in self._uav_index:
-            # from_text zero-pads, so "uav-1" and "uav-1\x00" are one identity
+            # text_value zero-pads, so "uav-1" and "uav-1\x00" are one identity
             raise DuplicateRegistration(f"{uav_identity!r} has the wire identity "
                                         f"of a registered UAV")
 

@@ -1,10 +1,11 @@
-"""Attack scenario catalog.
+"""Scenario catalog: the attacks and the credential lifecycle flows.
 
-Each scenario builds a fresh deployment, runs a scripted attack against
-it, evaluates its security claim, and returns a report. Claims about
-derivability are decided by the bounded knowledge-closure engine; claims
-about protocol behavior (forgeries, replays, floods) are decided by
-actually attempting the attack against the real state machines.
+Each scenario builds a fresh deployment, runs a scripted attack or
+lifecycle flow against it, evaluates its claims, and returns a report.
+Claims about derivability are decided by the bounded knowledge-closure
+engine; claims about protocol behavior (forgeries, replays, floods,
+credential changes) are decided by actually running it against the real
+state machines.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 from .bits import BitString, hex_of, text_value
 from .closure import compute_closure
-from .crypto import BIO_BITS, DIGEST_BITS, TS_BITS, sha1_value
+from .crypto import BIO_BITS, DIGEST_BITS, PUF_SEED_BITS, TS_BITS, sha1_value
 from .errors import (DuplicateRegistration, IncompleteTranscript, ProtocolError,
                      ReplayDetected, StaleTimestamp, UnknownScenario)
 from .metrics import recording
@@ -131,6 +132,15 @@ def _not_derivable(report, seen, held: list[int], claims: dict) -> None:
                      closure_skipped=clo.skipped_shapes)
 
 
+def _raises(expected: type, call, *args) -> bool:
+    """True if ``call(*args)`` raises ``expected``."""
+    try:
+        call(*args)
+    except expected:
+        return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
@@ -229,33 +239,22 @@ def impersonation(report: ScenarioReport, world: World, cfg: SimConfig):
     deliver(Msg1(msg1.mac1, msg1.rid_j, msg1.g_i, msg1.f_i_prime, now),
             Msg2(msg2.mac2, msg2.v1, msg2.h_i, msg2.f_i_dprime, now))
 
-    # MSG3 forgeries against a live pending session
-    for _ in range(ATTEMPTS):
+    def deliver3(forge) -> None:
+        """Run a session whose MSG3 is replaced by ``forge(fresh ts3)``."""
         world.clock.advance(1)
 
-        def forge3(kind, payload, _rng=rng):
-            if kind != "MSG3":
-                return payload
-            forged = Msg3(v5=BitString.random(160, _rng),
-                          v4=BitString.random(160, _rng),
-                          ts3=ts_bits(world.clock.now),
-                          v2=BitString.random(160, _rng))
-            return encode(forged)
+        def swap(kind, payload):
+            return encode(forge(ts_bits(world.clock.now))) if kind == "MSG3" else payload
 
-        outcome = run_aka(world, "alice", "uav-1", intercept=forge3)
-        if outcome.ok:
+        if run_aka(world, "alice", "uav-1", intercept=swap).ok:
             accepted["MSG3"] += 1
+
+    # MSG3 forgeries against a live pending session
+    for _ in range(ATTEMPTS):
+        deliver3(lambda ts3: Msg3(BitString.random(160, rng), BitString.random(160, rng),
+                                  ts3, BitString.random(160, rng)))
     # structured MSG3: old confirmation fields under a fresh timestamp
-    world.clock.advance(1)
-
-    def restamp3(kind, payload):
-        if kind != "MSG3":
-            return payload
-        return encode(Msg3(msg3.v5, msg3.v4, ts_bits(world.clock.now), msg3.v2))
-
-    outcome = run_aka(world, "alice", "uav-1", intercept=restamp3)
-    if outcome.ok:
-        accepted["MSG3"] += 1
+    deliver3(lambda ts3: Msg3(msg3.v5, msg3.v4, ts3, msg3.v2))
 
     report.check("all forgeries rejected",
                  all(n == 0 for n in accepted.values()), accepted=accepted)
@@ -338,8 +337,13 @@ def replay(report: ScenarioReport, world: World, cfg: SimConfig):
     ctx = user.login(secrets["password"], secrets["bio"])
     msg1 = user.aka_initiate(ctx, "uav-1", world.clock)
     tr1 = world.channel.send("alice", gwn.identity, msg1)
-    msg2 = gwn.relay_auth(decode(Msg1, tr1.payload), world.clock, world.rng)
-    tr2 = world.channel.send(gwn.identity, "uav-1", msg2)
+    try:
+        msg2 = gwn.relay_auth(decode(Msg1, tr1.payload), world.clock, world.rng)
+        tr2 = world.channel.send(gwn.identity, "uav-1", msg2)
+        uav.aka_respond(decode(Msg2, tr2.payload), world.clock, world.rng)
+    except ProtocolError as exc:
+        report.check("original messages accepted", False, rejection=type(exc).__name__)
+        return
     report.check("original messages accepted", True)
 
     def replayed(tr, cls, receive, when: str, expected: type) -> None:
@@ -354,7 +358,6 @@ def replay(report: ScenarioReport, world: World, cfg: SimConfig):
             report.check(claim, False, rejection="accepted")
 
     replayed(tr1, Msg1, gwn.relay_auth, "within window", ReplayDetected)
-    uav.aka_respond(decode(Msg2, tr2.payload), world.clock, world.rng)
     replayed(tr2, Msg2, uav.aka_respond, "within window", ReplayDetected)
     world.clock.advance(cfg.delta_t + 1)
     replayed(tr1, Msg1, gwn.relay_auth, "after window", StaleTimestamp)
@@ -477,11 +480,15 @@ def side_channel(report: ScenarioReport, world: World, cfg: SimConfig):
     result = run_aka(world, "alice", "uav-1")
     report.check("honest session completes", result.ok)
 
-    memory = world.uavs["uav-1"].capture_memory()
-    report.check("readout holds no device seed and no response",
-                 sorted(memory) == ["c_j", "id_j", "tc_id_j"])
+    uav = world.uavs["uav-1"]
+    memory = uav.capture_memory()
     rec = world.gateway.registry["uav-1"]
     readout = list(memory.values())
+    seed = BitString(PUF_SEED_BITS, uav._puf.seed)
+    report.check("readout holds no device seed and no response",
+                 sorted(memory) == ["c_j", "id_j", "tc_id_j"]
+                 and rec.r_j not in readout
+                 and not any(seed.contains(BitString(DIGEST_BITS, v)) for v in readout))
     _not_derivable(report, [], readout, {
         "response not derivable from readout": {"r_j": rec.r_j},
     })
@@ -515,10 +522,47 @@ def crp_leakage(report: ScenarioReport, world: World, cfg: SimConfig):
     return results[0]
 
 
-#: Feature coverage: the twelve scenario verdicts plus the two lifecycle
-#: integrations, in the order the comparison matrix reports them.
-FEATURES = [(f"FSF_{i}", name) for i, name in enumerate(
-    [*SCENARIOS, "lifecycle_update_replace", "dynamic_addition"], start=1)]
+@_scenario()
+def lifecycle_update_replace(report: ScenarioReport, world: World, cfg: SimConfig):
+    """Password and biometric update, then card replacement, each followed
+    by a full session."""
+    user = world.users["alice"]
+    secrets = world.user_secrets["alice"]
+    new_bio = world.rng.getrandbits(BIO_BITS)
+    user.update_credentials(secrets["password"], secrets["bio"],
+                            "updated-passphrase", new_bio, world.rng)
+    report.check("old credentials refused after update",
+                 _raises(ProtocolError, user.login, secrets["password"], secrets["bio"]))
+    secrets.update(password="updated-passphrase", bio=new_bio)
+    result = run_aka(world, "alice", "uav-1")
+    report.check("session completes after update", result.ok and result.keys_agree)
+
+    original = next(tr for tr in world.channel.log if tr.kind == UserRegRequest.KIND)
+    enroll_user(world, "alice", "replacement-pw")
+    report.check("old pseudonym's registration refused",
+                 _raises(DuplicateRegistration, world.gateway.register_user,
+                         decode(UserRegRequest, original.payload)))
+    result = run_aka(world, "alice", "uav-1")
+    report.check("session completes after replacement", result.ok and result.keys_agree)
+    return result
+
+
+@_scenario()
+def dynamic_addition(report: ScenarioReport, world: World, cfg: SimConfig):
+    """Late UAV enrollment with broadcast, then a session with it."""
+    before = len(world.gateway.registry)
+    enroll_uav(world, "uav-late", announce=True)
+    report.check("broadcast announces the new UAV",
+                 "uav-late" in world.users["alice"].known_uavs)
+    report.check("registry grew by one", len(world.gateway.registry) == before + 1)
+    result = run_aka(world, "alice", "uav-late")
+    report.check("session completes with the new UAV", result.ok and result.keys_agree)
+    return result
+
+
+#: Feature coverage: one row per catalog scenario, in the order the
+#: comparison matrix reports them.
+FEATURES = [(f"FSF_{i}", name) for i, name in enumerate(SCENARIOS, start=1)]
 
 
 def run_scenario(name: str, cfg: SimConfig | None = None) -> ScenarioReport:
@@ -529,75 +573,8 @@ def run_scenario(name: str, cfg: SimConfig | None = None) -> ScenarioReport:
     return fn(cfg)
 
 
-# ---------------------------------------------------------------------------
-# lifecycle integrations (feature rows 13 and 14)
-# ---------------------------------------------------------------------------
-
-def run_lifecycle_update(cfg: SimConfig) -> dict:
-    """Password/biometric update, then a full session with the new card."""
-    world = _world(cfg, "lifecycle_update")
-    user = world.users["alice"]
-    secrets = world.user_secrets["alice"]
-    new_bio = world.rng.getrandbits(BIO_BITS)
-    user.update_credentials(secrets["password"], secrets["bio"],
-                            "updated-passphrase", new_bio, world.rng)
-    old_rejected = False
-    try:
-        user.login(secrets["password"], secrets["bio"])
-    except ProtocolError:
-        old_rejected = True
-    secrets.update(password="updated-passphrase", bio=new_bio)
-    result = run_aka(world, "alice", "uav-1")
-    return {"old_password_rejected": old_rejected,
-            "aka_after_update": result.ok and result.keys_agree,
-            "passed": old_rejected and result.ok and result.keys_agree}
-
-
-def run_lifecycle_replacement(cfg: SimConfig) -> dict:
-    """Card replacement, replayed-pseudonym rejection, and a fresh session."""
-    world = _world(cfg, "lifecycle_replacement")
-    original = next(tr for tr in world.channel.log if tr.kind == UserRegRequest.KIND)
-    enroll_user(world, "alice", "replacement-pw")
-
-    old_refused = False
-    try:
-        world.gateway.register_user(decode(UserRegRequest, original.payload))
-    except DuplicateRegistration:
-        old_refused = True
-
-    result = run_aka(world, "alice", "uav-1")
-    return {"old_tid_refused": old_refused,
-            "aka_after_replacement": result.ok and result.keys_agree,
-            "passed": old_refused and result.ok and result.keys_agree}
-
-
-def run_dynamic_addition(cfg: SimConfig) -> dict:
-    """Late UAV enrollment with broadcast, then a session with it."""
-    world = _world(cfg, "dynamic_addition", uavs=("uav-1",))
-    before = len(world.gateway.registry)
-    enroll_uav(world, "uav-late", announce=True)
-    announced = "uav-late" in world.users["alice"].known_uavs
-    result = run_aka(world, "alice", "uav-late")
-    return {"announced": announced,
-            "registry_grew_by_one": len(world.gateway.registry) == before + 1,
-            "aka_with_new_uav": result.ok and result.keys_agree,
-            "passed": announced and result.ok and result.keys_agree
-            and len(world.gateway.registry) == before + 1}
-
-
 def feature_matrix(cfg: SimConfig | None = None) -> dict:
     """One verdict per feature row, computed from fresh runs."""
     cfg = cfg or SimConfig()
-    rows = {}
-    for feature, name in FEATURES:
-        if name in SCENARIOS:
-            rows[feature] = {"source": name, "passed": run_scenario(name, cfg).passed}
-        elif name == "lifecycle_update_replace":
-            update = run_lifecycle_update(cfg)
-            replacement = run_lifecycle_replacement(cfg)
-            rows[feature] = {"source": name,
-                             "passed": update["passed"] and replacement["passed"]}
-        else:
-            rows[feature] = {"source": name,
-                             "passed": run_dynamic_addition(cfg)["passed"]}
-    return rows
+    return {feature: {"source": name, "passed": run_scenario(name, cfg).passed}
+            for feature, name in FEATURES}

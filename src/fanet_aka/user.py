@@ -166,6 +166,8 @@ class User:
         algebra cancels the pseudonym and password terms, so the value the
         card carries is the same before and after the update.
         """
+        if not new_password:
+            raise ValueError("password must be non-empty")
         ctx = self.login(old_password, old_bio)
         tpw_new = self.ops.h(text_value(new_password), ctx.n_i)
         return self._mint_card(ctx.n_i, tpw_new, self.card.c_i, new_bio, rng)

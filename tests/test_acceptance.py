@@ -69,8 +69,8 @@ def test_closure_criterion_lists_claims_searched_short_of_their_shapes(results):
 
 
 @pytest.fixture(scope="module")
-def closure_reports():
-    """The real scenario reports of criterion 7, each computed once."""
+def scenario_reports():
+    """Real scenario reports, each computed once; every call returns a copy."""
     cache = {}
 
     def report(name, cfg):
@@ -82,10 +82,10 @@ def closure_reports():
 
 @pytest.mark.parametrize("tamper", ["fails", "missing"])
 def test_closure_criterion_requires_the_esl_positive_control(monkeypatch,
-                                                             closure_reports, tamper):
+                                                             scenario_reports, tamper):
     """Criterion 7 fails when esl's positive control fails or is absent."""
     def tampered(name, cfg):
-        report = closure_reports(name, cfg)
+        report = scenario_reports(name, cfg)
         if tamper == "missing":
             report.verdicts = [v for v in report.verdicts
                                if v["claim"] != POSITIVE_CONTROL]
@@ -100,6 +100,39 @@ def test_closure_criterion_requires_the_esl_positive_control(monkeypatch,
     assert result.details["positive_control"]["sk_derived"] is False
     # without the verdict, esl's report still passes: only the name check fails it
     assert result.details["esl"]["passed"] is (tamper == "missing")
+
+
+#: The seven lifecycle conditions criterion 9 gates on, by report.
+LIFECYCLE_CLAIMS = [
+    ("lifecycle_update_replace", "old credentials refused after update"),
+    ("lifecycle_update_replace", "session completes after update"),
+    ("lifecycle_update_replace", "old pseudonym's registration refused"),
+    ("lifecycle_update_replace", "session completes after replacement"),
+    ("dynamic_addition", "broadcast announces the new UAV"),
+    ("dynamic_addition", "registry grew by one"),
+    ("dynamic_addition", "session completes with the new UAV"),
+]
+
+
+def test_lifecycle_criterion_reports_every_lifecycle_claim(results):
+    assert [(name, claim) for name, claims in results[9].details.items()
+            for claim in claims] == LIFECYCLE_CLAIMS
+
+
+@pytest.mark.parametrize("scenario,claim", LIFECYCLE_CLAIMS)
+def test_lifecycle_criterion_fails_on_any_failed_claim(monkeypatch, scenario_reports,
+                                                       scenario, claim):
+    def tampered(name, cfg):
+        report = scenario_reports(name, cfg)
+        for verdict in report.verdicts:
+            if (name, verdict["claim"]) == (scenario, claim):
+                verdict["passed"] = False
+        return report
+
+    monkeypatch.setattr(acceptance, "run_scenario", tampered)
+    result = acceptance.lifecycle(CONFIG)
+    assert not result.passed
+    assert result.details[scenario][claim] is False
 
 
 def test_correctness_criterion_runs_under_the_callers_window():

@@ -250,7 +250,7 @@ def test_init_gwn_refuses_a_deployment_that_lost_its_gateway_file(tmp_path):
     # no command writes an unfinished enrollment; a session to it would fail
     pytest.param("gwn.json", lambda doc: {**doc, "registry": {
         "uav-1": {**doc["registry"]["uav-1"], "r_j": None}}}, id="gwn.json-null-r_j"),
-    # from_text zero-pads, so both names are one wire identity, and a
+    # text_value zero-pads, so both names are one wire identity, and a
     # session could reach only one of the two records
     pytest.param("gwn.json", lambda doc: {**doc, "registry": {
         **doc["registry"], "uav-1\x00": doc["registry"]["uav-1"]}},
@@ -309,6 +309,14 @@ def test_attack_subcommand_exit_codes(tmp_path):
     assert proc.returncode == 2  # argparse rejects unknown choices
 
 
+@pytest.mark.parametrize("name", ["lifecycle_update_replace", "dynamic_addition"])
+def test_attack_runs_a_lifecycle_flow(tmp_path, name):
+    proc = run_cli(["attack", name], tmp_path)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["scenario"] == name and report["passed"] is True
+
+
 def test_attack_table_format(tmp_path):
     proc = run_cli(["--format", "table", "attack", "mutual_auth"], tmp_path)
     assert "pass" in proc.stdout
@@ -331,6 +339,7 @@ def test_same_seed_same_state_files(tmp_path):
 @pytest.mark.parametrize("command", [
     ["register-user", "--user", "bob", "--password", ""],
     ["replace-card", "--user", "alice", "--new-password", ""],
+    ["update-credentials", "--user", "alice", "--new-password", ""],
 ])
 def test_empty_password_is_a_one_line_error(tmp_path, command):
     bootstrap(tmp_path)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanet_aka.bits import BitString, concat
+from fanet_aka.bits import BitString, concat, text_value
 from fanet_aka.crypto import (BIO_BITS, CHALLENGE_BITS, FE_KEY_BITS, FE_REPETITION,
                               FE_TOLERANCE, NONCE_BITS, PUF_SEED_BITS, PufDevice, fe_gen,
                               _expand, fe_rep, sha1_digest, sha1_value)
@@ -19,12 +19,12 @@ def test_sha1_empty_input_matches_standard_vector():
 
 
 def test_sha1_abc_matches_standard_vector():
-    assert sha1_digest(BitString.from_bytes(b"abc")).hex() == \
+    assert sha1_digest(BitString(24, int.from_bytes(b"abc", "big"))).hex() == \
         "a9993e364706816aba3e25717850c26c9cd0d89d"
 
 
 def test_sha1_deterministic_and_160_wide():
-    x = BitString.from_text("payload")
+    x = BitString(160, text_value("payload"))
     assert sha1_digest(x) == sha1_digest(x)
     assert sha1_digest(x).width == 160
 
@@ -46,7 +46,7 @@ _part = st.one_of(st.sampled_from([3, 12, 33]), st.integers(min_value=0, max_val
 def test_sha1_digest_matches_hashlib_on_the_padded_bytes(parts):
     # the parts are hashed as their concatenation, padded once at the end
     expected = hashlib.sha1(concat(parts).to_bytes()).digest()
-    assert sha1_digest(*parts) == BitString.from_bytes(expected)
+    assert sha1_digest(*parts) == BitString(160, int.from_bytes(expected, "big"))
 
 
 @given(_part, st.lists(st.integers(0, (1 << 160) - 1), max_size=3))
@@ -78,12 +78,12 @@ def test_sha1_value_refuses_a_part_wider_than_its_width(fields, width, value, ts
 
 def test_hash_parts_matches_manual_concatenation():
     # h(a || b) over separate parts equals the digest of their concatenation
-    a, b = BitString.from_text("a"), BitString.from_text("b")
+    a, b = BitString(160, text_value("a")), BitString(160, text_value("b"))
     assert sha1_digest(a, b) == sha1_digest(concat([a, b]))
 
 
 def test_short_corpus_has_no_collisions():
-    corpus = [BitString.from_text(f"input-{i}") for i in range(200)]
+    corpus = [BitString(160, text_value(f"input-{i}")) for i in range(200)]
     digests = {sha1_digest(x).value for x in corpus}
     assert len(digests) == len(corpus)
 
@@ -297,8 +297,8 @@ def test_fe_beyond_tolerance_matches_bit_flip_oracle():
     got = fe_rep(noisy.value, tau)
 
     codeword = BitString(BIO_BITS, tau ^ bio)
-    word = BitString(FE_KEY_BITS, int("".join(str(codeword.bit(i * FE_REPETITION))
-                                              for i in range(FE_KEY_BITS)), 2))
+    word = BitString(FE_KEY_BITS, int("".join(str(codeword.slice(k, k + 1).value)
+                                              for k in range(0, BIO_BITS, FE_REPETITION)), 2))
     assert sha1_digest(word).value == sigma
     expected = sha1_digest(word.flip(0)).value
     assert got == expected
@@ -306,7 +306,7 @@ def test_fe_beyond_tolerance_matches_bit_flip_oracle():
 
 def _slice_reference_rep(bio, tau):
     """Majority decode written with BitString slices, one block at a time."""
-    noisy = tau ^ bio
+    noisy = BitString(BIO_BITS, tau.value ^ bio.value)
     r = FE_REPETITION
     word = [BitString(1, int(noisy.slice(i * r, (i + 1) * r).value.bit_count() > r // 2))
             for i in range(FE_KEY_BITS)]
@@ -329,7 +329,7 @@ def _block_loop_expand(word):
     block = (1 << FE_REPETITION) - 1
     value = 0
     for i in range(word.width):
-        value = (value << FE_REPETITION) | (block if word.bit(i) else 0)
+        value = (value << FE_REPETITION) | (block if word.slice(i, i + 1).value else 0)
     return BitString(BIO_BITS, value)
 
 

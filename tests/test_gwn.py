@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from fanet_aka.bits import BitString
+from fanet_aka.bits import BitString, text_value
 from fanet_aka.crypto import sha1_digest
 from fanet_aka.errors import (DuplicateRegistration, MacMismatch, ProtocolError,
                               ReplayDetected, StaleTimestamp, UnknownUav)
@@ -24,7 +24,7 @@ def test_register_user_cancellation_identity():
     request = UserRegRequest(tid_i=BitString(160, 111), tpw_i=BitString(160, 222))
     response = gwn.register_user(request)
     recovered = response.tc_id_i ^ request.tid_i ^ request.tpw_i
-    assert recovered == sha1_digest(BitString.from_text("gateway-0"),
+    assert recovered == sha1_digest(BitString(160, text_value("gateway-0")),
                                    BitString(SECRET_BITS, gwn.export_secret())).value
 
 
@@ -49,7 +49,7 @@ def test_uav_registration_flow():
     rng = random.Random(3)
     gwn = Gateway("gateway-0", rng.getrandbits(SECRET_BITS))
     id_j = gwn.check_uav_name("uav-1")
-    assert id_j == BitString.from_text("uav-1").value
+    assert id_j == text_value("uav-1")
     response = gwn.register_uav_begin("uav-1", id_j, rng)
     assert encode(response).width == 320
     with pytest.raises(DuplicateRegistration):
@@ -195,7 +195,7 @@ def test_relay_requires_registration_argument_order():
     secrets = world.user_secrets["alice"]
     ctx = user.login(secrets["password"], secrets["bio"])
     s = BitString(SECRET_BITS, world.gateway.export_secret())
-    id_g = BitString.from_text(world.gateway.identity)
+    id_g = BitString(160, text_value(world.gateway.identity))
     assert ctx.c_i == sha1_digest(id_g, s).value
 
     ctx.c_i = sha1_digest(s, id_g).value  # reversed order
@@ -217,7 +217,7 @@ def test_add_uav_dynamic_broadcasts_and_grows_registry():
 
 
 def test_uav_sharing_a_wire_identity_is_refused():
-    # from_text zero-pads, so both names encode to the same 160-bit id_j;
+    # text_value zero-pads, so both names encode to the same 160-bit id_j;
     # a second record could never be reached by a session
     world = build_world(SimConfig(seed=15))
     enroll_uav(world, "uav-1")

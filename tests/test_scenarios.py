@@ -5,23 +5,19 @@ from pathlib import Path
 import pytest
 
 from fanet_aka import simnet
-from fanet_aka.errors import IncompleteTranscript, UnknownScenario
+from fanet_aka.errors import IncompleteTranscript, MacMismatch, UnknownScenario
 from fanet_aka.metrics import recording
 from fanet_aka.scenarios import (FEATURES, SCENARIOS, ScenarioReport, _not_derivable,
-                                 feature_matrix, run_dynamic_addition,
-                                 run_lifecycle_replacement, run_lifecycle_update,
-                                 run_scenario)
+                                 feature_matrix, run_scenario)
 from fanet_aka.simnet import SimConfig, build_world, enroll_uav, enroll_user, run_aka
+from fanet_aka.uav import Uav
 
 FIXTURES = Path(__file__).parent / "fixtures"
-#: SHA-1 of each scenario report and lifecycle result at seeds 0 and 1000,
-#: as ``json.dumps(..., sort_keys=True)``; a change that moves a report on
+#: SHA-1 of each scenario report at seeds 0 and 1000, as
+#: ``json.dumps(..., sort_keys=True)``; a change that moves a report on
 #: purpose re-records these files and says so.
 DIGESTS = json.loads((FIXTURES / "report_digests_seed0.json").read_text())
 DIGESTS_SEED1000 = json.loads((FIXTURES / "report_digests_seed1000.json").read_text())
-LIFECYCLE = {"lifecycle_update": run_lifecycle_update,
-             "lifecycle_replacement": run_lifecycle_replacement,
-             "dynamic_addition": run_dynamic_addition}
 
 
 def _digest(doc: dict) -> str:
@@ -37,20 +33,21 @@ def test_scenario_passes_at_seed_zero(name):
     assert _digest(report.to_json()) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS) + list(LIFECYCLE))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_report_matches_its_pinned_digest_at_seed_1000(name):
-    cfg = SimConfig(seed=1000)
-    doc = run_scenario(name, cfg).to_json() if name in SCENARIOS else LIFECYCLE[name](cfg)
+    doc = run_scenario(name, SimConfig(seed=1000)).to_json()
     assert doc["passed"], doc
     assert _digest(doc) == DIGESTS_SEED1000[name]
 
 
 def test_catalog_order_is_the_feature_order():
     # registration order is definition order; moving a function reorders the matrix
-    assert list(SCENARIOS) == [name for _, name in FEATURES[:12]] == [
-        "stolen_card", "privileged_insider", "impersonation",
-        "anonymity_untraceability", "uav_capture", "mutual_auth", "replay",
-        "mitm", "esl", "dos", "side_channel", "crp_leakage"]
+    names = ["stolen_card", "privileged_insider", "impersonation",
+             "anonymity_untraceability", "uav_capture", "mutual_auth", "replay",
+             "mitm", "esl", "dos", "side_channel", "crp_leakage",
+             "lifecycle_update_replace", "dynamic_addition"]
+    assert list(SCENARIOS) == names
+    assert FEATURES == [(f"FSF_{i}", name) for i, name in enumerate(names, start=1)]
 
 
 def test_unknown_scenario_rejected():
@@ -94,22 +91,32 @@ def test_scenario_runs_do_not_share_state():
     assert a == b
 
 
-def test_lifecycle_update_flow():
-    outcome = run_lifecycle_update(SimConfig(seed=0))
-    assert outcome["passed"], outcome
-    assert _digest(outcome) == DIGESTS["lifecycle_update"]
+def test_a_refused_original_fails_the_replay_report(monkeypatch):
+    # the first verdict is the outcome of delivering the original messages,
+    # and a refusal ends the scenario before any replay
+    def refuse(self, msg2, clock, rng):
+        raise MacMismatch("MSG2 MAC check failed")
+
+    monkeypatch.setattr(Uav, "aka_respond", refuse)
+    report = run_scenario("replay", SimConfig(seed=0))
+    assert not report.passed
+    assert report.verdicts == [{"claim": "original messages accepted", "passed": False,
+                                "details": {"rejection": "MacMismatch"}}]
 
 
-def test_lifecycle_replacement_flow():
-    outcome = run_lifecycle_replacement(SimConfig(seed=0))
-    assert outcome["passed"], outcome
-    assert _digest(outcome) == DIGESTS["lifecycle_replacement"]
+@pytest.mark.parametrize("leak", ["response", "seed"])
+def test_a_readout_holding_secret_values_fails_side_channel(monkeypatch, leak):
+    # the readout check compares values, not only key names
+    def leaky(self):
+        secret = (self._puf.eval_value(self.c_j) if leak == "response"
+                  else self._puf.seed >> 96)  # the seed's first 160 bits
+        return {"c_j": secret, "id_j": self.id_j, "tc_id_j": self.tc_id_j}
 
-
-def test_dynamic_addition_flow():
-    outcome = run_dynamic_addition(SimConfig(seed=0))
-    assert outcome["passed"], outcome
-    assert _digest(outcome) == DIGESTS["dynamic_addition"]
+    monkeypatch.setattr(Uav, "capture_memory", leaky)
+    report = run_scenario("side_channel", SimConfig(seed=0))
+    verdict = next(v for v in report.verdicts
+                   if v["claim"] == "readout holds no device seed and no response")
+    assert not verdict["passed"]
 
 
 def test_feature_matrix_covers_all_rows():

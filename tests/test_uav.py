@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fanet_aka.bits import BitString
+from fanet_aka.bits import BitString, text_value
 from fanet_aka.crypto import CHALLENGE_BITS, PUF_SEED_BITS, PufDevice
 from fanet_aka.errors import MacMismatch, ReplayDetected, StaleTimestamp
 from fanet_aka.simnet import SimConfig, build_world, enroll_user, enroll_uav, run_aka
@@ -28,7 +28,7 @@ def test_register_stores_triple_and_returns_response():
     rng = random.Random(1)
     puf = PufDevice.generate(rng)
     c_j, tc_id_j = rng.getrandbits(CHALLENGE_BITS), 9
-    uav = Uav("uav-1", BitString.from_text("uav-1").value, puf, c_j, tc_id_j)
+    uav = Uav("uav-1", text_value("uav-1"), puf, c_j, tc_id_j)
     submit = uav.register()
     assert submit.r_j == puf.eval_value(c_j)
     assert uav.c_j == c_j
@@ -44,12 +44,12 @@ def test_same_challenge_different_devices_differ():
 
 def test_capture_memory_is_exactly_the_triple():
     rng = random.Random(3)
-    uav = Uav("uav-1", BitString.from_text("uav-1").value, PufDevice.generate(rng),
+    uav = Uav("uav-1", text_value("uav-1"), PufDevice.generate(rng),
               rng.getrandbits(CHALLENGE_BITS), 1)
     memory = uav.capture_memory()
     assert sorted(memory) == ["c_j", "id_j", "tc_id_j"]
     assert all(type(value) is int and 0 <= value < 1 << 160 for value in memory.values())
-    assert memory["id_j"] == BitString.from_text("uav-1").value
+    assert memory["id_j"] == text_value("uav-1")
     # neither the response nor the device seed is in the image
     r_j = uav._puf.eval_value(uav.c_j)
     assert all(value != r_j for value in memory.values())

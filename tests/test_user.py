@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from fanet_aka.bits import BitString
+from fanet_aka.bits import BitString, text_value
 from fanet_aka.crypto import (BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE, fe_rep,
                               sha1_digest)
 from fanet_aka.errors import AuthFailed, LoginFailed, ProtocolError
@@ -58,7 +59,7 @@ def test_same_password_different_nonce_different_tpw():
 def test_card_carries_gateway_digest():
     # C_i must cancel down to the gateway's own digest of (identity, secret)
     user, gwn, _, _, _ = _registered_user()
-    expected = sha1_digest(BitString.from_text("gateway-0"),
+    expected = sha1_digest(BitString(160, text_value("gateway-0")),
                            BitString(SECRET_BITS, gwn.export_secret()))
     assert user.card.c_i == expected.value
 
@@ -68,7 +69,7 @@ def test_card_contains_no_plaintext_secret():
     card = user.card
     secrets = [
         BitString(160, user.id_i),
-        BitString.from_text("correct-horse"),
+        BitString(160, text_value("correct-horse")),
         BitString(160, fe_rep(bio, card.tau_i)),  # sigma
     ]
     fields = [BitString(160, value) for value in (card.a_i, card.b_i, card.c_i, card.tau_i)]
@@ -115,8 +116,8 @@ def test_finalize_requires_pending_session():
     user, _, bio, _, _ = _registered_user()
     from fanet_aka.wire import Msg3, ts_bits
     from fanet_aka.simnet import SimClock
-    msg3 = Msg3(BitString.zeros(160), BitString.zeros(160), ts_bits(0),
-                BitString.zeros(160))
+    msg3 = Msg3(BitString(160, 0), BitString(160, 0), ts_bits(0),
+                BitString(160, 0))
     with pytest.raises(ProtocolError):
         user.aka_finalize(msg3, SimClock(2))
 
@@ -163,7 +164,7 @@ def test_relay_recovers_pseudonym_from_request():
     msg1 = user.aka_initiate(ctx, "uav-1", world.clock)
 
     s = BitString(SECRET_BITS, world.gateway.export_secret())
-    m1 = sha1_digest(BitString.from_text(world.gateway.identity), s)
+    m1 = sha1_digest(BitString(160, text_value(world.gateway.identity)), s)
     e_i = sha1_digest(m1, BitString(32, msg1.ts1))
     assert msg1.g_i ^ (msg1.f_i_prime ^ e_i.value) == ctx.tid_i
 
@@ -205,6 +206,16 @@ def test_update_requires_old_credentials():
     with pytest.raises(LoginFailed):
         user.update_credentials("wrong", bio, "new-horse",
                                 rng.getrandbits(BIO_BITS), rng)
+
+
+def test_update_refuses_an_empty_password_and_keeps_the_card():
+    user, _, bio, request, _ = _registered_user()
+    card, before = user.card, replace(user.card)
+    rng = random.Random(97)
+    with pytest.raises(ValueError, match="password must be non-empty"):
+        user.update_credentials("correct-horse", bio, "", rng.getrandbits(BIO_BITS), rng)
+    assert user.card is card and card == before
+    assert user.login("correct-horse", bio).tid_i == request.tid_i
 
 
 def test_aka_succeeds_after_update():

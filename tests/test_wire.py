@@ -202,7 +202,7 @@ def test_check_fresh_compares_modulo_2_32():
 class _FakeEntry:
     def __init__(self, kind, width):
         self.kind = kind
-        self.payload = BitString.zeros(width)
+        self.payload = BitString(width, 0)
 
 
 def test_protocol_bits_requires_complete_run():
