@@ -13,15 +13,30 @@ from fanet_aka.simnet import SimConfig, build_world, enroll_uav, enroll_user, ru
 from fanet_aka.uav import Uav
 
 FIXTURES = Path(__file__).parent / "fixtures"
-#: SHA-1 of each scenario report at seeds 0 and 1000, as
-#: ``json.dumps(..., sort_keys=True)``; a change that moves a report on
+#: SHA-1 of each scenario report and lifecycle half at seeds 0 and 1000,
+#: as ``json.dumps(..., sort_keys=True)``; a change that moves a report on
 #: purpose re-records these files and says so.
 DIGESTS = json.loads((FIXTURES / "report_digests_seed0.json").read_text())
 DIGESTS_SEED1000 = json.loads((FIXTURES / "report_digests_seed1000.json").read_text())
+#: The two halves of lifecycle_update_replace, each as its flow's boolean
+#: result: a result key per claim the half checks.
+HALVES = {"lifecycle_update": {
+              "old_password_rejected": "old credentials refused after update",
+              "aka_after_update": "session completes after update"},
+          "lifecycle_replacement": {
+              "old_tid_refused": "old pseudonym's registration refused",
+              "aka_after_replacement": "session completes after replacement"}}
 
 
 def _digest(doc: dict) -> str:
     return hashlib.sha1(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _half(name: str, cfg: SimConfig) -> dict:
+    verdicts = {v["claim"]: v["passed"]
+                for v in run_scenario("lifecycle_update_replace", cfg).verdicts}
+    outcome = {key: verdicts[claim] for key, claim in HALVES[name].items()}
+    return {**outcome, "passed": all(outcome.values())}
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -33,9 +48,10 @@ def test_scenario_passes_at_seed_zero(name):
     assert _digest(report.to_json()) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + list(HALVES))
 def test_report_matches_its_pinned_digest_at_seed_1000(name):
-    doc = run_scenario(name, SimConfig(seed=1000)).to_json()
+    cfg = SimConfig(seed=1000)
+    doc = run_scenario(name, cfg).to_json() if name in SCENARIOS else _half(name, cfg)
     assert doc["passed"], doc
     assert _digest(doc) == DIGESTS_SEED1000[name]
 
@@ -89,6 +105,19 @@ def test_scenario_runs_do_not_share_state():
     a = run_scenario("replay", SimConfig(seed=3)).to_json()
     b = run_scenario("replay", SimConfig(seed=3)).to_json()
     assert a == b
+
+
+def test_lifecycle_update_flow():
+    outcome = _half("lifecycle_update", SimConfig(seed=0))
+    assert outcome["passed"], outcome
+    assert _digest(outcome) == DIGESTS["lifecycle_update"]
+
+
+def test_lifecycle_replacement_flow():
+    # the replaced card follows an update in the same world
+    outcome = _half("lifecycle_replacement", SimConfig(seed=0))
+    assert outcome["passed"], outcome
+    assert _digest(outcome) == DIGESTS["lifecycle_replacement"]
 
 
 def test_a_refused_original_fails_the_replay_report(monkeypatch):
