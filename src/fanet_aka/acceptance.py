@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 
 from .crypto import BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE, fe_gen, fe_rep
 from .metrics import count_session, overhead_report
-from .scenarios import POSITIVE_CONTROL, _world, run_scenario
+from .scenarios import (CLOSURE_SCENARIOS, POSITIVE_CONTROL, SESSION_BITS, _world,
+                        run_scenario)
 from .simnet import SimConfig, run_aka
-from .wire import protocol_bits
 
 
 @dataclass
@@ -44,37 +44,33 @@ def _fresh_session(cfg: SimConfig):
 
 
 def communication_bits(cfg: SimConfig) -> CriterionResult:
-    _, result = _fresh_session(cfg)
-    measured = protocol_bits(result.transcript)
-    expected = {"MSG1": 672, "MSG2": 672, "MSG3": 512,
-                "total": 1856, "message_count": 3}
-    return CriterionResult(1, "communication overhead parity",
-                           measured == expected,
-                           {"measured": measured, "expected": expected})
+    measured = run_scenario("mutual_auth", cfg).bit_counts
+    return CriterionResult(1, "communication overhead parity", measured == SESSION_BITS,
+                           {"measured": measured, "expected": SESSION_BITS})
+
+
+#: One session's primitive counts by role, and the hashes of each user phase.
+ROLE_OPS = {"user": {"hash": 11, "puf": 0, "fe": 1},
+            "gwn": {"hash": 6, "puf": 0, "fe": 0},
+            "uav": {"hash": 8, "puf": 1, "fe": 0}}
+PHASE_HASHES = {"login": 4, "initiate": 3, "finalize": 4}
 
 
 def computation_counts(cfg: SimConfig) -> CriterionResult:
     _, result = _fresh_session(cfg)
     counts = count_session(result)
-    ok = (counts["user"]["fe"] == 1 and counts["user"]["hash"] == 11
-          and counts["user"]["puf"] == 0
-          and counts["gwn"]["hash"] == 6 and counts["gwn"]["fe"] == 0
-          and counts["gwn"]["puf"] == 0
-          and counts["uav"]["puf"] == 1 and counts["uav"]["hash"] == 8
-          and counts["uav"]["fe"] == 0)
-    totals = {op: sum(counts[r][op] for r in counts) for op in ("hash", "puf", "fe")}
-    ok = ok and totals == {"hash": 25, "puf": 1, "fe": 1}
+    measured = {r: {op: c[op] for op in ("hash", "puf", "fe")} for r, c in counts.items()}
+    totals = {op: sum(c[op] for c in measured.values()) for op in ("hash", "puf", "fe")}
     phases = {p: result.phase_counts[p]["hash"] for p in result.phase_counts}
-    ok = ok and phases == {"login": 4, "initiate": 3, "finalize": 4}
-    return CriterionResult(2, "computation overhead parity", ok,
+    return CriterionResult(2, "computation overhead parity",
+                           (measured, phases) == (ROLE_OPS, PHASE_HASHES),
                            {"counts": counts, "totals": totals,
                             "user_phases_hash": phases})
 
 
 def timing_arithmetic(cfg: SimConfig) -> CriterionResult:
-    _, result = _fresh_session(cfg)
-    report = overhead_report(count_session(result), protocol_bits(result.transcript))
-    estimates = report["proposed"]["estimated_ms"]
+    report = run_scenario("mutual_auth", cfg)
+    estimates = overhead_report(report.op_counts, report.bit_counts)["proposed"]["estimated_ms"]
     expected = {"user": 0.643, "gwn": 0.006, "uav": 0.023, "total": 0.672}
     deltas = {k: abs(estimates[k] - v) for k, v in expected.items()}
     ok = all(d <= 0.001 for d in deltas.values())
@@ -82,24 +78,23 @@ def timing_arithmetic(cfg: SimConfig) -> CriterionResult:
                            {"estimated_ms": estimates, "expected": expected})
 
 
-def protocol_correctness(cfg: SimConfig, seeds: int = 1000) -> CriterionResult:
+def protocol_correctness(cfg: SimConfig) -> CriterionResult:
     failures = []
-    for seed in range(seeds):
+    for seed in range(1000):
         _, result = _fresh_session(replace(cfg, seed=seed))
         if not (result.ok and result.keys_agree and all(result.checks.values())):
             failures.append(seed)
             if len(failures) >= 5:
                 break
-    return CriterionResult(4, f"protocol correctness over {seeds} seeds",
+    return CriterionResult(4, "protocol correctness over 1000 seeds",
                            not failures, {"failing_seeds": failures})
 
 
 def tamper_exhaustion(cfg: SimConfig) -> CriterionResult:
     world, _ = _fresh_session(cfg)
-    widths = {"MSG1": 672, "MSG2": 672, "MSG3": 512}
     undetected = []
-    for kind, width in widths.items():
-        for index in range(width):
+    for kind in ("MSG1", "MSG2", "MSG3"):
+        for index in range(SESSION_BITS[kind]):
             world.clock.advance(cfg.delta_t + 1)
 
             def flip(k, payload, _kind=kind, _index=index):
@@ -108,7 +103,7 @@ def tamper_exhaustion(cfg: SimConfig) -> CriterionResult:
             outcome = run_aka(world, "alice", "uav-1", intercept=flip)
             if outcome.ok and outcome.keys_agree:
                 undetected.append(f"{kind}[{index}]")
-    return CriterionResult(5, "single-bit tamper exhaustion (1856 bits)",
+    return CriterionResult(5, f"single-bit tamper exhaustion ({SESSION_BITS['total']} bits)",
                            not undetected, {"undetected": undetected})
 
 
@@ -120,9 +115,8 @@ def replay_suite(cfg: SimConfig) -> CriterionResult:
 
 def closure_suite(cfg: SimConfig) -> CriterionResult:
     details = {}
-    ok = True
-    for name in ("stolen_card", "privileged_insider", "anonymity_untraceability",
-                 "uav_capture", "esl", "side_channel", "crp_leakage"):
+    ok, derived = True, False
+    for name in CLOSURE_SCENARIOS:
         report = run_scenario(name, cfg)
         secrecy = [v["claim"] for v in report.verdicts if "leaked" in v["details"]]
         scenario_ok = report.passed and bool(secrecy)
@@ -131,12 +125,11 @@ def closure_suite(cfg: SimConfig) -> CriterionResult:
                       if v["details"].get("closure_skipped")}
         details[name] = {"passed": scenario_ok, "claims": secrecy, "unsearched": unsearched}
         ok = ok and scenario_ok
-        if name == "esl":
-            derived = any(v["claim"] == POSITIVE_CONTROL and v["passed"]
-                          for v in report.verdicts)
-            details["positive_control"] = {"claim": POSITIVE_CONTROL, "sk_derived": derived}
-            ok = ok and derived
-    return CriterionResult(7, "knowledge-closure suite, one hash level", ok, details)
+        derived = derived or any(v["claim"] == POSITIVE_CONTROL and v["passed"]
+                                 for v in report.verdicts)
+    details["positive_control"] = {"claim": POSITIVE_CONTROL, "sk_derived": derived}
+    return CriterionResult(7, "knowledge-closure suite, one hash level", ok and derived,
+                           details)
 
 
 def fuzzy_tolerance(cfg: SimConfig) -> CriterionResult:
@@ -192,12 +185,9 @@ def determinism(cfg: SimConfig) -> CriterionResult:
 
 
 def _canonical_report(cfg: SimConfig) -> dict:
-    world, result = _fresh_session(cfg)
-    return {
-        "scenario": run_scenario("mutual_auth", cfg).to_json(),
-        "overhead": overhead_report(count_session(result),
-                                    protocol_bits(result.transcript)),
-    }
+    report = run_scenario("mutual_auth", cfg)
+    return {"scenario": report.to_json(),
+            "overhead": overhead_report(report.op_counts, report.bit_counts)}
 
 
 CRITERIA = [

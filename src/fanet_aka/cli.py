@@ -35,7 +35,8 @@ from .errors import ConfigError, ProtocolError, StateError, UnknownScenario, Wid
 from .gwn import SECRET_BITS, Gateway, UavRecord
 from .metrics import count_session, overhead_report, render_table
 from .scenarios import SCENARIOS, feature_matrix, run_scenario
-from .simnet import Channel, SimClock, SimConfig, World, enroll_uav, enroll_user, run_aka
+from .simnet import (Channel, SimClock, SimConfig, World, enroll_uav, enroll_user, run_aka,
+                     update_credentials)
 from .uav import Uav
 from .user import SmartCard, User
 from .wire import protocol_bits
@@ -328,11 +329,7 @@ def cmd_update_credentials(args) -> int:
     state = StateDir(Path(args.state_dir))
     world = load_world(state, _sim_config(args))
     _registered(world, args.user)
-    user, secret = world.users[args.user], world.user_secrets[args.user]
-    new_bio = world.rng.getrandbits(BIO_BITS)
-    user.update_credentials(secret["password"], secret["bio"],
-                            args.new_password, new_bio, world.rng)
-    secret.update(password=args.new_password, bio=new_bio)
+    update_credentials(world, args.user, args.new_password)
     save_world(state, world)
     print(f"credentials updated for {args.user}")
     return 0
@@ -373,7 +370,7 @@ def cmd_report(args) -> int:
     cfg = _sim_config(args)
     state = StateDir(Path(args.state_dir))
     report = state.read("last_session.json", lambda doc: overhead_report(
-        doc.get("op_counts"), doc.get("bit_counts")))
+        doc["op_counts"], doc["bit_counts"]))
     if args.format == "json":
         print(_dump(report), end="")
     else:

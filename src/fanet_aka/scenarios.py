@@ -17,11 +17,12 @@ from typing import Callable
 
 from .bits import BitString, hex_of, text_value
 from .closure import compute_closure
-from .crypto import BIO_BITS, DIGEST_BITS, PUF_SEED_BITS, TS_BITS, sha1_value
+from .crypto import DIGEST_BITS, PUF_SEED_BITS, TS_BITS, sha1_value
 from .errors import (DuplicateRegistration, IncompleteTranscript, ProtocolError,
                      ReplayDetected, StaleTimestamp, UnknownScenario)
 from .metrics import recording
-from .simnet import SimConfig, World, build_world, enroll_user, enroll_uav, run_aka
+from .simnet import (SimConfig, World, build_world, enroll_user, enroll_uav, run_aka,
+                     update_credentials)
 from .wire import (MESSAGE_TYPES, Msg1, Msg2, Msg3, UserRegRequest, decode, encode,
                    protocol_bits, ts_bits)
 
@@ -62,6 +63,9 @@ def _world(cfg: SimConfig, name: str, users=("alice",), uavs=("uav-1",)) -> Worl
 
 #: The catalog, in registration order: the order the feature matrix reports.
 SCENARIOS: dict[str, Callable[[SimConfig], ScenarioReport]] = {}
+#: The scenarios whose secrecy claims the closure engine decides.
+CLOSURE_SCENARIOS = ("stolen_card", "privileged_insider", "anonymity_untraceability",
+                     "uav_capture", "esl", "side_channel", "crp_leakage")
 
 
 def _scenario(users=("alice",), uavs=("uav-1",)):
@@ -130,6 +134,13 @@ def _not_derivable(report, seen, held: list[int], claims: dict) -> None:
         report.check(claim, not leaked, leaked=leaked,
                      closure_terms=len(clo.terms), closure_bulk=clo.bulk_count,
                      closure_skipped=clo.skipped_shapes)
+
+
+def _stored_triple(world: World, uav_id: str, memory: dict) -> bool:
+    """True if ``memory`` is exactly what enrolling ``uav_id`` stored: the
+    gateway's registered challenge and certificate, and the name's field."""
+    rec = world.gateway.registry[uav_id]
+    return memory == {"c_j": rec.c_j, "id_j": text_value(uav_id), "tc_id_j": rec.tc_id_j}
 
 
 def _raises(expected: type, call, *args) -> bool:
@@ -294,7 +305,7 @@ def uav_capture(report: ScenarioReport, world: World, cfg: SimConfig):
 
     memory = world.uavs["uav-1"].capture_memory()
     report.check("memory image is exactly the stored triple",
-                 sorted(memory) == ["c_j", "id_j", "tc_id_j"])
+                 _stored_triple(world, "uav-1", memory))
     # note: the capture does reveal this session's challenge response
     # (r_j = f_i'' xor rid_j xor id_j once id_j is known); the protocol's
     # claim is only that the session key and other pairs stay safe
@@ -312,6 +323,10 @@ def uav_capture(report: ScenarioReport, world: World, cfg: SimConfig):
     return result
 
 
+#: The session's message bits, as the paper states them.
+SESSION_BITS = {"MSG1": 672, "MSG2": 672, "MSG3": 512, "total": 1856, "message_count": 3}
+
+
 @_scenario()
 def mutual_auth(report: ScenarioReport, world: World, cfg: SimConfig):
     """All verification checks pass and both sides derive the same key."""
@@ -322,9 +337,7 @@ def mutual_auth(report: ScenarioReport, world: World, cfg: SimConfig):
                  fingerprint=None if result.user_sk is None
                  else hex_of(DIGEST_BITS, sha1_value((result.user_sk,))))
     bits = protocol_bits(result.transcript)
-    report.check("measured message bits", bits == {
-        "MSG1": 672, "MSG2": 672, "MSG3": 512, "total": 1856, "message_count": 3,
-    }, measured=bits)
+    report.check("measured message bits", bits == SESSION_BITS, measured=bits)
     return result
 
 
@@ -456,7 +469,7 @@ def dos(report: ScenarioReport, world: World, cfg: SimConfig):
     emitted = 0
     max_hashes = 0
     for i in range(FLOOD):
-        payload = BitString.random(672, rng)
+        payload = BitString.random(SESSION_BITS["MSG1"], rng)
         if i % 2 == 0:
             # give half the flood a fresh timestamp so the MAC path runs
             payload = encode(Msg1(*(payload.slice(k * 160, (k + 1) * 160)
@@ -486,7 +499,7 @@ def side_channel(report: ScenarioReport, world: World, cfg: SimConfig):
     readout = list(memory.values())
     seed = BitString(PUF_SEED_BITS, uav._puf.seed)
     report.check("readout holds no device seed and no response",
-                 sorted(memory) == ["c_j", "id_j", "tc_id_j"]
+                 _stored_triple(world, "uav-1", memory)
                  and rec.r_j not in readout
                  and not any(seed.contains(BitString(DIGEST_BITS, v)) for v in readout))
     _not_derivable(report, [], readout, {
@@ -526,14 +539,10 @@ def crp_leakage(report: ScenarioReport, world: World, cfg: SimConfig):
 def lifecycle_update_replace(report: ScenarioReport, world: World, cfg: SimConfig):
     """Password and biometric update, then card replacement, each followed
     by a full session."""
-    user = world.users["alice"]
-    secrets = world.user_secrets["alice"]
-    new_bio = world.rng.getrandbits(BIO_BITS)
-    user.update_credentials(secrets["password"], secrets["bio"],
-                            "updated-passphrase", new_bio, world.rng)
-    report.check("old credentials refused after update",
-                 _raises(ProtocolError, user.login, secrets["password"], secrets["bio"]))
-    secrets.update(password="updated-passphrase", bio=new_bio)
+    old = dict(world.user_secrets["alice"])
+    update_credentials(world, "alice", "updated-passphrase")
+    report.check("old credentials refused after update", _raises(
+        ProtocolError, world.users["alice"].login, old["password"], old["bio"]))
     result = run_aka(world, "alice", "uav-1")
     report.check("session completes after update", result.ok and result.keys_agree)
 

@@ -161,6 +161,15 @@ def enroll_user(world: World, identity: str, password: str) -> User:
     return user
 
 
+def update_credentials(world: World, identity: str, new_password: str) -> None:
+    """Local password change with a newly drawn biometric; the stored secrets follow."""
+    secrets = world.user_secrets[identity]
+    new_bio = world.rng.getrandbits(BIO_BITS)
+    world.users[identity].update_credentials(secrets["password"], secrets["bio"],
+                                             new_password, new_bio, world.rng)
+    secrets.update(password=new_password, bio=new_bio)
+
+
 def enroll_uav(world: World, identity: str, announce: bool = False) -> Uav:
     """Run the full UAV registration phase; ``announce`` tells every user.
     The name is encoded once; a name the gateway refuses draws and sends nothing."""

@@ -136,10 +136,11 @@ def test_lifecycle_criterion_fails_on_any_failed_claim(monkeypatch, scenario_rep
 
 
 def test_correctness_criterion_runs_under_the_callers_window():
-    """Criterion 4 uses the caller's config: at delta_t=1 every MSG1 is stale."""
-    result = acceptance.protocol_correctness(SimConfig(delta_t=1), seeds=3)
+    """Criterion 4 uses the caller's config: at delta_t=1 every MSG1 is stale,
+    and the criterion stops at its fifth failing seed."""
+    result = acceptance.protocol_correctness(SimConfig(delta_t=1))
     assert not result.passed
-    assert result.details["failing_seeds"] == [0, 1, 2]
+    assert result.details["failing_seeds"] == [0, 1, 2, 3, 4]
 
 
 def test_runtime_overrun_keeps_the_report_deterministic(monkeypatch):

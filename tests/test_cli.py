@@ -269,7 +269,10 @@ def test_malformed_state_file_exit_code(tmp_path, name, edit):
     assert proc.stderr == f"error: malformed state file {Path('state') / name}\n"
 
 
-@pytest.mark.parametrize("doc", [[], {"op_counts": {"user": {}}}])
+@pytest.mark.parametrize("doc", [
+    [], {"op_counts": {"user": {}}}, {},
+    {"op_counts": {role: {"hash": 1} for role in ("user", "gwn", "uav")}},  # no bit_counts
+])
 def test_malformed_last_session_exit_code(tmp_path, doc):
     bootstrap(tmp_path)
     (tmp_path / "state" / "last_session.json").write_text(json.dumps(doc))

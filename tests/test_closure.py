@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from fanet_aka import closure
 from fanet_aka.bits import hex_of
 from fanet_aka.closure import Closure, compute_closure
-from fanet_aka.crypto import BIO_BITS, sha1_value
+from fanet_aka.crypto import sha1_value
 from fanet_aka.metrics import recording
 from fanet_aka.scenarios import _observed
-from fanet_aka.simnet import SimConfig, build_world, enroll_uav, enroll_user, run_aka
+from fanet_aka.simnet import (SimConfig, build_world, enroll_uav, enroll_user, run_aka,
+                              update_credentials)
 from fanet_aka.wire import Msg1, Msg2, Msg3, decode
 
 
@@ -107,11 +108,7 @@ def test_plans_cover_every_hash_shape_the_protocol_uses():
         enroll_user(world, "alice", "alice-passphrase")
         enroll_uav(world, "uav-1")
         assert run_aka(world, "alice", "uav-1").ok
-        secrets = world.user_secrets["alice"]
-        new_bio = world.rng.getrandbits(BIO_BITS)
-        world.users["alice"].update_credentials(secrets["password"], secrets["bio"],
-                                                "updated-passphrase", new_bio, world.rng)
-        secrets.update(password="updated-passphrase", bio=new_bio)
+        update_credentials(world, "alice", "updated-passphrase")
         assert run_aka(world, "alice", "uav-1").ok
         enroll_user(world, "alice", "replacement-pw")
         assert run_aka(world, "alice", "uav-1").ok

@@ -74,3 +74,17 @@ def test_key_agreement_messages_hold_int_fields():
         annotations = [ast.unparse(node.annotation) for node in classes[name].body
                        if isinstance(node, ast.AnnAssign)]
         assert annotations and set(annotations) == {"int"}, name
+
+
+@pytest.mark.parametrize("width", [672, 512, 1856])
+def test_the_session_bit_contract_is_stated_once(width):
+    # every use of a message or session width in the package sits in the one
+    # assignment that states the contract; the rest read it from there
+    def uses(node):
+        return sum(1 for n in ast.walk(node)
+                   if isinstance(n, ast.Constant) and type(n.value) is int and n.value == width)
+
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    holders = [uses(node) for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.Assign, ast.AnnAssign)) and uses(node)]
+    assert len(holders) == 1 and holders[0] == sum(uses(tree) for tree in trees)

@@ -133,18 +133,25 @@ def test_a_refused_original_fails_the_replay_report(monkeypatch):
                                 "details": {"rejection": "MacMismatch"}}]
 
 
-@pytest.mark.parametrize("leak", ["response", "seed"])
-def test_a_readout_holding_secret_values_fails_side_channel(monkeypatch, leak):
-    # the readout check compares values, not only key names
+@pytest.mark.parametrize("scenario,claim,leak", [
+    pytest.param("side_channel", "readout holds no device seed and no response", "response",
+                 id="response"),
+    pytest.param("side_channel", "readout holds no device seed and no response", "seed",
+                 id="seed"),
+    pytest.param("uav_capture", "memory image is exactly the stored triple", "response",
+                 id="uav_capture"),
+])
+def test_a_readout_holding_secret_values_fails_side_channel(monkeypatch, scenario, claim,
+                                                            leak):
+    # each readout check compares values, not only key names
     def leaky(self):
         secret = (self._puf.eval_value(self.c_j) if leak == "response"
                   else self._puf.seed >> 96)  # the seed's first 160 bits
         return {"c_j": secret, "id_j": self.id_j, "tc_id_j": self.tc_id_j}
 
     monkeypatch.setattr(Uav, "capture_memory", leaky)
-    report = run_scenario("side_channel", SimConfig(seed=0))
-    verdict = next(v for v in report.verdicts
-                   if v["claim"] == "readout holds no device seed and no response")
+    report = run_scenario(scenario, SimConfig(seed=0))
+    verdict = next(v for v in report.verdicts if v["claim"] == claim)
     assert not verdict["passed"]
 
 

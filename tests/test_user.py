@@ -9,7 +9,8 @@ from fanet_aka.crypto import (BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE
 from fanet_aka.errors import AuthFailed, LoginFailed, ProtocolError
 from fanet_aka.gwn import SECRET_BITS, Gateway
 from fanet_aka.metrics import OPS
-from fanet_aka.simnet import SimConfig, build_world, enroll_user, enroll_uav, run_aka
+from fanet_aka.simnet import (SimConfig, build_world, enroll_user, enroll_uav, run_aka,
+                              update_credentials)
 from fanet_aka.user import User
 
 
@@ -222,12 +223,7 @@ def test_aka_succeeds_after_update():
     world = build_world(SimConfig(seed=7))
     enroll_user(world, "alice", "pw-alice")
     enroll_uav(world, "uav-1")
-    user = world.users["alice"]
-    secrets = world.user_secrets["alice"]
-    new_bio = world.rng.getrandbits(BIO_BITS)
-    user.update_credentials(secrets["password"], secrets["bio"],
-                            "pw-alice-2", new_bio, world.rng)
-    secrets.update(password="pw-alice-2", bio=new_bio)
+    update_credentials(world, "alice", "pw-alice-2")
     result = run_aka(world, "alice", "uav-1")
     assert result.ok and result.keys_agree
 
