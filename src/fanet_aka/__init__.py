@@ -11,7 +11,7 @@ from .closure import Closure, compute_closure
 from .crypto import PufDevice, fe_gen, fe_rep, sha1_digest
 from .errors import ProtocolError
 from .gwn import Gateway
-from .metrics import OpCounter, count_session, overhead_report
+from .metrics import OpCounter, overhead_report
 from .scenarios import SCENARIOS, feature_matrix, run_scenario
 from .simnet import SimClock, SimConfig, build_world, enroll_uav, enroll_user, run_aka
 from .uav import Uav
@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BitString", "concat", "Closure", "compute_closure", "PufDevice",
     "fe_gen", "fe_rep", "sha1_digest",
-    "ProtocolError", "Gateway", "OpCounter", "count_session",
-    "overhead_report", "SCENARIOS", "feature_matrix", "run_scenario",
+    "ProtocolError", "Gateway", "OpCounter", "overhead_report",
+    "SCENARIOS", "feature_matrix", "run_scenario",
     "SimClock", "SimConfig", "build_world", "enroll_uav", "enroll_user",
     "run_aka", "Uav", "SmartCard", "User", "Msg1", "Msg2", "Msg3",
     "decode", "encode", "protocol_bits", "__version__",

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .crypto import BIO_BITS, FE_KEY_BITS, FE_REPETITION, FE_TOLERANCE, fe_gen, fe_rep
-from .metrics import count_session, overhead_report
+from .metrics import overhead_report
 from .scenarios import (CLOSURE_SCENARIOS, POSITIVE_CONTROL, SESSION_BITS, _world,
                         run_scenario)
 from .simnet import SimConfig, run_aka
@@ -58,7 +58,7 @@ PHASE_HASHES = {"login": 4, "initiate": 3, "finalize": 4}
 
 def computation_counts(cfg: SimConfig) -> CriterionResult:
     _, result = _fresh_session(cfg)
-    counts = count_session(result)
+    counts = result.op_counts
     measured = {r: {op: c[op] for op in ("hash", "puf", "fe")} for r, c in counts.items()}
     totals = {op: sum(c[op] for c in measured.values()) for op in ("hash", "puf", "fe")}
     phases = {p: result.phase_counts[p]["hash"] for p in result.phase_counts}

@@ -1,24 +1,23 @@
-"""Fixed-width bit strings and the operators the protocol algebra runs on.
+"""Fixed-width fields as ``int``s, their one hex codec, and the payload type.
 
-A value that leaves the protocol as bits is a :class:`BitString`: a
-message payload. A party stores the ``int`` of each field,
-saved and restored by :func:`hex_of` and :func:`int_of_hex` (a name's by
-:func:`text_value`); a role step computes on those ints (see
-:class:`~fanet_aka.metrics.OpCounter`), and so do the timestamps, the
-session key, the biometric and the fuzzy extractor; message records
-carry them (see :mod:`~fanet_aka.wire`), so a BitString is built only
-where a value leaves. Widths are explicit and equality is bit-exact:
-``BitString(32, 5)`` and ``BitString(160, 5)`` are different values. Bit 0
-is the most significant bit (big-endian), both for indexing and for the
-wire layout.
+A party stores the ``int`` of each field, and a role step computes on
+those ints (see :class:`~fanet_aka.metrics.OpCounter`), as do the
+timestamps, the session key, the biometric and the fuzzy extractor.
+Message records carry them (see :mod:`~fanet_aka.wire`). Hex text is
+written by :func:`hex_of` and read back by :func:`int_of_hex`, the one
+hex codec, and a name's field is :func:`text_value`.
 
-Values are validated where they enter: the public constructor and
-:meth:`BitString.from_hex` check that the value fits its width, and so do
-a message record's constructor and ``encode`` for the fields they take.
-Values that fit by construction (flips, slices, concatenation, digests,
-``random``) are built by :func:`_unchecked`, which skips that check; the
-wire codec's generated packers build their payloads the same way, through
-the same slot setters, inline.
+A :class:`BitString` is a message payload: the bits a record packs into
+and the channel logs, which an intercept may flip and a scenario may
+search. Widths are explicit and equality is bit-exact: ``BitString(32,
+5)`` and ``BitString(160, 5)`` are different values. Bit 0 is the most
+significant bit (big-endian), both for indexing and for the wire layout.
+
+The public constructor checks that the value fits its width. Values that
+fit by construction (flips, concatenation, digests, ``random``) are built
+by :func:`_unchecked`, which skips that check; the wire codec's generated
+packers build their payloads the same way, through the same slot
+setters, inline.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 class BitString:
-    """Immutable bit sequence with a fixed width.
+    """Immutable bit sequence with a fixed width: a message payload.
 
     The value is held as a non-negative integer right-aligned in the
     width, so zero-extension on the left is a no-op on the integer.
@@ -42,6 +41,8 @@ class BitString:
     __slots__ = ("width", "value")
 
     def __init__(self, width: int, value: int):
+        """A checked payload. The benchmark counts these constructions per
+        session, and tests build the payloads they tamper with by it."""
         if width < 0:
             raise ValueError(f"negative width {width}")
         if not 0 <= value < (1 << width):
@@ -67,72 +68,32 @@ class BitString:
         # copy and pickle would otherwise restore the slots via __setattr__
         return BitString, (self.width, self.value)
 
-    # -- constructors ----------------------------------------------------
-
     @classmethod
     def random(cls, width: int, rng: random.Random) -> "BitString":
+        """A payload of ``rng.getrandbits(width)``: the garbage of ``dos``
+        and the fields of the benchmark's garbage MSG1."""
         if width < 0:
             raise ValueError(f"negative width {width}")
         return _unchecked(width, rng.getrandbits(width))
 
-    @classmethod
-    def from_hex(cls, text: str, width: int | None = None) -> "BitString":
-        """Inverse of :meth:`hex`.
-
-        The text must be hex digits alone, or ValueError is raised: no
-        ``0x``, sign, ``_`` or space, which ``int(text, 16)`` would take.
-        Without ``width`` every digit is four bits. With it, the text must
-        be exactly the ``2 * ceil(width / 8)`` digits :meth:`hex` writes,
-        with the padding bits zero; anything else raises WidthMismatch.
-        """
-        text = text.lower()
-        if not _HEX_DIGITS.issuperset(text):
-            raise ValueError(f"not hex digits: {text!r}")
-        value = int(text, 16) if text else 0
-        if width is None:
-            return cls(4 * len(text), value)
-        nbytes = (width + 7) // 8
-        pad = 8 * nbytes - width
-        if len(text) != 2 * nbytes or value & ((1 << pad) - 1):
-            raise WidthMismatch(f"{width}-bit field needs {2 * nbytes} hex digits, "
-                                f"got {text!r}")
-        return cls(width, value >> pad)
-
-    # -- views ------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Bytes view, right-padded with zero bits to a byte boundary.
-
-        This padding rule is part of the wire and hashing contract: all
-        parties feed identical byte sequences to the hash.
-        """
-        nbytes = (self.width + 7) // 8
-        return (self.value << (8 * nbytes - self.width)).to_bytes(nbytes, "big")
-
     def hex(self) -> str:
-        """Lowercase hex of :meth:`to_bytes`, no separators."""
-        return self.to_bytes().hex()
+        """:func:`hex_of` of the payload: how a transcript shows it."""
+        return hex_of(self.width, self.value)
 
     def __repr__(self) -> str:
         return f"BitString({self.width}, 0x{self.value:x})"
 
-    # -- tamper and search ------------------------------------------------
-
     def flip(self, index: int) -> "BitString":
-        """Copy with the bit at ``index`` inverted (tamper primitive)."""
+        """Copy with the bit at ``index`` inverted: the tamper primitive of
+        the acceptance suite's bit exhaustion and the benchmark's tamper
+        events."""
         if not 0 <= index < self.width:
             raise IndexError(index)
         return _unchecked(self.width, self.value ^ (1 << (self.width - 1 - index)))
 
-    def slice(self, start: int, stop: int) -> "BitString":
-        """Bits ``[start, stop)`` in MSB-first order."""
-        if not 0 <= start <= stop <= self.width:
-            raise IndexError((start, stop))
-        w = stop - start
-        return _unchecked(w, (self.value >> (self.width - stop)) & ((1 << w) - 1))
-
     def contains(self, needle: "BitString") -> bool:
-        """True if ``needle`` appears as a contiguous bit pattern."""
+        """True if ``needle`` appears as a contiguous bit pattern; the
+        ``crp_leakage`` and ``side_channel`` scenarios search with it."""
         if needle.width > self.width:
             return False
         mask = (1 << needle.width) - 1
@@ -143,13 +104,32 @@ class BitString:
 
 
 def hex_of(width: int, value: int) -> str:
-    """:meth:`BitString.hex` of the ``int`` of a ``width``-bit field."""
-    return BitString(width, value).hex()
+    """Lowercase hex of the ``int`` of a ``width``-bit field, right-padded
+    with zero bits to ``2 * ceil(width / 8)`` digits; ValueError if the
+    value is outside ``[0, 2**width)``."""
+    if not 0 <= value < (1 << width):
+        raise ValueError(f"value does not fit in {width} bits")
+    pad = -width & 7
+    return (value << pad).to_bytes((width + pad) >> 3, "big").hex()
 
 
 def int_of_hex(text: str, width: int) -> int:
-    """Inverse of :func:`hex_of`, checked as :meth:`BitString.from_hex` is."""
-    return BitString.from_hex(text, width=width).value
+    """Inverse of :func:`hex_of`: the ``int`` of a ``width``-bit field.
+
+    The text must be hex digits alone, or ValueError is raised: no ``0x``,
+    sign, ``_`` or space, which ``int(text, 16)`` would take. It must be
+    exactly the ``2 * ceil(width / 8)`` digits :func:`hex_of` writes, with
+    the padding bits zero; anything else raises WidthMismatch.
+    """
+    text = text.lower()
+    if not _HEX_DIGITS.issuperset(text):
+        raise ValueError(f"not hex digits: {text!r}")
+    pad = -width & 7
+    value = int(text, 16) if text else 0
+    if len(text) != (width + pad) >> 2 or value & ((1 << pad) - 1):
+        raise WidthMismatch(f"{width}-bit field needs {(width + pad) >> 2} hex digits, "
+                            f"got {text!r}")
+    return value >> pad
 
 
 def text_value(text: str) -> int:
@@ -163,7 +143,9 @@ def text_value(text: str) -> int:
 
 
 def concat(parts: Sequence[BitString] | Iterable[BitString]) -> BitString:
-    """Concatenate bit strings in order; result width is the sum of widths."""
+    """Concatenate bit strings in order; result width is the sum of widths.
+    Its one caller is :func:`~fanet_aka.crypto.sha1_digest`, kept for the
+    benchmark's span table and as the tests' reference hash."""
     width = 0
     value = 0
     for part in parts:

@@ -33,7 +33,7 @@ from .crypto import (BIO_BITS, CHALLENGE_BITS, DIGEST_BITS, NONCE_BITS, PUF_SEED
                      PufDevice, sha1_value)
 from .errors import ConfigError, ProtocolError, StateError, UnknownScenario, WidthMismatch
 from .gwn import SECRET_BITS, Gateway, UavRecord
-from .metrics import count_session, overhead_report, render_table
+from .metrics import overhead_report, render_table
 from .scenarios import SCENARIOS, feature_matrix, run_scenario
 from .simnet import (Channel, SimClock, SimConfig, World, enroll_uav, enroll_user, run_aka,
                      update_credentials)
@@ -310,7 +310,7 @@ def cmd_run_aka(args) -> int:
         "keys_agree": result.keys_agree,
         "session_key_fingerprint": hex_of(DIGEST_BITS, sha1_value((result.user_sk,))),
         "bit_counts": bits,
-        "op_counts": count_session(result),
+        "op_counts": result.op_counts,
     }
     state.save("last_session.json", session)
     save_world(state, world)

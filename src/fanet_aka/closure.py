@@ -85,8 +85,8 @@ class Closure:
         if key in self.terms:
             return [f"given {hex_of(*key)}"]
         if target in self.hits:
-            return [f"hash-concat({', '.join(p.hex() for p in self.hits[target])}) "
-                    f"= {hex_of(*key)}"]
+            parts = (hex_of(8 * len(p), int.from_bytes(p, "big")) for p in self.hits[target])
+            return [f"hash-concat({', '.join(parts)}) = {hex_of(*key)}"]
         subset = self._xor_subset(target)
         if subset is not None:
             return [f"xor({', '.join(hex_of(*k) for k in subset)}) = {hex_of(*key)}"]

@@ -56,8 +56,8 @@ def sha1_value(fields, width: int = 0, value: int = 0, ts: int | None = None) ->
     concatenation starts from ``value``, ``width`` bits wide (none by
     default), so a caller holding a bare ``int`` of another width need not
     wrap it. It is right-padded with zero bits to a byte boundary before
-    hashing (see :meth:`BitString.to_bytes`); all parties share this rule,
-    so digests computed from algebraically equal inputs match. A part
+    hashing, as :func:`~fanet_aka.bits.hex_of` pads; all parties share this
+    rule, so digests computed from algebraically equal inputs match. A part
     outside its width (negative, or a field ``>= 2**160``, a ``ts >=
     2**32``, a ``value >= 2**width``) raises :class:`WidthMismatch`: its
     extra bits would land in the part before it, and the digest would be
@@ -81,7 +81,9 @@ def sha1_value(fields, width: int = 0, value: int = 0, ts: int | None = None) ->
 
 
 def sha1_digest(*parts: BitString) -> BitString:
-    """The protocol's h(a || b) as a 160-bit BitString (see :func:`sha1_value`)."""
+    """The protocol's h(a || b) as a 160-bit BitString (see :func:`sha1_value`).
+    No package code calls it: the benchmark's span table names it, and
+    tests use it as the reference hash of bit strings of any width."""
     joined = concat(parts)
     return _unchecked(DIGEST_BITS, sha1_value((), joined.width, joined.value))
 

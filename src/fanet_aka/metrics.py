@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from . import crypto
 from .crypto import PufDevice
-from .errors import IncompleteTranscript
 
 _sha1 = hashlib.sha1
 _from_bytes = int.from_bytes
@@ -125,16 +124,15 @@ class OpCounter:
     return the ``int``s a party stores. Inside a :func:`recording` scope
     each digest keys the ``(fields, ts)`` it was given.
 
-    XOR is tallied for information only; it never enters time estimates.
+    The tallies only go up: a caller measures a span as the difference
+    of two :meth:`counts` readings (see :func:`diff_counts`). XOR is
+    tallied for information only; it never enters time estimates.
     """
 
     hash_count: int = 0
     puf_count: int = 0
     fe_count: int = 0
     xor_count: int = 0
-
-    def reset(self) -> None:
-        self.hash_count = self.puf_count = self.fe_count = self.xor_count = 0
 
     def counts(self) -> tuple[int, int, int, int]:
         """The tallies in the order of :data:`OPS`."""
@@ -195,17 +193,6 @@ def diff_counts(before: tuple, after: tuple) -> dict:
     hash0, puf0, fe0, xor0 = before
     hash1, puf1, fe1, xor1 = after
     return {"hash": hash1 - hash0, "puf": puf1 - puf0, "fe": fe1 - fe0, "xor": xor1 - xor0}
-
-
-def count_session(result) -> dict:
-    """Per-role primitive tallies of a completed honest session.
-
-    Covers login + initiation + finalization on the user side, the relay
-    step at the gateway, and the responder step at the UAV.
-    """
-    if not getattr(result, "ok", False):
-        raise IncompleteTranscript("session did not complete; no counts to report")
-    return {role: dict(counts) for role, counts in result.op_counts.items()}
 
 
 def estimate_ms(ops: dict) -> float:

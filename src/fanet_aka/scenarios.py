@@ -221,7 +221,7 @@ def impersonation(report: ScenarioReport, world: World, cfg: SimConfig):
     """Forged messages from transcript knowledge are always rejected."""
     rng = random.Random(f"{cfg.seed}:impersonation:forge")
     honest = run_aka(world, "alice", "uav-1")
-    report.check("honest session completes", honest.ok)
+    report.check("honest session completes", honest.ok and honest.keys_agree)
     msg1 = decode(Msg1, honest.transcript[0].payload)
     msg2 = decode(Msg2, honest.transcript[1].payload)
     msg3 = decode(Msg3, honest.transcript[2].payload)
@@ -241,8 +241,8 @@ def impersonation(report: ScenarioReport, world: World, cfg: SimConfig):
         world.clock.advance(1)
         now = ts_bits(world.clock.now)
         # random forgeries with a fresh, valid timestamp
-        deliver(Msg1(*(BitString.random(160, rng) for _ in range(4)), ts1=now),
-                Msg2(*(BitString.random(160, rng) for _ in range(4)), ts2=now))
+        deliver(Msg1(*(rng.getrandbits(160) for _ in range(4)), ts1=now),
+                Msg2(*(rng.getrandbits(160) for _ in range(4)), ts2=now))
 
     # structured best effort: observed fields with a fresh timestamp
     world.clock.advance(1)
@@ -262,8 +262,8 @@ def impersonation(report: ScenarioReport, world: World, cfg: SimConfig):
 
     # MSG3 forgeries against a live pending session
     for _ in range(ATTEMPTS):
-        deliver3(lambda ts3: Msg3(BitString.random(160, rng), BitString.random(160, rng),
-                                  ts3, BitString.random(160, rng)))
+        deliver3(lambda ts3: Msg3(rng.getrandbits(160), rng.getrandbits(160),
+                                  ts3, rng.getrandbits(160)))
     # structured MSG3: old confirmation fields under a fresh timestamp
     deliver3(lambda ts3: Msg3(msg3.v5, msg3.v4, ts3, msg3.v2))
 
@@ -382,7 +382,7 @@ def mitm(report: ScenarioReport, world: World, cfg: SimConfig):
     """Per-field substitutions never end with both sides agreeing on a key."""
     rng = random.Random(f"{cfg.seed}:mitm:fields")
     reference = run_aka(world, "alice", "uav-1")
-    report.check("honest session completes", reference.ok)
+    report.check("honest session completes", reference.ok and reference.keys_agree)
     observed = {tr.kind: tr.payload for tr in reference.transcript}
 
     undetected = []
@@ -400,7 +400,7 @@ def mitm(report: ScenarioReport, world: World, cfg: SimConfig):
                         return payload
                     msg = decode(_cls, payload)
                     if _mode == "random":
-                        value = BitString.random(_width, rng)
+                        value = rng.getrandbits(_width)
                     else:
                         value = getattr(decode(_cls, observed[_kind]), _name)
                     forged = replace(msg, **{_name: value})
@@ -430,7 +430,8 @@ def esl(report: ScenarioReport, world: World, cfg: SimConfig):
         session_a = run_aka(world, "alice", "uav-1")
         world.clock.advance(cfg.delta_t + 1)
         session_b = run_aka(world, "alice", "uav-1")
-    report.check("both sessions complete", session_a.ok and session_b.ok)
+    report.check("both sessions complete", session_a.ok and session_b.ok
+                 and session_a.keys_agree and session_b.keys_agree)
 
     pub_a = session_a.transcript
     # each key hashes (v3, TID_i, RID_j, N_k) and ts3
@@ -465,19 +466,16 @@ def dos(report: ScenarioReport, world: World, cfg: SimConfig):
     """Garbage floods are rejected cheaply and emit nothing."""
     rng = random.Random(f"{cfg.seed}:dos:flood")
     gwn = world.gateway
-    gwn.ops.reset()
     emitted = 0
     max_hashes = 0
     for i in range(FLOOD):
-        payload = BitString.random(SESSION_BITS["MSG1"], rng)
+        msg1 = decode(Msg1, BitString.random(SESSION_BITS["MSG1"], rng))
         if i % 2 == 0:
             # give half the flood a fresh timestamp so the MAC path runs
-            payload = encode(Msg1(*(payload.slice(k * 160, (k + 1) * 160)
-                                    for k in range(4)),
-                                  ts1=ts_bits(world.clock.now)))
+            msg1 = replace(msg1, ts1=ts_bits(world.clock.now))
         before = gwn.ops.hash_count
         try:
-            gwn.relay_auth(decode(Msg1, payload), world.clock, world.rng)
+            gwn.relay_auth(msg1, world.clock, world.rng)
             emitted += 1
         except ProtocolError:
             pass
@@ -491,7 +489,7 @@ def dos(report: ScenarioReport, world: World, cfg: SimConfig):
 def side_channel(report: ScenarioReport, world: World, cfg: SimConfig):
     """Physical readout exposes no response material: the PUF is not memory."""
     result = run_aka(world, "alice", "uav-1")
-    report.check("honest session completes", result.ok)
+    report.check("honest session completes", result.ok and result.keys_agree)
 
     uav = world.uavs["uav-1"]
     memory = uav.capture_memory()
@@ -518,7 +516,7 @@ def crp_leakage(report: ScenarioReport, world: World, cfg: SimConfig):
     for uav_id in ("uav-1", "uav-2"):
         results.append(run_aka(world, "alice", uav_id))
         world.clock.advance(cfg.delta_t + 1)
-    report.check("honest sessions complete", all(r.ok for r in results))
+    report.check("honest sessions complete", all(r.ok and r.keys_agree for r in results))
 
     public = [tr for tr in world.channel.log if not tr.secure]
     leaks = []

@@ -9,15 +9,15 @@ freshness decision on the 32-bit timestamp field lives here too.
 
 Message objects are immutable slotted records. Each field holds the plain
 ``int`` the role steps compute on, its width given by the record's
-``WIDTHS``. The record constructor is the boundary, as
-``BitString.__init__`` is: it also takes a BitString of a field's width
-and keeps its ``int``, and since no field can be assigned afterwards,
-``dataclasses.replace`` goes through it too. Each record carries a codec
-generated from its ``WIDTHS``: packing range-checks every field and
-shifts them into one payload, unpacking slices the payload by constant
-shifts and masks. The encoded payload is the immutable wire value the
-channel logs and an intercept may replace; the receiver gets the sender's
-record unless the delivered bits differ, and only those are unpacked.
+``WIDTHS``. The record constructor is the boundary, and since no field can
+be assigned afterwards, ``dataclasses.replace`` goes through it too. It
+also keeps the ``int`` of a BitString of a field's width, for the
+benchmark's garbage MSG1 alone. Each record carries a codec generated from
+its ``WIDTHS``: packing range-checks every field and shifts them into one
+payload, unpacking slices the payload by constant shifts and masks. The
+encoded payload is the immutable wire value the channel logs and an
+intercept may replace; the receiver gets the sender's record unless the
+delivered bits differ, and only those are unpacked.
 """
 
 from __future__ import annotations

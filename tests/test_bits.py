@@ -3,9 +3,9 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from fanet_aka.bits import BitString, concat, text_value
+from fanet_aka.bits import BitString, concat, hex_of, int_of_hex, text_value
 from fanet_aka.errors import WidthMismatch
 
 
@@ -56,7 +56,7 @@ def test_xor_zero_extends_shorter_operand(digest, nonce):
     # a 128-bit nonce masked by a 160-bit digest stays a 160-bit field
     out = BitString(160, digest.value ^ nonce.value)
     # the top 32 bits come straight from the wider operand
-    assert out.slice(0, 32) == digest.slice(0, 32)
+    assert out.value >> 128 == digest.value >> 128
 
 
 @given(bitstrings(128), bitstrings(128))
@@ -85,14 +85,6 @@ def test_concat_equal_width_injective(a, b):
         assert concat([a, b]) != concat([b, a])
 
 
-def test_slice_is_msb_first():
-    x = BitString(16, 0xABCD)
-    assert x.slice(0, 4).value == 0xA
-    assert x.slice(12, 16).value == 0xD
-    assert x.slice(0, 16) == x
-    assert x.slice(4, 4).width == 0
-
-
 def test_bit_indexing_and_flip():
     # bit 0 is the most significant
     x = BitString(8, 0b10000000)
@@ -109,21 +101,38 @@ def test_flip_changes_exactly_one_bit(x, data):
     assert x.flip(i).flip(i) == x
 
 
-def test_to_bytes_pads_on_the_right():
+def test_hex_pads_on_the_right():
     # 3 bits 0b101 -> one byte 0b10100000
-    assert BitString(3, 0b101).to_bytes() == bytes([0b10100000])
-    assert BitString(16, 0xABCD).to_bytes() == b"\xab\xcd"
+    assert hex_of(3, 0b101) == "a0"
+    assert hex_of(16, 0xABCD) == "abcd"
+    assert hex_of(0, 0) == ""
+    assert BitString(3, 0b101).hex() == "a0"
+    for width, value in ((3, 8), (160, 1 << 160), (8, -1)):
+        with pytest.raises(ValueError):
+            hex_of(width, value)
 
 
 def test_hex_round_trip():
     x = BitString(160, 0xDEADBEEF)
-    assert BitString.from_hex(x.hex()) == x
+    assert int_of_hex(x.hex(), 160) == x.value
     assert x.hex() == x.hex().lower()
+
+
+@given(st.integers(min_value=0, max_value=300).flatmap(
+    lambda w: st.tuples(st.just(w), st.integers(min_value=0, max_value=(1 << w) - 1))))
+@example((0, 0))
+@example((3, 0b101))
+@example((161, (1 << 161) - 1))
+def test_int_of_hex_inverts_hex_of_at_every_width(field):
+    width, value = field
+    text = hex_of(width, value)
+    assert len(text) == 2 * ((width + 7) // 8)
+    assert int_of_hex(text, width) == value
 
 
 def test_from_text_pads_and_rejects_overflow():
     # text_value is the int of the name's bytes, zero-padded to 160 bits
-    assert BitString(160, text_value("alice")).to_bytes() == b"alice" + b"\x00" * 15
+    assert hex_of(160, text_value("alice")) == (b"alice" + b"\x00" * 15).hex()
     assert text_value("x" * 20) == int.from_bytes(b"x" * 20, "big")
     with pytest.raises(WidthMismatch):
         text_value("x" * 21)
@@ -155,25 +164,26 @@ def test_bitstring_is_immutable():
 
 @given(bitstrings())
 def test_equal_values_hash_equal_however_built(x):
-    # results built without validation (flip, slice, concat) must be
+    # results built without validation (flip, concat) must be
     # indistinguishable from validated constructions
-    built = [BitString(x.width, x.value), x.flip(0).flip(0),
-             x.slice(0, x.width), concat([x]), BitString.from_hex(x.hex(), x.width)]
+    built = [BitString(x.width, x.value), x.flip(0).flip(0), concat([x]),
+             BitString(x.width, int_of_hex(x.hex(), x.width))]
     for y in built:
         assert y == x and hash(y) == hash(x)
     assert BitString(x.width + 1, x.value) != x
 
 
-def test_from_hex_with_width_takes_exactly_the_hex_of_that_width():
-    assert BitString.from_hex("ab", width=8) == BitString(8, 0xAB)
-    # hex() pads on the right to a byte boundary; from_hex undoes it
-    odd = BitString(3, 0b101)
-    assert BitString.from_hex(odd.hex(), width=3) == odd
-    for text, width in (("ab", 160), ("00", 160), ("abcd", 8), ("a1", 3)):
+def test_int_of_hex_takes_exactly_the_hex_of_that_width():
+    assert int_of_hex("ab", 8) == 0xAB
+    assert int_of_hex("AB", 8) == 0xAB
+    # hex_of pads on the right to a byte boundary; int_of_hex undoes it
+    assert int_of_hex(hex_of(3, 0b101), 3) == 0b101
+    for text, width in (("ab", 160), ("00", 160), ("abcd", 8), ("a1", 3), ("", 8),
+                        ("00", 0)):
         with pytest.raises(WidthMismatch):
-            BitString.from_hex(text, width=width)
-    # int(text, 16) reads each of these as 0x0012; hex() writes none of them
+            int_of_hex(text, width)
+    # int(text, 16) reads each of these as 0x0012; hex_of writes none of them
     for text in ("0x12", "+012", "0_12", "-012", " 012", "012 ", "0012\n"):
         with pytest.raises(ValueError):
-            BitString.from_hex(text, width=16)
-    assert BitString.from_hex("0012", width=16) == BitString(16, 0x12)
+            int_of_hex(text, 16)
+    assert int_of_hex("0012", 16) == 0x12

@@ -303,6 +303,22 @@ def test_lifecycle_subcommands(tmp_path):
     assert json.loads(proc.stdout)["keys_agree"] is True
 
 
+def test_a_failed_run_aka_exits_1_and_keeps_the_last_session(tmp_path, capsys):
+    # a run that does not complete has no counts to report, so it writes
+    # no session: the last completed one stays as it was, byte for byte
+    flow = (["init-gwn"], ["register-user", "--user", "alice", "--password", "pw-alice"],
+            ["register-uav", "--uav", "uav-1"], ["run-aka", "--user", "alice", "--uav", "uav-1"],
+            ["update-credentials", "--user", "alice", "--new-password", "pw-alice-2"])
+    for args in flow:
+        assert main(["--seed", "0", "--state-dir", str(tmp_path), *args]) == 0, args
+    last = (tmp_path / "last_session.json").read_bytes()
+    capsys.readouterr()
+    assert main(["--seed", "0", "--state-dir", str(tmp_path), "run-aka", "--user", "alice",
+                 "--uav", "uav-1", "--password", "pw-alice"]) == 1
+    assert capsys.readouterr().out.startswith("key agreement failed at login")
+    assert (tmp_path / "last_session.json").read_bytes() == last
+
+
 def test_attack_subcommand_exit_codes(tmp_path):
     proc = run_cli(["attack", "replay"], tmp_path)
     report = json.loads(proc.stdout)

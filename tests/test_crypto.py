@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanet_aka.bits import BitString, concat, text_value
+from fanet_aka.bits import BitString, concat, hex_of, text_value
 from fanet_aka.crypto import (BIO_BITS, CHALLENGE_BITS, FE_KEY_BITS, FE_REPETITION,
                               FE_TOLERANCE, NONCE_BITS, PUF_SEED_BITS, PufDevice, fe_gen,
                               _expand, fe_rep, sha1_digest, sha1_value)
@@ -45,7 +45,8 @@ _part = st.one_of(st.sampled_from([3, 12, 33]), st.integers(min_value=0, max_val
 @example([BitString(3, 0b101), BitString(12, 0xABC), BitString(33, (1 << 33) - 1)])
 def test_sha1_digest_matches_hashlib_on_the_padded_bytes(parts):
     # the parts are hashed as their concatenation, padded once at the end
-    expected = hashlib.sha1(concat(parts).to_bytes()).digest()
+    joined = concat(parts)
+    expected = hashlib.sha1(bytes.fromhex(hex_of(joined.width, joined.value))).digest()
     assert sha1_digest(*parts) == BitString(160, int.from_bytes(expected, "big"))
 
 
@@ -296,8 +297,8 @@ def test_fe_beyond_tolerance_matches_bit_flip_oracle():
         noisy = noisy.flip(i)
     got = fe_rep(noisy.value, tau)
 
-    codeword = BitString(BIO_BITS, tau ^ bio)
-    word = BitString(FE_KEY_BITS, int("".join(str(codeword.slice(k, k + 1).value)
+    codeword = tau ^ bio
+    word = BitString(FE_KEY_BITS, int("".join(str(codeword >> (BIO_BITS - 1 - k) & 1)
                                               for k in range(0, BIO_BITS, FE_REPETITION)), 2))
     assert sha1_digest(word).value == sigma
     expected = sha1_digest(word.flip(0)).value
@@ -305,10 +306,11 @@ def test_fe_beyond_tolerance_matches_bit_flip_oracle():
 
 
 def _slice_reference_rep(bio, tau):
-    """Majority decode written with BitString slices, one block at a time."""
-    noisy = BitString(BIO_BITS, tau.value ^ bio.value)
-    r = FE_REPETITION
-    word = [BitString(1, int(noisy.slice(i * r, (i + 1) * r).value.bit_count() > r // 2))
+    """Majority decode over BitString blocks cut by shift and mask, one
+    block at a time, hashed as the concatenation of 1-bit strings."""
+    noisy = tau.value ^ bio.value
+    r, block = FE_REPETITION, (1 << FE_REPETITION) - 1
+    word = [BitString(1, int((noisy >> (BIO_BITS - (i + 1) * r) & block).bit_count() > r // 2))
             for i in range(FE_KEY_BITS)]
     return sha1_digest(concat(word))
 
@@ -329,7 +331,8 @@ def _block_loop_expand(word):
     block = (1 << FE_REPETITION) - 1
     value = 0
     for i in range(word.width):
-        value = (value << FE_REPETITION) | (block if word.slice(i, i + 1).value else 0)
+        bit = word.value >> (word.width - 1 - i) & 1
+        value = (value << FE_REPETITION) | (block if bit else 0)
     return BitString(BIO_BITS, value)
 
 

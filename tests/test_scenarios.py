@@ -133,6 +133,27 @@ def test_a_refused_original_fails_the_replay_report(monkeypatch):
                                 "details": {"rejection": "MacMismatch"}}]
 
 
+def test_every_completion_claim_fails_when_the_keys_disagree(monkeypatch):
+    # a run that ends with two different keys has not completed a session:
+    # each claim that sessions complete also reads keys_agree
+    respond = Uav.aka_respond
+
+    def disagree(self, msg2, clock, rng):
+        msg3, sk = respond(self, msg2, clock, rng)
+        return msg3, sk ^ 1
+
+    monkeypatch.setattr(Uav, "aka_respond", disagree)
+    claims, passing = 0, []
+    for name in SCENARIOS:
+        for verdict in run_scenario(name, SimConfig(seed=0)).verdicts:
+            if "complete" in verdict["claim"]:
+                claims += 1
+                if verdict["passed"]:
+                    passing.append(f"{name}: {verdict['claim']}")
+    assert claims == 12
+    assert not passing, passing
+
+
 @pytest.mark.parametrize("scenario,claim,leak", [
     pytest.param("side_channel", "readout holds no device seed and no response", "response",
                  id="response"),

@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 from fanet_aka import wire
-from fanet_aka.bits import BitString
+from fanet_aka.bits import BitString, int_of_hex
 from fanet_aka.errors import (DisallowedAction, DuplicateRegistration, MacMismatch,
                               ReplayDetected)
 from fanet_aka.simnet import (LOG_CAPACITY, SimClock, SimConfig, build_world,
@@ -211,7 +211,7 @@ def test_transmission_json_shape():
     assert set(doc) == {"tick", "origin", "dest", "kind", "secure", "hex",
                         "events"}
     assert doc["kind"] == "MSG1"
-    assert decode_msg1(BitString.from_hex(doc["hex"])).ts1 == doc["tick"]
+    assert decode_msg1(BitString(672, int_of_hex(doc["hex"], 672))).ts1 == doc["tick"]
 
 
 def test_tampered_delivery_is_marked_with_the_sent_bits():

@@ -5,6 +5,7 @@ import pytest
 from fanet_aka.bits import BitString, text_value
 from fanet_aka.crypto import CHALLENGE_BITS, PUF_SEED_BITS, PufDevice
 from fanet_aka.errors import MacMismatch, ReplayDetected, StaleTimestamp
+from fanet_aka.metrics import diff_counts
 from fanet_aka.simnet import SimConfig, build_world, enroll_user, enroll_uav, run_aka
 from fanet_aka.uav import Uav
 from fanet_aka.wire import decode_msg2, encode
@@ -53,8 +54,8 @@ def test_capture_memory_is_exactly_the_triple():
     # neither the response nor the device seed is in the image
     r_j = uav._puf.eval_value(uav.c_j)
     assert all(value != r_j for value in memory.values())
-    seed = BitString(PUF_SEED_BITS, uav._puf.seed)
-    assert all(not BitString(160, value).contains(seed.slice(0, 160))
+    top = BitString(160, uav._puf.seed >> (PUF_SEED_BITS - 160))
+    assert all(not BitString(160, value).contains(top)
                for value in memory.values())
 
 
@@ -62,10 +63,10 @@ def test_respond_accepts_honest_relay_and_counts_ops():
     world, msg2 = _world_with_msg2()
     uav = world.uavs["uav-1"]
     world.clock.advance(1)
-    uav.ops.reset()
+    before = uav.ops.counts()
     msg3, sk = uav.aka_respond(msg2, world.clock, world.rng)
-    assert uav.ops.hash_count == 8
-    assert uav.ops.puf_count == 1
+    spent = diff_counts(before, uav.ops.counts())
+    assert (spent["hash"], spent["puf"]) == (8, 1)
     assert encode(msg3).width == 512
     assert type(sk) is int and 0 <= sk < 1 << 160
 
@@ -114,11 +115,11 @@ def test_respond_enforces_nonce_zero_prefix():
     world.clock.advance(1)
     uav = world.uavs["uav-1"]
     tampered = decode_msg2(encode(msg2).flip(160))  # v1 bit 0
-    uav.ops.reset()
+    before = uav.ops.hash_count
     with pytest.raises(MacMismatch):
         uav.aka_respond(tampered, world.clock, world.rng)
     # rejected before the pseudonym digest: one unmasking hash only
-    assert uav.ops.hash_count == 1
+    assert uav.ops.hash_count - before == 1
 
 
 def test_respond_emits_no_key_on_error():
