@@ -11,9 +11,9 @@ State layout (one directory, JSON files of hex fields):
   last_session.json measurements of the most recent run-aka
   meta.json         invocation counter feeding per-command rng streams
 
-Exit codes: 0 success / scenario passed; 1 failure, failed verdict or a
-closed standard output; 2 usage error; 3 missing state; 4 malformed state
-or config.
+Exit codes: 0 success / scenario passed; 1 failure, failed verdict, a
+closed standard output or an OS error; 2 usage error; 3 missing state; 4
+malformed state or a freshness window out of range.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import operator
 import os
 import random
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .acceptance import run_all
@@ -114,50 +114,13 @@ class StateDir:
 
 
 def _sim_config(args) -> SimConfig:
-    cfg = _load_config_file(Path(args.config)) if args.config else SimConfig()
-    flags = {f.name: getattr(args, f.name) for f in fields(SimConfig)
-             if getattr(args, f.name) is not None}
-    cfg = replace(cfg, **flags)
+    cfg = SimConfig(seed=args.seed, delta_t=args.delta_t)
     # run_aka spends a tick per hop, so under a one-tick window MSG1 is stale
     # when the gateway reads it; check_fresh's serial offset never reaches
     # 2**31 ticks, so a window that wide never expires
     if not 2 <= cfg.delta_t < 2**31:
         raise ConfigError(f"delta_t must be at least 2 and below 2**31, got {cfg.delta_t}")
     return cfg
-
-
-def _load_config_file(path: Path) -> SimConfig:
-    if not path.exists():
-        raise ConfigError(f"config file {path} not found")
-    text = path.read_text()
-    try:
-        if path.suffix == ".json" or text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            doc = {}
-            for line in text.splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                doc[key.strip()] = value.strip()
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} is not a JSON object")
-    known = SimConfig().__dict__
-    values = {}
-    for key, value in doc.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            # every knob is an integer: a bool or a fraction is refused, not truncated
-            if isinstance(value, bool):
-                raise TypeError("a bool is not a number")
-            values[key] = int(value) if isinstance(value, str) else operator.index(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-    return SimConfig(**values)
 
 
 def _parse_secrets(doc: dict) -> dict:
@@ -398,12 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="PUF-based authentication and key agreement simulator")
     parser.add_argument("--state-dir", default="state",
                         help="directory for persisted party state")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=0,
                         help="deterministic seed (default 0)")
-    parser.add_argument("--delta-t", type=int, default=None, dest="delta_t",
+    parser.add_argument("--delta-t", type=int, default=2, dest="delta_t",
                         help="freshness window in clock ticks (default 2)")
     parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--config", help="JSON or key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init-gwn", help="initialize the gateway")
@@ -465,6 +427,9 @@ def main(argv=None) -> int:
         # as in the Python docs' note on SIGPIPE: the reader is gone (``| head``),
         # and devnull takes the rest, so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+    except OSError as exc:  # e.g. a report file or state directory that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except StateError as exc:
         print(f"error: {exc}", file=sys.stderr)

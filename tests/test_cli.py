@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fanet_aka import cli
 from fanet_aka.cli import StateDir, _sim_config, build_parser, load_world, main, save_world
 from fanet_aka.simnet import SimConfig, build_world, enroll_uav, enroll_user, run_aka
 
@@ -119,25 +120,10 @@ def test_unknown_subcommand_exit_code(tmp_path):
     assert proc.returncode == 2
 
 
-def test_malformed_config_exit_code(tmp_path):
-    (tmp_path / "bad.cfg").write_text("delta_t = not-a-number\n")
-    proc = run_cli(["--config", "bad.cfg", "init-gwn"], tmp_path, check=False)
-    assert proc.returncode == 4
-    (tmp_path / "unknown.cfg").write_text("no_such_knob = 1\n")
-    proc = run_cli(["--config", "unknown.cfg", "init-gwn"], tmp_path, check=False)
-    assert proc.returncode == 4
-    (tmp_path / "list.json").write_text("[1, 2]")
-    proc = run_cli(["--config", "list.json", "init-gwn"], tmp_path, check=False)
-    assert proc.returncode == 4 and "Traceback" not in proc.stderr
-    # a bool or a fraction is refused in either format, never truncated
-    for name, text in (("frac.json", '{"delta_t": 2.5}'),
-                       ("whole.json", '{"delta_t": 2.0}'),
-                       ("bool.json", '{"seed": true}'),
-                       ("frac.cfg", "delta_t = 2.5\n"), ("bool.cfg", "seed = true\n")):
-        (tmp_path / name).write_text(text)
-        proc = run_cli(["--config", name, "attack", "mutual_auth"], tmp_path, check=False)
-        assert proc.returncode == 4, name
-        assert proc.stderr.startswith("error: bad value for "), name
+def test_config_file_option_is_gone(tmp_path):
+    # the configuration comes from flags only
+    proc = run_cli(["--config", "x.cfg", "attack", "mutual_auth"], tmp_path, check=False)
+    assert proc.returncode == 2
 
 
 def _late_session(state_dir, cfg):
@@ -149,18 +135,6 @@ def _late_session(state_dir, cfg):
         world.clock.advance(2)
         return payload
     return run_aka(world, "alice", "uav-1", intercept=late)
-
-
-def test_config_file_keys_are_applied(tmp_path):
-    bootstrap(tmp_path)
-    (tmp_path / "sim.cfg").write_text("seed = 7\ndelta_t = 5\n")
-    cfg = _sim_config(build_parser().parse_args(["--config", str(tmp_path / "sim.cfg"),
-                                                 "run-aka", "--user", "alice",
-                                                 "--uav", "uav-1"]))
-    assert cfg.seed == 7
-    assert _late_session(tmp_path / "state", cfg).keys_agree
-    refused = _late_session(tmp_path / "state", SimConfig())
-    assert (refused.stage, refused.error) == ("MSG1", "StaleTimestamp")
 
 
 def test_window_flag_reaches_every_party(tmp_path):
@@ -175,15 +149,10 @@ def test_window_flag_reaches_every_party(tmp_path):
     assert (refused.stage, refused.error) == ("MSG1", "StaleTimestamp")
 
 
-@pytest.mark.parametrize("window", ["0", "-1", "1", str(2**31)])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_window_outside_its_range_is_refused(tmp_path, window, source):
-    if source == "flag":
-        args = [f"--delta-t={window}"]
-    else:
-        (tmp_path / "sim.cfg").write_text(f"delta_t = {window}\n")
-        args = ["--config", "sim.cfg"]
-    proc = run_cli([*args, "init-gwn"], tmp_path, check=False)
+# the ids name the flag, the one source of the window
+@pytest.mark.parametrize("window", ["0", "-1", "1", str(2**31)], ids=lambda w: f"flag-{w}")
+def test_window_outside_its_range_is_refused(tmp_path, window):
+    proc = run_cli([f"--delta-t={window}", "init-gwn"], tmp_path, check=False)
     assert proc.returncode == 4
     assert proc.stderr.startswith("error: delta_t must be")
     assert len(proc.stderr.splitlines()) == 1
@@ -221,6 +190,22 @@ def test_init_gwn_refuses_a_deployment_that_lost_its_gateway_file(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert {p.name: p.read_bytes() for p in state.iterdir()} == before
+
+
+def test_state_dir_that_is_a_file_exits_1_without_a_traceback(tmp_path):
+    (tmp_path / "state").write_text("")
+    proc = run_cli(["init-gwn"], tmp_path, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_unwritable_report_file_exits_1_without_a_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_all", lambda cfg, echo: {"passed": True})
+    path = tmp_path / "no-such-dir" / "report.json"
+    assert main(["selftest", "--report-file", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("name,edit", [
@@ -433,7 +418,7 @@ def test_run_aka_rewrites_only_gateway_meta_and_session(tmp_path):
 
 def test_every_config_field_is_a_top_level_flag():
     """A SimConfig field that no flag sets, or a knob flag with no field, fails."""
-    not_knobs = {"help", "state_dir", "format", "config", "command"}
+    not_knobs = {"help", "state_dir", "format", "command"}
     dests = {action.dest for action in build_parser()._actions} - not_knobs
     assert dests == {f.name for f in fields(SimConfig)}
 
