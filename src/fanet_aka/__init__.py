@@ -6,7 +6,7 @@ bit-exact wire format, a simulated adversarial network with a bounded
 knowledge-closure engine, operation/bit accounting, and a CLI driver.
 """
 
-from .bits import BitString, concat
+from .bits import BitString
 from .closure import Closure, compute_closure
 from .crypto import PufDevice, fe_gen, fe_rep, sha1_digest
 from .errors import ProtocolError
@@ -21,7 +21,7 @@ from .wire import Msg1, Msg2, Msg3, decode, encode, protocol_bits
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitString", "concat", "Closure", "compute_closure", "PufDevice",
+    "BitString", "Closure", "compute_closure", "PufDevice",
     "fe_gen", "fe_rep", "sha1_digest",
     "ProtocolError", "Gateway", "OpCounter", "overhead_report",
     "SCENARIOS", "feature_matrix", "run_scenario",

@@ -5,17 +5,18 @@ those ints (see :class:`~fanet_aka.metrics.OpCounter`), as do the
 timestamps, the session key, the biometric and the fuzzy extractor.
 Message records carry them (see :mod:`~fanet_aka.wire`). Hex text is
 written by :func:`hex_of` and read back by :func:`int_of_hex`, the one
-hex codec, and a name's field is :func:`text_value`.
+hex codec, and a name's field is :func:`text_value`. A scenario searches
+the bits of an ``int`` for another with :func:`contains`.
 
 A :class:`BitString` is a message payload: the bits a record packs into
-and the channel logs, which an intercept may flip and a scenario may
-search. Widths are explicit and equality is bit-exact: ``BitString(32,
-5)`` and ``BitString(160, 5)`` are different values. Bit 0 is the most
-significant bit (big-endian), both for indexing and for the wire layout.
+and the channel logs, which an intercept may flip. Widths are explicit
+and equality is bit-exact: ``BitString(32, 5)`` and ``BitString(160, 5)``
+are different values. Bit 0 is the most significant bit (big-endian),
+both for indexing and for the wire layout.
 
 The public constructor checks that the value fits its width. Values that
-fit by construction (flips, concatenation, digests, ``random``) are built
-by :func:`_unchecked`, which skips that check; the wire codec's generated
+fit by construction (flips, digests, ``random``) are built by
+:func:`_unchecked`, which skips that check; the wire codec's generated
 packers build their payloads the same way, through the same slot
 setters, inline.
 """
@@ -23,7 +24,6 @@ setters, inline.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
 
 from .errors import WidthMismatch
 
@@ -91,17 +91,6 @@ class BitString:
             raise IndexError(index)
         return _unchecked(self.width, self.value ^ (1 << (self.width - 1 - index)))
 
-    def contains(self, needle: "BitString") -> bool:
-        """True if ``needle`` appears as a contiguous bit pattern; the
-        ``crp_leakage`` and ``side_channel`` scenarios search with it."""
-        if needle.width > self.width:
-            return False
-        mask = (1 << needle.width) - 1
-        for shift in range(self.width - needle.width + 1):
-            if (self.value >> shift) & mask == needle.value:
-                return True
-        return False
-
 
 def hex_of(width: int, value: int) -> str:
     """Lowercase hex of the ``int`` of a ``width``-bit field, right-padded
@@ -142,16 +131,13 @@ def text_value(text: str) -> int:
     return int.from_bytes(raw.ljust(TEXT_BYTES, b"\x00"), "big")
 
 
-def concat(parts: Sequence[BitString] | Iterable[BitString]) -> BitString:
-    """Concatenate bit strings in order; result width is the sum of widths.
-    Its one caller is :func:`~fanet_aka.crypto.sha1_digest`, kept for the
-    benchmark's span table and as the tests' reference hash."""
-    width = 0
-    value = 0
-    for part in parts:
-        width += part.width
-        value = (value << part.width) | part.value
-    return _unchecked(width, value)
+def contains(width: int, value: int, needle_width: int, needle: int) -> bool:
+    """True if the ``needle_width``-bit ``needle`` appears as a contiguous
+    bit pattern in the ``width``-bit ``value``; the ``crp_leakage`` and
+    ``side_channel`` scenarios search payloads and the PUF seed with it."""
+    mask = (1 << needle_width) - 1
+    return any((value >> shift) & mask == needle
+               for shift in range(width - needle_width + 1))
 
 
 _set_width = BitString.width.__set__

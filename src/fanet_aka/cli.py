@@ -24,6 +24,7 @@ import operator
 import os
 import random
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -343,13 +344,15 @@ def cmd_report(args) -> int:
 
 def cmd_selftest(args) -> int:
     cfg = _sim_config(args)
-    report = run_all(cfg, echo=print)
-    if args.format == "json" or args.report_file:
+    # opened first, so a report file that cannot be written fails before
+    # any criterion runs
+    with open(args.report_file, "w") if args.report_file else nullcontext() as out:
+        report = run_all(cfg, echo=print)
         payload = _dump(report)
-        if args.report_file:
-            Path(args.report_file).write_text(payload)
-        if args.format == "json":
-            print(payload, end="")
+        if out:
+            out.write(payload)
+    if args.format == "json":
+        print(payload, end="")
     return 0 if report["passed"] else EXIT_FAIL
 
 

@@ -24,7 +24,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .bits import BitString, _unchecked, concat
+from .bits import BitString, _unchecked
 from .errors import WidthMismatch
 
 DIGEST_BITS = 160
@@ -81,11 +81,15 @@ def sha1_value(fields, width: int = 0, value: int = 0, ts: int | None = None) ->
 
 
 def sha1_digest(*parts: BitString) -> BitString:
-    """The protocol's h(a || b) as a 160-bit BitString (see :func:`sha1_value`).
-    No package code calls it: the benchmark's span table names it, and
-    tests use it as the reference hash of bit strings of any width."""
-    joined = concat(parts)
-    return _unchecked(DIGEST_BITS, sha1_value((), joined.width, joined.value))
+    """The protocol's h(a || b) as a 160-bit BitString: the digest of the
+    parts joined in order (see :func:`sha1_value`). No package code calls
+    it: the benchmark's span table names it, and tests use it as the
+    reference hash of bit strings of any width."""
+    width = value = 0
+    for part in parts:
+        width += part.width
+        value = (value << part.width) | part.value
+    return _unchecked(DIGEST_BITS, sha1_value((), width, value))
 
 
 @dataclass(slots=True)

@@ -42,7 +42,8 @@ TIMING_PRESET_MS = {
 }
 
 #: Published overhead figures for four comparable three-party schemes,
-#: kept as read-only reference constants for the comparison report.
+#: kept as read-only reference constants for the comparison report: each
+#: role's op counts, which the report sums into the row's total.
 BASELINES = [
     {
         "name": "baseline-fe-hash",
@@ -50,7 +51,6 @@ BASELINES = [
             "user": {"fe": 1, "hash": 16},
             "gwn": {"hash": 8},
             "uav": {"hash": 7},
-            "total": {"fe": 1, "hash": 31},
         },
         "messages": 3,
         "bits": 1696,
@@ -61,7 +61,6 @@ BASELINES = [
             "user": {"eca": 2, "ecm": 5, "hash": 6},
             "gwn": {"eca": 1, "ecm": 1, "hash": 4},
             "uav": {"eca": 5, "ecm": 7, "hash": 5},
-            "total": {"eca": 8, "ecm": 13, "hash": 15},
         },
         "messages": 3,
         "bits": 2336,
@@ -72,7 +71,6 @@ BASELINES = [
             "user": {"enc": 1, "bp": 6, "hmac": 2, "puf": 1, "hash": 2},
             "gwn": {"enc": 3, "bp": 9, "hmac": 3, "puf": 1, "hash": 2},
             "uav": {"enc": 7, "bp": 6, "hmac": 3, "hash": 2},
-            "total": {"enc": 11, "bp": 21, "hmac": 8, "puf": 2, "hash": 6},
         },
         "messages": 6,
         "bits": 3200,
@@ -83,7 +81,6 @@ BASELINES = [
             "user": {"hash": 4},
             "gwn": {"ecm": 1, "hash": 5},
             "uav": {"puf": 1, "ecm": 1, "hash": 4},
-            "total": {"ecm": 2, "puf": 1, "hash": 13},
         },
         "messages": 3,
         "bits": 2240,
@@ -200,12 +197,13 @@ def estimate_ms(ops: dict) -> float:
     return sum(n * TIMING_PRESET_MS[op] for op, n in ops.items() if op != "xor" and n)
 
 
-def _role_totals(per_role: dict) -> dict:
+def _with_total(per_role: dict) -> dict:
+    """``per_role`` with a ``total`` row: each op's sum over the roles."""
     total: dict = {}
     for counts in per_role.values():
         for op, n in counts.items():
             total[op] = total.get(op, 0) + n
-    return total
+    return {**per_role, "total": total}
 
 
 def _estimates(per_role: dict) -> dict:
@@ -224,8 +222,7 @@ def overhead_report(session_counts: dict | None, bit_counts: dict | None) -> dic
 
     proposed: dict = {"name": "proposed"}
     if session_counts:
-        roles = {r: session_counts[r] for r in ("user", "gwn", "uav")}
-        proposed["ops"] = {**roles, "total": _role_totals(roles)}
+        proposed["ops"] = _with_total({r: session_counts[r] for r in ("user", "gwn", "uav")})
         proposed["estimated_ms"] = _estimates(proposed["ops"])
     if bit_counts:
         proposed["bits"] = bit_counts["total"]
@@ -236,9 +233,10 @@ def overhead_report(session_counts: dict | None, bit_counts: dict | None) -> dic
     report["proposed"] = proposed
 
     for base in BASELINES:
+        ops = _with_total(base["ops"])
         report["baselines"].append({
-            "name": base["name"], "ops": base["ops"], "messages": base["messages"],
-            "bits": base["bits"], "estimated_ms": _estimates(base["ops"])})
+            "name": base["name"], "ops": ops, "messages": base["messages"],
+            "bits": base["bits"], "estimated_ms": _estimates(ops)})
     return report
 
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field as dc_field, fields, replace
 from typing import Callable
 
-from .bits import BitString, hex_of, text_value
+from .bits import BitString, contains, hex_of, text_value
 from .closure import compute_closure
 from .crypto import DIGEST_BITS, PUF_SEED_BITS, TS_BITS, sha1_value
 from .errors import (DuplicateRegistration, IncompleteTranscript, ProtocolError,
@@ -467,11 +467,11 @@ def side_channel(report: ScenarioReport, world: World, cfg: SimConfig):
     memory = uav.capture_memory()
     rec = world.gateway.registry["uav-1"]
     readout = list(memory.values())
-    seed = BitString(PUF_SEED_BITS, uav._puf.seed)
     report.check("readout holds no device seed and no response",
                  _stored_triple(world, "uav-1", memory)
                  and rec.r_j not in readout
-                 and not any(seed.contains(BitString(DIGEST_BITS, v)) for v in readout))
+                 and not any(contains(PUF_SEED_BITS, uav._puf.seed, DIGEST_BITS, v)
+                             for v in readout))
     _not_derivable(report, [], readout, {
         "response not derivable from readout": {"r_j": rec.r_j},
     })
@@ -493,8 +493,9 @@ def crp_leakage(report: ScenarioReport, world: World, cfg: SimConfig):
     public = [tr for tr in world.channel.log if not tr.secure]
     leaks = []
     for uav_id in ("uav-1", "uav-2"):
-        r_j = BitString(DIGEST_BITS, world.gateway.registry[uav_id].r_j)
-        if any(tr.payload.contains(r_j) for tr in public):
+        r_j = world.gateway.registry[uav_id].r_j
+        if any(contains(tr.payload.width, tr.payload.value, DIGEST_BITS, r_j)
+               for tr in public):
             leaks.append(uav_id)
     report.check("response appears in no public payload", not leaks,
                  leaking_uavs=leaks, payloads_scanned=len(public))

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fanet_aka.bits import BitString, concat, hex_of, int_of_hex, text_value
+from fanet_aka.bits import BitString, contains, hex_of, int_of_hex, text_value
 from fanet_aka.errors import WidthMismatch
 
 
@@ -64,27 +64,6 @@ def test_xor_recovers_through_involution(x, y):
     assert (x.value ^ y.value) ^ y.value == x.value
 
 
-def test_concat_widths_and_order():
-    a = BitString(8, 0xAB)
-    b = BitString(4, 0xC)
-    assert concat([a]) == a
-    assert concat([a, b]).width == 12
-    assert concat([a, b]).value == 0xABC
-    assert concat([a, b]) != concat([b, a])
-    assert concat([BitString(160, 1), BitString(32, 1)]).width == 192
-
-
-@given(st.lists(bitstrings(), min_size=1, max_size=5))
-def test_concat_width_is_sum(parts):
-    assert concat(parts).width == sum(p.width for p in parts)
-
-
-@given(bitstrings(160), bitstrings(160))
-def test_concat_equal_width_injective(a, b):
-    if a != b:
-        assert concat([a, b]) != concat([b, a])
-
-
 def test_bit_indexing_and_flip():
     # bit 0 is the most significant
     x = BitString(8, 0b10000000)
@@ -139,11 +118,21 @@ def test_from_text_pads_and_rejects_overflow():
 
 
 def test_contains_finds_contiguous_patterns():
-    hay = BitString(24, 0xABCDEF)
-    assert hay.contains(BitString(8, 0xCD))
-    assert hay.contains(hay)
-    assert not hay.contains(BitString(8, 0x12))
-    assert not BitString(8, 0xAB).contains(hay)
+    assert contains(24, 0xABCDEF, 8, 0xCD)
+    assert contains(24, 0xABCDEF, 24, 0xABCDEF)
+    assert not contains(24, 0xABCDEF, 8, 0x12)
+    assert not contains(8, 0xAB, 24, 0xABCDEF)
+    # a needle's leading zero bits are part of its pattern
+    assert contains(16, 0x00FF, 12, 0x0FF)
+    assert not contains(16, 0xFF00, 12, 0x0FF)
+
+
+@given(st.integers(1, 64).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, (1 << w) - 1))),
+       st.integers(1, 16).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, (1 << w) - 1))))
+def test_contains_matches_a_search_of_the_bit_text(hay, needle):
+    (width, value), (needle_width, needle_value) = hay, needle
+    assert contains(width, value, needle_width, needle_value) == \
+        (format(needle_value, f"0{needle_width}b") in format(value, f"0{width}b"))
 
 
 def test_random_reproducible():
@@ -164,9 +153,9 @@ def test_bitstring_is_immutable():
 
 @given(bitstrings())
 def test_equal_values_hash_equal_however_built(x):
-    # results built without validation (flip, concat) must be
-    # indistinguishable from validated constructions
-    built = [BitString(x.width, x.value), x.flip(0).flip(0), concat([x]),
+    # results built without validation (flip) must be indistinguishable
+    # from validated constructions
+    built = [BitString(x.width, x.value), x.flip(0).flip(0),
              BitString(x.width, int_of_hex(x.hex(), x.width))]
     for y in built:
         assert y == x and hash(y) == hash(x)

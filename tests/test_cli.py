@@ -201,11 +201,17 @@ def test_state_dir_that_is_a_file_exits_1_without_a_traceback(tmp_path):
 
 
 def test_unwritable_report_file_exits_1_without_a_traceback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_all", lambda cfg, echo: {"passed": True})
+    def run_all(cfg, echo):
+        echo("PASS criterion 1: stand-in")
+        return {"passed": True}
+
+    monkeypatch.setattr(cli, "run_all", run_all)
     path = tmp_path / "no-such-dir" / "report.json"
     assert main(["selftest", "--report-file", str(path)]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    # the path is checked before the suite runs: no criterion was printed
+    assert "PASS criterion" not in out
 
 
 @pytest.mark.parametrize("name,edit", [

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import random
+from contextlib import nullcontext
 from itertools import product
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanet_aka import closure
+from fanet_aka import closure, scenarios
 from fanet_aka.bits import hex_of
 from fanet_aka.closure import Closure, compute_closure
 from fanet_aka.crypto import sha1_value
@@ -316,3 +317,38 @@ def test_span_basis_is_built_once_per_closure():
     span = clo._span
     assert y in clo and clo.derivation(y) and x in clo
     assert clo._span is span
+
+
+def test_each_scenario_hit_is_its_recorded_input_in_the_atoms(monkeypatch):
+    # the lookup a provenance engine would make: over the seven closure
+    # scenarios at seed 0, a declared target is hit exactly when the hash
+    # input the run recorded for it lies in the atoms in a shape the search
+    # walked, and the hit's parts are that input
+    calls = []
+
+    def compute(fields, stamps, targets):
+        clo = compute_closure(fields, stamps, targets)
+        calls.append(clo)
+        return clo
+
+    with recording() as table:
+        monkeypatch.setattr(scenarios, "recording", lambda: nullcontext(table))
+        monkeypatch.setattr(scenarios, "compute_closure", compute)
+        for name in scenarios.CLOSURE_SCENARIOS:
+            scenarios.run_scenario(name, SimConfig(seed=0))
+
+    checked = hits = 0
+    for clo in calls:
+        atoms = set(clo.terms)
+        for target in clo.targets:
+            checked += 1
+            fields, ts = table.get(target, ((), None))
+            parts = [(160, v) for v in fields] + ([] if ts is None else [(32, ts)])
+            shape = ("pure" if ts is None else "ts", len(fields))
+            expected = bool(parts) and atoms.issuperset(parts) and shape in clo.enumerated_shapes
+            assert (target in clo.hits) == expected
+            if expected:
+                hits += 1
+                found = tuple(int.from_bytes(p, "big") for p in clo.hits[target])
+                assert found == (*fields, *([] if ts is None else [ts]))
+    assert checked and hits  # esl's positive control is a hit

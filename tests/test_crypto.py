@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanet_aka.bits import BitString, concat, hex_of, text_value
+from fanet_aka.bits import BitString, text_value
 from fanet_aka.crypto import (BIO_BITS, CHALLENGE_BITS, FE_KEY_BITS, FE_REPETITION,
                               FE_TOLERANCE, NONCE_BITS, PUF_SEED_BITS, PufDevice, fe_gen,
                               _expand, fe_rep, sha1_digest, sha1_value)
@@ -44,10 +44,28 @@ _part = st.one_of(st.sampled_from([3, 12, 33]), st.integers(min_value=0, max_val
 @given(st.lists(_part, max_size=6))
 @example([BitString(3, 0b101), BitString(12, 0xABC), BitString(33, (1 << 33) - 1)])
 def test_sha1_digest_matches_hashlib_on_the_padded_bytes(parts):
-    # the parts are hashed as their concatenation, padded once at the end
-    joined = concat(parts)
-    expected = hashlib.sha1(bytes.fromhex(hex_of(joined.width, joined.value))).digest()
+    # the parts are hashed as their concatenation, every bit of each part
+    # in order (a 0-bit part adds none), padded once at the end
+    text = "".join(format(part.value, f"0{part.width}b") for part in parts if part.width)
+    text += "0" * (-len(text) % 8)
+    expected = hashlib.sha1(int(text or "0", 2).to_bytes(len(text) // 8, "big")).digest()
     assert sha1_digest(*parts) == BitString(160, int.from_bytes(expected, "big"))
+
+
+def test_sha1_digest_joins_parts_in_order():
+    a, b = BitString(8, 0xAB), BitString(4, 0xC)
+    assert sha1_digest(a).hex() == hashlib.sha1(b"\xab").hexdigest()
+    assert sha1_digest(a, b) == sha1_digest(BitString(12, 0xABC))
+    assert sha1_digest(a, b) != sha1_digest(b, a)
+    assert sha1_digest(BitString(160, 1), BitString(32, 1)) == \
+        sha1_digest(BitString(192, 1 << 32 | 1))
+
+
+@given(st.integers(0, (1 << 160) - 1), st.integers(0, (1 << 160) - 1))
+def test_sha1_digest_of_two_equal_width_parts_depends_on_order(a, b):
+    if a != b:
+        assert sha1_digest(BitString(160, a), BitString(160, b)) != \
+            sha1_digest(BitString(160, b), BitString(160, a))
 
 
 @given(_part, st.lists(st.integers(0, (1 << 160) - 1), max_size=3))
@@ -80,7 +98,7 @@ def test_sha1_value_refuses_a_part_wider_than_its_width(fields, width, value, ts
 def test_hash_parts_matches_manual_concatenation():
     # h(a || b) over separate parts equals the digest of their concatenation
     a, b = BitString(160, text_value("a")), BitString(160, text_value("b"))
-    assert sha1_digest(a, b) == sha1_digest(concat([a, b]))
+    assert sha1_digest(a, b) == sha1_digest(BitString(320, a.value << 160 | b.value))
 
 
 def test_short_corpus_has_no_collisions():
@@ -312,7 +330,7 @@ def _slice_reference_rep(bio, tau):
     r, block = FE_REPETITION, (1 << FE_REPETITION) - 1
     word = [BitString(1, int((noisy >> (BIO_BITS - (i + 1) * r) & block).bit_count() > r // 2))
             for i in range(FE_KEY_BITS)]
-    return sha1_digest(concat(word))
+    return sha1_digest(*word)
 
 
 def _block_loop_rep(bio, tau):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from fanet_aka.bits import BitString, text_value
+from fanet_aka.bits import BitString, contains, text_value
 from fanet_aka.crypto import sha1_digest
 from fanet_aka.errors import (DuplicateRegistration, MacMismatch, ProtocolError,
                               ReplayDetected, StaleTimestamp, UnknownUav)
@@ -174,15 +174,15 @@ def test_secret_confinement_in_public_payloads():
     enroll_uav(world, "uav-1")
     result = run_aka(world, "alice", "uav-1")
     assert result.ok
-    s = BitString(SECRET_BITS, world.gateway.export_secret())
     record = world.gateway.registry["uav-1"]
-    needles = [s, BitString(128, record.n_j), BitString(160, record.n_j),
-               BitString(160, record.r_j)]
+    needles = [(SECRET_BITS, world.gateway.export_secret()), (128, record.n_j),
+               (160, record.n_j), (160, record.r_j)]
     for transmission in world.channel.log:
         if transmission.secure:
             continue
-        for needle in needles:
-            assert not transmission.payload.contains(needle)
+        payload = transmission.payload
+        for width, needle in needles:
+            assert not contains(payload.width, payload.value, width, needle)
 
 
 def test_relay_requires_registration_argument_order():

@@ -1,9 +1,10 @@
 """README's "Known breaks", each run as a check that the break is still there.
 
-Every attack uses only what an eavesdropper has: the public payloads, the
-UAV's name (each report prints it as MSG2's ``dest``) and the hash. No
-scenario verdict reports these yet, so a test here fails the day a fix
-lands, and the README's list must follow.
+The attacks use only what an eavesdropper has: the public payloads, the
+UAV's name (each report prints it as MSG2's ``dest``) and the hash. The
+one exception, the key-confirmation gap, flips one bit of MSG3 on the
+channel. No scenario verdict reports these yet, so a test here fails the
+day a fix lands, and the README's list must follow.
 """
 
 import random
@@ -12,7 +13,7 @@ import pytest
 
 from fanet_aka.bits import text_value
 from fanet_aka.crypto import sha1_value
-from fanet_aka.scenarios import _swapped
+from fanet_aka.scenarios import SESSION_BITS, _swapped
 from fanet_aka.simnet import SimConfig, build_world, enroll_uav, enroll_user, run_aka
 from fanet_aka.wire import Msg1, Msg2, Msg3, decode
 
@@ -111,3 +112,20 @@ def test_msg2_tags_repeat_across_sessions(seed):
     assert all(len(tags) == 1 for tags in h_i.values())
     assert len(set().union(*v1.values())) == len(uavs)
     assert len(set().union(*h_i.values())) == len(users) * len(uavs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_flipped_v4_bit_is_accepted_under_a_key_the_uav_lacks(seed):
+    # the user's check v2 = h(ID_j, TID_i, TS3) xor N_k does not cover v4,
+    # MSG3's bits 160-319, so each of their flips ends the run with the user
+    # holding a key no one else holds; no MSG3 flip keeps the keys agreeing
+    world = _deployment(seed)
+    mismatched, agreeing = [], []
+    for index in range(SESSION_BITS["MSG3"]):
+        world.clock.advance(world.clock.delta_t + 1)
+        result = run_aka(world, "alice", "uav-1", intercept=lambda kind, payload, i=index:
+                         payload.flip(i) if kind == "MSG3" else payload)
+        if result.ok:
+            (agreeing if result.keys_agree else mismatched).append(index)
+    assert mismatched == list(range(160, 320))
+    assert not agreeing

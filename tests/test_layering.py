@@ -67,6 +67,29 @@ def test_no_field_wrapper_builds_closure_terms(module):
     assert "field" not in _imported_from(tree, "crypto")
 
 
+def test_scenarios_build_a_bitstring_only_as_random_garbage():
+    # a scenario searches payloads and the PUF seed as ints: every
+    # BitString it names is dos's BitString.random
+    tree = _tree("scenarios")
+    named = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "BitString"]
+    randoms = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "random"
+               and isinstance(node.value, ast.Name) and node.value.id == "BitString"]
+    assert named and all(node in randoms for node in named)
+
+
+def test_bits_joins_no_bit_strings_and_searches_ints():
+    # sha1_digest joins its own parts, and the bit search is a function
+    tree = _tree("bits")
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    methods = {fn.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    assert "concat" not in defined and "contains" in defined
+    assert "contains" not in methods
+
+
 def test_key_agreement_messages_hold_int_fields():
     classes = {node.name: node for node in ast.walk(_tree("wire"))
                if isinstance(node, ast.ClassDef)}

@@ -213,6 +213,18 @@ def test_baseline_constants_present():
     assert ests["baseline-ecc-puf"] == pytest.approx(1.292, abs=1e-3)
 
 
+def test_baseline_totals_are_the_published_sums():
+    # every row's total is its role sum, and equals the published total
+    totals = {b["name"]: b["ops"]["total"] for b in overhead_report(None, None)["baselines"]}
+    assert totals == {
+        "baseline-fe-hash": {"fe": 1, "hash": 31},
+        "baseline-ecc": {"eca": 8, "ecm": 13, "hash": 15},
+        "baseline-pairing-hmac": {"enc": 11, "bp": 21, "hmac": 8, "puf": 2, "hash": 6},
+        "baseline-ecc-puf": {"ecm": 2, "puf": 1, "hash": 13},
+    }
+    assert all("total" not in b["ops"] for b in BASELINES)
+
+
 def test_report_renders_without_session():
     report = overhead_report(None, None)
     table = render_table(report)

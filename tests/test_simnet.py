@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 from fanet_aka import wire
-from fanet_aka.bits import BitString, int_of_hex
+from fanet_aka.bits import BitString, contains, int_of_hex
 from fanet_aka.errors import (DisallowedAction, DuplicateRegistration, MacMismatch,
                               ReplayDetected)
 from fanet_aka.simnet import (LOG_CAPACITY, SimClock, SimConfig, build_world,
@@ -182,7 +182,7 @@ def test_session_keys_never_equal_any_payload_fragment():
     world = _ready(seed=5)
     result = run_aka(world, "alice", "uav-1")
     for tr in result.transcript:
-        assert not tr.payload.contains(BitString(160, result.user_sk))
+        assert not contains(tr.payload.width, tr.payload.value, 160, result.user_sk)
 
 
 def test_same_seed_same_transcript_bytes():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fanet_aka.bits import BitString, text_value
+from fanet_aka.bits import contains, text_value
 from fanet_aka.crypto import CHALLENGE_BITS, PUF_SEED_BITS, PufDevice
 from fanet_aka.errors import MacMismatch, ReplayDetected, StaleTimestamp
 from fanet_aka.metrics import diff_counts
@@ -54,9 +54,8 @@ def test_capture_memory_is_exactly_the_triple():
     # neither the response nor the device seed is in the image
     r_j = uav._puf.eval_value(uav.c_j)
     assert all(value != r_j for value in memory.values())
-    top = BitString(160, uav._puf.seed >> (PUF_SEED_BITS - 160))
-    assert all(not BitString(160, value).contains(top)
-               for value in memory.values())
+    top = uav._puf.seed >> (PUF_SEED_BITS - 160)
+    assert all(not contains(160, value, 160, top) for value in memory.values())
 
 
 def test_respond_accepts_honest_relay_and_counts_ops():
