@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fanet_aka.bits import BitString, contains, hex_of, int_of_hex, text_value
+from fanet_aka.crypto import sha1_digest
 from fanet_aka.errors import WidthMismatch
 
 
@@ -62,6 +63,16 @@ def test_xor_zero_extends_shorter_operand(digest, nonce):
 @given(bitstrings(128), bitstrings(128))
 def test_xor_recovers_through_involution(x, y):
     assert (x.value ^ y.value) ^ y.value == x.value
+
+
+@given(st.lists(bitstrings(), min_size=1, max_size=5))
+def test_concat_width_is_sum(parts):
+    # sha1_digest joins its parts into one field as wide as their sum
+    width = sum(p.width for p in parts)
+    value = 0
+    for p in parts:
+        value = value << p.width | p.value
+    assert sha1_digest(*parts) == sha1_digest(BitString(width, value))
 
 
 def test_bit_indexing_and_flip():
