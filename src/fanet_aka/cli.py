@@ -263,7 +263,7 @@ def cmd_run_aka(args) -> int:
     state = StateDir(Path(args.state_dir))
     world = load_world(state, _sim_config(args))
     _registered(world, args.user, args.uav)
-    result = run_aka(world, args.user, args.uav, password=args.password or None)
+    result = run_aka(world, args.user, args.uav, password=args.password)
     if not result.ok:
         print(f"key agreement failed at {result.stage}: {result.error}")
         return EXIT_FAIL

@@ -7,7 +7,10 @@ a role changes the tally and fails the pinned-count tests.
 
 :meth:`OpCounter.h` is also the protocol's hash kernel: it owns the
 protocol's byte layout (160-bit fields, then at most one 32-bit
-timestamp) and hashes it directly. :meth:`OpCounter.puf`,
+timestamp) and hashes it directly. It binds its first four fields as
+positional parameters, since every protocol hash has one to four, and each
+protocol hash, whatever its shape, is one call of it, because a traced run
+counts hashes by wrapping ``OpCounter.h``. :meth:`OpCounter.puf`,
 :meth:`OpCounter.fe_gen` and :meth:`OpCounter.fe_rep` count and then call
 the PUF and the fuzzy extractor, which hash their own whole-byte layouts
 in :mod:`crypto`. None of the four calls :func:`crypto.sha1_value`, the
@@ -137,13 +140,22 @@ class OpCounter:
 
     # counted primitive calls -------------------------------------------
 
-    def h(self, *fields: int, ts: int | None = None) -> int:
-        """The protocol's hash kernel: SHA-1 over ``fields`` as 20 bytes
-        each, then ``ts``, if given, as 4 bytes; the digest as an ``int``.
+    def h(self, a: int | None = None, b: int | None = None, c: int | None = None,
+          d: int | None = None, *more: int, ts: int | None = None) -> int:
+        """The protocol's hash kernel: SHA-1 over the fields ``a, b, c, d,
+        *more`` as 20 bytes each, then ``ts``, if given, as 4 bytes; the
+        digest as an ``int``.
 
         This is the protocol's byte layout, always whole bytes, so it is
         one integer, one ``to_bytes`` and one ``hashlib.sha1`` call;
-        ``sha1_value(fields, ts=ts)`` returns the same digest. Precondition:
+        ``sha1_value(fields, ts=ts)`` returns the same digest. Every
+        protocol hash has one to four fields, so those bind positionally
+        and are joined without a loop over a varargs tuple; a field is
+        absent only as None (0 is a field), and any wider call takes the
+        loop over ``more``. The ``(fields, ts)`` a :func:`recording` table
+        keeps is built only inside one. Each protocol hash stays one call
+        of this one method, whatever its shape, so that a traced run that
+        wraps ``OpCounter.h`` counts every protocol hash. Precondition:
         every field is in ``[0, 2**160)`` and ``ts`` in ``[0, 2**32)``; a
         wider part would alias a different input (``h(6, ts=2**32 + 1)``
         is ``h(7, ts=1)``). It is not checked here, since the check costs
@@ -155,16 +167,22 @@ class OpCounter:
         state files.
         """
         self.hash_count += 1
-        value = 0
-        for part in fields:
-            value = value << 160 | part
-        if ts is None:
-            data = value.to_bytes(20 * len(fields), "big")
+        if c is None:
+            if b is None:
+                value, size = (0, 0) if a is None else (a, 20)
+            else:
+                value, size = a << 160 | b, 40
+        elif d is None:
+            value, size = (a << 160 | b) << 160 | c, 60
         else:
-            data = (value << 32 | ts).to_bytes(20 * len(fields) + 4, "big")
-        digest = _from_bytes(_sha1(data).digest(), "big")
-        if _recorded is not None:
-            _recorded[digest] = (fields, ts)
+            value, size = ((a << 160 | b) << 160 | c) << 160 | d, 80
+            for part in more:
+                value, size = value << 160 | part, size + 20
+        if ts is not None:
+            value, size = value << 32 | ts, size + 4
+        digest = _from_bytes(_sha1(value.to_bytes(size, "big")).digest(), "big")
+        if _recorded is not None:  # size // 20 fields: a timestamp adds only 4 bytes
+            _recorded[digest] = ((a, b, c, d, *more)[:size // 20], ts)
         return digest
 
     def xor(self, a: int, b: int) -> int:

@@ -360,6 +360,21 @@ def test_empty_password_is_a_one_line_error(tmp_path, command):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_an_empty_run_aka_password_is_a_wrong_password(tmp_path, capsys):
+    # ``--password ""`` overrides the stored password like any other value:
+    # the login fails, and the last completed session stays as it was
+    for args in (["init-gwn"], ["register-user", "--user", "alice", "--password", "pw-alice"],
+                 ["register-uav", "--uav", "uav-1"],
+                 ["run-aka", "--user", "alice", "--uav", "uav-1"]):
+        assert main(["--seed", "0", "--state-dir", str(tmp_path), *args]) == 0, args
+    last = (tmp_path / "last_session.json").read_bytes()
+    capsys.readouterr()
+    assert main(["--seed", "0", "--state-dir", str(tmp_path), "run-aka", "--user", "alice",
+                 "--uav", "uav-1", "--password", ""]) == 1
+    assert capsys.readouterr().out == "key agreement failed at login: LoginFailed\n"
+    assert (tmp_path / "last_session.json").read_bytes() == last
+
+
 @pytest.mark.parametrize("command", [
     ["register-uav", "--uav", "a/b"],
     ["add-uav", "--uav", "a/b"],

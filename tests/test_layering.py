@@ -50,6 +50,30 @@ def test_protocol_core_names_no_bitstring(module):
     assert "BitString" not in names
 
 
+def _is_ops(node: ast.expr) -> bool:
+    """``ops`` or ``self.ops``: a role's counted facade."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "ops" and isinstance(node.value, ast.Name) and node.value.id == "self"
+    return isinstance(node, ast.Name) and node.id == "ops"
+
+
+@pytest.mark.parametrize("module", ["user", "gwn", "uav"])
+def test_role_steps_hash_only_through_the_counted_calls(module):
+    # every protocol hash is one OpCounter.h call, which a traced run counts
+    # by that one name; a role that hashed on its own would go uncounted
+    tree = _tree(module)
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not (_names(tree) | imported) & {"hashlib", "_sha1", "sha1_value"}
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and _is_ops(node.value)}
+    called = {node.func.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and _is_ops(node.func.value)}
+    assert "h" in called and used == called <= {"h", "xor", "puf", "fe_gen", "fe_rep"}
+
+
 def test_closure_reasons_over_ints_and_splits_nothing():
     # what the adversary saw reaches the engine as field and timestamp
     # ints, already split by wire.decode; the engine formats traces only

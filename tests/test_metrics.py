@@ -66,10 +66,25 @@ def test_exception_inside_a_recording_scope_restores_the_outer_table():
     assert metrics._recorded is None
 
 
+def _every_kernel_branch(test):
+    """Examples that run each branch of ``OpCounter.h`` on every run: one to
+    four bound fields at their widest, each without, at 0 and at the widest
+    timestamp; five and six fields, which take the loop; and ``h(0, 0, ts=0)``,
+    44 zero bytes recorded as ``((0, 0), 0)``: the kernel tells an absent
+    field by None alone, so a field of 0 is present."""
+    for n in range(1, 5):
+        for ts in (None, 0, (1 << 32) - 1):
+            test = example([(1 << 160) - 1] * n, ts)(test)
+    for n in (5, 6):
+        test = example(list(range(1, n + 1)), 7)(test)
+    return example([0, 0], 0)(test)
+
+
 @given(st.lists(st.integers(0, (1 << 160) - 1), max_size=6),
        st.none() | st.integers(0, (1 << 32) - 1))
 @example([], 0)
 @example([(1 << 160) - 1], (1 << 32) - 1)
+@_every_kernel_branch
 def test_int_parts_hash_and_record_like_bit_strings(fields, ts):
     # h takes the ints of 160-bit fields and then, if given, a timestamp at
     # its own 32 bits (a timestamp of 0 is hashed too); the digest is that of
