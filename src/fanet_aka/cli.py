@@ -242,6 +242,10 @@ def cmd_init_gwn(args) -> int:
 
 def cmd_register_user(args) -> int:
     state = StateDir(Path(args.state_dir))
+    if state.path(f"user_{args.user}.json").exists():
+        # a second card for a user on file is replace-card's work
+        print(f"error: user {args.user} already registered; use replace-card", file=sys.stderr)
+        return EXIT_FAIL
     world = load_world(state, _sim_config(args))
     enroll_user(world, args.user, args.password)
     save_world(state, world)
@@ -249,13 +253,12 @@ def cmd_register_user(args) -> int:
     return 0
 
 
-def cmd_register_uav(args, announce: bool = False) -> int:
+def cmd_register_uav(args) -> int:
     state = StateDir(Path(args.state_dir))
     world = load_world(state, _sim_config(args))
-    enroll_uav(world, args.uav, announce=announce)
+    enroll_uav(world, args.uav)
     save_world(state, world)
-    verb = "added dynamically" if announce else "registered"
-    print(f"uav {args.uav} {verb}; memory image written")
+    print(f"uav {args.uav} registered; memory image written")
     return 0
 
 
@@ -383,10 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("register-uav", help="run the UAV registration phase")
     p.add_argument("--uav", required=True, type=_party_name)
     p.set_defaults(fn=cmd_register_uav)
-
-    p = sub.add_parser("add-uav", help="dynamic UAV addition with broadcast")
-    p.add_argument("--uav", required=True, type=_party_name)
-    p.set_defaults(fn=lambda a: cmd_register_uav(a, announce=True))
 
     p = sub.add_parser("run-aka", help="full authenticated key agreement")
     p.add_argument("--user", required=True)

@@ -215,70 +215,45 @@ def estimate_ms(ops: dict) -> float:
     return sum(n * TIMING_PRESET_MS[op] for op, n in ops.items() if op != "xor" and n)
 
 
-def _with_total(per_role: dict) -> dict:
-    """``per_role`` with a ``total`` row: each op's sum over the roles."""
+def _row(name: str, ops: dict, messages: int, bits: int) -> dict:
+    """One protocol's row of the report: its per-role ``ops`` with a
+    ``total`` row, each op's sum over the roles; its message and bit
+    counts; and the estimates from the ops."""
     total: dict = {}
-    for counts in per_role.values():
+    for counts in ops.values():
         for op, n in counts.items():
             total[op] = total.get(op, 0) + n
-    return {**per_role, "total": total}
+    ops = {**ops, "total": total}
+    return {"name": name, "ops": ops, "messages": messages, "bits": bits,
+            "estimated_ms": {role: round(estimate_ms(n), 3) for role, n in ops.items()}}
 
 
-def _estimates(per_role: dict) -> dict:
-    return {role: round(estimate_ms(ops), 3) for role, ops in per_role.items()}
+def overhead_report(session_counts: dict, bit_counts: dict) -> dict:
+    """Comparison of a measured session against the baseline constants.
 
-
-def overhead_report(session_counts: dict | None, bit_counts: dict | None) -> dict:
-    """Comparison of the measured session against the baseline constants.
-
-    ``session_counts`` and ``bit_counts`` may be None (e.g. a registration
-    only run); the baseline side of the report still renders. The
-    millisecond figures are labeled estimates from ``TIMING_PRESET_MS``,
-    because only counts are measured.
+    ``session_counts`` and ``bit_counts`` are a completed run's per-role
+    op counts and :func:`~fanet_aka.wire.protocol_bits`. The millisecond
+    figures are labeled estimates from ``TIMING_PRESET_MS``, because only
+    counts are measured.
     """
-    report: dict = {"baselines": [], "timing_constants_ms": TIMING_PRESET_MS}
-
-    proposed: dict = {"name": "proposed"}
-    if session_counts:
-        proposed["ops"] = _with_total({r: session_counts[r] for r in ("user", "gwn", "uav")})
-        proposed["estimated_ms"] = _estimates(proposed["ops"])
-    if bit_counts:
-        proposed["bits"] = bit_counts["total"]
-        proposed["messages"] = bit_counts["message_count"]
-        proposed["per_message_bits"] = {
-            k: v for k, v in bit_counts.items() if k.startswith("MSG")
-        }
-    report["proposed"] = proposed
-
-    for base in BASELINES:
-        ops = _with_total(base["ops"])
-        report["baselines"].append({
-            "name": base["name"], "ops": ops, "messages": base["messages"],
-            "bits": base["bits"], "estimated_ms": _estimates(ops)})
-    return report
+    proposed = _row("proposed", {r: session_counts[r] for r in ("user", "gwn", "uav")},
+                    bit_counts["message_count"], bit_counts["total"])
+    proposed["per_message_bits"] = {k: v for k, v in bit_counts.items()
+                                    if k.startswith("MSG")}
+    return {"proposed": proposed, "baselines": [_row(**base) for base in BASELINES],
+            "timing_constants_ms": TIMING_PRESET_MS}
 
 
 def render_table(report: dict) -> str:
     """Aligned plain-text rendering of :func:`overhead_report` output."""
-    rows = []
     header = ("protocol", "user ms", "gwn ms", "uav ms", "total ms", "msgs", "bits")
-    rows.append(header)
+    rows = [header]
     for entry in [report["proposed"], *report["baselines"]]:
-        est = entry.get("estimated_ms", {})
-        rows.append((
-            entry["name"],
-            _fmt(est.get("user")), _fmt(est.get("gwn")),
-            _fmt(est.get("uav")), _fmt(est.get("total")),
-            str(entry.get("messages", "-")), str(entry.get("bits", "-")),
-        ))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
+        est = entry["estimated_ms"]
+        rows.append((entry["name"],
+                     *(f"{est[role]:.3f}" for role in ("user", "gwn", "uav", "total")),
+                     str(entry["messages"]), str(entry["bits"])))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def _fmt(x) -> str:
-    return "-" if x is None else f"{x:.3f}"

@@ -170,8 +170,8 @@ def update_credentials(world: World, identity: str, new_password: str) -> None:
     secrets.update(password=new_password, bio=new_bio)
 
 
-def enroll_uav(world: World, identity: str, announce: bool = False) -> Uav:
-    """Run the full UAV registration phase; ``announce`` tells every user.
+def enroll_uav(world: World, identity: str) -> Uav:
+    """Run the full UAV registration phase, at deployment or later alike.
     The name is encoded once; a name the gateway refuses draws and sends nothing."""
     gwn = world.gateway
     id_j = gwn.check_uav_name(identity)
@@ -184,9 +184,6 @@ def enroll_uav(world: World, identity: str, announce: bool = False) -> Uav:
     world.channel.send(identity, gwn.identity, submit, secure=True)
     gwn.register_uav_complete(identity, submit.r_j)
     world.uavs[identity] = uav
-    if announce:
-        for user in world.users.values():
-            user.note_uav(identity)
     return uav
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bits import text_value
 from .crypto import NONCE_BITS
-from .errors import AuthFailed, LoginFailed, ProtocolError
+from .errors import AuthFailed, LoginFailed, ProtocolError, WidthMismatch
 from .metrics import OpCounter
 from .wire import Msg1, Msg3, UserRegRequest, UserRegResponse, check_fresh, ts_bits
 
@@ -70,7 +70,6 @@ class User:
         self.id_i = text_value(identity)
         self.ops = OpCounter()
         self.card: SmartCard | None = None
-        self.known_uavs: set[str] = set()
         # the ints of (N_i, TID_i, TPW_i) of a registration awaiting
         # the gateway's reply
         self._reg: tuple[int, int, int] | None = None
@@ -112,7 +111,7 @@ class User:
 
         Total: always returns a context or raises LoginFailed, which is
         cause-opaque so a thief cannot tell a wrong password from a bad
-        biometric reading.
+        biometric reading. A password too wide for its field is a wrong one.
         """
         if self.card is None:
             raise ProtocolError("no card issued")
@@ -120,7 +119,10 @@ class User:
         sigma_star = ops.fe_rep(bio, card.tau_i)
         n_i_star = ops.xor(card.a_i, ops.h(id_i, sigma_star))
         tid_star = ops.h(id_i, n_i_star)
-        tpw_star = ops.h(text_value(password), n_i_star)
+        try:
+            tpw_star = ops.h(text_value(password), n_i_star)
+        except WidthMismatch:
+            raise LoginFailed("login failed") from None
         if ops.h(id_i, tpw_star, sigma_star) != card.b_i:
             raise LoginFailed("login failed")
         return LoginContext(tid_i=tid_star, tpw_i=tpw_star, n_i=n_i_star, c_i=card.c_i)
@@ -171,9 +173,3 @@ class User:
         ctx = self.login(old_password, old_bio)
         tpw_new = self.ops.h(text_value(new_password), ctx.n_i)
         return self._mint_card(ctx.n_i, tpw_new, self.card.c_i, new_bio, rng)
-
-    # -- bookkeeping --------------------------------------------------------
-
-    def note_uav(self, uav_identity: str) -> None:
-        """Record a gateway broadcast announcing a UAV."""
-        self.known_uavs.add(uav_identity)

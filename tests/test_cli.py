@@ -73,7 +73,7 @@ STATE_FLOW = [
     ["register-user", "--user", "alice", "--password", "pw-alice"],
     ["register-user", "--user", "bob", "--password", "pw-bob"],
     ["register-uav", "--uav", "uav-1"],
-    ["add-uav", "--uav", "uav-2"],
+    ["register-uav", "--uav", "uav-2"],
     ["run-aka", "--user", "alice", "--uav", "uav-1"],
     ["update-credentials", "--user", "alice", "--new-password", "pw-alice-2"],
     ["replace-card", "--user", "bob", "--new-password", "pw-bob-2"],
@@ -126,6 +126,12 @@ def test_config_file_option_is_gone(tmp_path):
     assert proc.returncode == 2
 
 
+def test_add_uav_subcommand_is_gone(tmp_path):
+    # register-uav enrolls a UAV at deployment or later alike
+    proc = run_cli(["add-uav", "--uav", "x"], tmp_path, check=False)
+    assert proc.returncode == 2
+
+
 def _late_session(state_dir, cfg):
     """A session restored from ``state_dir`` under ``cfg``, in which every
     message arrives two ticks after the driver would deliver it."""
@@ -173,6 +179,20 @@ def test_init_gwn_refuses_a_populated_deployment(tmp_path):
     state = tmp_path / "state"
     before = {p.name: p.read_bytes() for p in state.iterdir()}
     proc = run_cli(["init-gwn"], tmp_path, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in state.iterdir()} == before
+    run_cli(["run-aka", "--user", "alice", "--uav", "uav-1"], tmp_path)
+
+
+def test_register_user_refuses_a_registered_user(tmp_path):
+    # a second card is replace-card's work; the refusal writes no file, meta.json too
+    bootstrap(tmp_path)
+    state = tmp_path / "state"
+    before = {p.name: p.read_bytes() for p in state.iterdir()}
+    proc = run_cli(["register-user", "--user", "alice", "--password", "pw-other"],
+                   tmp_path, check=False)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1
@@ -289,7 +309,7 @@ def test_lifecycle_subcommands(tmp_path):
     proc = run_cli(["run-aka", "--user", "alice", "--uav", "uav-1"], tmp_path)
     assert json.loads(proc.stdout)["keys_agree"] is True
 
-    run_cli(["add-uav", "--uav", "uav-2"], tmp_path)
+    run_cli(["register-uav", "--uav", "uav-2"], tmp_path)
     proc = run_cli(["run-aka", "--user", "alice", "--uav", "uav-2"], tmp_path)
     assert json.loads(proc.stdout)["keys_agree"] is True
 
@@ -308,6 +328,18 @@ def test_a_failed_run_aka_exits_1_and_keeps_the_last_session(tmp_path, capsys):
                  "--uav", "uav-1", "--password", "pw-alice"]) == 1
     assert capsys.readouterr().out.startswith("key agreement failed at login")
     assert (tmp_path / "last_session.json").read_bytes() == last
+
+
+def test_a_password_too_wide_for_its_field_fails_login(tmp_path, capsys):
+    # a password over 20 bytes cannot be the right one: login refuses it
+    # as it refuses any wrong password, not with the codec's error
+    for args in (["init-gwn"], ["register-user", "--user", "alice", "--password", "pw-alice"],
+                 ["register-uav", "--uav", "uav-1"]):
+        assert main(["--state-dir", str(tmp_path), *args]) == 0, args
+    capsys.readouterr()
+    assert main(["--state-dir", str(tmp_path), "run-aka", "--user", "alice",
+                 "--uav", "uav-1", "--password", "x" * 30]) == 1
+    assert capsys.readouterr().out == "key agreement failed at login: LoginFailed\n"
 
 
 def test_attack_subcommand_exit_codes(tmp_path):
@@ -377,15 +409,12 @@ def test_an_empty_run_aka_password_is_a_wrong_password(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [
     ["register-uav", "--uav", "a/b"],
-    ["add-uav", "--uav", "a/b"],
     ["register-user", "--user", "x/y", "--password", "pw-x"],
     ["register-uav", "--uav", ""],
-    ["add-uav", "--uav", ""],
     ["register-user", "--user", "", "--password", "pw-x"],
     ["register-uav", "--uav", "uav\0"],
     ["register-user", "--user", "x\0", "--password", "pw-x"],
-], ids=["uav-slash", "add-uav-slash", "user-slash", "uav-empty", "add-uav-empty",
-        "user-empty", "uav-nul", "user-nul"])
+], ids=["uav-slash", "user-slash", "uav-empty", "user-empty", "uav-nul", "user-nul"])
 def test_a_name_no_state_file_can_hold_is_a_usage_error(tmp_path, capsys, command):
     # uav_a/b.json cannot be written: the refusal must come before the
     # gateway records the name, or every retry is refused as a duplicate
@@ -428,7 +457,7 @@ def test_a_refused_name_exits_2_without_a_traceback(tmp_path):
 def test_run_aka_rewrites_only_gateway_meta_and_session(tmp_path):
     bootstrap(tmp_path)
     run_cli(["register-user", "--user", "bob", "--password", "pw-bob"], tmp_path)
-    run_cli(["add-uav", "--uav", "uav-2"], tmp_path)
+    run_cli(["register-uav", "--uav", "uav-2"], tmp_path)
     state = tmp_path / "state"
     before = {p.name: p.read_bytes() for p in state.iterdir()}
     run_cli(["run-aka", "--user", "alice", "--uav", "uav-2"], tmp_path)

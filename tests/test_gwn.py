@@ -204,16 +204,15 @@ def test_relay_requires_registration_argument_order():
         world.gateway.relay_auth(msg1, world.clock, world.rng)
 
 
-def test_add_uav_dynamic_broadcasts_and_grows_registry():
+def test_late_uav_enrollment_grows_registry_once():
     world = build_world(SimConfig(seed=13))
     enroll_user(world, "alice", "pw-alice")
     enroll_uav(world, "uav-1")
     before = len(world.gateway.registry)
-    enroll_uav(world, "uav-2", announce=True)
-    assert world.users["alice"].known_uavs == {"uav-2"}
+    enroll_uav(world, "uav-2")
     assert len(world.gateway.registry) == before + 1
     with pytest.raises(DuplicateRegistration):
-        enroll_uav(world, "uav-2", announce=True)
+        enroll_uav(world, "uav-2")
 
 
 def test_uav_sharing_a_wire_identity_is_refused():

@@ -91,16 +91,12 @@ def test_no_field_wrapper_builds_closure_terms(module):
     assert "field" not in _imported_from(tree, "crypto")
 
 
-def test_scenarios_build_a_bitstring_only_as_random_garbage():
-    # a scenario searches payloads and the PUF seed as ints: every
-    # BitString it names is dos's BitString.random
+def test_scenarios_name_no_bitstring():
+    # a scenario searches payloads and the PUF seed as ints, and draws its
+    # garbage as a record of random field ints
     tree = _tree("scenarios")
-    named = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and node.id == "BitString"]
-    randoms = [node.value for node in ast.walk(tree)
-               if isinstance(node, ast.Attribute) and node.attr == "random"
-               and isinstance(node.value, ast.Name) and node.value.id == "BitString"]
-    assert named and all(node in randoms for node in named)
+    assert "BitString" not in _imported_from(tree, "bits")
+    assert "BitString" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def test_bits_joins_no_bit_strings_and_searches_ints():

@@ -216,10 +216,15 @@ def test_report_reproduces_reference_row():
     assert report["proposed"]["messages"] == 3
 
 
+def _report():
+    result = _session()
+    return overhead_report(result.op_counts, protocol_bits(result.transcript))
+
+
 def test_baseline_constants_present():
     bits = [b["bits"] for b in BASELINES]
     assert bits == [1696, 2336, 3200, 2240]
-    report = overhead_report(None, None)
+    report = _report()
     assert [b["bits"] for b in report["baselines"]] == bits
     ests = {b["name"]: b["estimated_ms"]["total"] for b in report["baselines"]}
     assert ests["baseline-fe-hash"] == pytest.approx(0.663, abs=1e-3)
@@ -230,7 +235,7 @@ def test_baseline_constants_present():
 
 def test_baseline_totals_are_the_published_sums():
     # every row's total is its role sum, and equals the published total
-    totals = {b["name"]: b["ops"]["total"] for b in overhead_report(None, None)["baselines"]}
+    totals = {b["name"]: b["ops"]["total"] for b in _report()["baselines"]}
     assert totals == {
         "baseline-fe-hash": {"fe": 1, "hash": 31},
         "baseline-ecc": {"eca": 8, "ecm": 13, "hash": 15},
@@ -240,24 +245,19 @@ def test_baseline_totals_are_the_published_sums():
     assert all("total" not in b["ops"] for b in BASELINES)
 
 
-def test_report_renders_without_session():
-    report = overhead_report(None, None)
-    table = render_table(report)
-    assert "proposed" in table
-    assert "baseline-ecc" in table
-    lines = table.splitlines()
+def test_report_table_has_a_row_per_protocol():
+    lines = render_table(_report()).splitlines()
     assert len(lines) == 2 + 1 + len(BASELINES)
-    assert "-" in table
+    assert lines[2].split() == ["proposed", "0.643", "0.006", "0.023", "0.672", "3", "1856"]
+    assert [line.split()[0] for line in lines[3:]] == [b["name"] for b in BASELINES]
 
 
-def test_report_without_timings_skips_estimates():
-    # with no session to count, the proposed row has nothing to estimate:
-    # every millisecond, message and bit cell renders as "-"
-    report = overhead_report(None, None)
-    assert "estimated_ms" not in report["proposed"]
-    assert all("estimated_ms" in b for b in report["baselines"])
-    proposed_line = render_table(report).splitlines()[2]
-    assert proposed_line.split() == ["proposed"] + ["-"] * 6
+def test_report_refuses_a_session_without_counts():
+    result = _session()
+    with pytest.raises(KeyError):
+        overhead_report({}, protocol_bits(result.transcript))
+    with pytest.raises(KeyError):
+        overhead_report(result.op_counts, {})
 
 
 def test_deleting_a_primitive_call_would_fail_the_pin():

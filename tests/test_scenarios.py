@@ -10,7 +10,9 @@ from fanet_aka.metrics import recording
 from fanet_aka.scenarios import (FEATURES, SCENARIOS, ScenarioReport, _not_derivable,
                                  feature_matrix, run_scenario)
 from fanet_aka.simnet import SimConfig, build_world, enroll_uav, enroll_user, run_aka
+from fanet_aka.gwn import Gateway
 from fanet_aka.uav import Uav
+from fanet_aka.user import User
 
 FIXTURES = Path(__file__).parent / "fixtures"
 #: SHA-1 of each scenario report and lifecycle half at seeds 0 and 1000,
@@ -118,6 +120,29 @@ def test_lifecycle_replacement_flow():
     outcome = _half("lifecycle_replacement", SimConfig(seed=0))
     assert outcome["passed"], outcome
     assert _digest(outcome) == DIGESTS["lifecycle_replacement"]
+
+
+def _verdict(report, claim: str) -> bool:
+    return next(v["passed"] for v in report.verdicts if v["claim"] == claim)
+
+
+def test_an_update_that_keeps_the_old_credentials_fails_its_claim(monkeypatch):
+    # the card is left as it was, so the old password and biometric still log in
+    monkeypatch.setattr(User, "update_credentials", lambda self, *args: self.card)
+    report = run_scenario("lifecycle_update_replace", SimConfig(seed=0))
+    assert _verdict(report, "old credentials refused after update") is False
+
+
+def test_a_gateway_that_accepts_an_old_pseudonym_fails_its_claim(monkeypatch):
+    register_user = Gateway.register_user
+
+    def accept(self, request):
+        self.user_tids.discard(request.tid_i)
+        return register_user(self, request)
+
+    monkeypatch.setattr(Gateway, "register_user", accept)
+    report = run_scenario("lifecycle_update_replace", SimConfig(seed=0))
+    assert _verdict(report, "old pseudonym's registration refused") is False
 
 
 def test_a_refused_original_fails_the_replay_report(monkeypatch):

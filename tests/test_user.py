@@ -89,6 +89,13 @@ def test_login_wrong_password_fails_opaquely():
     assert "password" not in str(info.value)
 
 
+def test_login_refuses_a_password_too_wide_for_its_field():
+    # 30 bytes cannot be the password: a wrong one, not a codec error
+    user, _, bio, _, _ = _registered_user()
+    with pytest.raises(LoginFailed):
+        user.login("x" * 30, bio)
+
+
 def test_login_tolerates_bounded_biometric_noise():
     user, _, bio, _, _ = _registered_user()
     noisy = _flipped(bio, *(block * FE_REPETITION + offset
@@ -102,6 +109,19 @@ def test_login_rejects_noise_beyond_tolerance():
     noisy = _flipped(bio, *range(FE_TOLERANCE + 1))  # t+1 flips inside one block
     with pytest.raises(LoginFailed):
         user.login("correct-horse", noisy)
+
+
+def test_empty_identity_is_refused():
+    with pytest.raises(ValueError):
+        User("")
+
+
+def test_register_complete_requires_a_registration_in_progress():
+    user, _, bio, _, response = _registered_user()
+    # the completed registration was consumed, as a fresh user has none
+    for party in (user, User("bob")):
+        with pytest.raises(ProtocolError):
+            party.register_complete(response, bio, random.Random(0))
 
 
 def test_login_requires_card():
